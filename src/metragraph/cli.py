@@ -97,8 +97,6 @@ def _spectral_kwargs(args):
         kw["root_tol"] = args.root_tol
     if args.rank_tol is not None:
         kw["rank_tol"] = args.rank_tol
-    if args.threads is not None:
-        kw["threads"] = args.threads
     return kw
 
 
@@ -408,8 +406,6 @@ def _add_spectral(parser):
     parser.add_argument("--gamma-floor", type=float, default=None)
     parser.add_argument("--root-tol", type=float, default=None)
     parser.add_argument("--rank-tol", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="scan parallelism (default METRAGRAPH_THREADS or 1)")
 
 
 def build_parser():

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import optimize
 
 
 class NumericError(RuntimeError):
@@ -16,7 +14,7 @@ class NumericError(RuntimeError):
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-12
-DEFAULT_DIP_FACTOR = 1e-6
+GOLDEN_MAX_ITER = 100
 
 
 class QuadratureRule:
@@ -100,28 +98,25 @@ def nullspace_basis(M, rank_tol=DEFAULT_RANK_TOL):
     return ns
 
 
-@dataclass
-class RootCandidate:
-    """One refined root of a scalar function of gamma."""
-
-    bracket: tuple
-    kind: str  # "sign-change" or "magnitude-dip"
-    gamma: float
-    residual: float
-
-
 def golden_min(f, a, b, xatol):
     """Golden-section minimizer honoring an absolute bracket tolerance.
 
     scipy's bounded Brent stops at sqrt(eps) * |x| regardless of xatol, which
     is too coarse for pinning V-shaped singular-value dips; this plain
-    golden-section contraction has no relative floor.
+    golden-section contraction has no relative floor.  It also stops once
+    the bracket no longer shrinks (xatol below the float spacing near the
+    minimum) and after GOLDEN_MAX_ITER contractions; a bracket of width w
+    needs about log(w / xatol) / log(1.618) of them, 55 for w = 0.2 and
+    xatol = 1e-12.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xatol:
+    for _ in range(GOLDEN_MAX_ITER):
+        width = b - a
+        if not width > xatol:
+            break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -130,74 +125,9 @@ def golden_min(f, a, b, xatol):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
+        if not b - a < width:
+            break
     return 0.5 * (a + b)
-
-
-def scan_and_refine_roots(
-    f,
-    gamma_min,
-    gamma_max,
-    step,
-    tol=DEFAULT_ROOT_TOL,
-    dip_factor=DEFAULT_DIP_FACTOR,
-):
-    """Locate roots of f on [gamma_min, gamma_max] by grid scanning.
-
-    Sign changes between samples are refined by bracketed root-finding; local
-    minima of |f| falling below dip_factor times the median sample magnitude
-    are treated as candidate even-multiplicity roots and refined by bounded
-    minimization of |f|.  Roots closer than tol are merged (the one with the
-    smaller |f| wins).  A step too coarse to separate neighboring roots is not
-    detectable here; callers pick the step from the expected root spacing.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if gamma_max <= gamma_min:
-        raise ValueError("empty scan interval")
-    n = max(2, int(math.ceil((gamma_max - gamma_min) / step)) + 1)
-    grid = np.linspace(gamma_min, gamma_max, n)
-    vals = np.array([f(g) for g in grid], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("function not finite on scan grid")
-    absvals = np.abs(vals)
-    median = float(np.median(absvals))
-    dip_threshold = dip_factor * median if median > 0 else 0.0
-
-    candidates = []
-    for i in range(n - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            candidates.append(RootCandidate((a, b), "sign-change", float(a), 0.0))
-            continue
-        if fa * fb < 0.0:
-            root = optimize.brentq(f, a, b, xtol=tol, rtol=8 * np.finfo(float).eps)
-            candidates.append(
-                RootCandidate((a, b), "sign-change", float(root), abs(f(root)))
-            )
-    if vals[-1] == 0.0:
-        candidates.append(
-            RootCandidate((grid[-2], grid[-1]), "sign-change", float(grid[-1]), 0.0)
-        )
-    for i in range(1, n - 1):
-        if absvals[i] <= absvals[i - 1] and absvals[i] <= absvals[i + 1]:
-            if absvals[i] >= dip_threshold:
-                continue
-            if vals[i - 1] * vals[i] < 0 or vals[i] * vals[i + 1] < 0:
-                continue  # already caught as a sign change
-            a, b = grid[i - 1], grid[i + 1]
-            x = golden_min(lambda g: abs(f(g)), a, b, tol)
-            candidates.append(RootCandidate((a, b), "magnitude-dip", x, abs(f(x))))
-
-    candidates.sort(key=lambda c: c.gamma)
-    merged = []
-    for c in candidates:
-        if merged and abs(c.gamma - merged[-1].gamma) <= max(tol, 1e-15):
-            if c.residual < merged[-1].residual:
-                merged[-1] = c
-            continue
-        merged.append(c)
-    return merged
 
 
 def equilibrate_rows(M):
@@ -211,11 +141,6 @@ def equilibrate_rows(M):
     scales = np.max(np.abs(M), axis=1)
     scales[scales == 0.0] = 1.0
     return M / scales[:, None], scales
-
-
-def equilibrated_det(M):
-    scaled, _ = equilibrate_rows(M)
-    return float(np.linalg.det(scaled))
 
 
 def smallest_singular_value(M):

@@ -14,9 +14,7 @@ nullspace dimension.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +40,20 @@ DEFAULT_GAMMA_FLOOR = 1e-6
 LAMBDA_MERGE_REL = 1e-9
 ZERO_ROW_REL = 1e-10
 
+# Features of M(gamma): two global ones, then per edge the trig values, the
+# derivative factors, h(0), h(L), h'(0), -h'(L) and the integral of h*d for
+# the particular solution h, and the trig moments of the density d.
+_ONE, _G2 = 0, 1
+(_COS, _SIN, _G, _GSIN, _MGCOS, _H0, _HL, _HP0, _MHPL, _HD,
+ _CMOM, _SMOM) = range(12)
+_EDGE_FEATURES = 12
 
-def _default_threads():
-    raw = os.environ.get("METRAGRAPH_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+
+def _derivative(coeffs):
+    """Ascending coefficients of p' (npoly.polyder without its overhead)."""
+    if coeffs.size < 2:
+        return np.zeros(1)
+    return coeffs[1:] * np.arange(1.0, coeffs.size)
 
 
 def _exp_moments(omega, length, count):
@@ -216,6 +221,7 @@ class SpectralProblem:
             tags.append(f"derivative@{v}")
         tags.append("integral")
         self.row_tags = tuple(tags)
+        self._compile()
 
     def map_point(self, point):
         """Carry a point on the original graph onto the working graph."""
@@ -251,63 +257,107 @@ class SpectralProblem:
         reduced, _ = equilibrate_rows(raw[keep])
         return nullspace_basis(reduced, rank_tol)
 
-    def _assemble(self, gamma):
-        if gamma <= 0:
-            raise ValidationError("gamma must be positive")
-        parts = self.particulars(gamma)
-        M = np.zeros((self.size, self.size))
-        ccol = self.size - 1
-        g = gamma
-        val = {}  # (edge id, end) -> (A, B, C) coefficients of f at the endpoint
-        der = {}  # (edge id, end) -> coefficients of the inward derivative
-        for e in self.edges:
-            h = parts[e.id]
-            hp = np.atleast_1d(npoly.polyder(h))
-            L = e.length
-            cg, sg = math.cos(g * L), math.sin(g * L)
-            val[(e.id, 0)] = (1.0, 0.0, float(npoly.polyval(0.0, h)))
-            val[(e.id, 1)] = (cg, sg, float(npoly.polyval(L, h)))
-            der[(e.id, 0)] = (0.0, g, float(npoly.polyval(0.0, hp)))
-            der[(e.id, 1)] = (g * sg, -g * cg, -float(npoly.polyval(L, hp)))
+    def _compile(self):
+        """Scatter plan of M(gamma) in split form, M = sum_j f_j(gamma) A_j.
+
+        Each structural nonzero becomes (flat index row*N + col, feature,
+        coefficient); _assemble evaluates the features at gamma and scatters
+        coefficient * feature with one bincount.  Entries are listed in the
+        order the rows accumulate, so repeated indices sum in a fixed order.
+        """
+        N, ccol = self.size, self.size - 1
+
+        def feature(k, j):
+            return 2 + _EDGE_FEATURES * k + j
+
+        val, der = {}, {}  # (edge id, end) -> features of the A, B, C columns
+        for k, e in enumerate(self.edges):
+            val[(e.id, 0)] = (_ONE, None, feature(k, _H0))
+            val[(e.id, 1)] = (feature(k, _COS), feature(k, _SIN), feature(k, _HL))
+            der[(e.id, 0)] = (None, feature(k, _G), feature(k, _HP0))
+            der[(e.id, 1)] = (feature(k, _GSIN), feature(k, _MGCOS),
+                              feature(k, _MHPL))
+        entries = []
+
+        def put(r, e, feats, coef):
+            c = self._col[e.id]
+            for col, feat in zip((c, c + 1, ccol), feats):
+                if feat is not None:
+                    entries.append((r * N + col, feat, coef))
+
         r = 0
         for v in self.graph.vertices:
             inc = self.graph.incidences(v)
             e0, end0 = inc[0]
-            base = val[(e0.id, end0)]
             for e, end in inc[1:]:
-                row = M[r]
+                put(r, e, val[(e.id, end)], 1.0)
+                put(r, e0, val[(e0.id, end0)], -1.0)
                 r += 1
-                a = val[(e.id, end)]
-                row[self._col[e.id]] += a[0]
-                row[self._col[e.id] + 1] += a[1]
-                row[ccol] += a[2]
-                row[self._col[e0.id]] -= base[0]
-                row[self._col[e0.id] + 1] -= base[1]
-                row[ccol] -= base[2]
-            row = M[r]
-            r += 1
             for e, end in inc:
-                d = der[(e.id, end)]
-                row[self._col[e.id]] += d[0]
-                row[self._col[e.id] + 1] += d[1]
-                row[ccol] += d[2]
-            row[ccol] -= g * g * self._atom_mass.get(v, 0.0)
-        row = M[r]
-        for e in self.edges:
-            dens = self._density[e.id]
-            if np.any(dens != 0.0):
-                cmom, smom = trig_poly_moments(dens, g, e.length)
-                row[self._col[e.id]] += cmom
-                row[self._col[e.id] + 1] += smom
-                anti = npoly.polyint(npoly.polymul(parts[e.id], dens))
-                row[ccol] += float(npoly.polyval(e.length, anti))
+                put(r, e, der[(e.id, end)], 1.0)
+            if self._atom_mass.get(v, 0.0):
+                entries.append((r * N + ccol, _G2, -self._atom_mass[v]))
+            r += 1
+        for k, e in enumerate(self.edges):
+            if np.any(self._density[e.id] != 0.0):
+                put(r, e, (feature(k, _CMOM), feature(k, _SMOM), feature(k, _HD)),
+                    1.0)
         for v, mass in self._atom_mass.items():
             e0, end0 = self.graph.incidences(v)[0]
-            a = val[(e0.id, end0)]
-            row[self._col[e0.id]] += mass * a[0]
-            row[self._col[e0.id] + 1] += mass * a[1]
-            row[ccol] += mass * a[2]
-        return M
+            put(r, e0, val[(e0.id, end0)], mass)
+        flat, feat, coef = zip(*entries)
+        self._flat = np.array(flat, dtype=np.intp)
+        self._feat = np.array(feat, dtype=np.intp)
+        self._coef = np.array(coef, dtype=float)
+
+        # h = sum_j s^j (-1)^j d^(2j) with s = 1/gamma^2; tables[k][j] holds
+        # h(0), h(L), h'(0), -h'(L) and the integral of h*d for power j.
+        # Constant densities get closed-form trig moments, the rest a call each.
+        self._lengths = np.array([e.length for e in self.edges])
+        self._d0 = np.zeros(len(self.edges))
+        self._poly_edges = []
+        tables = []
+        for k, e in enumerate(self.edges):
+            L, dens = e.length, self._density[e.id]
+            if np.any(dens[1:] != 0.0):
+                self._poly_edges.append((k, dens, L))
+            else:
+                self._d0[k] = dens[0]
+            rows, term = [], dens
+            while np.any(term != 0.0):
+                der1 = _derivative(term)
+                prod = npoly.polymul(term, dens)
+                integral = npoly.polyval(L, prod / np.arange(1, prod.size + 1)) * L
+                rows.append((-1.0) ** len(rows) * np.array([
+                    npoly.polyval(0.0, term), npoly.polyval(L, term),
+                    npoly.polyval(0.0, der1), -npoly.polyval(L, der1), integral]))
+                term = _derivative(der1)
+            tables.append(rows)
+        self._hpoly = np.zeros((len(self.edges), 5, max(map(len, tables))))
+        for k, rows in enumerate(tables):
+            for j, row in enumerate(rows):
+                self._hpoly[k, :, j] = row
+
+    def _assemble(self, gamma):
+        if gamma <= 0:
+            raise ValidationError("gamma must be positive")
+        g = float(gamma)
+        gL = g * self._lengths
+        cg, sg = np.cos(gL), np.sin(gL)
+        F = np.empty((len(self.edges), _EDGE_FEATURES))
+        F[:, _COS], F[:, _SIN], F[:, _G] = cg, sg, g
+        F[:, _GSIN], F[:, _MGCOS] = g * sg, -g * cg
+        s = 1.0 / (g * g)
+        F[:, _H0:_CMOM] = self._hpoly @ s ** np.arange(self._hpoly.shape[2])
+        # stable at small gamma*L, unlike (1 - cos) / gamma
+        F[:, _CMOM] = self._d0 * sg / g
+        F[:, _SMOM] = self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
+        for k, dens, L in self._poly_edges:
+            F[k, _CMOM:] = trig_poly_moments(dens, g, L)
+        feats = np.concatenate(([1.0, g * g], F.ravel()))
+        M = np.bincount(self._flat, self._coef * feats[self._feat],
+                        minlength=self.size * self.size)
+        return M.reshape(self.size, self.size)
 
     def solution(self, gamma, vec, parts=None):
         """EdgeBasisSolution from one coefficient vector."""
@@ -454,7 +504,7 @@ def _confirmed_dimension(problem, gamma, kind, step, root_tol, rank_tol, lo, hi)
 
 def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
                      step=None, root_tol=DEFAULT_ROOT_TOL,
-                     rank_tol=DEFAULT_RANK_TOL, threads=None):
+                     rank_tol=DEFAULT_RANK_TOL):
     """All eigenvalues with gamma in (gamma_floor, gamma_max], ascending.
 
     The scan samples det M(gamma) and the smallest singular value on a grid
@@ -472,8 +522,6 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
         raise ValidationError("gamma_max must exceed gamma_floor")
     if step is None:
         step = math.pi / (8.0 * total_length(problem.graph))
-    if threads is None:
-        threads = _default_threads()
     n = max(3, int(math.ceil((gamma_max - gamma_floor) / step)) + 1)
     grid = np.linspace(gamma_floor, gamma_max, n)
 
@@ -489,11 +537,7 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
         smin = float(s[-1] / s[0]) if s[0] > 0 else 0.0
         return float(np.linalg.det(M)), smin
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(sample, grid))
-    else:
-        samples = [sample(g) for g in grid]
+    samples = [sample(g) for g in grid]
     dets = np.array([v[0] for v in samples])
     smins = np.array([v[1] for v in samples])
     if not np.all(np.isfinite(dets)):

@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive and self-contained: resistor networks
 assembled as dense Laplacians, pseudo-inverse Green matrices, integral
-operator eigenvalues from a uniform refinement, and quadrature from scipy.
-Nothing below calls into the package except to read graph topology, so test
+operator eigenvalues from a uniform refinement, quadrature from scipy, and
+the secular matrix M(gamma) assembled entry by entry.  Nothing below calls
+into the package except to read graph topology (and, for M(gamma), a
+SpectralProblem's working graph, densities and atom masses), so test
 comparisons are genuine two-route checks.
 """
 
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 
 
@@ -173,3 +176,82 @@ def trig_moment(k, omega, length):
         lambda t: t**k * math.sin(omega * t), 0.0, length, limit=400
     )
     return re, im
+
+
+def _particular(coeffs, gamma):
+    """h with h'' + gamma^2 h = gamma^2 g: sum_k (-1)^k g^(2k) / gamma^(2k)."""
+    term = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
+    h = np.zeros_like(term)
+    sign = 1.0
+    while np.any(term != 0.0):
+        h = npoly.polyadd(h, sign * term)
+        term = np.atleast_1d(npoly.polyder(term, 2)) / (gamma * gamma)
+        sign = -sign
+    return np.atleast_1d(h)
+
+
+_GAUSS_100 = np.polynomial.legendre.leggauss(100)
+
+
+def _gauss_trig_moments(coeffs, omega, length):
+    """(int p cos(omega t), int p sin(omega t)) over [0, length] by one
+    100-node Gauss-Legendre rule, whose error is far below rounding for
+    omega * length <= 60 and the low-degree densities of the suite."""
+    x, w = _GAUSS_100
+    t = 0.5 * length * (x + 1.0)
+    pw = 0.5 * length * w * npoly.polyval(t, coeffs)
+    return float(pw @ np.cos(omega * t)), float(pw @ np.sin(omega * t))
+
+
+def secular_matrix(problem, gamma):
+    """Raw M(gamma) of a SpectralProblem, assembled entry by entry.
+
+    Reads only the problem's working graph, column layout, densities and
+    atom masses; rows follow problem.row_tags (continuity and derivative
+    balance per vertex, then the integral row), columns (A_e, B_e, ..., C).
+    """
+    N = problem.size
+    M = np.zeros((N, N))
+    ccol = N - 1
+    g = gamma
+    col = problem._col
+    parts = {e.id: _particular(problem._density[e.id], g) for e in problem.edges}
+    val = {}  # (edge id, end) -> (A, B, C) coefficients of f at the endpoint
+    der = {}  # (edge id, end) -> coefficients of the inward derivative
+    for e in problem.edges:
+        h = parts[e.id]
+        hp = np.atleast_1d(npoly.polyder(h))
+        L = e.length
+        cg, sg = math.cos(g * L), math.sin(g * L)
+        val[(e.id, 0)] = (1.0, 0.0, float(npoly.polyval(0.0, h)))
+        val[(e.id, 1)] = (cg, sg, float(npoly.polyval(L, h)))
+        der[(e.id, 0)] = (0.0, g, float(npoly.polyval(0.0, hp)))
+        der[(e.id, 1)] = (g * sg, -g * cg, -float(npoly.polyval(L, hp)))
+
+    def add(row, e, coeffs, sign=1.0):
+        row[col[e.id]] += sign * coeffs[0]
+        row[col[e.id] + 1] += sign * coeffs[1]
+        row[ccol] += sign * coeffs[2]
+
+    r = 0
+    for v in problem.graph.vertices:
+        inc = problem.graph.incidences(v)
+        e0, end0 = inc[0]
+        for e, end in inc[1:]:
+            add(M[r], e, val[(e.id, end)])
+            add(M[r], e0, val[(e0.id, end0)], -1.0)
+            r += 1
+        for e, end in inc:
+            add(M[r], e, der[(e.id, end)])
+        M[r, ccol] -= g * g * problem._atom_mass.get(v, 0.0)
+        r += 1
+    for e in problem.edges:
+        dens = problem._density[e.id]
+        if np.any(dens != 0.0):
+            cmom, smom = _gauss_trig_moments(dens, g, e.length)
+            anti = npoly.polyint(npoly.polymul(parts[e.id], dens))
+            add(M[r], e, (cmom, smom, float(npoly.polyval(e.length, anti))))
+    for v, mass in problem._atom_mass.items():
+        e0, end0 = problem.graph.incidences(v)[0]
+        add(M[r], e0, val[(e0.id, end0)], mass)
+    return M

@@ -1,6 +1,4 @@
-"""Quadrature, grounded solves, nullspaces, root scanning, piecewise polys."""
-
-import math
+"""Quadrature, grounded solves, nullspaces, minimization, piecewise polys."""
 
 import numpy as np
 import pytest
@@ -12,12 +10,10 @@ from metragraph.numerics import (
     PiecewisePoly,
     QuadratureRule,
     equilibrate_rows,
-    equilibrated_det,
     golden_min,
     integrate_piecewise,
     nullspace_basis,
     real_roots_in_interval,
-    scan_and_refine_roots,
     smallest_singular_value,
     solve_grounded,
 )
@@ -84,27 +80,18 @@ def test_golden_min_absolute_tolerance():
     assert abs(x - 0.39) < 5e-12
 
 
-def test_scan_finds_simple_roots():
-    roots = scan_and_refine_roots(math.sin, 1.0, 20.0, step=0.5)
-    expected = [math.pi * k for k in range(1, 7)]
-    assert len(roots) == len(expected)
-    for got, want in zip(roots, expected):
-        assert got.kind == "sign-change"
-        assert got.gamma == pytest.approx(want, abs=1e-9)
+def test_golden_min_stops_below_float_spacing():
+    # near 1.1e4 the float spacing (1.8e-12) exceeds xatol, so the bracket
+    # can never get narrower than xatol; the search must still end
+    calls = []
 
+    def f(t):
+        calls.append(t)
+        return abs(t - 11000.03)
 
-def test_scan_root_on_grid_point():
-    roots = scan_and_refine_roots(math.sin, 0.0, 1.0, step=0.25)
-    assert roots and roots[0].gamma == 0.0
-
-
-def test_scan_validation():
-    with pytest.raises(ValueError):
-        scan_and_refine_roots(math.sin, 0.0, 1.0, step=0.0)
-    with pytest.raises(ValueError):
-        scan_and_refine_roots(math.sin, 2.0, 1.0, step=0.1)
-    with pytest.raises(NumericError):
-        scan_and_refine_roots(lambda g: math.inf, 0.0, 1.0, step=0.5)
+    x = golden_min(f, 11000.0, 11000.1, 1e-12)
+    assert len(calls) < 200
+    assert abs(x - 11000.03) < 1e-10
 
 
 def test_equilibrate_rows():
@@ -112,7 +99,10 @@ def test_equilibrate_rows():
     scaled, factors = equilibrate_rows(M)
     assert np.allclose(np.max(np.abs(scaled), axis=1), [1.0, 0.0, 1.0])
     assert factors[1] == 1.0
-    assert equilibrated_det(np.diag([1e-30, 1e30])) == pytest.approx(1.0)
+    # rows of wildly different scale come out at unit scale
+    scaled, factors = equilibrate_rows(np.diag([1e-30, 1e30]))
+    np.testing.assert_array_equal(scaled, np.eye(2))
+    np.testing.assert_array_equal(factors, [1e-30, 1e30])
 
 
 def test_smallest_singular_value_is_ratio():

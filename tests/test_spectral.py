@@ -136,6 +136,40 @@ def test_matrix_rejects_nonpositive_gamma(interval):
         assemble_characteristic_matrix(interval, lebesgue_measure(interval), -1.0)
 
 
+REFERENCE_GAMMAS = np.geomspace(0.05, 60.0, 20)
+
+
+def assert_matches_reference(problem):
+    """Compiled M(gamma) against the entry-by-entry oracle, row-relative."""
+    for g in REFERENCE_GAMMAS:
+        got = problem._assemble(g)
+        want = oracles.secular_matrix(problem, g)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13, g
+
+
+@pytest.mark.parametrize("name", [
+    "interval", "circle", "banana:3", "k5", "k33", "petersen", "tetrahedron",
+    "cube", "octahedron", "dodecahedron", "icosahedron",
+])
+def test_compiled_matrix_matches_reference(name):
+    graph = builtin_graph(name)
+    assert_matches_reference(SpectralProblem(graph, lebesgue_measure(graph)))
+    assert_matches_reference(SpectralProblem(graph, canonical_measure(graph)))
+
+
+def test_compiled_matrix_matches_reference_atoms_and_polynomials(tetrahedron):
+    e = tetrahedron.edges
+    densities = {e[1].id: [0.5, 1.0], e[2].id: [1.0, -2.0, 3.0], e[3].id: [0.7]}
+    interior = (tetrahedron.point(e[0].id, 0.3 * e[0].length), 0.4)
+    rest = Measure(tetrahedron, [interior], densities).total_mass()
+    corner = (tetrahedron.point_at_vertex(tetrahedron.vertices[0]), 1.0 - rest)
+    problem = SpectralProblem(tetrahedron,
+                              Measure(tetrahedron, [interior, corner], densities))
+    assert problem.size == 15  # the interior atom split one edge
+    assert_matches_reference(problem)
+
+
 def test_det_vanishes_at_known_roots(interval, circle):
     dx = lebesgue_measure(interval)
     assert abs(characteristic_det(interval, dx, math.pi)) < 1e-9
@@ -340,7 +374,9 @@ def test_canonical_measure_spectrum_vs_kernel_oracle():
 
 def test_scaling_law_parallel_edges():
     g = builtin_graph("banana:3")
-    for beta in (2.0, 0.5):
+    # at beta = 1e-3 the root sits near gamma = 9425, where the float spacing
+    # (1.8e-12) exceeds root_tol; the polish must still stop
+    for beta in (2.0, 0.5, 1e-3):
         scaled = scale_graph(g, beta)
         mu = lebesgue_measure(scaled, normalize=True)
         pairs = find_eigenvalues(scaled, mu, 3 * math.pi / beta + 0.3)
