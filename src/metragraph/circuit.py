@@ -1,93 +1,91 @@
 """Electrical-network theory on a metrized graph.
 
 Edges are resistors with resistance equal to their length (conductance
-1/L(e), parallel edges summing).  The discrete solver (subdivide at the
-points of interest, solve the grounded Laplacian system) is the source of
-truth for j-functions and effective resistance; the ResistanceKernel gives
-an exact closed-form representation of r(x, y) per edge pair, validated
-against the solver at build time.
+1/L(e), parallel edges summing).  The ResistanceKernel is the one runtime
+source of resistance: r(x, y) in closed form per edge pair, the removed-edge
+resistances R(e), the j-functions and the resistance potentials
+x -> integral of r(x, zeta) d nu(zeta) all read from it.  The discrete
+solver (subdivide at the points of interest, solve the grounded Laplacian
+system) is only the independent check that the kernel and its profiles are
+validated against when they are built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .graph_core import ensure_vertex
+from .graph_core import subdivide_at
 from .numerics import NumericError, PiecewisePoly, solve_grounded
 
 _KERNEL_CHECK_TOL = 1e-9
 _PROFILE_CHECK_TOL = 1e-9
+# An edge is a bridge when L - r(u, v) <= _BRIDGE_TOL * L.  The rounding
+# noise there is about 2e-15 L; the smallest gap on a non-bridge edge of the
+# built-in and random cubic graphs is about 0.16 L.
+_BRIDGE_TOL = 1e-12
 
 
-@dataclass
-class ConductanceLaplacian:
-    """Q = D - A over the current vertex set, conductance 1/L per edge."""
-
-    matrix: np.ndarray
-    vertex_order: tuple
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.vertex_order)}
-
-    def index(self, vertex):
-        return self._index[vertex]
-
-
-def laplacian_matrix(graph):
-    """Weighted Laplacian of the graph's vertex skeleton."""
-    n = len(graph.vertices)
-    Q = np.zeros((n, n))
-    for e in graph.edges:
-        i, j = graph.vertex_index(e.u), graph.vertex_index(e.v)
-        c = 1.0 / e.length
+def _laplacian(size, segments):
+    """Conductance Laplacian of resistors (i, j, length) on `size` nodes."""
+    Q = np.zeros((size, size))
+    for i, j, length in segments:
+        c = 1.0 / length
         Q[i, i] += c
         Q[j, j] += c
         Q[i, j] -= c
         Q[j, i] -= c
-    return ConductanceLaplacian(Q, graph.vertices)
+    return Q
 
 
-def _ensure_vertices(graph, points):
-    """Subdivide so every point is a vertex; returns (graph', vertex names)."""
-    names = []
-    current = graph
-    pts = list(points)
-    for k, p in enumerate(pts):
-        current, name, remap = ensure_vertex(current, p)
-        names.append(name)
-        pts[k + 1:] = [remap(q) for q in pts[k + 1:]]
-    return current, names
+def _solved_resistance(graph, x, y):
+    """r(x, y) by subdividing at x and y and one grounded solve: the route
+    the kernel is checked against, sharing only the Laplacian assembly."""
+    g, vx, remap = subdivide_at(graph, x)
+    g, vy, _ = subdivide_at(g, remap(y))
+    if vx == vy:
+        return 0.0
+    Q = _laplacian(len(g.vertices), [
+        (g.vertex_index(e.u), g.vertex_index(e.v), e.length) for e in g.edges
+    ])
+    ix, iy = g.vertex_index(vx), g.vertex_index(vy)
+    b = np.zeros(len(g.vertices))
+    b[iy] += 1.0
+    b[ix] -= 1.0
+    return float(solve_grounded(Q, b, ix)[iy])
+
+
+def _poly_moments(coeffs, L):
+    """[integral of t^b g(t) dt over [0, L] for b = 0, 1, 2]."""
+    c = np.atleast_1d(np.asarray(coeffs))
+    out = []
+    for b in range(3):
+        shifted = np.concatenate([np.zeros(b, dtype=c.dtype), c])
+        out.append(npoly.polyval(L, npoly.polyint(shifted)))
+    return np.array(out)
+
+
+def effective_resistance(graph, x, y):
+    """Two-terminal resistance r(x, y), read from the resistance kernel."""
+    if graph.same_point(x, y):
+        return 0.0
+    return max(resistance_kernel(graph).point_eval(x, y), 0.0)
 
 
 def j_function(graph, zeta, y, x):
     """The potential j_zeta(x, y): voltage at x when unit current flows from
-    y to zeta, grounded at zeta.  Nonnegative, zero when x or y hits zeta."""
-    g, (vz, vy, vx) = _ensure_vertices(graph, [zeta, y, x])
-    lap = laplacian_matrix(g)
-    b = np.zeros(len(g.vertices))
-    b[lap.index(vy)] += 1.0
-    b[lap.index(vz)] -= 1.0
-    v = solve_grounded(lap.matrix, b, lap.index(vz))
-    val = float(v[lap.index(vx)])
+    y to zeta, grounded at zeta; equal to (r(x, zeta) + r(y, zeta) - r(x, y))
+    / 2.  Nonnegative, zero when x or y hits zeta."""
+    val = 0.5 * (
+        effective_resistance(graph, x, zeta)
+        + effective_resistance(graph, y, zeta)
+        - effective_resistance(graph, x, y)
+    )
     if val < -1e-9:
         raise NumericError(f"negative j-function value {val:g}")
     return max(val, 0.0)
-
-
-def effective_resistance(graph, x, y):
-    """Two-terminal resistance r(x, y) = j_x(y, y)."""
-    g, (vx, vy) = _ensure_vertices(graph, [x, y])
-    if vx == vy:
-        return 0.0
-    lap = laplacian_matrix(g)
-    b = np.zeros(len(g.vertices))
-    b[lap.index(vy)] += 1.0
-    b[lap.index(vx)] -= 1.0
-    v = solve_grounded(lap.matrix, b, lap.index(vx))
-    return max(float(v[lap.index(vy)]), 0.0)
 
 
 def removed_edge_resistance(graph, edge_id):
@@ -95,39 +93,7 @@ def removed_edge_resistance(graph, edge_id):
 
     Returns math.inf when e is a bridge.
     """
-    e = graph.edge(edge_id)
-    rest = [f for f in graph.edges if f.id != edge_id]
-    adj = {v: [] for v in graph.vertices}
-    for f in rest:
-        adj[f.u].append(f.v)
-        adj[f.v].append(f.u)
-    seen = {e.u}
-    stack = [e.u]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if e.v not in seen:
-        return math.inf
-    comp = [v for v in graph.vertices if v in seen]
-    idx = {v: i for i, v in enumerate(comp)}
-    Q = np.zeros((len(comp), len(comp)))
-    for f in rest:
-        if f.u not in idx:
-            continue
-        i, j = idx[f.u], idx[f.v]
-        c = 1.0 / f.length
-        Q[i, i] += c
-        Q[j, j] += c
-        Q[i, j] -= c
-        Q[j, i] -= c
-    b = np.zeros(len(comp))
-    b[idx[e.v]] += 1.0
-    b[idx[e.u]] -= 1.0
-    v = solve_grounded(Q, b, idx[e.u])
-    return float(v[idx[e.v]])
+    return resistance_kernel(graph).removed(edge_id)
 
 
 class ResistanceKernel:
@@ -137,25 +103,32 @@ class ResistanceKernel:
     (two-terminal reduction of the rest of the network), so a 3x3 grid of
     exact values determines the coefficients.  For x, y on the same edge,
     r(s, t) = |s - t| - (s - t)^2 / (L + R(e)) with R(e) the removed-edge
-    resistance (infinite on bridges).  All grid values come from one
-    grounded inverse of the graph with every edge subdivided at its
-    midpoint.
+    resistance.  All grid values come from one grounded inverse of the
+    graph with every edge subdivided at its midpoint.  By the parallel-
+    resistor law r(u, v) = L R(e) / (L + R(e)) across the ends of e, so
+    canonical_density[e] = 1 / (L + R(e)) = (L - r(u, v)) / L^2, which is 0
+    on a bridge.
     """
 
-    def __init__(self, graph, validate=True):
+    def __init__(self, graph):
         self.graph = graph
         n = len(graph.vertices)
-        m = len(graph.edges)
-        N = n + m
-        Q = np.zeros((N, N))
+        self._nodes = {}
+        self._Sinv = {}
+        segments = []
         for k, e in enumerate(graph.edges):
             iu, iv, im = graph.vertex_index(e.u), graph.vertex_index(e.v), n + k
-            c = 2.0 / e.length
-            for a, b in ((iu, im), (im, iv)):
-                Q[a, a] += c
-                Q[b, b] += c
-                Q[a, b] -= c
-                Q[b, a] -= c
+            self._nodes[e.id] = [iu, im, iv]
+            segments += [(iu, im, e.length / 2.0), (im, iv, e.length / 2.0)]
+            # inverse Vandermonde of the nodes (0, L/2, L): values -> coefficients
+            h = 1.0 / e.length
+            self._Sinv[e.id] = np.array([
+                [1.0, 0.0, 0.0],
+                [-3.0 * h, 4.0 * h, -h],
+                [2.0 * h * h, -4.0 * h * h, 2.0 * h * h],
+            ])
+        N = n + len(graph.edges)
+        Q = _laplacian(N, segments)
         K = np.zeros((N, N))
         if N > 1:
             try:
@@ -164,25 +137,23 @@ class ResistanceKernel:
                 raise NumericError(f"resistance kernel build failed: {exc}") from None
         d = np.diag(K)
         self._R = d[:, None] + d[None, :] - K - K.T
-        self._nodes = {}
-        self._Sinv = {}
-        for k, e in enumerate(graph.edges):
-            self._nodes[e.id] = [
-                graph.vertex_index(e.u), n + k, graph.vertex_index(e.v)
-            ]
-            S = np.vander(
-                np.array([0.0, e.length / 2.0, e.length]), 3, increasing=True
-            )
-            self._Sinv[e.id] = np.linalg.inv(S)
+        self.canonical_density = {}
+        for e in graph.edges:
+            iu, _, iv = self._nodes[e.id]
+            gap = e.length - self._R[iu, iv]
+            bridge = not gap > _BRIDGE_TOL * e.length
+            self.canonical_density[e.id] = 0.0 if bridge else gap / e.length / e.length
         self._B = {}
-        self._removed = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def removed(self, edge_id):
-        if edge_id not in self._removed:
-            self._removed[edge_id] = removed_edge_resistance(self.graph, edge_id)
-        return self._removed[edge_id]
+        """R(e) = L r(u, v) / (L - r(u, v)); math.inf on a bridge."""
+        L = self.graph.edge(edge_id).length
+        if self.canonical_density[edge_id] == 0.0:
+            return math.inf
+        iu, _, iv = self._nodes[edge_id]
+        r = self._R[iu, iv]
+        return float(L * r / (L - r))
 
     def biquad(self, e1, e2):
         key = (e1, e2)
@@ -197,10 +168,13 @@ class ResistanceKernel:
         t2 = np.asarray(t2, dtype=float)
         scalar = t1.ndim == 0 and t2.ndim == 0
         if e1 == e2:
-            LR = self.graph.edge(e1).length + self.removed(e1)
             d = t1 - t2
-            vals = np.abs(d) - (0.0 if math.isinf(LR) else d * d / LR)
+            vals = np.abs(d) - d * d * self.canonical_density[e1]
         else:
+            if e1 > e2:
+                # one order per pair keeps r symmetric to the last bit, so
+                # j_zeta(x, y) is exactly 0 when x or y is zeta
+                e1, t1, e2, t2 = e2, t2, e1, t1
             B = self.biquad(e1, e2)
             a1, a2 = np.broadcast_arrays(np.atleast_1d(t1), np.atleast_1d(t2))
             P1 = np.vander(a1.ravel(), 3, increasing=True)
@@ -213,29 +187,64 @@ class ResistanceKernel:
     def point_eval(self, p, q):
         return self.eval(p.edge, p.offset, q.edge, q.offset)
 
+    def potential(self, atoms, densities):
+        """Per-edge PiecewisePoly of x -> integral of r(x, zeta) d nu(zeta).
+
+        nu is atoms [(point, mass)] plus per-edge densities (ascending
+        coefficients in the edge offset); masses may be complex.  Off its
+        own edge, a source acts only through its moments [integral of t^b
+        d nu, b = 0..2], mapped to weights on its edge's three nodes, so the
+        off-edge part of every edge is one product with _R.  Each edge then
+        takes back its own sources and adds their exact same-edge term.
+        """
+        moments, kinks = {}, {}
+        for p, mass in atoms:
+            t = float(p.offset)
+            moments[p.edge] = moments.get(p.edge, 0.0) + mass * np.array([1.0, t, t * t])
+            kinks.setdefault(p.edge, []).append((t, mass))
+        dens_moments = {
+            eid: _poly_moments(c, self.graph.edge(eid).length)
+            for eid, c in densities.items()
+        }
+        for eid, mom in dens_moments.items():
+            moments[eid] = moments.get(eid, 0.0) + mom
+        own = {eid: self._Sinv[eid].T @ mom for eid, mom in moments.items()}
+        w = np.zeros(len(self._R), dtype=np.result_type(float, *own.values()))
+        for eid, weights in own.items():
+            w[self._nodes[eid]] += weights
+        V = self._R @ w
+        out = {}
+        for e in self.graph.edges:
+            nodes = self._nodes[e.id]
+            vals = V[nodes]
+            if e.id in own:
+                vals = vals - self._R[np.ix_(nodes, nodes)] @ own[e.id]
+            base = self._Sinv[e.id] @ vals
+            inv = self.canonical_density[e.id]
+            if e.id in dens_moments:
+                # integral of (|x - t| - (x - t)^2 / (L + R)) g(t) dt
+                m0, m1, m2 = dens_moments[e.id]
+                g = np.atleast_1d(np.asarray(densities[e.id]))
+                f1 = npoly.polyadd(npoly.polyint(2 * g, m=2), np.array([m1, -m0]))
+                f2 = inv * np.array([m2, -2 * m1, m0])
+                base = npoly.polyadd(base, npoly.polysub(f1, f2))
+            here = kinks.get(e.id, [])
+            breaks = sorted({0.0, e.length} | {a for a, _ in here if 0.0 < a < e.length})
+            pieces = []
+            for lo, hi in zip(breaks, breaks[1:]):
+                piece = base
+                for a, mass in here:
+                    # mass * (|x - a| - (x - a)^2 / (L + R)), s the side of a
+                    s = 1.0 if 0.5 * (lo + hi) > a else -1.0
+                    kink = np.array([-s * a - a * a * inv, s + 2 * a * inv, -inv])
+                    piece = npoly.polyadd(piece, mass * kink)
+                pieces.append(piece)
+            out[e.id] = PiecewisePoly(breaks, pieces)
+        return out
+
     def profile_polys(self, y):
         """Per-edge PiecewisePoly of x -> r(x, y)."""
-        ey = self.graph.edge(y.edge)
-        ty = float(y.offset)
-        tyv = np.array([1.0, ty, ty * ty])
-        polys = {}
-        for e in self.graph.edges:
-            if e.id == ey.id:
-                LR = e.length + self.removed(e.id)
-                inv = 0.0 if math.isinf(LR) else 1.0 / LR
-                left = np.array([ty - ty * ty * inv, -1.0 + 2 * ty * inv, -inv])
-                right = np.array([-ty - ty * ty * inv, 1.0 + 2 * ty * inv, -inv])
-                if ty <= 0.0:
-                    polys[e.id] = PiecewisePoly([0.0, e.length], [right])
-                elif ty >= e.length:
-                    polys[e.id] = PiecewisePoly([0.0, e.length], [left])
-                else:
-                    polys[e.id] = PiecewisePoly([0.0, ty, e.length], [left, right])
-            else:
-                polys[e.id] = PiecewisePoly(
-                    [0.0, e.length], [self.biquad(e.id, ey.id) @ tyv]
-                )
-        return polys
+        return self.potential([(y, 1.0)], {})
 
     def _validate(self):
         g = self.graph
@@ -247,33 +256,30 @@ class ResistanceKernel:
         for e1, e2 in pairs:
             p = g.point(e1.id, 0.3183098861 * e1.length)
             q = g.point(e2.id, 0.7182818284 * e2.length)
-            direct = effective_resistance(g, p, q)
+            direct = _solved_resistance(g, p, q)
             closed = self.point_eval(p, q)
-            if abs(direct - closed) > _KERNEL_CHECK_TOL * max(1.0, abs(direct)):
+            if not abs(direct - closed) <= _KERNEL_CHECK_TOL * max(1.0, abs(direct)):
                 raise NumericError(
                     f"resistance kernel mismatch on ({e1.id},{e2.id}): "
                     f"{closed:.3e} vs solver {direct:.3e}"
                 )
 
 
-def resistance_kernel(graph, validate=True):
+def resistance_kernel(graph):
     """Memoized ResistanceKernel for an immutable graph."""
-    key = ("rkernel", validate)
-    if key not in graph._cache:
-        graph._cache[key] = ResistanceKernel(graph, validate=validate)
-    return graph._cache[key]
+    if "rkernel" not in graph._cache:
+        graph._cache["rkernel"] = ResistanceKernel(graph)
+    return graph._cache["rkernel"]
 
 
 class ResistanceProfile:
     """x -> r(x, y) as one exact low-degree polynomial per edge piece."""
 
-    def __init__(self, graph, y, kernel=None, validate=True):
+    def __init__(self, graph, y):
         self.graph = graph
         self.y = y
-        kernel = kernel or resistance_kernel(graph)
-        self.polys = kernel.profile_polys(y)
-        if validate:
-            self._validate()
+        self.polys = resistance_kernel(graph).profile_polys(y)
+        self._validate()
 
     def value(self, point):
         return float(np.real(self.polys[point.edge](point.offset)))
@@ -290,14 +296,14 @@ class ResistanceProfile:
         for e in self.graph.edges:
             t = 0.3183098861 * e.length
             p = self.graph.point(e.id, t)
-            direct = effective_resistance(self.graph, p, self.y)
+            direct = _solved_resistance(self.graph, p, self.y)
             fitted = self.value(p)
-            if abs(direct - fitted) > _PROFILE_CHECK_TOL * max(1.0, abs(direct)):
+            if not abs(direct - fitted) <= _PROFILE_CHECK_TOL * max(1.0, abs(direct)):
                 raise NumericError(
                     f"resistance profile mismatch on edge {e.id}: "
                     f"{fitted:.3e} vs solver {direct:.3e}"
                 )
 
 
-def resistance_profile(graph, y, validate=True):
-    return ResistanceProfile(graph, y, validate=validate)
+def resistance_profile(graph, y):
+    return ResistanceProfile(graph, y)

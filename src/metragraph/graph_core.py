@@ -232,11 +232,6 @@ def subdivide_at(graph, point):
     return graph2, new_vertex, PointRemap(e.id, t, child_u, child_v, new_vertex)
 
 
-def ensure_vertex(graph, point):
-    """Subdivide if needed so that the point is a vertex; see subdivide_at."""
-    return subdivide_at(graph, point)
-
-
 def total_length(graph):
     return math.fsum(e.length for e in graph.edges)
 
@@ -264,8 +259,8 @@ def _vertex_distances(graph, source):
 
 def path_distance(graph, p, q):
     """Shortest-path metric d(p, q) between two points."""
-    g1, vp, remap = ensure_vertex(graph, p)
-    g2, vq, _ = ensure_vertex(g1, remap(q))
+    g1, vp, remap = subdivide_at(graph, p)
+    g2, vq, _ = subdivide_at(g1, remap(q))
     return _vertex_distances(g2, vp)[vq]
 
 

@@ -17,37 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import circuit
 from .graph_core import ValidationError
 from .measure import Measure, integrate_polys_against, lebesgue_measure
-from .numerics import NumericError, PiecewisePoly
+from .numerics import NumericError
 
 TAU_INDEPENDENCE_TOL = 1e-10
 TRACE_COMPARISON_TOL = 1e-7
 DISCRIMINANT_SLACK = 1e-9
-
-
-def _poly_moments(coeffs, L, upto=2):
-    """[integral of t^b g(t) dt over [0, L] for b = 0..upto]."""
-    c = np.atleast_1d(np.asarray(coeffs))
-    out = []
-    for b in range(upto + 1):
-        shifted = np.concatenate([np.zeros(b, dtype=c.dtype), c])
-        out.append(npoly.polyval(L, npoly.polyint(shifted)))
-    return out
-
-
-def _kink_poly(a, L, inv, mass):
-    """mass * (|x - a| - (x - a)^2 * inv) as a PiecewisePoly on [0, L]."""
-    left = mass * np.array([a - a * a * inv, -1.0 + 2 * a * inv, -inv])
-    right = mass * np.array([-a - a * a * inv, 1.0 + 2 * a * inv, -inv])
-    if a <= 0.0:
-        return PiecewisePoly([0.0, L], [right])
-    if a >= L:
-        return PiecewisePoly([0.0, L], [left])
-    return PiecewisePoly([0.0, a, L], [left, right])
 
 
 def resistance_potential(kernel, nu):
@@ -56,41 +34,7 @@ def resistance_potential(kernel, nu):
     Exact for measures in atoms + polynomial-density form; complex masses
     are allowed.
     """
-    graph = kernel.graph
-    out = {}
-    for e in graph.edges:
-        base = np.zeros(3, dtype=complex)
-        for e2 in graph.edges:
-            if e2.id == e.id or e2.id not in nu.densities:
-                continue
-            m = _poly_moments(nu.densities[e2.id], e2.length)
-            base += kernel.biquad(e.id, e2.id) @ np.asarray(m)
-        pieces = [PiecewisePoly([0.0, e.length], [base])]
-        LR = e.length + kernel.removed(e.id)
-        inv = 0.0 if math.isinf(LR) else 1.0 / LR
-        if e.id in nu.densities:
-            g = np.atleast_1d(np.asarray(nu.densities[e.id]))
-            m0, m1, m2 = _poly_moments(g, e.length)
-            f1 = npoly.polyint(2 * g, m=2, k=[0, 0], lbnd=0)
-            f1 = npoly.polyadd(f1, np.array([m1, -m0]))
-            f2 = inv * np.array([m2, -2 * m1, m0])
-            pieces.append(
-                PiecewisePoly([0.0, e.length], [npoly.polysub(f1, f2)])
-            )
-        for p, mass in nu.atoms:
-            if p.edge == e.id:
-                pieces.append(_kink_poly(p.offset, e.length, inv, mass))
-            else:
-                tv = np.array([1.0, p.offset, p.offset**2])
-                quad = mass * (kernel.biquad(e.id, p.edge) @ tv)
-                pieces.append(PiecewisePoly([0.0, e.length], [quad]))
-        acc = pieces[0]
-        for extra in pieces[1:]:
-            acc = acc + extra
-        if nu.is_real():
-            acc = PiecewisePoly(acc.breaks, [c.real for c in acc.coeffs])
-        out[e.id] = acc
-    return out
+    return kernel.potential(nu.atoms, nu.densities)
 
 
 class GreenEvaluator:
@@ -141,10 +85,6 @@ class GreenEvaluator:
 
 def build_green(graph, mu):
     return GreenEvaluator(graph, mu)
-
-
-def green_eval(evaluator, x, y):
-    return evaluator.g(x, y)
 
 
 def weak_laplacian_residual(evaluator, y, phi):

@@ -152,19 +152,19 @@ def lebesgue_measure(graph, normalize=False):
 def canonical_measure(graph):
     """Vertex masses 1 - valence/2 plus edge densities 1/(L(e) + R(e)).
 
-    R(e) is the removed-edge resistance; bridges get density 0.  The total
-    mass is asserted to be 1.
+    R(e) is the removed-edge resistance; the densities are read from the
+    resistance kernel, and bridges get density 0.  The total mass is
+    asserted to be 1.
     """
     atoms = []
     for v in graph.vertices:
         mass = 1.0 - 0.5 * valence(graph, v)
         if mass != 0.0:
             atoms.append((graph.point_at_vertex(v), mass))
-    densities = {}
-    for e in graph.edges:
-        R = circuit.removed_edge_resistance(graph, e.id)
-        if not math.isinf(R):
-            densities[e.id] = [1.0 / (e.length + R)]
+    kernel = circuit.resistance_kernel(graph)
+    densities = {
+        eid: [c] for eid, c in kernel.canonical_density.items() if c > 0.0
+    }
     mu = Measure(graph, atoms, densities)
     mass = mu.total_mass()
     if abs(mass - 1.0) > CANONICAL_MASS_TOL:

@@ -150,6 +150,37 @@ def green_value(graph, atoms, densities, x, y, per_edge=0):
     return float(G[net.node(x), net.node(y)])
 
 
+_GAUSS_3 = np.polynomial.legendre.leggauss(3)
+
+
+def potential_value(graph, atoms, densities, x):
+    """Integral of r(x, zeta) d nu(zeta), nu = atoms + polynomial densities.
+
+    r(x, .) is quadratic on each piece of an edge (x's edge split at x), so
+    3-point Gauss-Legendre nodes on every piece integrate densities up to
+    degree 3 exactly.  One network marked at x, the atoms and those nodes
+    gives every r(x, node) as the diagonal of one grounded inverse.
+    """
+    nodes, weights = _GAUSS_3
+    sources = list(atoms)
+    for e in graph.edges:
+        if e.id not in densities:
+            continue
+        cuts = [0.0, e.length]
+        if e.id == x.edge and 0.0 < x.offset < e.length:
+            cuts = [0.0, float(x.offset), e.length]
+        for a, b in zip(cuts, cuts[1:]):
+            t = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+            w = 0.5 * (b - a) * weights * npoly.polyval(t, densities[e.id])
+            sources += [(graph.point(e.id, float(ti)), wi) for ti, wi in zip(t, w)]
+    net = NetworkModel(graph, [x] + [p for p, _ in sources])
+    ground = net.node(x)
+    keep = [k for k in range(net.size) if k != ground]
+    r = np.zeros(net.size)
+    r[keep] = np.diag(np.linalg.inv(net.laplacian[np.ix_(keep, keep)]))
+    return sum(m * r[net.node(p)] for p, m in sources)
+
+
 def kernel_eigenvalues(graph, atoms, densities, per_edge, count):
     """Smallest eigenvalues of the inverse integral operator, second route.
 

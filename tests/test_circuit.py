@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import circle_point, random_point
-from metragraph import builtin_graph, effective_resistance, j_function
+from metragraph import (
+    build_graph,
+    builtin_graph,
+    canonical_measure,
+    effective_resistance,
+    j_function,
+)
 from metragraph.circuit import (
     removed_edge_resistance,
     resistance_kernel,
@@ -124,13 +130,47 @@ def test_removed_edge_resistance():
     )
 
 
+def test_bridges_and_removed_edge_resistance(rng):
+    # a 4-cycle with a two-edge tail: the tail edges are bridges
+    lengths = rng.uniform(0.05, 1.0, size=6)
+    ends = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("d", "s"), ("s", "t")]
+    edges = [(f"e{k}", u, v, float(L))
+             for k, ((u, v), L) in enumerate(zip(ends, lengths))]
+    g = build_graph(["a", "b", "c", "d", "s", "t"], edges)
+    mu = canonical_measure(g)
+    assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
+    for eid, *_ in edges[4:]:
+        assert math.isinf(removed_edge_resistance(g, eid))
+        assert eid not in mu.densities
+    for eid, u, v, length in edges[:4]:
+        rest = build_graph(g.vertices, [f for f in edges if f[0] != eid])
+        want = oracles.resistance(
+            rest, rest.point_at_vertex(u), rest.point_at_vertex(v)
+        )
+        assert removed_edge_resistance(g, eid) == pytest.approx(want, rel=1e-12)
+        assert mu.densities[eid] == pytest.approx([1.0 / (length + want)],
+                                                  rel=1e-12)
+
+
+def test_short_edge_keeps_canonical_density():
+    # R(e) / L(e) = 1e6 on the short edge, so L - r(u, v) is only 1e-6 L,
+    # yet far above the bridge threshold
+    g = build_graph(["a", "b", "c"], [("s", "a", "b", 1e-6),
+                                      ("l", "a", "b", 1.0),
+                                      ("t", "b", "c", 0.5)])
+    assert removed_edge_resistance(g, "s") == pytest.approx(1.0, rel=1e-8)
+    dens = canonical_measure(g).densities
+    assert dens["s"] == pytest.approx([1.0 / (1.0 + 1e-6)], rel=1e-8)
+    assert "t" not in dens
+
+
 def test_kernel_agrees_with_direct_solves(rng):
     g = builtin_graph("dodecahedron")
     kern = resistance_kernel(g)
     for _ in range(12):
         x, y = random_point(g, rng), random_point(g, rng)
         assert kern.point_eval(x, y) == pytest.approx(
-            effective_resistance(g, x, y), abs=1e-10
+            oracles.resistance(g, x, y), abs=1e-10
         )
 
 
@@ -141,7 +181,7 @@ def test_profile_matches_pointwise(rng):
     for _ in range(10):
         x = random_point(g, rng)
         assert prof.value(x) == pytest.approx(
-            effective_resistance(g, x, y), abs=1e-10
+            oracles.resistance(g, x, y), abs=1e-10
         )
 
 

@@ -179,8 +179,8 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["tau", "--graph", str(bad)]) == 2
 
-    # an effectively zero-length edge overflows the conductance and the
-    # grounded solve reports a numeric failure
+    # an effectively zero-length edge overflows the conductance, and the
+    # resistance kernel's check solve reports a numeric failure
     sick = tmp_path / "sick.json"
     sick.write_text(json.dumps({
         "vertices": ["a", "b", "c"],
@@ -188,6 +188,8 @@ def test_exit_codes(capsys, tmp_path):
                   {"id": "e2", "u": "b", "v": "c", "length": 1e-320}],
     }))
     assert main(["resistance", "--graph", str(sick), "--x", "a", "--y", "c"]) == 4
+    assert main(["tau", "--graph", str(sick)]) == 4
+    assert main(["canonical-measure", "--graph", str(sick)]) == 4
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:

@@ -19,10 +19,11 @@ from metragraph import (
     tau_constant,
     trace_of_phi,
 )
+from metragraph.circuit import resistance_kernel
 from metragraph.green import (
     discriminant_sum,
     energy_pairing,
-    green_eval,
+    resistance_potential,
     trace_comparison,
     weak_laplacian_residual,
 )
@@ -90,7 +91,6 @@ def test_green_matches_atomic_oracle(name, rng):
         x, y = random_point(g, rng), random_point(g, rng)
         want = oracles.green_value(g, mu.atoms, {}, x, y)
         assert ev.g(x, y) == pytest.approx(want, abs=1e-9)
-        assert green_eval(ev, x, y) == pytest.approx(want, abs=1e-9)
 
 
 def test_green_matches_refined_density_oracle(rng, tetrahedron):
@@ -101,6 +101,34 @@ def test_green_matches_refined_density_oracle(rng, tetrahedron):
         x, y = random_point(tetrahedron, rng), random_point(tetrahedron, rng)
         want = oracles.green_value(tetrahedron, [], dens, x, y, per_edge=60)
         assert ev.g(x, y) == pytest.approx(want, abs=5e-5)
+
+
+@pytest.mark.parametrize("name", ["banana:3", "tetrahedron", "petersen"])
+def test_resistance_potential_matches_exact_oracle(name, rng):
+    g = builtin_graph(name)
+    e0, e1 = g.edges[0], g.edges[-1]
+    vertex = g.point_at_vertex(g.vertices[0])
+    signed = Measure(
+        g,
+        [(random_point(g, rng), 0.7), (random_point(g, rng), -1.3), (vertex, 0.4)],
+        {e0.id: [0.5, -2.0 / e0.length], e1.id: [1.0, 3.0, -4.0 / e1.length]},
+    )
+    complex_mass = Measure(
+        g,
+        [(random_point(g, rng), 0.5 + 1.5j), (vertex, -0.25j)],
+        {e1.id: np.array([1.0j, 2.0, -1.0 + 0.5j])},
+    )
+    kernel = resistance_kernel(g)
+    for nu in (signed, complex_mass):
+        rho = resistance_potential(kernel, nu)
+        xs = [random_point(g, rng) for _ in range(4)]
+        xs += [g.point(e0.id, 0.37 * e0.length), g.point(e1.id, 0.81 * e1.length)]
+        xs += [p for p, _ in nu.atoms]
+        # |rho| <= total variation * total length, and the length is 1
+        scale = nu.total_variation()
+        for x in xs:
+            want = oracles.potential_value(g, nu.atoms, nu.densities, x)
+            assert abs(complex(rho[x.edge](x.offset)) - want) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("name", ["k33", "octahedron", "banana:4"])
