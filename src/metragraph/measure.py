@@ -69,8 +69,10 @@ class Measure:
         mass = sum(m for _, m in self.atoms)
         for e in self.graph.edges:
             if e.id in self.densities:
-                anti = npoly.polyint(self.densities[e.id])
-                mass += npoly.polyval(e.length, anti)
+                # integral of sum_k c_k t^k over [0, L] = sum_k c_k L^(k+1) / (k+1)
+                c = np.atleast_1d(self.densities[e.id])
+                k = np.arange(1, c.size + 1)
+                mass += np.dot(c, e.length ** k / k)
         if isinstance(mass, complex) and mass.imag == 0:
             mass = mass.real
         return mass

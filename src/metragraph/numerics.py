@@ -55,11 +55,13 @@ def integrate_piecewise(f, breakpoints, rule=None):
     return math.fsum(rule.integrate(f, a, b) for a, b in zip(pts, pts[1:]) if b > a)
 
 
-def solve_grounded(Q, b, grounded, tol=1e-10):
+def solve_grounded(Q, b, grounded, tol=1e-12):
     """Solve Q v = b with v[grounded] = 0 for a connected-graph Laplacian Q.
 
     The right-hand side must sum to zero; the grounded row/column is removed,
-    the reduced system solved densely, and the residual checked.
+    the reduced system solved densely, and the residual checked against the
+    backward-error scale ||Q|| ||v|| + ||b|| (infinity norms), which a
+    stable solve meets whatever the spread of the conductances.
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -73,8 +75,9 @@ def solve_grounded(Q, b, grounded, tol=1e-10):
             v[keep] = np.linalg.solve(Q[np.ix_(keep, keep)], b[keep])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"grounded solve failed: {exc}") from None
-    residual = np.max(np.abs(Q @ v - b)) if n else 0.0
-    scale = max(1.0, float(np.max(np.abs(b))) if n else 0.0)
+    inf = np.inf
+    residual = np.linalg.norm(Q @ v - b, inf)
+    scale = np.linalg.norm(Q, inf) * np.linalg.norm(v, inf) + np.linalg.norm(b, inf)
     # written as a negated <= so that a nan residual also fails
     if not residual <= tol * scale:
         raise NumericError(f"grounded solve residual {residual:g} exceeds tolerance")
@@ -141,11 +144,6 @@ def equilibrate_rows(M):
     scales = np.max(np.abs(M), axis=1)
     scales[scales == 0.0] = 1.0
     return M / scales[:, None], scales
-
-
-def smallest_singular_value(M):
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    return float(s[-1] / s[0]) if s[0] > 0 else 0.0
 
 
 def real_roots_in_interval(coeffs, a, b, tol=1e-12):

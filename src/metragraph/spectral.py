@@ -13,13 +13,13 @@ nullspace dimension.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import optimize
 
 from . import green as green_mod
 from .graph_core import ValidationError, subdivide_at, total_length
@@ -30,15 +30,16 @@ from .numerics import (
     NumericError,
     QuadratureRule,
     equilibrate_rows,
-    golden_min,
+    golden_min,  # noqa: F401  (perfbench/tracing.py wraps spectral.golden_min)
     integrate_piecewise,
     nullspace_basis,
-    smallest_singular_value,
 )
 
 DEFAULT_GAMMA_FLOOR = 1e-6
 LAMBDA_MERGE_REL = 1e-9
 ZERO_ROW_REL = 1e-10
+ROOT_HALVINGS = 3
+SECANT_MAX_ITER = 100
 
 # Features of M(gamma): two global ones, then per edge the trig values, the
 # derivative factors, h(0), h(L), h'(0), -h'(L) and the integral of h*d for
@@ -338,23 +339,41 @@ class SpectralProblem:
             for j, row in enumerate(rows):
                 self._hpoly[k, :, j] = row
 
-    def _assemble(self, gamma):
+    def _assemble(self, gamma, derivative=False):
+        """Raw M(gamma), or (M, dM/dgamma) through the same plan: cos -> -L sin,
+        s^j -> -2j s^j / gamma, and polynomial moments from those of t * p."""
         if gamma <= 0:
             raise ValidationError("gamma must be positive")
         g = float(gamma)
-        gL = g * self._lengths
+        L = self._lengths
+        gL = g * L
         cg, sg = np.cos(gL), np.sin(gL)
+        vers = 2.0 * np.sin(0.5 * gL) ** 2  # 1 - cos, stable at small gamma*L
         F = np.empty((len(self.edges), _EDGE_FEATURES))
         F[:, _COS], F[:, _SIN], F[:, _G] = cg, sg, g
         F[:, _GSIN], F[:, _MGCOS] = g * sg, -g * cg
-        s = 1.0 / (g * g)
-        F[:, _H0:_CMOM] = self._hpoly @ s ** np.arange(self._hpoly.shape[2])
-        # stable at small gamma*L, unlike (1 - cos) / gamma
+        powers = (1.0 / (g * g)) ** np.arange(self._hpoly.shape[2])
+        F[:, _H0:_CMOM] = self._hpoly @ powers
         F[:, _CMOM] = self._d0 * sg / g
-        F[:, _SMOM] = self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
-        for k, dens, L in self._poly_edges:
-            F[k, _CMOM:] = trig_poly_moments(dens, g, L)
-        feats = np.concatenate(([1.0, g * g], F.ravel()))
+        F[:, _SMOM] = self._d0 * vers / g
+        for k, dens, length in self._poly_edges:
+            F[k, _CMOM:] = trig_poly_moments(dens, g, length)
+        M = self._scatter([1.0, g * g], F)
+        if not derivative:
+            return M
+        D = np.empty_like(F)
+        D[:, _COS], D[:, _SIN], D[:, _G] = -L * sg, L * cg, 1.0
+        D[:, _GSIN], D[:, _MGCOS] = sg + gL * cg, gL * sg - cg
+        D[:, _H0:_CMOM] = self._hpoly @ (powers * np.arange(powers.size)) * (-2.0 / g)
+        D[:, _CMOM] = self._d0 * (L * cg - sg / g) / g
+        D[:, _SMOM] = self._d0 * (L * sg - vers / g) / g
+        for k, dens, length in self._poly_edges:
+            c1, s1 = trig_poly_moments(np.concatenate(([0.0], dens)), g, length)
+            D[k, _CMOM], D[k, _SMOM] = -s1, c1
+        return M, self._scatter([0.0, 2.0 * g], D)
+
+    def _scatter(self, global_feats, edge_feats):
+        feats = np.concatenate((global_feats, edge_feats.ravel()))
         M = np.bincount(self._flat, self._coef * feats[self._feat],
                         minlength=self.size * self.size)
         return M.reshape(self.size, self.size)
@@ -464,13 +483,16 @@ def _eigenpair_at(problem, gamma, rank_tol):
         raise NumericError("degenerate Gram matrix in eigenspace orthonormalization")
     T = U @ np.diag(w ** -0.5) @ U.T  # symmetric inverse square root
     vecs = T @ np.asarray(basis)
-    funcs = []
-    for vec in vecs:
-        idx = int(np.argmax(np.abs(vec)))
-        if vec[idx] < 0:
-            vec = -vec
-        funcs.append(problem.solution(gamma, vec, parts))
-    return Eigenpair(gamma * gamma, k, tuple(funcs))
+    if k == 1:
+        if vecs[0, np.argmax(np.abs(vecs[0]))] < 0:
+            vecs = -vecs
+    else:  # rotate by the orthogonal polar factor of the probe pairing
+        probe = np.sin(1.0 + np.sqrt(2.0) * np.arange(problem.size)[:, None]
+                       + np.sqrt(3.0) * np.arange(k)[None, :])
+        W, _, Vt = np.linalg.svd(vecs @ probe)
+        vecs = (W @ Vt).T @ vecs
+    funcs = tuple(problem.solution(gamma, vec, parts) for vec in vecs)
+    return Eigenpair(gamma * gamma, k, funcs)
 
 
 def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
@@ -478,28 +500,64 @@ def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
 
     The nullspace basis is mapped to EdgeBasisSolutions and combined through
     the inverse square root of their exact L2 Gram matrix, so the returned
-    eigenfunctions are orthonormal; each is sign-fixed by its largest
-    coefficient for deterministic output.
+    eigenfunctions are orthonormal.  A simple eigenfunction is sign-fixed by
+    its largest coefficient; a multiple eigenspace gets the one orthonormal
+    basis whose pairing with a fixed generic probe of coefficient space is
+    symmetric positive definite, whatever basis the SVD returned.
     """
     return _eigenpair_at(SpectralProblem(graph, mu), gamma_star, rank_tol)
 
 
-def _confirmed_dimension(problem, gamma, kind, step, root_tol, rank_tol, lo, hi):
-    if kind == "sign-change":
-        # a determinant-based refinement can sit well off the singular point
-        # when the root has high multiplicity (the determinant is then noise
-        # over a wide plateau); re-center on the smallest singular value so
-        # the rank decision sees the full nullspace
-        a, b = max(lo, gamma - 0.5 * step), min(hi, gamma + 0.5 * step)
-        refined = golden_min(lambda g: smallest_singular_value(problem.matrix(g)),
-                             a, b, root_tol)
-        # the window is wider than the detection bracket, so the polish can
-        # slide into a neighboring root's basin; keep the bracketed root
-        # unless the polish clearly deepens the singularity
-        if smallest_singular_value(problem.matrix(refined)) \
-                < 0.5 * smallest_singular_value(problem.matrix(gamma)):
-            gamma = refined
-    return gamma, len(problem.nullspace(gamma, rank_tol))
+def _newton_ratio(problem, gamma):
+    """u = 1 / (d/dgamma log det M) = 1 / tr(M^-1 M'), about (gamma - root) / k
+    near a root of multiplicity k; equilibrating rows keeps the trace."""
+    M, dM = problem._assemble(gamma, derivative=True)
+    scaled, scales = equilibrate_rows(M)
+    try:
+        trace = float(np.trace(np.linalg.solve(scaled, dM / scales[:, None])))
+    except np.linalg.LinAlgError:  # singular to working precision: a root
+        return 0.0
+    return 1.0 / trace if trace else math.inf
+
+
+def _refine_root(ratio, a, b, root_tol):
+    """Zero of u = ratio(gamma) in [a, b] by a bracketed secant iteration.
+
+    The window is first halved, toward the side where |det M| falls, until
+    u goes from negative at a to positive at b; a window where it still
+    does not after ROOT_HALVINGS halvings holds no zero of det M, and None
+    is returned.  Secant steps that leave the bracket or fail to halve the
+    step before last fall back to bisection.  Once a step is below
+    root_tol + 8 eps gamma, one more secant step is taken.
+    """
+    ua, ub = ratio(a), ratio(b)
+    for _ in range(ROOT_HALVINGS):
+        if ua < 0.0 < ub:
+            break
+        mid = 0.5 * (a + b)
+        um = ratio(mid)
+        if um > 0.0:
+            b, ub = mid, um
+        else:
+            a, ua = mid, um
+    if not ua < 0.0 < ub:
+        return None
+    x0, u0, x1, u1 = a, ua, b, ub
+    steps, converged = [math.inf, math.inf], False
+    for _ in range(SECANT_MAX_ITER):
+        x = x1 - u1 * (x1 - x0) / (u1 - u0) if u1 != u0 else math.nan
+        if converged:  # the final secant step, kept inside the bracket
+            return min(max(x, a), b) if u1 != u0 else x1
+        if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
+            x = 0.5 * (a + b)
+        ux = ratio(x)
+        if ux == 0.0:
+            return x
+        a, b = (x, b) if ux < 0.0 else (a, x)
+        steps.append(abs(x - x1))
+        converged = steps[-1] < root_tol + 8.0 * np.finfo(float).eps * x
+        x0, u0, x1, u1 = x1, u1, x, ux
+    return x1
 
 
 def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
@@ -509,13 +567,14 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
 
     The scan samples det M(gamma) and the smallest singular value on a grid
     (default step pi / (8 * total length), matching the expected root
-    spacing).  Sign changes of the determinant are refined by bracketed
-    root-finding; local minima of the smallest singular value catch roots of
-    even multiplicity, which leave the sign unchanged, and are refined by
-    bounded minimization.  Every candidate must exhibit a nonempty nullspace
-    at rank_tol, whose dimension is reported as the multiplicity; lambda = 0
-    is excluded by the positive floor.  Returns Eigenpairs with empty
-    eigenfunction tuples.
+    spacing).  Cells where the determinant changes sign, and local minima of
+    the smallest singular value (roots of even multiplicity), are refined by
+    a bracketed secant iteration on u = 1 / tr(M^-1 dM/dgamma), which is
+    about (gamma - root) / k near a k-fold root; a window where u never
+    rises through zero holds no root and is dropped.  Every candidate
+    must exhibit a nonempty nullspace at rank_tol, whose dimension is
+    reported as the multiplicity; lambda = 0 is excluded by the positive
+    floor.  Returns Eigenpairs with empty eigenfunction tuples.
     """
     problem = SpectralProblem(graph, mu)
     if gamma_max <= gamma_floor:
@@ -524,12 +583,6 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
         step = math.pi / (8.0 * total_length(problem.graph))
     n = max(3, int(math.ceil((gamma_max - gamma_floor) / step)) + 1)
     grid = np.linspace(gamma_floor, gamma_max, n)
-
-    def det_at(g):
-        return float(np.linalg.det(problem.matrix(g)))
-
-    def smin_at(g):
-        return smallest_singular_value(problem.matrix(g))
 
     def sample(g):
         M = problem.matrix(g)
@@ -543,20 +596,16 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
     if not np.all(np.isfinite(dets)):
         raise NumericError("determinant not finite on the scan grid")
 
-    eps = float(np.finfo(float).eps)
+    ratio = functools.cache(functools.partial(_newton_ratio, problem))
+
     candidates = []
     for i in range(n - 1):
         if dets[i] == 0.0:
             candidates.append((float(grid[i]), "sign-change"))
         elif dets[i] * dets[i + 1] < 0.0:
-            # near high-multiplicity roots the determinant drops below the
-            # noise floor and brentq may stall; its best estimate is still
-            # inside the bracket and gets re-centered during confirmation
-            root, info = optimize.brentq(det_at, grid[i], grid[i + 1],
-                                         xtol=root_tol, rtol=8 * eps,
-                                         maxiter=200, full_output=True,
-                                         disp=False)
-            candidates.append((float(root), "sign-change"))
+            root = _refine_root(ratio, float(grid[i]), float(grid[i + 1]), root_tol)
+            if root is not None:
+                candidates.append((root, "sign-change"))
     if dets[-1] == 0.0:
         candidates.append((float(grid[-1]), "sign-change"))
     sign_roots = sorted(g for g, _ in candidates)
@@ -570,7 +619,9 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
         b = float(grid[min(i + 1, n - 1)])
         if b <= a or any(a <= r <= b for r in sign_roots):
             continue
-        candidates.append((golden_min(smin_at, a, b, root_tol), "magnitude-dip"))
+        root = _refine_root(ratio, a, b, root_tol)
+        if root is not None:
+            candidates.append((root, "magnitude-dip"))
 
     candidates.sort()
     merged = []
@@ -583,8 +634,7 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
 
     accepted = []
     for gam, kind in merged:
-        gam, dim = _confirmed_dimension(problem, gam, kind, step, root_tol,
-                                        rank_tol, gamma_floor, gamma_max)
+        dim = len(problem.nullspace(gam, rank_tol))
         if dim == 0:
             continue
         if gam <= gamma_floor + 1000.0 * root_tol:

@@ -286,3 +286,49 @@ def secular_matrix(problem, gamma):
         e0, end0 = problem.graph.incidences(v)[0]
         add(M[r], e0, val[(e0.id, end0)], mass)
     return M
+
+
+def von_below_spectrum(graph, gamma_max):
+    """Exact spectrum of an equilateral graph under the dx-normalized measure.
+
+    von Below (Linear Algebra Appl. 71, 1985): with edge length a, each
+    eigenvalue mu != +-1 of D^-1/2 A D^-1/2, of multiplicity p, gives the
+    roots gamma a in {theta, 2 k pi +- theta} (theta = arccos mu), each of
+    multiplicity p; gamma a = j pi has multiplicity m - n + 2 when j is even
+    or the graph is bipartite, and m - n otherwise.  Returns the ascending
+    (lambda, multiplicity) pairs with gamma <= gamma_max.
+    """
+    a = graph.edges[0].length
+    if any(abs(e.length - a) > 1e-12 * a for e in graph.edges):
+        raise ValueError("graph is not equilateral")
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n, m = len(index), len(graph.edges)
+    A = np.zeros((n, n))
+    for e in graph.edges:
+        A[index[e.u], index[e.v]] += 1.0
+        A[index[e.v], index[e.u]] += 1.0
+    d = A.sum(axis=1)
+    mus = np.linalg.eigvalsh(A / np.sqrt(np.outer(d, d)))
+    groups = []  # [mu, multiplicity]
+    for mu in mus:
+        if groups and mu - groups[-1][0] < 1e-9:
+            groups[-1][1] += 1
+        else:
+            groups.append([mu, 1])
+    bipartite = mus[0] < -1.0 + 1e-9
+    top = gamma_max * a
+    roots = []
+    for mu, p in groups:
+        if abs(abs(mu) - 1.0) < 1e-9:
+            continue
+        theta = math.acos(mu)
+        k = 0
+        while 2 * k * math.pi - theta <= top:
+            roots += [(s, p) for s in (2 * k * math.pi + theta, 2 * k * math.pi - theta)
+                      if 0.0 < s <= top]
+            k += 1
+    for j in range(1, int(top / math.pi) + 1):
+        p = m - n + 2 if j % 2 == 0 or bipartite else m - n
+        if p > 0:
+            roots.append((j * math.pi, p))
+    return [((s / a) ** 2, p) for s, p in sorted(roots)]

@@ -195,3 +195,21 @@ def test_exit_codes(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["resistance", "--graph", "builtin:interval", "--x", "a"])
     assert exc.value.code == 2
+
+
+def test_wide_length_spread(capsys, tmp_path):
+    # parallel edges of lengths 1e-7 and 1 plus a tail: the kernel's check
+    # solve must pass a residual bound scaled by its backward error
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": "e1", "u": "a", "v": "b", "length": 1e-7},
+                  {"id": "e2", "u": "a", "v": "b", "length": 1.0},
+                  {"id": "e3", "u": "b", "v": "c", "length": 0.5}],
+    }))
+    assert main(["tau", "--graph", str(wide)]) == 0
+    assert main(["canonical-measure", "--graph", str(wide)]) == 0
+    capsys.readouterr()
+    assert main(["resistance", "--graph", str(wide), "--x", "a", "--y", "c"]) == 0
+    r = json.loads(capsys.readouterr().out)["resistance"]
+    assert r == pytest.approx(0.5 + 1e-7 / (1.0 + 1e-7), rel=1e-12)

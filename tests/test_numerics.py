@@ -14,7 +14,6 @@ from metragraph.numerics import (
     integrate_piecewise,
     nullspace_basis,
     real_roots_in_interval,
-    smallest_singular_value,
     solve_grounded,
 )
 
@@ -103,11 +102,6 @@ def test_equilibrate_rows():
     scaled, factors = equilibrate_rows(np.diag([1e-30, 1e30]))
     np.testing.assert_array_equal(scaled, np.eye(2))
     np.testing.assert_array_equal(factors, [1e-30, 1e30])
-
-
-def test_smallest_singular_value_is_ratio():
-    assert smallest_singular_value(np.diag([4.0, 1.0])) == pytest.approx(0.25)
-    assert smallest_singular_value(np.zeros((2, 2))) == 0.0
 
 
 def test_real_roots_in_interval():

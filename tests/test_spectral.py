@@ -39,6 +39,7 @@ from metragraph import (
     scale_graph,
     trig_poly_moments,
 )
+from metragraph.cli import TABLE_GAMMA_MAX
 from metragraph.spectral import EdgeBasisSolution
 
 PI2 = math.pi * math.pi
@@ -170,6 +171,31 @@ def test_compiled_matrix_matches_reference_atoms_and_polynomials(tetrahedron):
     assert_matches_reference(problem)
 
 
+def test_derivative_matches_finite_differences(tetrahedron):
+    # dM/dgamma against a Richardson-extrapolated central difference, under
+    # dx, the canonical measure and a measure with an atom and polynomials
+    e = tetrahedron.edges
+    densities = {e[1].id: [0.5, 1.0], e[2].id: [1.0, -2.0, 3.0], e[3].id: [0.7]}
+    interior = (tetrahedron.point(e[0].id, 0.3 * e[0].length), 0.4)
+    rest = Measure(tetrahedron, [interior], densities).total_mass()
+    corner = (tetrahedron.point_at_vertex(tetrahedron.vertices[0]), 1.0 - rest)
+    for mu in (lebesgue_measure(tetrahedron), canonical_measure(tetrahedron),
+               Measure(tetrahedron, [interior, corner], densities)):
+        problem = SpectralProblem(tetrahedron, mu)
+        for g in REFERENCE_GAMMAS:
+            M, dM = problem._assemble(g, derivative=True)
+            assert np.array_equal(M, problem._assemble(g))
+
+            def central(h):
+                return (problem._assemble(g + h) - problem._assemble(g - h)) / (2 * h)
+
+            h = 1e-3 * g
+            want = (4.0 * central(0.5 * h) - central(h)) / 3.0
+            scale = np.max(np.abs(M), axis=1, keepdims=True) \
+                + np.max(np.abs(dM), axis=1, keepdims=True)
+            assert np.max(np.abs(dM - want) / scale) <= 1e-8, g
+
+
 def test_det_vanishes_at_known_roots(interval, circle):
     dx = lebesgue_measure(interval)
     assert abs(characteristic_det(interval, dx, math.pi)) < 1e-9
@@ -243,6 +269,65 @@ def test_two_atoms_minus_lebesgue_spectrum(interval):
         assert math.sqrt(pair.eigenvalue) == pytest.approx(root, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", [
+    "interval", "circle", "banana:3", "k33", "k5", "petersen", "tetrahedron",
+    "cube", "octahedron", "dodecahedron", "icosahedron",
+])
+def test_equilateral_spectrum_matches_von_below(name):
+    # roots land within a few ulps (measured <= 1.7e-15); without the final
+    # secant step of the refinement they drift up to 4e-13
+    graph = builtin_graph(name)
+    pairs = find_eigenvalues(graph, lebesgue_measure(graph, normalize=True), 60.0)
+    assert_spectrum(pairs, oracles.von_below_spectrum(graph, 60.0), rel=1e-13)
+
+
+def poly_shaped_measure(graph):
+    """An atom of 1/4 at 0.3 L on the first edge, densities 1 + t/L and
+    1 + (t/L)^2 on alternate edges, total mass 1."""
+    edges = graph.edges
+    shapes = (np.array([1.0, 1.0]), np.array([1.0, 0.0, 1.0]))
+    dens, mass = {}, 0.0
+    for k, e in enumerate(edges):
+        shape = shapes[k % 2]
+        powers = np.arange(shape.size)
+        dens[e.id] = shape / e.length ** powers
+        mass += e.length * np.sum(shape / (powers + 1))
+    atom = (graph.point(edges[0].id, 0.3 * edges[0].length), 0.25)
+    return Measure(graph, [atom], {eid: c * 0.75 / mass for eid, c in dens.items()})
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "petersen"])
+def test_no_spurious_roots_near_the_floor(name):
+    # near the floor det M ~ gamma^p; the former singular-value dip search
+    # accepted roots there (lambda ~ 1e-7, multiplicity 5 on the tetrahedron)
+    graph = builtin_graph(name)
+    mu = poly_shaped_measure(graph)
+    pairs = find_eigenvalues(graph, mu, 40.0)
+    assert pairs and min(p.eigenvalue for p in pairs) >= 1e-2
+    for p in pairs:
+        assert eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)).multiplicity \
+            == p.multiplicity
+
+
+def test_refinement_evaluation_count(monkeypatch):
+    # a count of derivative assemblies, the refinement's only M(gamma)
+    # evaluations, over the 16 scans behind reproduce-table
+    calls = []
+    assemble = SpectralProblem._assemble
+
+    def counting(self, gamma, derivative=False):
+        calls.append(derivative)
+        return assemble(self, gamma, derivative)
+
+    monkeypatch.setattr(SpectralProblem, "_assemble", counting)
+    for name in ("k33", "k5", "petersen", "tetrahedron", "cube", "octahedron",
+                 "dodecahedron", "icosahedron"):
+        graph = builtin_graph(name)
+        for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
+            find_eigenvalues(graph, mu, TABLE_GAMMA_MAX)
+    assert sum(calls) <= 1500
+
+
 def test_find_eigenvalues_validation(interval):
     with pytest.raises(ValidationError):
         find_eigenvalues(interval, lebesgue_measure(interval), 0.0)
@@ -310,6 +395,24 @@ def test_eigenpair_invariants_circle(circle):
             )
     # Poincare consistency: total length and total mass are 1
     assert math.sqrt(lams[0]) >= 1.0
+
+
+@pytest.mark.parametrize("name", ["circle", "tetrahedron"])
+def test_eigenspace_basis_survives_ulp_moves(name):
+    # a multiple eigenspace gets one basis, whatever the SVD returns
+    graph = builtin_graph(name)
+    mu = lebesgue_measure(graph, normalize=True)
+    gamma = math.sqrt(find_eigenvalues(graph, mu, 13.0)[0].eigenvalue)
+    eps = float(np.finfo(float).eps)
+
+    def coefficients(g):
+        pair = eigenfunctions_at(graph, mu, g)
+        assert pair.multiplicity >= 2
+        return np.array([[*f.trig[e.id], f.constant]
+                         for f in pair.eigenfunctions for e in graph.edges])
+
+    np.testing.assert_allclose(coefficients(gamma * (1.0 + 4.0 * eps)),
+                               coefficients(gamma), rtol=0.0, atol=1e-12)
 
 
 def test_eigen_residuals_requires_functions(interval):
