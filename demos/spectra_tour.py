@@ -49,11 +49,10 @@ print(f"  first eigenfunction at x = 1: {abs(f.value('e1', 1.0)):.6g} "
       f"(sqrt(2) sin(pi/2) = {math.sqrt(2):.6g})")
 
 # a signed measure: two unit atoms minus Lebesgue; still a unit measure,
-# and every eigenvalue is simple.  the fifth and sixth roots sit 0.19
-# apart in gamma, so ask for a finer scan than the default
+# and every eigenvalue is simple
 mu = Measure(g, [(g.point_at_vertex("a"), 1.0), (g.point_at_vertex("b"), 1.0)],
              {"e1": [-1.0]})
-pairs = find_eigenvalues(g, mu, 4 * PI, step=0.05)
+pairs = find_eigenvalues(g, mu, 4 * PI)
 print("\ninterval, mu = delta_0 + delta_1 - dx:")
 print(f"  {spectrum_line(pairs)}")
 print(f"  reference: 2.85428, pi^2 = {PI ** 2:.6g}, 82.7731, 9 pi^2 = {9 * PI ** 2:.6g}")

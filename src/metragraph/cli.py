@@ -89,8 +89,6 @@ def _load_graph_arg(spec):
 
 def _spectral_kwargs(args):
     kw = {}
-    if args.step is not None:
-        kw["step"] = args.step
     if args.gamma_floor is not None:
         kw["gamma_floor"] = args.gamma_floor
     if args.root_tol is not None:
@@ -401,9 +399,9 @@ def _add_output(parser):
 def _add_spectral(parser):
     parser.add_argument("--lambda-max", type=float, default=400.0,
                         help="largest eigenvalue to search for")
-    parser.add_argument("--step", type=float, default=None,
-                        help="gamma scan step (default pi / (8 * total length))")
-    parser.add_argument("--gamma-floor", type=float, default=None)
+    parser.add_argument("--gamma-floor", type=float, default=None,
+                        help="smallest gamma = sqrt(lambda) searched "
+                             "(default 1e-6 / total length)")
     parser.add_argument("--root-tol", type=float, default=None)
     parser.add_argument("--rank-tol", type=float, default=None)
 

@@ -359,9 +359,13 @@ def _builtin_raw(key):
     if key == "circle":
         return ["a"], [("e1", "a", "a", 1.0)]
     if key.startswith("banana"):
-        n = int(key.split(":", 1)[1])
+        try:
+            n = int(key.partition(":")[2])
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValidationError("banana graph needs at least one edge")
+            raise ValidationError(
+                f"banana graph needs a positive edge count, as in banana:3, not {key!r}")
         return ["a", "b"], [(f"e{i+1}", "a", "b", 1.0) for i in range(n)]
     if key == "tetrahedron":
         return _complete_graph(["a", "b", "c", "d"])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,9 @@ from .numerics import (
     nullspace_basis,
 )
 
-DEFAULT_GAMMA_FLOOR = 1e-6
-LAMBDA_MERGE_REL = 1e-9
+DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
+GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_ROW_REL = 1e-10
-ROOT_HALVINGS = 3
 SECANT_MAX_ITER = 100
 
 # Features of M(gamma): two global ones, then per edge the trig values, the
@@ -78,17 +76,15 @@ def _exp_moments(omega, length, count):
         for k in range(1, k_closed + 1):
             Lk *= length
             out[k] = (Lk * E - k * out[k - 1]) / iw
-    for k in range(k_closed + 1, count + 1):
-        term = 1.0 + 0.0j  # (i omega)^j / j!
-        powL = length ** (k + 1)
-        s = 0.0 + 0.0j
-        for j in range(200):
-            s += term * powL / (k + j + 1)
-            powL *= length
-            term *= 1j * omega / (j + 1)
-            if abs(term) * powL < 1e-17 * max(abs(s), 1e-300) * (k + j + 2):
-                break
-        out[k] = s
+    if k_closed < count:
+        # I_k = L^(k+1) sum_j (i x)^j / (j! (k + j + 1)); past j = e^2 x + 40
+        # the terms are below e^-40 of the first
+        ks = np.arange(k_closed + 1, count + 1)
+        j = np.arange(0.0, 40.0 + math.ceil(7.5 * x))
+        powers = np.cumprod(np.concatenate(([1.0], 1j * x / j[1:])))  # (i x)^j / j!
+        terms = powers / (ks[:, None] + j + 1.0)
+        # summed in order from the tail, more accurate here than pairwise
+        out[ks] = length ** (ks + 1.0) * np.cumsum(terms[:, ::-1], axis=1)[:, -1]
     return out
 
 
@@ -116,6 +112,21 @@ def particular_solution(coeffs, gamma):
         term = np.atleast_1d(npoly.polyder(term, 2)) / (gamma * gamma)
         sign = -sign
     return np.atleast_1d(h)
+
+
+def _overlap(coeffs, length):
+    """Coefficients in y of the integral over [0, y] of d(t) d(t + length - y) dt."""
+    n = coeffs.size
+    out = np.zeros(2 * n)
+    for k, a in enumerate(coeffs):
+        power = np.ones(1)  # (length - y)^(k - m)
+        for m in range(k, -1, -1):  # a C(k, m) t^m (length - y)^(k - m) d(t)
+            anti = np.zeros(m + n + 1)  # integral over [0, y] of t^m d(t) dt
+            anti[m + 1:] = coeffs / np.arange(m + 1, m + n + 1)
+            term = a * math.comb(k, m) * np.convolve(anti, power)
+            out[:term.size] += term
+            power = np.convolve(power, [length, -1.0])
+    return out
 
 
 @dataclass
@@ -169,7 +180,6 @@ class Eigenpair:
     eigenvalue: float
     multiplicity: int
     eigenfunctions: tuple = ()
-    diagnostic: str = ""
 
 
 @dataclass
@@ -191,18 +201,15 @@ class SpectralProblem:
 
     def __init__(self, graph, mu):
         mu.require_reference()
-        self.base_graph = graph
-        work, measure, remaps = graph, mu, []
+        work, measure = graph, mu
         while True:
             interior = [p for p, _ in measure.atoms if work.vertex_of(p) is None]
             if not interior:
                 break
             work, _, remap = subdivide_at(work, interior[0])
             measure = remap_measure(measure, work, remap)
-            remaps.append(remap)
         self.graph = work
         self.mu = measure
-        self._remaps = remaps
         self.edges = work.edges
         self._col = {e.id: 2 * k for k, e in enumerate(self.edges)}
         self.size = 2 * len(self.edges) + 1
@@ -223,12 +230,6 @@ class SpectralProblem:
         tags.append("integral")
         self.row_tags = tuple(tags)
         self._compile()
-
-    def map_point(self, point):
-        """Carry a point on the original graph onto the working graph."""
-        for remap in self._remaps:
-            point = remap(point)
-        return point
 
     def particulars(self, gamma):
         return {
@@ -465,14 +466,23 @@ def dirichlet_inner(graph, f1, f2):
     return total
 
 
-def _eigenpair_at(problem, gamma, rank_tol):
-    basis = problem.nullspace(gamma, rank_tol)
+def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
+    """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
+
+    The nullspace basis is mapped to EdgeBasisSolutions and combined through
+    the inverse square root of their exact L2 Gram matrix, so the returned
+    eigenfunctions are orthonormal.  A simple eigenfunction is sign-fixed by
+    its largest coefficient; a multiple eigenspace gets the one orthonormal
+    basis whose pairing with a fixed generic probe of coefficient space is
+    symmetric positive definite, whatever basis the SVD returned.
+    """
+    problem = SpectralProblem(graph, mu)
+    basis = problem.nullspace(gamma_star, rank_tol)
     if not basis:
-        raise NumericError(
-            f"no nullspace at gamma={gamma!r}; the candidate root is discarded"
-        )
-    parts = problem.particulars(gamma)
-    raw = [problem.solution(gamma, v, parts) for v in basis]
+        raise NumericError(f"no nullspace at gamma={gamma_star!r}; "
+                           "the candidate root is discarded")
+    parts = problem.particulars(gamma_star)
+    raw = [problem.solution(gamma_star, v, parts) for v in basis]
     k = len(raw)
     G = np.empty((k, k))
     for i in range(k):
@@ -491,21 +501,83 @@ def _eigenpair_at(problem, gamma, rank_tol):
                        + np.sqrt(3.0) * np.arange(k)[None, :])
         W, _, Vt = np.linalg.svd(vecs @ probe)
         vecs = (W @ Vt).T @ vecs
-    funcs = tuple(problem.solution(gamma, vec, parts) for vec in vecs)
-    return Eigenpair(gamma * gamma, k, funcs)
+    funcs = tuple(problem.solution(gamma_star, vec, parts) for vec in vecs)
+    return Eigenpair(gamma_star * gamma_star, k, funcs)
 
 
-def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
-    """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
+class EigenvalueCount:
+    """N_mu(gamma), the number of eigenvalues below gamma^2 of a
+    SpectralProblem with multiplicity.
 
-    The nullspace basis is mapped to EdgeBasisSolutions and combined through
-    the inverse square root of their exact L2 Gram matrix, so the returned
-    eigenfunctions are orthonormal.  A simple eigenfunction is sign-fixed by
-    its largest coefficient; a multiple eigenspace gets the one orthonormal
-    basis whose pairing with a fixed generic probe of coefficient space is
-    symmetric positive definite, whatever basis the SVD returned.
+    Each edge is split at the golden ratio, which changes no eigenvalue and
+    keeps the roots of equilateral graphs (gamma L in pi Z) off the pieces'
+    Dirichlet poles.  The Wittrick-Williams count of the Kirchhoff
+    Laplacian H, zero included, is N_K = sum over pieces of
+    floor(gamma L / pi) + #pos(Lambda), Lambda(gamma) the vertex
+    Dirichlet-to-Neumann matrix; the measure enters through the sign of
+    w = <mu, (H - gamma^2)^-1 mu>: N_mu = N_K - 1 + [w > 0].  A piece with
+    density d, trig moments C, S and s, c = sin, cos(gamma L) adds the end
+    slopes (C - c S / s, S / s) of its Dirichlet solution to f (which
+    starts from the atoms) and the self-energy of d under its Dirichlet
+    Green's function to E, all bounded as gamma -> 0: w = E - f^T Lambda^-1 f.
+    Lambda's constant direction, with an eigenvalue near gamma^2 ell lost to
+    rounding at small gamma, is deflated: x = c 1 + (0, y) and the exact row
+    sums r = Lambda 1 give #pos(Lambda) = #pos(Lambda_22) +
+    [sum r - r_2^T Lambda_22^-1 r_2 > 0], and w by the same elimination.
     """
-    return _eigenpair_at(SpectralProblem(graph, mu), gamma_star, rank_tol)
+
+    def __init__(self, problem):
+        graph = problem.graph
+        n = len(graph.vertices)
+        pieces = []
+        for k, e in enumerate(problem.edges):
+            iu, iv = graph.vertex_index(e.u), graph.vertex_index(e.v)
+            cut, dens = GOLDEN_CUT * e.length, problem._density[e.id]
+            shifted = npoly.polyval(npoly.Polynomial([cut, 1.0]), dens).coef
+            pieces += [(iu, n + k, cut, dens), (n + k, iv, e.length - cut, shifted)]
+        u, v, lengths, densities = zip(*pieces)
+        u, v = np.array(u), np.array(v)
+        N = self._nodes = n + len(problem.edges)  # the cut of edge k is n + k
+        self._ends = np.concatenate((u, v))
+        self._flat = np.concatenate((u * N + u, v * N + v, u * N + v, v * N + u))
+        self._lengths = np.array(lengths)
+        poly = [np.any(d[1:] != 0.0) for d in densities]
+        self._d0 = np.array([0.0 if p else d[0] for p, d in zip(poly, densities)])
+        self._poly = [(k, d, _overlap(d, L)) for k, (p, L, d)
+                      in enumerate(zip(poly, lengths, densities)) if p]
+        self._atoms = np.bincount([graph.vertex_index(v) for v in problem._atom_mass],
+                                  list(problem._atom_mass.values()), minlength=N)
+
+    def __call__(self, gamma):
+        if gamma <= 0:
+            raise ValidationError("gamma must be positive")
+        g, L, N = float(gamma), self._lengths, self._nodes
+        gL = g * L
+        sg, cg = np.sin(gL), np.cos(gL)
+        tg = g * np.tan(0.5 * gL)  # gamma (1 - c) / s, a row sum of one piece
+        off = g / sg
+        lam = np.bincount(self._flat, np.concatenate((-cg * off, -cg * off, off, off)),
+                          minlength=N * N).reshape(N, N)
+        r = np.bincount(self._ends, np.concatenate((tg, tg)), minlength=N)
+        C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
+        energy = self._d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
+        for k, dens, overlap in self._poly:
+            # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
+            moments = _exp_moments(g, L[k], overlap.size - 1)
+            z = complex(np.dot(dens, moments[:dens.size]))
+            C[k], S[k] = z.real, z.imag
+            zz = z * z * complex(cg[k], -sg[k])  # integral of d d cos(g (t + t' - L))
+            energy[k] = (zz.real - 2.0 * overlap @ moments.real) / (2.0 * g * sg[k])
+        slopes = np.concatenate((C - cg * S / sg, S / sg))
+        f = self._atoms + np.bincount(self._ends, slopes, minlength=N)
+        sub = lam[1:, 1:]
+        rs, fs = np.linalg.solve(sub, np.stack((r[1:], f[1:]), axis=1)).T
+        schur = r.sum() - r[1:] @ rs
+        z = f.sum() - r[1:] @ fs
+        w = energy.sum() - f[1:] @ fs - z * z / schur
+        kirchhoff = int(np.sum(np.floor(gL / math.pi))) \
+            + int(np.count_nonzero(np.linalg.eigvalsh(sub) > 0.0)) + int(schur > 0.0)
+        return kirchhoff - 1 + int(w > 0.0)
 
 
 def _newton_ratio(problem, gamma):
@@ -523,23 +595,12 @@ def _newton_ratio(problem, gamma):
 def _refine_root(ratio, a, b, root_tol):
     """Zero of u = ratio(gamma) in [a, b] by a bracketed secant iteration.
 
-    The window is first halved, toward the side where |det M| falls, until
-    u goes from negative at a to positive at b; a window where it still
-    does not after ROOT_HALVINGS halvings holds no zero of det M, and None
-    is returned.  Secant steps that leave the bracket or fail to halve the
-    step before last fall back to bisection.  Once a step is below
-    root_tol + 8 eps gamma, one more secant step is taken.
+    None unless u goes from negative at a to positive at b.  Secant steps
+    that leave the bracket or fail to halve the step before last fall back
+    to bisection.  Once a step is below root_tol + 8 eps gamma, one more
+    secant step is taken.
     """
     ua, ub = ratio(a), ratio(b)
-    for _ in range(ROOT_HALVINGS):
-        if ua < 0.0 < ub:
-            break
-        mid = 0.5 * (a + b)
-        um = ratio(mid)
-        if um > 0.0:
-            b, ub = mid, um
-        else:
-            a, ua = mid, um
     if not ua < 0.0 < ub:
         return None
     x0, u0, x1, u1 = a, ua, b, ub
@@ -560,114 +621,52 @@ def _refine_root(ratio, a, b, root_tol):
     return x1
 
 
-def find_eigenvalues(graph, mu, gamma_max, gamma_floor=DEFAULT_GAMMA_FLOOR,
-                     step=None, root_tol=DEFAULT_ROOT_TOL,
-                     rank_tol=DEFAULT_RANK_TOL):
-    """All eigenvalues with gamma in (gamma_floor, gamma_max], ascending.
+def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
+                     root_tol=DEFAULT_ROOT_TOL, rank_tol=DEFAULT_RANK_TOL):
+    """All eigenvalues with gamma in (gamma_floor, gamma_max), ascending.
 
-    The scan samples det M(gamma) and the smallest singular value on a grid
-    (default step pi / (8 * total length), matching the expected root
-    spacing).  Cells where the determinant changes sign, and local minima of
-    the smallest singular value (roots of even multiplicity), are refined by
-    a bracketed secant iteration on u = 1 / tr(M^-1 dM/dgamma), which is
-    about (gamma - root) / k near a k-fold root; a window where u never
-    rises through zero holds no root and is dropped.  Every candidate
-    must exhibit a nonempty nullspace at rank_tol, whose dimension is
-    reported as the multiplicity; lambda = 0 is excluded by the positive
-    floor.  Returns Eigenpairs with empty eigenfunction tuples.
+    [gamma_floor, gamma_max] is bisected on the exact count N_mu(gamma)
+    (EigenvalueCount) until each bracket where it rises is at most
+    pi / (8 * total length) wide, and the root in it is refined by a
+    bracketed secant iteration on u = 1 / tr(M^-1 dM/dgamma), about
+    (gamma - root) / k near a k-fold root.  The multiplicity is the count's
+    jump, which must equal the nullspace dimension of M at the root
+    (rank_tol); otherwise (two close roots, say) the bracket is bisected
+    further, and NumericError is raised at float resolution.  gamma_floor,
+    which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / total
+    length.  Returns Eigenpairs with empty eigenfunction tuples.
     """
     problem = SpectralProblem(graph, mu)
-    if gamma_max <= gamma_floor:
+    ell = total_length(problem.graph)
+    if gamma_floor is None:
+        gamma_floor = DEFAULT_GAMMA_FLOOR / ell
+    if not gamma_max > gamma_floor:
         raise ValidationError("gamma_max must exceed gamma_floor")
-    if step is None:
-        step = math.pi / (8.0 * total_length(problem.graph))
-    n = max(3, int(math.ceil((gamma_max - gamma_floor) / step)) + 1)
-    grid = np.linspace(gamma_floor, gamma_max, n)
-
-    def sample(g):
-        M = problem.matrix(g)
-        s = np.linalg.svd(M, compute_uv=False)
-        smin = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-        return float(np.linalg.det(M)), smin
-
-    samples = [sample(g) for g in grid]
-    dets = np.array([v[0] for v in samples])
-    smins = np.array([v[1] for v in samples])
-    if not np.all(np.isfinite(dets)):
-        raise NumericError("determinant not finite on the scan grid")
-
+    width = math.pi / (8.0 * ell)
     ratio = functools.cache(functools.partial(_newton_ratio, problem))
-
-    candidates = []
-    for i in range(n - 1):
-        if dets[i] == 0.0:
-            candidates.append((float(grid[i]), "sign-change"))
-        elif dets[i] * dets[i + 1] < 0.0:
-            root = _refine_root(ratio, float(grid[i]), float(grid[i + 1]), root_tol)
-            if root is not None:
-                candidates.append((root, "sign-change"))
-    if dets[-1] == 0.0:
-        candidates.append((float(grid[-1]), "sign-change"))
-    sign_roots = sorted(g for g, _ in candidates)
-
-    for i in range(n):
-        left = smins[i - 1] if i > 0 else math.inf
-        right = smins[i + 1] if i < n - 1 else math.inf
-        if not (smins[i] <= left and smins[i] <= right):
-            continue
-        a = float(grid[max(i - 1, 0)])
-        b = float(grid[min(i + 1, n - 1)])
-        if b <= a or any(a <= r <= b for r in sign_roots):
-            continue
-        root = _refine_root(ratio, a, b, root_tol)
-        if root is not None:
-            candidates.append((root, "magnitude-dip"))
-
-    candidates.sort()
-    merged = []
-    for gam, kind in candidates:
-        if merged and abs(gam - merged[-1][0]) <= max(100 * root_tol, 1e-9 * gam):
-            if kind == "sign-change" and merged[-1][1] != "sign-change":
-                merged[-1] = (gam, kind)
-            continue
-        merged.append((gam, kind))
-
-    accepted = []
-    for gam, kind in merged:
-        dim = len(problem.nullspace(gam, rank_tol))
-        if dim == 0:
-            continue
-        if gam <= gamma_floor + 1000.0 * root_tol:
-            # the trig parametrization degenerates as gamma -> 0 (the sine
-            # columns scale with gamma), which fakes a singular matrix at
-            # the floor itself; the interval is open there by contract
-            continue
-        diagnostic = ""
-        if (kind == "magnitude-dip") != (dim % 2 == 0):
-            diagnostic = (f"nullspace dimension {dim} disagrees with the "
-                          f"{kind} detection parity; the nullspace wins")
-        accepted.append((gam, Eigenpair(gam * gam, dim, (), diagnostic)))
-
-    for (a, _), (b, _) in zip(accepted, accepted[1:]):
-        if b - a < step:
-            warnings.warn(
-                f"roots at gamma={a:g} and gamma={b:g} are closer than the "
-                f"scan step {step:g}; rerun with a smaller step",
-                RuntimeWarning,
-            )
-
+    count = EigenvalueCount(problem)
     out = []
-    for _, pair in accepted:
-        if out and pair.eigenvalue - out[-1].eigenvalue \
-                <= LAMBDA_MERGE_REL * pair.eigenvalue:
-            mid = math.sqrt(0.5 * (pair.eigenvalue + out[-1].eigenvalue))
-            dim = len(problem.nullspace(mid, rank_tol))
-            if dim == 0:
-                dim = max(out[-1].multiplicity, pair.multiplicity)
-            out[-1] = Eigenpair(mid * mid, dim, (),
-                                out[-1].diagnostic or pair.diagnostic)
+    stack = [(gamma_floor, count(gamma_floor), gamma_max, count(gamma_max))]
+    while stack:  # depth first, left half on top: roots come out ascending
+        a, na, b, nb = stack.pop()
+        jump = nb - na
+        if jump == 0:
             continue
-        out.append(pair)
+        if b - a <= width:
+            root = _refine_root(ratio, a, b, root_tol)
+            if root is not None:
+                dim = len(problem.nullspace(root, rank_tol))
+                if dim == jump:
+                    out.append(Eigenpair(root * root, dim))
+                    continue
+        mid = 0.5 * (a + b)
+        if b - a <= 4.0 * np.finfo(float).eps * b:
+            raise NumericError(f"the eigenvalue count rises by {jump} in [{a!r}, "
+                               f"{b!r}], but no root there has a nullspace that big")
+        nm = count(mid)
+        if not na <= nm <= nb:
+            raise NumericError(f"eigenvalue count not monotone near gamma={mid!r}")
+        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
     return out
 
 

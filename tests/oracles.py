@@ -6,7 +6,10 @@ operator eigenvalues from a uniform refinement, quadrature from scipy, and
 the secular matrix M(gamma) assembled entry by entry.  Nothing below calls
 into the package except to read graph topology (and, for M(gamma), a
 SpectralProblem's working graph, densities and atom masses), so test
-comparisons are genuine two-route checks.
+comparisons are genuine two-route checks.  The one exception,
+scan_spectrum, scans the package's compiled M(gamma) (itself checked
+against secular_matrix) with a plain grid, brentq and minimization, as a
+second route to the eigenvalue count.
 """
 
 import math
@@ -14,6 +17,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import integrate
+from scipy.optimize import brentq, minimize_scalar
 
 
 class NetworkModel:
@@ -332,3 +336,41 @@ def von_below_spectrum(graph, gamma_max):
         if p > 0:
             roots.append((j * math.pi, p))
     return [((s / a) ** 2, p) for s, p in sorted(roots)]
+
+
+def scan_spectrum(problem, gamma_max, step):
+    """Roots of det M(gamma) of a SpectralProblem below gamma_max, as
+    ascending (gamma, multiplicity) pairs, from a plain grid scan.
+
+    Sign changes of det M are located by brentq, and local minima of the
+    relative smallest singular value sigma in cells without one are taken
+    as candidates too.  Each candidate is polished by minimizing sigma
+    over its offset (so that the bounded minimizer's relative tolerance
+    applies to the offset), and kept when sigma falls below 1e-6; the
+    multiplicity is the number of relative singular values below 1e-6
+    there.  A fine step resolves close pairs that a coarse grid merges.
+    """
+    def det(g):
+        return np.linalg.det(problem.matrix(g))
+
+    def svals(g):
+        s = np.linalg.svd(problem.matrix(g), compute_uv=False)
+        return s / s[0]
+
+    grid = np.arange(step, gamma_max, step)
+    dets = np.array([det(g) for g in grid])
+    smin = np.array([svals(g)[-1] for g in grid])
+    cands = [(brentq(det, grid[i], grid[i + 1], maxiter=1000), step / 8.0)
+             for i in range(len(grid) - 1) if dets[i] * dets[i + 1] < 0.0]
+    for i in range(1, len(grid) - 1):
+        a, b = grid[i - 1], grid[i + 1]
+        if smin[i] <= min(smin[i - 1], smin[i + 1]) \
+                and not any(a <= r <= b for r, _ in cands):
+            cands.append((grid[i], step))
+    roots = []
+    for r, h in sorted(cands):
+        best = minimize_scalar(lambda t: svals(r + t)[-1], bounds=(-h, h),
+                               method="bounded", options={"xatol": 1e-15})
+        if best.fun < 1e-6:
+            roots.append(r + best.x)
+    return [(g, int(np.sum(svals(g) < 1e-6))) for g in roots]

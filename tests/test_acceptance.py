@@ -89,9 +89,7 @@ def test_criterion_2_two_atoms_minus_lebesgue(interval):
     pb = interval.point_at_vertex("b")
     mu = Measure(interval, [(pa, 1.0), (pb, 1.0)], {"e1": [-1.0]})
     want = [2.854280792, PI2, 82.77313456, 9 * PI2, 240.7215434, 25 * PI2]
-    # the fifth and sixth roots are only 0.19 apart in gamma, well under the
-    # default scan step; resolve them explicitly
-    pairs = find_eigenvalues(interval, mu, 5 * PI + 0.05, step=0.05)
+    pairs = find_eigenvalues(interval, mu, 5 * PI + 0.05)
     lams, mults = lams_mults(pairs)
     assert len(lams) == 6, lams
     assert lams == pytest.approx(want, rel=1e-6)

@@ -197,6 +197,17 @@ def test_exit_codes(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", ["banana", "banana:x", "banana:N", "banana:0"])
+def test_malformed_banana_name(capsys, tmp_path, monkeypatch, spec):
+    # not a built-in, and no file of that name: one error line, exit 2
+    monkeypatch.chdir(tmp_path)
+    assert main(["tau", "--graph", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert main(["tau", "--graph", f"builtin:{spec}"]) == 3
+    assert "banana:3" in capsys.readouterr().err
+
+
 def test_wide_length_spread(capsys, tmp_path):
     # parallel edges of lengths 1e-7 and 1 plus a tail: the kernel's check
     # solve must pass a residual bound scaled by its backward error

@@ -23,6 +23,7 @@ from metragraph import (
     SpectralProblem,
     ValidationError,
     assemble_characteristic_matrix,
+    build_graph,
     builtin_graph,
     canonical_measure,
     characteristic_det,
@@ -37,10 +38,11 @@ from metragraph import (
     particular_solution,
     rayleigh_quotient,
     scale_graph,
+    total_length,
     trig_poly_moments,
 )
 from metragraph.cli import TABLE_GAMMA_MAX
-from metragraph.spectral import EdgeBasisSolution
+from metragraph.spectral import EdgeBasisSolution, EigenvalueCount
 
 PI2 = math.pi * math.pi
 
@@ -281,11 +283,13 @@ def test_equilateral_spectrum_matches_von_below(name):
     assert_spectrum(pairs, oracles.von_below_spectrum(graph, 60.0), rel=1e-13)
 
 
-def poly_shaped_measure(graph):
+def poly_shaped_measure(graph, kind="poly"):
     """An atom of 1/4 at 0.3 L on the first edge, densities 1 + t/L and
-    1 + (t/L)^2 on alternate edges, total mass 1."""
+    1 + (t/L)^2 on alternate edges ('poly') or constant ones ('const'),
+    total mass 1."""
     edges = graph.edges
-    shapes = (np.array([1.0, 1.0]), np.array([1.0, 0.0, 1.0]))
+    shapes = (np.array([1.0, 1.0]), np.array([1.0, 0.0, 1.0])) if kind == "poly" \
+        else (np.array([1.0]),) * 2
     dens, mass = {}, 0.0
     for k, e in enumerate(edges):
         shape = shapes[k % 2]
@@ -310,22 +314,112 @@ def test_no_spurious_roots_near_the_floor(name):
 
 
 def test_refinement_evaluation_count(monkeypatch):
-    # a count of derivative assemblies, the refinement's only M(gamma)
-    # evaluations, over the 16 scans behind reproduce-table
-    calls = []
-    assemble = SpectralProblem._assemble
+    # derivative assemblies, the refinement's only M(gamma) evaluations, and
+    # eigenvalue counts over the 16 scans behind reproduce-table
+    calls, counts = [], []
+    assemble, count = SpectralProblem._assemble, EigenvalueCount.__call__
 
     def counting(self, gamma, derivative=False):
         calls.append(derivative)
         return assemble(self, gamma, derivative)
 
+    def counted(self, gamma):
+        counts.append(gamma)
+        return count(self, gamma)
+
     monkeypatch.setattr(SpectralProblem, "_assemble", counting)
+    monkeypatch.setattr(EigenvalueCount, "__call__", counted)
     for name in ("k33", "k5", "petersen", "tetrahedron", "cube", "octahedron",
                  "dodecahedron", "icosahedron"):
         graph = builtin_graph(name)
         for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
             find_eigenvalues(graph, mu, TABLE_GAMMA_MAX)
     assert sum(calls) <= 1500
+    assert len(counts) <= 1000
+
+
+# a random cubic graph (m = 18, lengths in [0.5, 2]) whose simple roots at
+# gamma ell = 38.41873 and 38.82225 share one cell of a pi / (8 ell) grid
+PAIRED_ROOTS_EDGES = [
+    ("e0", "v6", "v3", 1.7133419221798776), ("e1", "v3", "v4", 1.177085619012647),
+    ("e2", "v5", "v7", 1.9837178208744444), ("e3", "v1", "v4", 1.9641489494148225),
+    ("e4", "v4", "v6", 1.214079975848891), ("e5", "v11", "v0", 1.5095747791407343),
+    ("e6", "v11", "v2", 0.7286418201559219), ("e7", "v3", "v7", 1.56311017283733),
+    ("e8", "v2", "v9", 0.6617979618427914), ("e9", "v1", "v9", 1.83612091247158),
+    ("e10", "v8", "v10", 1.3092826043233936), ("e11", "v8", "v0", 1.019169400458781),
+    ("e12", "v1", "v10", 1.611463809857168), ("e13", "v8", "v7", 0.6321319805399647),
+    ("e14", "v5", "v10", 0.9470139761639096), ("e15", "v0", "v5", 1.3066246717339904),
+    ("e16", "v11", "v9", 1.4250302398779493), ("e17", "v6", "v2", 1.8029797099804308),
+]
+
+
+def test_close_pair_of_simple_roots_is_kept():
+    graph = build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
+    ell = total_length(graph)
+    pairs = find_eigenvalues(graph, poly_shaped_measure(graph, "const"), 40.0 / ell)
+    assert [round(math.sqrt(p.eigenvalue) * ell, 5) for p in pairs] == [
+        11.99304, 14.3086, 18.38294, 25.51327, 27.75999, 30.22361, 31.99037,
+        34.3104, 38.41873, 38.82225]
+    assert all(p.multiplicity == 1 for p in pairs)
+
+
+@pytest.mark.parametrize("kind", ["const", "poly"])
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "petersen"])
+def test_count_matches_fine_scan(name, kind):
+    # N_mu just below and above every root of a pi / (64 ell) scan of det M
+    graph = builtin_graph(name)
+    problem = SpectralProblem(graph, poly_shaped_measure(graph, kind))
+    count = EigenvalueCount(problem)
+    roots = oracles.scan_spectrum(problem, 40.0, math.pi / 64.0)
+    assert len(roots) >= 4
+    assert min(b / a for (a, _), (b, _) in zip(roots, roots[1:])) > 1.0 + 4e-6
+    below = 0
+    for gamma, mult in roots:
+        assert count(gamma * (1.0 - 1e-6)) == below
+        below += mult
+        assert count(gamma * (1.0 + 1e-6)) == below
+
+
+WIDE_SPREAD = (["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
+                                  ("e3", "b", "c", 0.5)])
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 1.0, 1e3, 1e8])
+def test_count_vanishes_near_zero(beta):
+    # the constant direction of Lambda is deflated; without that the count
+    # reads 1 on many of these graphs at gamma ell = 1e-7
+    graphs = [builtin_graph(n) for n in (
+        "interval", "circle", "banana:3", "k5", "k33", "petersen", "tetrahedron",
+        "cube", "octahedron", "dodecahedron", "icosahedron")]
+    graphs.append(build_graph(*WIDE_SPREAD))
+    for graph in graphs:
+        scaled = scale_graph(graph, beta)
+        ell = total_length(scaled)
+        for mu in (lebesgue_measure(scaled, normalize=True), canonical_measure(scaled)):
+            count = EigenvalueCount(SpectralProblem(scaled, mu))
+            assert [count(t / ell) for t in (1e-7, 1e-5, 1e-3)] == [0, 0, 0]
+
+
+def test_count_and_nullspace_disagreeing_raises(monkeypatch, interval):
+    nullspace = SpectralProblem.nullspace
+    monkeypatch.setattr(SpectralProblem, "nullspace",
+                        lambda self, gamma, rank_tol: nullspace(self, gamma, rank_tol)[:-1])
+    with pytest.raises(NumericError, match="count rises by 1"):
+        find_eigenvalues(interval, lebesgue_measure(interval), 4.0)
+
+
+def test_default_floor_scales_with_length(tetrahedron):
+    def spectrum(beta):
+        graph = scale_graph(tetrahedron, beta)
+        pairs = find_eigenvalues(graph, lebesgue_measure(graph, normalize=True), 40.0 / beta)
+        return [p.multiplicity for p in pairs], np.array([p.eigenvalue for p in pairs])
+
+    mults, lams = spectrum(1.0)
+    assert mults == [3, 2, 3, 4]
+    for beta in (1e-6, 1e-3, 1e3, 1e5, 1e7, 1e8):
+        got_mults, got = spectrum(beta)
+        assert got_mults == mults
+        np.testing.assert_allclose(got * beta**2, lams, rtol=1e-13, atol=0.0)
 
 
 def test_find_eigenvalues_validation(interval):
