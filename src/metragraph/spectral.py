@@ -8,13 +8,16 @@ solution.  Continuity at each vertex, one derivative-balance condition per
 vertex, and the vanishing of the integral of f against the measure yield a
 square homogeneous system M(gamma) of size 2m+1; eigenvalues are
 lambda = gamma^2 exactly where M(gamma) is singular, with multiplicity the
-nullspace dimension.
+nullspace dimension.  Every edge integral at a given gamma (trig moments of
+the densities and of products of edge solutions) comes from one batched
+moment kernel, _exp_moments, called once for all edges.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,50 +52,75 @@ _EDGE_FEATURES = 12
 
 
 def _derivative(coeffs):
-    """Ascending coefficients of p' (npoly.polyder without its overhead)."""
-    if coeffs.size < 2:
-        return np.zeros(1)
-    return coeffs[1:] * np.arange(1.0, coeffs.size)
+    """Ascending coefficients of p' along the last axis, at least one."""
+    if coeffs.shape[-1] < 2:
+        return np.zeros(coeffs.shape[:-1] + (1,))
+    return coeffs[..., 1:] * np.arange(1.0, coeffs.shape[-1])
 
 
-def _exp_moments(omega, length, count):
-    """I_k = integral of t^k exp(i omega t) over [0, length], k = 0..count.
+def _padded(polys):
+    """Ragged coefficient arrays as the rows of one zero-padded array."""
+    sizes = np.fromiter(map(len, polys), np.intp, len(polys))
+    out = np.zeros((len(polys), sizes.max()))
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(polys)
+    return out
+
+
+def _rows_at(coeffs, x):
+    """Each row of ascending coefficients at its own x (Horner, as npoly.polyval)."""
+    value = coeffs[:, -1] + x * 0.0
+    for c in coeffs[:, -2::-1].T:
+        value = c + value * x
+    return value
+
+
+def _exp_moments(omega, lengths, count):
+    """I[e, k] = integral of t^k exp(i omega_e t) over [0, L_e], k = 0..count,
+    for every row of omega and lengths (broadcast) at once.
 
     The closed form from integration by parts cancels catastrophically when
-    omega*length is small relative to k, so each k picks between it and a
-    power series in (i omega); the crossover omega*length >= k+1 keeps the
-    upward recursion's error amplification factor k/(omega*length) below 1.
+    omega*L is small relative to k, so each (row, k) picks between it and a
+    power series in (i omega); the crossover omega*L >= k+1 keeps the
+    upward recursion's error amplification factor k/(omega*L) below 1.
     """
-    if omega < 0:
+    omega, L = np.broadcast_arrays(np.ravel(omega), np.ravel(lengths))
+    if np.any(omega < 0):
         raise ValueError("omega must be nonnegative")
-    out = np.empty(count + 1, dtype=complex)
-    x = omega * length
-    k_closed = min(count, int(math.floor(x - 1.0))) if omega > 0 else -1
-    if k_closed >= 0:
-        E = complex(math.cos(x), math.sin(x))
-        iw = 1j * omega
-        out[0] = (E - 1.0) / iw
-        Lk = 1.0
-        for k in range(1, k_closed + 1):
-            Lk *= length
-            out[k] = (Lk * E - k * out[k - 1]) / iw
-    if k_closed < count:
+    x = omega * L
+    closed = np.arange(count + 1) <= np.floor(x - 1.0)[:, None]
+    out = np.empty(closed.shape, dtype=complex)
+    rows = np.flatnonzero(closed[:, 0])
+    if rows.size:
+        E = np.cos(x[rows]) + 1j * np.sin(x[rows])
+        iw, Lr = 1j * omega[rows], L[rows]
+        Ik, Lk = [(E - 1.0) / iw], Lr
+        for k in range(1, count + 1):
+            Ik.append((Lk * E - k * Ik[-1]) / iw)
+            Lk = Lk * Lr
+        out[rows] = np.stack(Ik, axis=1)
+    rows = np.flatnonzero(~closed[:, -1])
+    if rows.size:
         # I_k = L^(k+1) sum_j (i x)^j / (j! (k + j + 1)); past j = e^2 x + 40
-        # the terms are below e^-40 of the first
-        ks = np.arange(k_closed + 1, count + 1)
-        j = np.arange(0.0, 40.0 + math.ceil(7.5 * x))
-        powers = np.cumprod(np.concatenate(([1.0], 1j * x / j[1:])))  # (i x)^j / j!
-        terms = powers / (ks[:, None] + j + 1.0)
-        # summed in order from the tail, more accurate here than pairwise
-        out[ks] = length ** (ks + 1.0) * np.cumsum(terms[:, ::-1], axis=1)[:, -1]
+        # the terms are below e^-40 of the first, and each row's terms past
+        # its own bound are exact zeros, which leave the sum unchanged
+        xs, Lr = x[rows, None], L[rows]
+        j = np.arange(40.0 + math.ceil(7.5 * xs.max()))
+        # times 1/j: numpy's complex-by-real quotient bit for bit, but faster
+        powers = np.cumprod(np.concatenate(  # (i x)^j / j!
+            (np.ones_like(xs), 1j * xs * (1.0 / j[1:])), axis=1), axis=1)
+        powers[j >= 40.0 + np.ceil(7.5 * xs)] = 0.0
+        series = out[rows]
+        for k in np.flatnonzero(~closed[rows].all(axis=0)):
+            terms = powers * (1.0 / (k + j + 1.0))  # summed from the tail: more accurate
+            series[:, k] = Lr ** (k + 1.0) * np.cumsum(terms[:, ::-1], axis=1)[:, -1]
+        out[rows] = np.where(closed[rows], out[rows], series)
     return out
 
 
 def trig_poly_moments(coeffs, omega, length):
     """(integral of p(t) cos(omega t), integral of p(t) sin(omega t)) on [0, length]."""
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    I = _exp_moments(omega, length, len(c) - 1)
-    z = complex(np.dot(c, I))
+    z = complex(c @ _exp_moments(omega, length, c.size - 1)[0])
     return z.real, z.imag
 
 
@@ -232,9 +260,9 @@ class SpectralProblem:
         self._compile()
 
     def particulars(self, gamma):
-        return {
-            eid: particular_solution(c, gamma) for eid, c in self._density.items()
-        }
+        """Edge id -> particular_solution of its density, from one table."""
+        h = self._ptab @ (1.0 / (gamma * gamma)) ** np.arange(self._ptab.shape[2])
+        return dict(zip(self._density, np.split(h[self._pmask], self._psplit)))
 
     def matrix(self, gamma):
         """Row-equilibrated M(gamma)."""
@@ -312,33 +340,34 @@ class SpectralProblem:
         self._feat = np.array(feat, dtype=np.intp)
         self._coef = np.array(coef, dtype=float)
 
-        # h = sum_j s^j (-1)^j d^(2j) with s = 1/gamma^2; tables[k][j] holds
-        # h(0), h(L), h'(0), -h'(L) and the integral of h*d for power j.
-        # Constant densities get closed-form trig moments, the rest a call each.
-        self._lengths = np.array([e.length for e in self.edges])
-        self._d0 = np.zeros(len(self.edges))
-        self._poly_edges = []
-        tables = []
-        for k, e in enumerate(self.edges):
-            L, dens = e.length, self._density[e.id]
-            if np.any(dens[1:] != 0.0):
-                self._poly_edges.append((k, dens, L))
-            else:
-                self._d0[k] = dens[0]
-            rows, term = [], dens
-            while np.any(term != 0.0):
-                der1 = _derivative(term)
-                prod = npoly.polymul(term, dens)
-                integral = npoly.polyval(L, prod / np.arange(1, prod.size + 1)) * L
-                rows.append((-1.0) ** len(rows) * np.array([
-                    npoly.polyval(0.0, term), npoly.polyval(L, term),
-                    npoly.polyval(0.0, der1), -npoly.polyval(L, der1), integral]))
-                term = _derivative(der1)
-            tables.append(rows)
-        self._hpoly = np.zeros((len(self.edges), 5, max(map(len, tables))))
-        for k, rows in enumerate(tables):
-            for j, row in enumerate(rows):
-                self._hpoly[k, :, j] = row
+        # h = sum_j s^j (-1)^j d^(2j) with s = 1/gamma^2; _hpoly[:, :, j] holds
+        # h(0), h(L), h'(0), -h'(L) and the integral of h*d for power j, and
+        # _ptab[:, :, j] that power's coefficients of h.  Constant densities
+        # get closed-form trig moments, the rows _poly of _dens batched ones.
+        self._lengths = L = np.array([e.length for e in self.edges])
+        self._dens = dens = _padded(list(self._density.values()))
+        poly = np.any(dens[:, 1:] != 0.0, axis=1)
+        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
+        nonzero = dens != 0.0
+        top = np.max(np.nonzero(nonzero)[1], initial=-1)  # highest power present
+        self._hpoly = np.zeros((len(L), 5, top // 2 + 1))
+        self._ptab = np.zeros(dens.shape + self._hpoly.shape[2:])
+        term = dens
+        for j in range(self._hpoly.shape[2]):
+            der1 = _derivative(term)
+            prod = sum(term[:, [i]] * np.pad(dens, ((0, 0), (i, term.shape[1] - 1 - i)))
+                       for i in range(term.shape[1]))
+            integral = _rows_at(prod / np.arange(1, prod.shape[1] + 1), L) * L
+            self._hpoly[:, :, j] = (-1.0) ** j * np.stack((
+                term[:, 0], _rows_at(term, L), der1[:, 0], -_rows_at(der1, L), integral),
+                axis=1)
+            self._ptab[:, :term.shape[1], j] = (-1.0) ** j * term
+            term = _derivative(der1)
+        # particular_solution's length: through the last nonzero coefficient
+        # (a Measure stores a zero density as [0])
+        sizes = np.max(np.where(nonzero, np.arange(dens.shape[1]), 0), axis=1) + 1
+        self._pmask = np.arange(dens.shape[1]) < sizes[:, None]
+        self._psplit = np.cumsum(sizes)[:-1]
 
     def _assemble(self, gamma, derivative=False):
         """Raw M(gamma), or (M, dM/dgamma) through the same plan: cos -> -L sin,
@@ -357,8 +386,11 @@ class SpectralProblem:
         F[:, _H0:_CMOM] = self._hpoly @ powers
         F[:, _CMOM] = self._d0 * sg / g
         F[:, _SMOM] = self._d0 * vers / g
-        for k, dens, length in self._poly_edges:
-            F[k, _CMOM:] = trig_poly_moments(dens, g, length)
+        if self._poly.size:  # moments of p and of t * p from one call
+            dens = self._dens[self._poly]
+            I = _exp_moments(g, L[self._poly], dens.shape[1])
+            z = np.sum(dens * I[:, :-1], axis=1)
+            F[self._poly, _CMOM], F[self._poly, _SMOM] = z.real, z.imag
         M = self._scatter([1.0, g * g], F)
         if not derivative:
             return M
@@ -368,9 +400,9 @@ class SpectralProblem:
         D[:, _H0:_CMOM] = self._hpoly @ (powers * np.arange(powers.size)) * (-2.0 / g)
         D[:, _CMOM] = self._d0 * (L * cg - sg / g) / g
         D[:, _SMOM] = self._d0 * (L * sg - vers / g) / g
-        for k, dens, length in self._poly_edges:
-            c1, s1 = trig_poly_moments(np.concatenate(([0.0], dens)), g, length)
-            D[k, _CMOM], D[k, _SMOM] = -s1, c1
+        if self._poly.size:
+            z = np.sum(dens * I[:, 1:], axis=1)
+            D[self._poly, _CMOM], D[self._poly, _SMOM] = -z.imag, z.real
         return M, self._scatter([0.0, 2.0 * g], D)
 
     def _scatter(self, global_feats, edge_feats):
@@ -389,17 +421,9 @@ class SpectralProblem:
         return EdgeBasisSolution(gamma, trig, float(vec[-1]), parts)
 
     def mu_integral(self, f):
-        """Exact integral of an EdgeBasisSolution against the measure."""
-        total = 0.0
-        for e in self.edges:
-            dens = self._density[e.id]
-            if not np.any(dens != 0.0):
-                continue
-            a, b = f.trig[e.id]
-            cmom, smom = trig_poly_moments(dens, f.gamma, e.length)
-            total += a * cmom + b * smom
-            prod = npoly.polymul(f.constant * f.particular[e.id], dens)
-            total += float(npoly.polyval(e.length, npoly.polyint(prod)))
+        """Exact integral of an EdgeBasisSolution f against the measure."""
+        L, ab, hp = _gather(self.graph, f)
+        total = float(np.sum(_pair_form(L, f.gamma, ab, hp, 0.0, 0.0 * ab, self._dens)))
         for v, mass in self._atom_mass.items():
             total += mass * f.at_point(self.graph.point_at_vertex(v))
         return total
@@ -415,55 +439,45 @@ def characteristic_det(graph, mu, gamma):
     return float(np.linalg.det(assemble_characteristic_matrix(graph, mu, gamma).matrix))
 
 
-def _pair_integral(L, g1, a1, b1, p1, g2, a2, b2, p2):
-    """Exact integral over [0, L] of the product of two edge solutions."""
-    d = g1 - g2
-    Id = _exp_moments(abs(d), L, 0)[0]
-    Cm = Id.real
-    Sm = Id.imag if d >= 0 else -Id.imag
-    Ip = _exp_moments(g1 + g2, L, 0)[0]
-    Cp, Sp = Ip.real, Ip.imag
-    total = 0.5 * (a1 * a2 * (Cm + Cp) + b1 * b2 * (Cm - Cp)
+def _gather(graph, f):
+    """Lengths, (A, B) rows and padded C * h rows of f, in graph.edges order."""
+    ids = list(map(operator.attrgetter("id"), graph.edges))
+    lengths = np.fromiter(map(operator.attrgetter("length"), graph.edges), float)
+    ab = np.array(list(map(f.trig.__getitem__, ids)), dtype=float)
+    return lengths, ab, f.constant * _padded(list(map(f.particular.__getitem__, ids)))
+
+
+def _pair_form(L, g1, ab1, p1, g2, ab2, p2):
+    """Per-edge integrals over [0, L] of the products of two edge solutions
+    a cos(g t) + b sin(g t) + p(t), from one batched moment call."""
+    m, n1, n2 = len(L), p1.shape[1], p2.shape[1]
+    omegas, which = np.unique([abs(g1 - g2), g1 + g2, g2, g1, 0.0], return_inverse=True)
+    I = _exp_moments(np.repeat(omegas, m), np.tile(L, omegas.size),
+                     n1 + n2 - 2).reshape(omegas.size, m, -1)[which]
+    Cm, Sm = I[0, :, 0].real, math.copysign(1.0, g1 - g2) * I[0, :, 0].imag
+    Cp, Sp = I[1, :, 0].real, I[1, :, 0].imag
+    (a1, b1), (a2, b2) = ab1.T, ab2.T
+    z1 = np.sum(p1 * I[2, :, :n1], axis=1)  # p1 against the trig part of f2
+    z2 = np.sum(p2 * I[3, :, :n2], axis=1)
+    pp = I[4].real[:, np.arange(n1)[:, None] + np.arange(n2)]
+    return (0.5 * (a1 * a2 * (Cm + Cp) + b1 * b2 * (Cm - Cp)
                    + a1 * b2 * (Sp - Sm) + a2 * b1 * (Sp + Sm))
-    has1 = np.any(p1 != 0.0)
-    has2 = np.any(p2 != 0.0)
-    if has1:
-        cmom, smom = trig_poly_moments(p1, g2, L)
-        total += a2 * cmom + b2 * smom
-    if has2:
-        cmom, smom = trig_poly_moments(p2, g1, L)
-        total += a1 * cmom + b1 * smom
-    if has1 and has2:
-        anti = npoly.polyint(npoly.polymul(p1, p2))
-        total += float(npoly.polyval(L, anti))
-    return total
+            + a2 * z1.real + b2 * z1.imag + a1 * z2.real + b1 * z2.imag
+            + np.einsum("ei,ej,eij->e", p1, p2, pp))
 
 
 def l2_inner(graph, f1, f2):
     """Exact Lebesgue inner product of two EdgeBasisSolutions."""
-    total = 0.0
-    for e in graph.edges:
-        a1, b1 = f1.trig[e.id]
-        a2, b2 = f2.trig[e.id]
-        p1 = f1.constant * f1.particular[e.id]
-        p2 = f2.constant * f2.particular[e.id]
-        total += _pair_integral(e.length, f1.gamma, a1, b1, p1,
-                                f2.gamma, a2, b2, p2)
-    return total
+    (L, ab1, p1), (_, ab2, p2) = _gather(graph, f1), _gather(graph, f2)
+    return float(np.sum(_pair_form(L, f1.gamma, ab1, p1, f2.gamma, ab2, p2)))
 
 
 def dirichlet_inner(graph, f1, f2):
-    """Exact integral of f1' f2' over the graph."""
-    total = 0.0
-    for e in graph.edges:
-        a1, b1 = f1.trig[e.id]
-        a2, b2 = f2.trig[e.id]
-        p1 = f1.constant * np.atleast_1d(npoly.polyder(f1.particular[e.id]))
-        p2 = f2.constant * np.atleast_1d(npoly.polyder(f2.particular[e.id]))
-        total += _pair_integral(e.length,
-                                f1.gamma, b1 * f1.gamma, -a1 * f1.gamma, p1,
-                                f2.gamma, b2 * f2.gamma, -a2 * f2.gamma, p2)
-    return total
+    """Exact integral of f1' f2' over the graph: the pair form of the derivatives."""
+    (L, ab1, p1), (_, ab2, p2) = _gather(graph, f1), _gather(graph, f2)
+    return float(np.sum(_pair_form(
+        L, f1.gamma, ab1[:, ::-1] * [f1.gamma, -f1.gamma], _derivative(p1),
+        f2.gamma, ab2[:, ::-1] * [f2.gamma, -f2.gamma], _derivative(p2))))
 
 
 def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
@@ -496,9 +510,11 @@ def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     if k == 1:
         if vecs[0, np.argmax(np.abs(vecs[0]))] < 0:
             vecs = -vecs
-    else:  # rotate by the orthogonal polar factor of the probe pairing
-        probe = np.sin(1.0 + np.sqrt(2.0) * np.arange(problem.size)[:, None]
-                       + np.sqrt(3.0) * np.arange(k)[None, :])
+    else:  # rotate by the orthogonal polar factor of the probe pairing, unique
+        # as the i j (j - 1) term gives the probe full rank (sin(a_i + b_j): 2)
+        i, j = np.arange(problem.size)[:, None], np.arange(k)[None, :]
+        probe = np.sin(1.0 + np.sqrt(2.0) * i + np.sqrt(3.0) * j
+                       + np.sqrt(5.0) * i * j * (j - 1))
         W, _, Vt = np.linalg.svd(vecs @ probe)
         vecs = (W @ Vt).T @ vecs
     funcs = tuple(problem.solution(gamma_star, vec, parts) for vec in vecs)
@@ -541,10 +557,12 @@ class EigenvalueCount:
         self._ends = np.concatenate((u, v))
         self._flat = np.concatenate((u * N + u, v * N + v, u * N + v, v * N + u))
         self._lengths = np.array(lengths)
-        poly = [np.any(d[1:] != 0.0) for d in densities]
-        self._d0 = np.array([0.0 if p else d[0] for p, d in zip(poly, densities)])
-        self._poly = [(k, d, _overlap(d, L)) for k, (p, L, d)
-                      in enumerate(zip(poly, lengths, densities)) if p]
+        dens = _padded(densities)
+        poly = np.any(dens[:, 1:] != 0.0, axis=1)
+        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
+        self._dens = dens[self._poly]
+        self._overlap = np.array([_overlap(d, self._lengths[k])
+                                  for k, d in zip(self._poly, self._dens)])
         self._atoms = np.bincount([graph.vertex_index(v) for v in problem._atom_mass],
                                   list(problem._atom_mass.values()), minlength=N)
 
@@ -561,13 +579,15 @@ class EigenvalueCount:
         r = np.bincount(self._ends, np.concatenate((tg, tg)), minlength=N)
         C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
         energy = self._d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
-        for k, dens, overlap in self._poly:
+        if self._poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
-            moments = _exp_moments(g, L[k], overlap.size - 1)
-            z = complex(np.dot(dens, moments[:dens.size]))
+            k = self._poly
+            I = _exp_moments(g, L[k], self._overlap.shape[1] - 1)
+            z = np.sum(self._dens * I[:, :self._dens.shape[1]], axis=1)
             C[k], S[k] = z.real, z.imag
-            zz = z * z * complex(cg[k], -sg[k])  # integral of d d cos(g (t + t' - L))
-            energy[k] = (zz.real - 2.0 * overlap @ moments.real) / (2.0 * g * sg[k])
+            zz = z * z * (cg[k] - 1j * sg[k])  # integral of d d cos(g (t + t' - L))
+            energy[k] = (zz.real - 2.0 * np.sum(self._overlap * I.real, axis=1)) \
+                / (2.0 * g * sg[k])
         slopes = np.concatenate((C - cg * S / sg, S / sg))
         f = self._atoms + np.bincount(self._ends, slopes, minlength=N)
         sub = lam[1:, 1:]

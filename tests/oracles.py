@@ -213,6 +213,26 @@ def trig_moment(k, omega, length):
     return re, im
 
 
+def exp_moments_row(omega, length, count):
+    """I_k = int t^k exp(i omega t) over [0, length], k = 0..count, for one
+    row in scalar arithmetic: the reference for the batched kernel, taking
+    the same branch (closed form or tail-summed series) for each k."""
+    out = np.empty(count + 1, dtype=complex)
+    x = omega * length
+    k_closed = min(count, int(math.floor(x - 1.0))) if omega > 0 else -1
+    if k_closed >= 0:
+        E = complex(math.cos(x), math.sin(x))
+        out[0] = (E - 1.0) / (1j * omega)
+        for k in range(1, k_closed + 1):
+            out[k] = (length**k * E - k * out[k - 1]) / (1j * omega)
+    for k in range(k_closed + 1, count + 1):
+        # L^(k+1) sum_j (i x)^j / (j! (k + j + 1)), added from the tail
+        j = np.arange(0.0, 40.0 + math.ceil(7.5 * x))
+        powers = np.cumprod(np.concatenate(([1.0], 1j * x / j[1:])))
+        out[k] = length ** (k + 1.0) * np.cumsum((powers / (k + j + 1.0))[::-1])[-1]
+    return out
+
+
 def _particular(coeffs, gamma):
     """h with h'' + gamma^2 h = gamma^2 g: sum_k (-1)^k g^(2k) / gamma^(2k)."""
     term = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()

@@ -165,6 +165,14 @@ def test_tau_values_and_scaling():
     )
 
 
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 1e3, 1e5, 1e7, 1e8, 1e10])
+def test_tau_scales_with_length(tetrahedron, beta):
+    # the two base points are compared relative to tau; an absolute 1e-10
+    # raised "tau disagrees between base points" from beta = 1e7 on
+    tau = tau_constant(scale_graph(tetrahedron, beta))
+    assert abs(tau / (beta * tau_constant(tetrahedron)) - 1.0) <= 1e-14
+
+
 def test_weak_laplacian_residual_small(rng):
     for name in ("interval", "tetrahedron", "petersen"):
         g = builtin_graph(name)

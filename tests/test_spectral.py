@@ -42,7 +42,7 @@ from metragraph import (
     trig_poly_moments,
 )
 from metragraph.cli import TABLE_GAMMA_MAX
-from metragraph.spectral import EdgeBasisSolution, EigenvalueCount
+from metragraph.spectral import EdgeBasisSolution, EigenvalueCount, _exp_moments
 
 PI2 = math.pi * math.pi
 
@@ -81,6 +81,38 @@ def test_trig_poly_moments_match_quadrature(coeffs, omega, length):
         want_s += c * mk[1]
     assert cmom == pytest.approx(want_c, rel=1e-8, abs=2e-8)
     assert smom == pytest.approx(want_s, rel=1e-8, abs=2e-8)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-6, 0.3, 2.5, 11.0, 40.0])
+def test_batched_moments_mix_both_branches(omega):
+    # one call whose rows put omega*L below and above k + 1, so the series
+    # and the closed form meet in one batch; each row agrees with quadrature,
+    # with the one-row loop of oracles and with a call on that row alone
+    lengths = np.array([0.01, 0.07, 0.2, 0.45, 0.9, 1.3, 2.0])
+    count = 4
+    batch = _exp_moments(omega, lengths, count)
+    x = omega * lengths
+    if omega >= 2.5:
+        assert np.any(x < 1.0) and np.any(x >= count + 1.0)
+    for row, length in zip(batch, lengths):
+        np.testing.assert_allclose(row, _exp_moments(omega, length, count)[0],
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(row, oracles.exp_moments_row(omega, length, count),
+                                   rtol=1e-15, atol=0.0)
+        want = [complex(*oracles.trig_moment(k, omega, length)) for k in range(count + 1)]
+        np.testing.assert_allclose(row, want, rtol=1e-9,
+                                   atol=1e-12 * max(1.0, length ** (count + 1)))
+
+
+def test_batched_moments_take_one_frequency_per_row():
+    omegas = np.array([0.0, 0.5, 3.0, 9.0, 25.0, 40.0])
+    lengths = np.array([1.2, 0.3, 0.8, 0.05, 1.0, 0.6])
+    batch = _exp_moments(omegas, lengths, 3)
+    for row, omega, length in zip(batch, omegas, lengths):
+        np.testing.assert_allclose(row, _exp_moments(omega, length, 3)[0],
+                                   rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError):
+        _exp_moments(-omegas, lengths, 3)
 
 
 def test_particular_solution_examples():
@@ -400,6 +432,40 @@ def test_count_vanishes_near_zero(beta):
             assert [count(t / ell) for t in (1e-7, 1e-5, 1e-3)] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("kind", ["const", "poly"])
+@pytest.mark.parametrize("beta", [1e-6, 1e-3, 1.0, 1e3, 1e8])
+def test_count_vanishes_near_zero_with_densities(beta, kind):
+    # the polynomial pieces of the count enter w through batched moments
+    for name in ("interval", "circle", "banana:3", "k5", "k33", "petersen",
+                 "tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron"):
+        graph = scale_graph(builtin_graph(name), beta)
+        ell = total_length(graph)
+        count = EigenvalueCount(SpectralProblem(graph, poly_shaped_measure(graph, kind)))
+        assert [count(t / ell) for t in (1e-7, 1e-5, 1e-3)] == [0, 0, 0], name
+
+
+# eigenvalues (lambda, multiplicity) under poly_shaped_measure with gamma ell
+# <= 40, as computed with one moment call per edge and piece
+POLY_SPECTRA = {
+    "tetrahedron": [(110.3938188536959, 1), (131.41869708453834, 2),
+                    (299.269429091103, 1), (355.3057584392169, 1),
+                    (570.4358231989108, 1), (688.2916180679712, 2),
+                    (1158.6872720507229, 1), (1421.2230337568676, 3)],
+    "cube": [(176.6661967274683, 1), (218.1975965481513, 2),
+             (439.07904007198624, 1), (525.6747883381533, 2),
+             (993.6321148878949, 1), (1421.2230337568676, 5)],
+    "petersen": [(246.95168220298328, 1), (340.93374460648647, 4),
+                 (897.2691178174256, 1), (1190.792384203225, 3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLY_SPECTRA))
+def test_poly_measure_spectrum_is_unchanged(name):
+    graph = builtin_graph(name)
+    pairs = find_eigenvalues(graph, poly_shaped_measure(graph), 40.0 / total_length(graph))
+    assert_spectrum(pairs, POLY_SPECTRA[name], rel=1e-13)
+
+
 def test_count_and_nullspace_disagreeing_raises(monkeypatch, interval):
     nullspace = SpectralProblem.nullspace
     monkeypatch.setattr(SpectralProblem, "nullspace",
@@ -491,12 +557,23 @@ def test_eigenpair_invariants_circle(circle):
     assert math.sqrt(lams[0]) >= 1.0
 
 
-@pytest.mark.parametrize("name", ["circle", "tetrahedron"])
-def test_eigenspace_basis_survives_ulp_moves(name):
-    # a multiple eigenspace gets one basis, whatever the SVD returns
+@pytest.mark.parametrize("name, kind, gamma", [
+    pytest.param("circle", "dx", None, id="circle"),
+    pytest.param("tetrahedron", "dx", None, id="tetrahedron"),
+    *(pytest.param(name, kind, None, id=f"{name}-{kind}")
+      for name in ("k5", "petersen") for kind in ("dx", "canonical")),
+    pytest.param("k33", "canonical", 14.1371669411540, id="k33-canonical"),
+])
+def test_eigenspace_basis_survives_ulp_moves(name, kind, gamma):
+    # a multiple eigenspace gets one basis, whatever the SVD returns; with a
+    # probe of rank 2 the bases of dimension 4 and 5 (K5, K33, Petersen)
+    # moved by up to 2.6 under this 4-ulp step
     graph = builtin_graph(name)
-    mu = lebesgue_measure(graph, normalize=True)
-    gamma = math.sqrt(find_eigenvalues(graph, mu, 13.0)[0].eigenvalue)
+    mu = lebesgue_measure(graph, normalize=True) if kind == "dx" \
+        else canonical_measure(graph)
+    if gamma is None:  # the first multiple eigenvalue
+        gamma = next(math.sqrt(p.eigenvalue) for p in find_eigenvalues(graph, mu, 20.0)
+                     if p.multiplicity >= 2)
     eps = float(np.finfo(float).eps)
 
     def coefficients(g):
