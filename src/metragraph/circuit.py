@@ -13,19 +13,20 @@ validated against when they are built.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .graph_core import subdivide_at
 from .numerics import NumericError, PiecewisePoly, solve_grounded
 
 _KERNEL_CHECK_TOL = 1e-9
 _PROFILE_CHECK_TOL = 1e-9
+_J_TOL = 1e-9
 # An edge is a bridge when L - r(u, v) <= _BRIDGE_TOL * L.  The rounding
 # noise there is about 2e-15 L; the smallest gap on a non-bridge edge of the
 # built-in and random cubic graphs is about 0.16 L.
 _BRIDGE_TOL = 1e-12
+_NO_KINKS = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
 
 
 def _laplacian(size, segments):
@@ -40,31 +41,39 @@ def _laplacian(size, segments):
     return Q
 
 
-def _solved_resistance(graph, x, y):
-    """r(x, y) by subdividing at x and y and one grounded solve: the route
-    the kernel is checked against, sharing only the Laplacian assembly."""
-    g, vx, remap = subdivide_at(graph, x)
-    g, vy, _ = subdivide_at(g, remap(y))
-    if vx == vy:
-        return 0.0
-    Q = _laplacian(len(g.vertices), [
-        (g.vertex_index(e.u), g.vertex_index(e.v), e.length) for e in g.edges
-    ])
-    ix, iy = g.vertex_index(vx), g.vertex_index(vy)
-    b = np.zeros(len(g.vertices))
-    b[iy] += 1.0
-    b[ix] -= 1.0
-    return float(solve_grounded(Q, b, ix)[iy])
+def _solved_resistances(graph, y, points):
+    """[r(p, y) for p in points] from the graph subdivided at y and at every
+    p, in one grounded solve with one right-hand side per point: the route
+    the kernel and its profiles are checked against, sharing only the
+    Laplacian assembly.  The ground is the node of largest conductance sum:
+    grounded far from its shortest edges, the solve loses up to 2e-9 of r
+    on lengths that span 1e7."""
+    n = len(graph.vertices)
+    cuts = {}  # (edge id, offset) -> node index of an interior point
 
+    def node(p):
+        v = graph.vertex_of(p)
+        if v is not None:
+            return graph.vertex_index(v)
+        return cuts.setdefault((p.edge, p.offset), n + len(cuts))
 
-def _poly_moments(coeffs, L):
-    """[integral of t^b g(t) dt over [0, L] for b = 0, 1, 2]."""
-    c = np.atleast_1d(np.asarray(coeffs))
-    out = []
-    for b in range(3):
-        shifted = np.concatenate([np.zeros(b, dtype=c.dtype), c])
-        out.append(npoly.polyval(L, npoly.polyint(shifted)))
-    return np.array(out)
+    iy = node(y)
+    cols = [node(p) for p in points]
+    chains = {}
+    for (eid, t), i in cuts.items():
+        chains.setdefault(eid, []).append((t, i))
+    segments = []
+    for e in graph.edges:
+        chain = [(0.0, graph.vertex_index(e.u)), *sorted(chains.get(e.id, [])),
+                 (e.length, graph.vertex_index(e.v))]
+        segments += [(i, j, t1 - t0) for (t0, i), (t1, j) in zip(chain, chain[1:])]
+    k = np.arange(len(cols))
+    B = np.zeros((n + len(cuts), len(cols)))
+    B[cols, k] += 1.0
+    B[iy] -= 1.0
+    Q = _laplacian(len(B), segments)
+    V = solve_grounded(Q, B, int(np.argmax(np.diag(Q))))
+    return V[cols, k] - V[iy]
 
 
 def effective_resistance(graph, x, y):
@@ -77,13 +86,12 @@ def effective_resistance(graph, x, y):
 def j_function(graph, zeta, y, x):
     """The potential j_zeta(x, y): voltage at x when unit current flows from
     y to zeta, grounded at zeta; equal to (r(x, zeta) + r(y, zeta) - r(x, y))
-    / 2.  Nonnegative, zero when x or y hits zeta."""
-    val = 0.5 * (
-        effective_resistance(graph, x, zeta)
-        + effective_resistance(graph, y, zeta)
-        - effective_resistance(graph, x, y)
-    )
-    if val < -1e-9:
+    / 2.  Nonnegative, zero when x or y hits zeta; a negative value beyond
+    rounding, relative to the largest of the three resistances, raises."""
+    rs = (effective_resistance(graph, x, zeta), effective_resistance(graph, y, zeta),
+          effective_resistance(graph, x, y))
+    val = 0.5 * (rs[0] + rs[1] - rs[2])
+    if val < -_J_TOL * max(rs):
         raise NumericError(f"negative j-function value {val:g}")
     return max(val, 0.0)
 
@@ -94,6 +102,112 @@ def removed_edge_resistance(graph, edge_id):
     Returns math.inf when e is a bridge.
     """
     return resistance_kernel(graph).removed(edge_id)
+
+
+class EdgeTable(Mapping):
+    """Per-edge piecewise polynomials in array form, one row per edge.
+
+    On edge k the function is coeffs[k] (ascending in the edge offset x)
+    plus jump * (x - a) right of each kink (k, a, jump), 0 < a < L; kinks
+    holds the three arrays (edge rows, offsets a, jumps).  A resistance
+    potential has this form, each interior atom adding one |x - a| kink.
+    Read as a mapping, it gives each edge's PiecewisePoly, built on first
+    access.
+    """
+
+    def __init__(self, kernel, coeffs, kinks):
+        self.kernel = kernel
+        self.coeffs = coeffs
+        self.kinks = kinks
+        self._polys = {}
+
+    def __iter__(self):
+        return iter(self.kernel._row)
+
+    def __len__(self):
+        return len(self.kernel._row)
+
+    def __getitem__(self, edge_id):
+        if edge_id not in self._polys:
+            k = self.kernel._row[edge_id]
+            rows, at, jumps = self.kinks
+            sel = rows == k
+            cuts, group = np.unique(at[sel], return_inverse=True)
+            pieces = [self.coeffs[k]]
+            for i, a in enumerate(cuts):
+                piece = pieces[-1].copy()
+                piece[:2] += jumps[sel][group == i].sum() * np.array([-a, 1.0])
+                pieces.append(piece)
+            breaks = np.concatenate([[0.0], cuts, [self.kernel._L[k]]])
+            self._polys[edge_id] = PiecewisePoly(breaks, pieces)
+        return self._polys[edge_id]
+
+    def __add__(self, other):
+        """Sum with another table or a constant."""
+        if not isinstance(other, EdgeTable):
+            other = EdgeTable(self.kernel, np.full((len(self), 1), other), _NO_KINKS)
+        width = max(self.coeffs.shape[1], other.coeffs.shape[1])
+        coeffs = sum(np.pad(t.coeffs, ((0, 0), (0, width - t.coeffs.shape[1])))
+                     for t in (self, other))
+        kinks = tuple(np.concatenate(pair) for pair in zip(self.kinks, other.kinks))
+        return EdgeTable(self.kernel, coeffs, kinks)
+
+    def __mul__(self, scalar):
+        rows, at, jumps = self.kinks
+        return EdgeTable(self.kernel, self.coeffs * scalar, (rows, at, jumps * scalar))
+
+    __rmul__ = __mul__
+
+    def values_at(self, rows, t):
+        """Values at offsets t on the edges of the given rows."""
+        K = self.coeffs.shape[1]
+        vals = np.einsum("ik,ik->i", self.coeffs[rows], t[:, None] ** np.arange(K))
+        kr, ka, kj = self.kinks
+        right = (kr == rows[:, None]) & (ka < t[:, None])
+        return vals + np.sum(np.where(right, kj * (t[:, None] - ka), 0.0), axis=1)
+
+    def integrals(self):
+        """Per-edge integral over [0, L] against dx."""
+        L = self.kernel._L
+        p = np.arange(1, self.coeffs.shape[1] + 1)
+        out = np.einsum("ek,ek->e", self.coeffs, L[:, None] ** p / p)
+        rows, at, jumps = self.kinks
+        np.add.at(out, rows, 0.5 * jumps * (L[rows] - at) ** 2)
+        return out
+
+    def integrate(self, nu):
+        """Exact integral against a measure: the atoms' values, the densities
+        through the per-edge moments L^(i+j+1) / (i+j+1) of t^i t^j, and per
+        kink the closed form of integral over [a, L] of (t - a) t^j dt."""
+        rows, at, mass, D = self.kernel._sources(nu.atoms, nu.densities)
+        L = self.kernel._L
+        i = np.arange(self.coeffs.shape[1])[:, None]
+        j = np.arange(D.shape[1])
+        p = i + j + 1
+        total = mass @ self.values_at(rows, at) + np.einsum(
+            "ei,eij,ej->", self.coeffs, L[:, None, None] ** p / p, D)
+        kr, a, jumps = self.kinks
+        Lk, a, q = L[kr][:, None], a[:, None], j + 1
+        tail = (Lk ** (q + 1) - a ** (q + 1)) / (q + 1) - a * (Lk ** q - a ** q) / q
+        return total + np.einsum("k,kj,kj->", jumps, tail, D[kr])
+
+    def derivative_energy(self):
+        """Integral over the graph of (d/dx f)^2 for a table of degree <= 2.
+
+        An edge whose row p has slope b1 + 2 b2 x gives b1^2 L + 2 b1 b2 L^2
+        + (4/3) b2^2 L^3; a kink of jump J at a adds 2 J (p(L) - p(a)) +
+        J^2 (L - a), and two kinks on one edge add 2 J J' (L - max(a, a')).
+        """
+        L = self.kernel._L
+        b1, b2 = self.coeffs[:, 1], self.coeffs[:, 2]
+        total = np.sum(L * (b1 * b1 + 2.0 * b1 * b2 * L + (4.0 / 3.0) * (b2 * L) ** 2))
+        rows, at, jumps = self.kinks
+        Lk = L[rows]
+        total += np.sum(2.0 * jumps * (Lk - at) * (b1[rows] + b2[rows] * (Lk + at)))
+        same = rows[:, None] == rows
+        total += np.sum(np.where(same, np.outer(jumps, jumps)
+                                 * (Lk[:, None] - np.maximum.outer(at, at)), 0.0))
+        return float(np.real(total))
 
 
 class ResistanceKernel:
@@ -107,59 +221,61 @@ class ResistanceKernel:
     graph with every edge subdivided at its midpoint.  By the parallel-
     resistor law r(u, v) = L R(e) / (L + R(e)) across the ends of e, so
     canonical_density[e] = 1 / (L + R(e)) = (L - r(u, v)) / L^2, which is 0
-    on a bridge.
+    on a bridge.  Per-edge data are arrays with one row per edge in graph
+    order: the three nodes (u, midpoint, v), the inverse Vandermonde of
+    their offsets (0, L/2, L) and the 3x3 block of R among them.
     """
 
     def __init__(self, graph):
         self.graph = graph
-        n = len(graph.vertices)
-        self._nodes = {}
-        self._Sinv = {}
+        n, m = len(graph.vertices), len(graph.edges)
+        self._row = {e.id: k for k, e in enumerate(graph.edges)}
+        self._L = np.array([e.length for e in graph.edges])
+        self._nodes = np.column_stack([
+            [graph.vertex_index(e.u) for e in graph.edges],
+            n + np.arange(m),
+            [graph.vertex_index(e.v) for e in graph.edges],
+        ])
         segments = []
-        for k, e in enumerate(graph.edges):
-            iu, iv, im = graph.vertex_index(e.u), graph.vertex_index(e.v), n + k
-            self._nodes[e.id] = [iu, im, iv]
-            segments += [(iu, im, e.length / 2.0), (im, iv, e.length / 2.0)]
-            # inverse Vandermonde of the nodes (0, L/2, L): values -> coefficients
-            h = 1.0 / e.length
-            self._Sinv[e.id] = np.array([
-                [1.0, 0.0, 0.0],
-                [-3.0 * h, 4.0 * h, -h],
-                [2.0 * h * h, -4.0 * h * h, 2.0 * h * h],
-            ])
-        N = n + len(graph.edges)
-        Q = _laplacian(N, segments)
-        K = np.zeros((N, N))
-        if N > 1:
+        for (iu, im, iv), L in zip(self._nodes.tolist(), self._L.tolist()):
+            segments += [(iu, im, L / 2.0), (im, iv, L / 2.0)]
+        Q = _laplacian(n + m, segments)
+        K = np.zeros_like(Q)
+        if len(Q) > 1:
             try:
                 K[1:, 1:] = np.linalg.inv(Q[1:, 1:])
             except np.linalg.LinAlgError as exc:
                 raise NumericError(f"resistance kernel build failed: {exc}") from None
         d = np.diag(K)
         self._R = d[:, None] + d[None, :] - K - K.T
-        self.canonical_density = {}
-        for e in graph.edges:
-            iu, _, iv = self._nodes[e.id]
-            gap = e.length - self._R[iu, iv]
-            bridge = not gap > _BRIDGE_TOL * e.length
-            self.canonical_density[e.id] = 0.0 if bridge else gap / e.length / e.length
+        self._Rloc = self._R[self._nodes[:, :, None], self._nodes[:, None, :]]
+        # inverse Vandermonde of the offsets (0, L/2, L): values -> coefficients
+        h = np.array([1.0 / e.length for e in graph.edges])
+        self._Sinv = np.stack([
+            np.outer(np.ones(m), [1.0, 0.0, 0.0]),
+            np.outer(h, [-3.0, 4.0, -1.0]),
+            np.outer(h * h, [2.0, -4.0, 2.0]),
+        ], axis=1)
+        gap = self._L - self._Rloc[:, 0, 2]
+        self._inv = np.where(gap > _BRIDGE_TOL * self._L, gap / self._L / self._L, 0.0)
+        self.canonical_density = dict(zip(self._row, self._inv.tolist()))
         self._B = {}
         self._validate()
 
     def removed(self, edge_id):
         """R(e) = L r(u, v) / (L - r(u, v)); math.inf on a bridge."""
-        L = self.graph.edge(edge_id).length
-        if self.canonical_density[edge_id] == 0.0:
+        k = self._row[edge_id]
+        if self._inv[k] == 0.0:
             return math.inf
-        iu, _, iv = self._nodes[edge_id]
-        r = self._R[iu, iv]
+        L, r = self._L[k], self._Rloc[k, 0, 2]
         return float(L * r / (L - r))
 
     def biquad(self, e1, e2):
         key = (e1, e2)
         if key not in self._B:
-            V = self._R[np.ix_(self._nodes[e1], self._nodes[e2])]
-            self._B[key] = self._Sinv[e1] @ V @ self._Sinv[e2].T
+            i, j = self._row[e1], self._row[e2]
+            V = self._R[np.ix_(self._nodes[i], self._nodes[j])]
+            self._B[key] = self._Sinv[i] @ V @ self._Sinv[j].T
         return self._B[key]
 
     def eval(self, e1, t1, e2, t2):
@@ -187,63 +303,59 @@ class ResistanceKernel:
     def point_eval(self, p, q):
         return self.eval(p.edge, p.offset, q.edge, q.offset)
 
+    def _sources(self, atoms, densities):
+        """Atoms as arrays (edge rows, offsets, masses) and the densities as
+        one zero-padded coefficient matrix, one row per edge."""
+        rows = np.array([self._row[p.edge] for p, _ in atoms], dtype=int)
+        at = np.array([p.offset for p, _ in atoms], dtype=float)
+        coeffs = {self._row[eid]: np.atleast_1d(c) for eid, c in densities.items()}
+        mass = np.array([m for _, m in atoms])
+        dtype = np.result_type(float, mass, *coeffs.values())
+        width = max((c.size for c in coeffs.values()), default=1)
+        D = np.zeros((len(self._L), width), dtype)
+        for k, c in coeffs.items():
+            D[k, :c.size] = c
+        return rows, at, mass.astype(dtype), D
+
     def potential(self, atoms, densities):
-        """Per-edge PiecewisePoly of x -> integral of r(x, zeta) d nu(zeta).
+        """EdgeTable of x -> integral of r(x, zeta) d nu(zeta).
 
         nu is atoms [(point, mass)] plus per-edge densities (ascending
         coefficients in the edge offset); masses may be complex.  Off its
         own edge, a source acts only through its moments [integral of t^b
         d nu, b = 0..2], mapped to weights on its edge's three nodes, so the
-        off-edge part of every edge is one product with _R.  Each edge then
-        takes back its own sources and adds their exact same-edge term.
+        off-edge part of every edge is one product with R.  Each edge then
+        takes back its own sources and adds their exact same-edge term,
+        integral of (|x - t| - (x - t)^2 / (L + R)) d nu(t).
         """
-        moments, kinks = {}, {}
-        for p, mass in atoms:
-            t = float(p.offset)
-            moments[p.edge] = moments.get(p.edge, 0.0) + mass * np.array([1.0, t, t * t])
-            kinks.setdefault(p.edge, []).append((t, mass))
-        dens_moments = {
-            eid: _poly_moments(c, self.graph.edge(eid).length)
-            for eid, c in densities.items()
-        }
-        for eid, mom in dens_moments.items():
-            moments[eid] = moments.get(eid, 0.0) + mom
-        own = {eid: self._Sinv[eid].T @ mom for eid, mom in moments.items()}
-        w = np.zeros(len(self._R), dtype=np.result_type(float, *own.values()))
-        for eid, weights in own.items():
-            w[self._nodes[eid]] += weights
-        V = self._R @ w
-        out = {}
-        for e in self.graph.edges:
-            nodes = self._nodes[e.id]
-            vals = V[nodes]
-            if e.id in own:
-                vals = vals - self._R[np.ix_(nodes, nodes)] @ own[e.id]
-            base = self._Sinv[e.id] @ vals
-            inv = self.canonical_density[e.id]
-            if e.id in dens_moments:
-                # integral of (|x - t| - (x - t)^2 / (L + R)) g(t) dt
-                m0, m1, m2 = dens_moments[e.id]
-                g = np.atleast_1d(np.asarray(densities[e.id]))
-                f1 = npoly.polyadd(npoly.polyint(2 * g, m=2), np.array([m1, -m0]))
-                f2 = inv * np.array([m2, -2 * m1, m0])
-                base = npoly.polyadd(base, npoly.polysub(f1, f2))
-            here = kinks.get(e.id, [])
-            breaks = sorted({0.0, e.length} | {a for a, _ in here if 0.0 < a < e.length})
-            pieces = []
-            for lo, hi in zip(breaks, breaks[1:]):
-                piece = base
-                for a, mass in here:
-                    # mass * (|x - a| - (x - a)^2 / (L + R)), s the side of a
-                    s = 1.0 if 0.5 * (lo + hi) > a else -1.0
-                    kink = np.array([-s * a - a * a * inv, s + 2 * a * inv, -inv])
-                    piece = npoly.polyadd(piece, mass * kink)
-                pieces.append(piece)
-            out[e.id] = PiecewisePoly(breaks, pieces)
-        return out
+        rows, at, mass, D = self._sources(atoms, densities)
+        L, inv = self._L, self._inv
+        k = np.arange(D.shape[1])
+        p = np.arange(3)[:, None] + k + 1
+        dmom = np.einsum("ek,ebk->eb", D, L[:, None, None] ** p / p)
+        mom = dmom.copy()
+        np.add.at(mom, rows, mass[:, None] * at[:, None] ** np.arange(3))
+        W = np.einsum("eab,ea->eb", self._Sinv, mom)
+        w = np.zeros(len(self._R), W.dtype)
+        np.add.at(w, self._nodes, W)
+        vals = (self._R @ w)[self._nodes] - np.einsum("eab,eb->ea", self._Rloc, W)
+        T = np.zeros((len(L), max(3, D.shape[1] + 2)), W.dtype)
+        T[:, :3] = np.einsum("eab,eb->ea", self._Sinv, vals)
+        # densities: 2 G(x) + m1 - m0 x - inv (m2 - 2 m1 x + m0 x^2), G'' = g
+        m0, m1, m2 = dmom.T
+        T[:, 2:D.shape[1] + 2] += 2.0 * D / ((k + 1) * (k + 2))
+        T[:, :3] += np.column_stack([m1 - inv * m2, 2.0 * inv * m1 - m0, -inv * m0])
+        # atoms: |x - a| = s (x - a) left of a (s = 1 when a = 0, else -1),
+        # with a kink of jump 2 mass at an interior a
+        s = np.where(at == 0.0, 1.0, -1.0)
+        ia = inv[rows]
+        np.add.at(T[:, :3], rows, mass[:, None] * np.column_stack(
+            [-s * at - ia * at * at, s + 2.0 * ia * at, -ia]))
+        inner = (at > 0.0) & (at < L[rows])
+        return EdgeTable(self, T, (rows[inner], at[inner], 2.0 * mass[inner]))
 
     def profile_polys(self, y):
-        """Per-edge PiecewisePoly of x -> r(x, y)."""
+        """EdgeTable of x -> r(x, y)."""
         return self.potential([(y, 1.0)], {})
 
     def _validate(self):
@@ -256,7 +368,7 @@ class ResistanceKernel:
         for e1, e2 in pairs:
             p = g.point(e1.id, 0.3183098861 * e1.length)
             q = g.point(e2.id, 0.7182818284 * e2.length)
-            direct = _solved_resistance(g, p, q)
+            direct = _solved_resistances(g, q, [p])[0]
             closed = self.point_eval(p, q)
             if not abs(direct - closed) <= _KERNEL_CHECK_TOL * max(1.0, abs(direct)):
                 raise NumericError(
@@ -286,22 +398,21 @@ class ResistanceProfile:
 
     def derivative_energy(self):
         """Integral over the graph of (d/dx r(x, y))^2."""
-        total = 0.0
-        for poly in self.polys.values():
-            der = poly.derivative()
-            total += (der * der).integral()
-        return float(total)
+        return self.polys.derivative_energy()
 
     def _validate(self):
-        for e in self.graph.edges:
-            t = 0.3183098861 * e.length
-            p = self.graph.point(e.id, t)
-            direct = _solved_resistance(self.graph, p, self.y)
-            fitted = self.value(p)
-            if not abs(direct - fitted) <= _PROFILE_CHECK_TOL * max(1.0, abs(direct)):
+        """Every edge against one solve on the graph subdivided at y and at
+        one point per edge."""
+        edges = self.graph.edges
+        points = [self.graph.point(e.id, 0.3183098861 * e.length) for e in edges]
+        direct = _solved_resistances(self.graph, self.y, points)
+        offsets = np.array([p.offset for p in points])
+        fitted = self.polys.values_at(np.arange(len(edges)), offsets)
+        for e, d, f in zip(edges, direct, np.real(fitted)):
+            if not abs(d - f) <= _PROFILE_CHECK_TOL * max(1.0, abs(d)):
                 raise NumericError(
                     f"resistance profile mismatch on edge {e.id}: "
-                    f"{fitted:.3e} vs solver {direct:.3e}"
+                    f"{f:.3e} vs solver {d:.3e}"
                 )
 
 

@@ -1,9 +1,9 @@
 """Green's functions g_mu(x, y) and everything built from them.
 
 For a unit measure mu the evaluator stores the resistance potential
-rho_mu(x) = integral of r(x, zeta) d mu(zeta) as one exact piecewise
-polynomial per edge, plus the constant c_mu = (1/2) double integral of r
-against mu.  Then
+rho_mu(x) = integral of r(x, zeta) d mu(zeta) in array form (one
+coefficient row per edge plus the atoms' kinks, circuit.EdgeTable), plus
+the constant c_mu = (1/2) double integral of r against mu.  Then
 
     g_mu(x, y) = (rho_mu(x) + rho_mu(y) - r(x, y)) / 2 - c_mu,
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit
-from .graph_core import ValidationError
+from .graph_core import ValidationError, total_length
 from .measure import Measure, integrate_polys_against, lebesgue_measure
 from .numerics import NumericError
 
@@ -29,7 +29,8 @@ DISCRIMINANT_SLACK = 1e-9
 
 
 def resistance_potential(kernel, nu):
-    """Per-edge PiecewisePoly of x -> integral of r(x, zeta) d nu(zeta).
+    """Per-edge PiecewisePoly of x -> integral of r(x, zeta) d nu(zeta), as
+    an EdgeTable.
 
     Exact for measures in atoms + polynomial-density form; complex masses
     are allowed.
@@ -46,7 +47,7 @@ class GreenEvaluator:
         self.mu = mu
         self.kernel = circuit.resistance_kernel(graph)
         self.rho = resistance_potential(self.kernel, mu)
-        self.c_mu = float(np.real(0.5 * integrate_polys_against(mu, self.rho)))
+        self.c_mu = float(np.real(0.5 * self.rho.integrate(mu)))
 
     def rho_at(self, point):
         return float(np.real(self.rho[point.edge](point.offset)))
@@ -56,13 +57,9 @@ class GreenEvaluator:
         return 0.5 * (self.rho_at(x) + self.rho_at(y) - r) - self.c_mu
 
     def g_profile(self, y):
-        """Per-edge PiecewisePoly of x -> g_mu(x, y)."""
+        """Per-edge PiecewisePoly of x -> g_mu(x, y), as an EdgeTable."""
         shift = 0.5 * self.rho_at(y) - self.c_mu
-        r_polys = self.kernel.profile_polys(y)
-        return {
-            e.id: 0.5 * (self.rho[e.id] + (-1.0) * r_polys[e.id]) + shift
-            for e in self.graph.edges
-        }
+        return 0.5 * (self.rho + (-1.0) * self.kernel.profile_polys(y)) + shift
 
     def diag_poly(self, edge_id):
         """x -> g_mu(x, x) on one edge (r(x, x) = 0)."""
@@ -110,21 +107,17 @@ def weak_laplacian_residual(evaluator, y, phi):
 def tau_constant(graph):
     """tau = (1/4) integral of (d/dx r(x, y))^2 dx, independent of y.
 
-    Computed at two distinct base points and cross-checked relative to tau,
-    so the check holds at any length scale.
+    The profile r(., y) has a linear derivative on each edge, so the
+    integral is a closed form over all edges at once (EdgeTable.
+    derivative_energy).  Computed at two distinct base points, a vertex and
+    the midpoint of the last edge, and cross-checked relative to tau, so the
+    check holds at any length scale.
     """
     y1 = graph.point_at_vertex(graph.vertices[0])
     e_last = graph.edges[-1]
     y2 = graph.point(e_last.id, 0.5 * e_last.length)
     kernel = circuit.resistance_kernel(graph)
-    taus = []
-    for y in (y1, y2):
-        polys = kernel.profile_polys(y)
-        total = 0.0
-        for poly in polys.values():
-            der = poly.derivative()
-            total += float(np.real((der * der).integral()))
-        taus.append(0.25 * total)
+    taus = [0.25 * kernel.profile_polys(y).derivative_energy() for y in (y1, y2)]
     if abs(taus[0] - taus[1]) > TAU_INDEPENDENCE_TOL * abs(taus[0]):
         raise NumericError(
             f"tau disagrees between base points: {taus[0]!r} vs {taus[1]!r}"
@@ -137,10 +130,9 @@ def energy_pairing(evaluator, nu, omega):
     omega_bar = _conjugate_measure(omega)
     a = complex(nu.total_mass())
     b = complex(omega_bar.total_mass())
-    rho_nu_omega = complex(integrate_polys_against(omega_bar, evaluator.rho))
-    rho_mu_nu = complex(integrate_polys_against(nu, evaluator.rho))
-    rho_nu = resistance_potential(evaluator.kernel, nu)
-    r_cross = complex(integrate_polys_against(omega_bar, rho_nu))
+    rho_nu_omega = complex(evaluator.rho.integrate(omega_bar))
+    rho_mu_nu = complex(evaluator.rho.integrate(nu))
+    r_cross = complex(resistance_potential(evaluator.kernel, nu).integrate(omega_bar))
     value = (
         0.5 * b * rho_mu_nu
         + 0.5 * a * rho_nu_omega
@@ -188,11 +180,10 @@ def discriminant_sum(evaluator, points):
 
 
 def trace_of_phi(evaluator):
-    """Trace of phi_mu: integral of g_mu(x, x) dx, exact."""
-    return math.fsum(
-        float(np.real(evaluator.diag_poly(e.id).integral()))
-        for e in evaluator.graph.edges
-    )
+    """Trace of phi_mu: integral of g_mu(x, x) dx = integral of rho_mu dx -
+    c_mu * total length, exact."""
+    rho_dx = math.fsum(np.real(evaluator.rho.integrals()))
+    return rho_dx - evaluator.c_mu * total_length(evaluator.graph)
 
 
 def trace_comparison(graph, mu1, mu2):

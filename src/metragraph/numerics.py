@@ -58,18 +58,21 @@ def integrate_piecewise(f, breakpoints, rule=None):
 def solve_grounded(Q, b, grounded, tol=1e-12):
     """Solve Q v = b with v[grounded] = 0 for a connected-graph Laplacian Q.
 
-    The right-hand side must sum to zero; the grounded row/column is removed,
-    the reduced system solved densely, and the residual checked against the
-    backward-error scale ||Q|| ||v|| + ||b|| (infinity norms), which a
-    stable solve meets whatever the spread of the conductances.
+    b is one right-hand side or a matrix of them, one per column; each must
+    sum to zero.  The grounded row/column is removed, the reduced system
+    solved densely, and the residual checked against the backward-error
+    scale ||Q|| ||v|| + ||b|| (infinity norms), which a stable solve meets
+    whatever the spread of the conductances.
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
     n = Q.shape[0]
-    if Q.shape != (n, n) or b.shape != (n,):
+    if Q.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ValueError("shape mismatch")
+    if not np.all(np.isfinite(Q)):
+        raise NumericError("grounded solve failed: conductance not finite")
     keep = [i for i in range(n) if i != grounded]
-    v = np.zeros(n)
+    v = np.zeros(b.shape)
     if keep:
         try:
             v[keep] = np.linalg.solve(Q[np.ix_(keep, keep)], b[keep])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from metragraph import Measure, builtin_graph
+from metragraph import Measure, build_graph, builtin_graph
 
 
 def circle_point(graph, s):
@@ -12,6 +12,16 @@ def circle_point(graph, s):
     if s <= 0.5:
         return graph.point("e1.1", s)
     return graph.point("e1.2", s - 0.5)
+
+
+def lollipop():
+    """A triangle with a two-edge tail, total length 1.  The tail edges are
+    bridges, so the canonical measure has density 0 there; tau is 0.75/12
+    for the cycle plus 0.25/4 for the tail, 1/8."""
+    return build_graph("abcde", [
+        ("t1", "a", "b", 0.3), ("t2", "b", "c", 0.25), ("t3", "c", "a", 0.2),
+        ("s1", "a", "d", 0.15), ("s2", "d", "e", 0.1),
+    ])
 
 
 def random_point(graph, rng, interior=False):

@@ -15,6 +15,7 @@ from metragraph import (
     canonical_measure,
     effective_resistance,
     j_function,
+    scale_graph,
 )
 from metragraph.circuit import (
     removed_edge_resistance,
@@ -96,6 +97,18 @@ def test_j_function_matches_oracle(name, rng):
         assert j_function(g, zeta, y, x) == pytest.approx(
             oracles.j_value(g, zeta, y, x), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("beta", [1e8, 1e10])
+def test_j_function_zero_between_points_at_large_scale(beta, rng):
+    # x < zeta < y on the interval: no current reaches x, so j = 0 exactly,
+    # and the three resistances cancel only to rounding of their size; an
+    # absolute -1e-9 floor raised "negative j-function value" here
+    g = scale_graph(builtin_graph("interval"), beta)
+    for _ in range(300):
+        x, zeta, y = (g.point("e1", float(t))
+                      for t in np.sort(rng.uniform(0.0, beta, 3)))
+        assert 0.0 <= j_function(g, zeta, y, x) <= 1e-12 * beta
 
 
 def test_j_function_identities(rng):
@@ -183,6 +196,22 @@ def test_profile_matches_pointwise(rng):
         assert prof.value(x) == pytest.approx(
             oracles.resistance(g, x, y), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("beta", [1e3, 1e8])
+def test_profile_check_holds_on_wide_length_spread(beta):
+    # edges of length 1e-7 and 1 in parallel plus a tail: the check's solve,
+    # grounded far from the short edge, lost 2e-9 of r and raised "resistance
+    # profile mismatch" for some base points.  tau is 1/12 of the cycle
+    # plus 1/4 of the tail.
+    g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1e-7 * beta),
+                                      ("e2", "a", "b", beta),
+                                      ("e3", "b", "c", 0.5 * beta)])
+    tau = (1e-7 + 1.0) / 12.0 * beta + 0.125 * beta
+    for e in g.edges:
+        for f in (0.0, 0.1, 0.5, 0.9, 1.0):
+            prof = resistance_profile(g, g.point(e.id, f * e.length))
+            assert 0.25 * prof.derivative_energy() == pytest.approx(tau, rel=1e-12)
 
 
 def test_profile_energy_gives_tau():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import circle_point, random_mass_zero, random_point
+from conftest import circle_point, lollipop, random_mass_zero, random_point
 from metragraph import (
     CPAFunction,
     Measure,
@@ -15,11 +15,13 @@ from metragraph import (
     dirac,
     effective_resistance,
     lebesgue_measure,
+    resistance_profile,
     scale_graph,
     tau_constant,
     trace_of_phi,
 )
 from metragraph.circuit import resistance_kernel
+from metragraph.graph_core import total_length
 from metragraph.green import (
     discriminant_sum,
     energy_pairing,
@@ -27,6 +29,27 @@ from metragraph.green import (
     trace_comparison,
     weak_laplacian_residual,
 )
+
+
+def graph_named(name):
+    return lollipop() if name == "lollipop" else builtin_graph(name)
+
+
+def shaped_measure(graph, rng, dtype=float):
+    """Mass-1 measure (before the dtype cast) with an interior atom, vertex
+    atoms sitting at offset 0 and at offset L, and densities of degree 0, 1,
+    2, 3, 0, ... on successive edges."""
+    e0, e1 = graph.edges[0], graph.edges[-1]
+    atoms = [(random_point(graph, rng, interior=True), 0.3),
+             (graph.point(e0.id, 0.0), 0.2), (graph.point(e1.id, e1.length), -0.1)]
+    dens = {e.id: rng.uniform(0.5, 1.5, k % 4 + 1) / e.length ** np.arange(k % 4 + 1)
+            for k, e in enumerate(graph.edges)}
+    scale = 0.6 / Measure(graph, (), dens).total_mass()
+    if dtype is complex:
+        atoms = [(p, m * complex(1.0, rng.normal())) for p, m in atoms]
+        dens = {eid: c * (1.0 + 1j * rng.normal(size=c.size))
+                for eid, c in dens.items()}
+    return Measure(graph, atoms, {eid: c * scale for eid, c in dens.items()})
 
 
 def halves(graph):
@@ -103,9 +126,9 @@ def test_green_matches_refined_density_oracle(rng, tetrahedron):
         assert ev.g(x, y) == pytest.approx(want, abs=5e-5)
 
 
-@pytest.mark.parametrize("name", ["banana:3", "tetrahedron", "petersen"])
+@pytest.mark.parametrize("name", ["banana:3", "tetrahedron", "petersen", "lollipop"])
 def test_resistance_potential_matches_exact_oracle(name, rng):
-    g = builtin_graph(name)
+    g = graph_named(name)
     e0, e1 = g.edges[0], g.edges[-1]
     vertex = g.point_at_vertex(g.vertices[0])
     signed = Measure(
@@ -119,7 +142,7 @@ def test_resistance_potential_matches_exact_oracle(name, rng):
         {e1.id: np.array([1.0j, 2.0, -1.0 + 0.5j])},
     )
     kernel = resistance_kernel(g)
-    for nu in (signed, complex_mass):
+    for nu in (signed, complex_mass, shaped_measure(g, rng)):
         rho = resistance_potential(kernel, nu)
         xs = [random_point(g, rng) for _ in range(4)]
         xs += [g.point(e0.id, 0.37 * e0.length), g.point(e1.id, 0.81 * e1.length)]
@@ -129,6 +152,57 @@ def test_resistance_potential_matches_exact_oracle(name, rng):
         for x in xs:
             want = oracles.potential_value(g, nu.atoms, nu.densities, x)
             assert abs(complex(rho[x.edge](x.offset)) - want) <= 1e-10 * scale
+
+
+def oracle_rho(g, mu):
+    return lambda x: oracles.potential_value(g, mu.atoms, mu.densities, x)
+
+
+def oracle_integral(g, nu, f, kinks=()):
+    """Integral of f against nu by quadrature, edges cut at nu's atoms and
+    at the given kinks of f."""
+    cuts = [p for p, _ in nu.atoms] + list(kinks)
+    return oracles.measure_integral(g, nu.atoms, nu.densities, f, cuts)
+
+
+@pytest.mark.parametrize("name", ["interval", "banana:3", "tetrahedron", "lollipop"])
+def test_green_constant_and_trace_match_quadrature(name, rng):
+    # c_mu = (1/2) integral of rho_mu d mu and Tr(phi_mu) = integral of
+    # (rho_mu - c_mu) dx, each against quadrature of the exact oracle
+    # potential; the lollipop's canonical measure has no density on its tail
+    g = graph_named(name)
+    dx = lebesgue_measure(g)
+    for mu in (shaped_measure(g, rng), canonical_measure(g)):
+        ev = build_green(g, mu)
+        rho = oracle_rho(g, mu)
+        c_mu = 0.5 * oracle_integral(g, mu, rho)
+        assert ev.c_mu == pytest.approx(c_mu, abs=1e-12)
+        trace = oracle_integral(g, dx, rho, [p for p, _ in mu.atoms]) - c_mu
+        assert trace_of_phi(ev) == pytest.approx(trace, abs=1e-12)
+    # the last mu is canonical: Tr(phi_can) = tau * total length
+    tau = tau_constant(g)
+    assert trace_of_phi(ev) == pytest.approx(tau * total_length(g), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["interval", "tetrahedron", "lollipop"])
+def test_energy_pairing_complex_masses_match_quadrature(name, rng):
+    # <nu, omega>_mu = B/2 int rho_mu dnu + A/2 int rho_mu d(omega bar)
+    #   - 1/2 iint r dnu d(omega bar) - c_mu A B, A and B the masses of nu
+    # and omega bar, every integral by quadrature of oracle potentials
+    g = graph_named(name)
+    mu = shaped_measure(g, rng)
+    nu, omega = shaped_measure(g, rng, complex), shaped_measure(g, rng, complex)
+    omega_bar = Measure(g, [(p, np.conj(m)) for p, m in omega.atoms],
+                        {eid: np.conj(c) for eid, c in omega.densities.items()})
+    a, b = complex(nu.total_mass()), complex(omega_bar.total_mass())
+    rho = oracle_rho(g, mu)
+    c_mu = 0.5 * oracle_integral(g, mu, rho)
+    cross = oracle_integral(g, omega_bar, oracle_rho(g, nu), [p for p, _ in nu.atoms])
+    want = (0.5 * b * oracle_integral(g, nu, rho, [p for p, _ in mu.atoms])
+            + 0.5 * a * oracle_integral(g, omega_bar, rho, [p for p, _ in mu.atoms])
+            - 0.5 * cross - c_mu * a * b)
+    got = complex(energy_pairing(build_green(g, mu), nu, omega))
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 @pytest.mark.parametrize("name", ["k33", "octahedron", "banana:4"])
@@ -171,6 +245,37 @@ def test_tau_scales_with_length(tetrahedron, beta):
     # raised "tau disagrees between base points" from beta = 1e7 on
     tau = tau_constant(scale_graph(tetrahedron, beta))
     assert abs(tau / (beta * tau_constant(tetrahedron)) - 1.0) <= 1e-14
+
+
+def oracle_derivative_energy(g, y):
+    """Integral of (d/dx r(x, y))^2 from oracle resistances: r(., y) is
+    quadratic on each edge piece (y's edge cut at y), so its values at the
+    ends and the middle of a piece give the end slopes exactly."""
+    total = 0.0
+    for e in g.edges:
+        cuts = [0.0, e.length]
+        if e.id == y.edge and 0.0 < y.offset < e.length:
+            cuts.insert(1, y.offset)
+        for lo, hi in zip(cuts, cuts[1:]):
+            f0, fm, f1 = (oracles.resistance(g, g.point(e.id, t), y)
+                          for t in (lo, 0.5 * (lo + hi), hi))
+            h = hi - lo
+            s0, s1 = (4.0 * fm - 3.0 * f0 - f1) / h, (3.0 * f1 + f0 - 4.0 * fm) / h
+            total += h * (s0 * s0 + s0 * s1 + s1 * s1) / 3.0
+    return total
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1.0, 1e8])
+def test_tau_closed_form_matches_resistance_oracle(beta):
+    # base points at a vertex, inside a cycle edge and inside a bridge
+    g = scale_graph(lollipop(), beta)
+    assert tau_constant(g) == pytest.approx(0.125 * beta, rel=1e-13)
+    for y in (g.point_at_vertex("a"), g.point("t2", 0.4 * g.edge("t2").length),
+              g.point("s1", 0.7 * g.edge("s1").length)):
+        want = oracle_derivative_energy(g, y)
+        assert 0.25 * want == pytest.approx(tau_constant(g), rel=1e-10)
+        energy = resistance_profile(g, y).derivative_energy()
+        assert energy == pytest.approx(want, rel=1e-10)
 
 
 def test_weak_laplacian_residual_small(rng):
