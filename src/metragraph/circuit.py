@@ -1,13 +1,16 @@
 """Electrical-network theory on a metrized graph.
 
 Edges are resistors with resistance equal to their length (conductance
-1/L(e), parallel edges summing).  The ResistanceKernel is the one runtime
-source of resistance: r(x, y) in closed form per edge pair, the removed-edge
-resistances R(e), the j-functions and the resistance potentials
-x -> integral of r(x, zeta) d nu(zeta) all read from it.  The discrete
-solver (subdivide at the points of interest, solve the grounded Laplacian
-system) is only the independent check that the kernel and its profiles are
-validated against when they are built.
+1/L(e), parallel edges summing).  A point at offset t on e = (u, v) acts on
+the rest of the network only through the vertex weights psi = (1 - t/L, t/L)
+(Baker-Rumely's circuit picture), so one grounded solve of the n x n vertex
+Laplacian gives r everywhere.  The ResistanceKernel built from it is the one
+runtime source of resistance: r(x, y), the removed-edge resistances R(e),
+the j-functions and the resistance potentials x -> integral of r(x, zeta)
+d nu(zeta) all read from it.  The discrete solver (subdivide at the points
+of interest, solve the grounded Laplacian system) is only the independent
+check that the kernel and its profiles are validated against when they are
+built.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from .graph_core import total_length
 from .numerics import NumericError, PiecewisePoly, solve_grounded
 
+# the build-time checks bound |kernel - solver| by these times the total length
 _KERNEL_CHECK_TOL = 1e-9
 _PROFILE_CHECK_TOL = 1e-9
 _J_TOL = 1e-9
@@ -29,16 +34,17 @@ _BRIDGE_TOL = 1e-12
 _NO_KINKS = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
 
 
-def _laplacian(size, segments):
-    """Conductance Laplacian of resistors (i, j, length) on `size` nodes."""
-    Q = np.zeros((size, size))
-    for i, j, length in segments:
-        c = 1.0 / length
-        Q[i, i] += c
-        Q[j, j] += c
-        Q[i, j] -= c
-        Q[j, i] -= c
-    return Q
+def _laplacian(size, i, j, length):
+    """Conductance Laplacian of the resistors (i[k], j[k], length[k]) on
+    `size` nodes, each resistor's four entries summed in resistor order.  An
+    effectively zero length overflows to an infinite conductance, which the
+    grounded solve reports."""
+    with np.errstate(over="ignore"):
+        c = 1.0 / np.asarray(length, dtype=float)
+    i, j = np.asarray(i), np.asarray(j)
+    cells = np.column_stack([i * size + i, j * size + j, i * size + j, j * size + i])
+    weights = np.column_stack([c, c, -c, -c])
+    return np.bincount(cells.ravel(), weights.ravel(), size * size).reshape(size, size)
 
 
 def _solved_resistances(graph, y, points):
@@ -71,7 +77,7 @@ def _solved_resistances(graph, y, points):
     B = np.zeros((n + len(cuts), len(cols)))
     B[cols, k] += 1.0
     B[iy] -= 1.0
-    Q = _laplacian(len(B), segments)
+    Q = _laplacian(len(B), *zip(*segments))
     V = solve_grounded(Q, B, int(np.argmax(np.diag(Q))))
     return V[cols, k] - V[iy]
 
@@ -213,52 +219,44 @@ class EdgeTable(Mapping):
 class ResistanceKernel:
     """Exact per-edge-pair representation of r(x, y).
 
-    For x, y on distinct edges r is bi-quadratic in the two edge offsets
-    (two-terminal reduction of the rest of the network), so a 3x3 grid of
-    exact values determines the coefficients.  For x, y on the same edge,
-    r(s, t) = |s - t| - (s - t)^2 / (L + R(e)) with R(e) the removed-edge
-    resistance.  All grid values come from one grounded inverse of the
-    graph with every edge subdivided at its midpoint.  By the parallel-
-    resistor law r(u, v) = L R(e) / (L + R(e)) across the ends of e, so
-    canonical_density[e] = 1 / (L + R(e)) = (L - r(u, v)) / L^2, which is 0
-    on a bridge.  Per-edge data are arrays with one row per edge in graph
-    order: the three nodes (u, midpoint, v), the inverse Vandermonde of
-    their offsets (0, L/2, L) and the 3x3 block of R among them.
+    R is the n x n vertex-resistance matrix, from one grounded solve of the
+    vertex Laplacian.  Edge e = (u, v) keeps r(u, v) = R[u, v] and inv =
+    (L - r(u, v)) / L^2, which is 1 / (L + R(e)) by the parallel-resistor law
+    (R(e) the removed-edge resistance): the canonical density, 0 on a bridge.
+    For x at offset t on e and y at offset s on f != e, psi = (1 - t/L, t/L),
+
+        r(x, y) = psi_x^T R psi_y + inv_e t (L_e - t) + inv_f s (L_f - s).
+
+    On one edge the same form less twice the Dirichlet Green's function
+    g_D(t, s) = min(t, s) (L - max(t, s)) / L is |s - t| - (s - t)^2 inv.
+    Per edge, one row each in graph order: the ends, the 2 x 3 map S from
+    the coefficients of a polynomial in t to psi (and from the moments of a
+    measure on e to its vertex weights), and q = (0, inv L, -inv), the
+    coefficients of inv t (L - t).
     """
 
     def __init__(self, graph):
         self.graph = graph
-        n, m = len(graph.vertices), len(graph.edges)
+        n = len(graph.vertices)
         self._row = {e.id: k for k, e in enumerate(graph.edges)}
-        self._L = np.array([e.length for e in graph.edges])
-        self._nodes = np.column_stack([
-            [graph.vertex_index(e.u) for e in graph.edges],
-            n + np.arange(m),
-            [graph.vertex_index(e.v) for e in graph.edges],
-        ])
-        segments = []
-        for (iu, im, iv), L in zip(self._nodes.tolist(), self._L.tolist()):
-            segments += [(iu, im, L / 2.0), (im, iv, L / 2.0)]
-        Q = _laplacian(n + m, segments)
-        K = np.zeros_like(Q)
-        if len(Q) > 1:
-            try:
-                K[1:, 1:] = np.linalg.inv(Q[1:, 1:])
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"resistance kernel build failed: {exc}") from None
-        d = np.diag(K)
-        self._R = d[:, None] + d[None, :] - K - K.T
-        self._Rloc = self._R[self._nodes[:, :, None], self._nodes[:, None, :]]
-        # inverse Vandermonde of the offsets (0, L/2, L): values -> coefficients
-        h = np.array([1.0 / e.length for e in graph.edges])
-        self._Sinv = np.stack([
-            np.outer(np.ones(m), [1.0, 0.0, 0.0]),
-            np.outer(h, [-3.0, 4.0, -1.0]),
-            np.outer(h * h, [2.0, -4.0, 2.0]),
-        ], axis=1)
-        gap = self._L - self._Rloc[:, 0, 2]
-        self._inv = np.where(gap > _BRIDGE_TOL * self._L, gap / self._L / self._L, 0.0)
-        self.canonical_density = dict(zip(self._row, self._inv.tolist()))
+        self._L = L = np.array([e.length for e in graph.edges])
+        self._ends = np.array([[graph.vertex_index(e.u), graph.vertex_index(e.v)]
+                               for e in graph.edges])
+        Q = _laplacian(n, self._ends[:, 0], self._ends[:, 1], L)
+        ground = int(np.argmax(np.diag(Q)))
+        B = np.eye(n)
+        B[ground] -= 1.0
+        G = solve_grounded(Q, B, ground)
+        d = np.diag(G)
+        self._R = d[:, None] + d[None, :] - G - G.T
+        self._r = self._R[self._ends[:, 0], self._ends[:, 1]]
+        gap = L - self._r
+        self._inv = inv = np.where(gap > _BRIDGE_TOL * L, gap / L / L, 0.0)
+        self.canonical_density = dict(zip(self._row, inv.tolist()))
+        h, zero = 1.0 / L, np.zeros_like(L)
+        self._S = np.stack([np.column_stack([np.ones_like(L), -h, zero]),
+                            np.column_stack([zero, h, zero])], axis=1)
+        self._q = np.column_stack([zero, inv * L, -inv])
         self._B = {}
         self._validate()
 
@@ -267,15 +265,17 @@ class ResistanceKernel:
         k = self._row[edge_id]
         if self._inv[k] == 0.0:
             return math.inf
-        L, r = self._L[k], self._Rloc[k, 0, 2]
+        L, r = self._L[k], self._r[k]
         return float(L * r / (L - r))
 
     def biquad(self, e1, e2):
         key = (e1, e2)
         if key not in self._B:
             i, j = self._row[e1], self._row[e2]
-            V = self._R[np.ix_(self._nodes[i], self._nodes[j])]
-            self._B[key] = self._Sinv[i] @ V @ self._Sinv[j].T
+            B = self._S[i].T @ self._R[np.ix_(self._ends[i], self._ends[j])] @ self._S[j]
+            B[:, 0] += self._q[i]
+            B[0, :] += self._q[j]
+            self._B[key] = B
         return self._B[key]
 
     def eval(self, e1, t1, e2, t2):
@@ -321,59 +321,55 @@ class ResistanceKernel:
         """EdgeTable of x -> integral of r(x, zeta) d nu(zeta).
 
         nu is atoms [(point, mass)] plus per-edge densities (ascending
-        coefficients in the edge offset); masses may be complex.  Off its
-        own edge, a source acts only through its moments [integral of t^b
-        d nu, b = 0..2], mapped to weights on its edge's three nodes, so the
-        off-edge part of every edge is one product with R.  Each edge then
-        takes back its own sources and adds their exact same-edge term,
-        integral of (|x - t| - (x - t)^2 / (L + R)) d nu(t).
+        coefficients in the edge offset); masses may be complex.  In the
+        cross-edge form a source on edge f acts only through its moments m =
+        [integral of t^b d nu, b = 0..2]: vertex weights S_f m, the constant
+        q_f . m and its mass, so that form is one product of R with the summed
+        weights.  Each edge then subtracts 2 g_D against its own sources:
+        2 G(x) - 2 x (m0 - m1 / L) for a density (G'' = density, G(0) =
+        G'(0) = 0); -2 c x (L - a) / L left of an interior atom c at a, with a
+        kink of jump 2 c there; nothing for an atom at a vertex.
         """
         rows, at, mass, D = self._sources(atoms, densities)
-        L, inv = self._L, self._inv
+        L = self._L
         k = np.arange(D.shape[1])
         p = np.arange(3)[:, None] + k + 1
         dmom = np.einsum("ek,ebk->eb", D, L[:, None, None] ** p / p)
         mom = dmom.copy()
         np.add.at(mom, rows, mass[:, None] * at[:, None] ** np.arange(3))
-        W = np.einsum("eab,ea->eb", self._Sinv, mom)
+        W = np.einsum("eab,eb->ea", self._S, mom)
         w = np.zeros(len(self._R), W.dtype)
-        np.add.at(w, self._nodes, W)
-        vals = (self._R @ w)[self._nodes] - np.einsum("eab,eb->ea", self._Rloc, W)
+        np.add.at(w, self._ends, W)
         T = np.zeros((len(L), max(3, D.shape[1] + 2)), W.dtype)
-        T[:, :3] = np.einsum("eab,eb->ea", self._Sinv, vals)
-        # densities: 2 G(x) + m1 - m0 x - inv (m2 - 2 m1 x + m0 x^2), G'' = g
-        m0, m1, m2 = dmom.T
+        T[:, :3] = np.einsum("eab,ea->eb", self._S, (self._R @ w)[self._ends])
+        T[:, :3] += self._q * np.sum(mom[:, 0])
+        T[:, 0] += np.sum(self._q * mom)
         T[:, 2:D.shape[1] + 2] += 2.0 * D / ((k + 1) * (k + 2))
-        T[:, :3] += np.column_stack([m1 - inv * m2, 2.0 * inv * m1 - m0, -inv * m0])
-        # atoms: |x - a| = s (x - a) left of a (s = 1 when a = 0, else -1),
-        # with a kink of jump 2 mass at an interior a
-        s = np.where(at == 0.0, 1.0, -1.0)
-        ia = inv[rows]
-        np.add.at(T[:, :3], rows, mass[:, None] * np.column_stack(
-            [-s * at - ia * at * at, s + 2.0 * ia * at, -ia]))
+        T[:, 1] -= 2.0 * (dmom[:, 0] - dmom[:, 1] / L)
         inner = (at > 0.0) & (at < L[rows])
-        return EdgeTable(self, T, (rows[inner], at[inner], 2.0 * mass[inner]))
+        ri, ai, ci = rows[inner], at[inner], mass[inner]
+        np.add.at(T[:, 1], ri, -2.0 * ci * (L[ri] - ai) / L[ri])
+        return EdgeTable(self, T, (ri, ai, 2.0 * ci))
 
     def profile_polys(self, y):
         """EdgeTable of x -> r(x, y)."""
         return self.potential([(y, 1.0)], {})
 
     def _validate(self):
-        g = self.graph
-        edges = g.edges
-        pairs = [(edges[0], edges[0])]
-        if len(edges) > 1:
-            pairs.append((edges[0], edges[-1]))
-            pairs.append((edges[len(edges) // 2], edges[-1]))
-        for e1, e2 in pairs:
-            p = g.point(e1.id, 0.3183098861 * e1.length)
-            q = g.point(e2.id, 0.7182818284 * e2.length)
-            direct = _solved_resistances(g, q, [p])[0]
-            closed = self.point_eval(p, q)
-            if not abs(direct - closed) <= _KERNEL_CHECK_TOL * max(1.0, abs(direct)):
+        """r(p, y) for p on the first, middle and last edges and y on the
+        first, against one solve of the graph subdivided at them."""
+        g, edges = self.graph, self.graph.edges
+        y = g.point(edges[0].id, 0.7182818284 * edges[0].length)
+        checked = [edges[k] for k in sorted({0, len(edges) // 2, len(edges) - 1})]
+        points = [g.point(e.id, 0.3183098861 * e.length) for e in checked]
+        direct = _solved_resistances(g, y, points)
+        ell = total_length(g)
+        for e, p, d in zip(checked, points, direct):
+            err = abs(d - self.point_eval(p, y)) / ell
+            if not err <= _KERNEL_CHECK_TOL:
                 raise NumericError(
-                    f"resistance kernel mismatch on ({e1.id},{e2.id}): "
-                    f"{closed:.3e} vs solver {direct:.3e}"
+                    f"resistance kernel mismatch on ({e.id},{edges[0].id}): "
+                    f"|kernel - solver| / total length = {err:.3e}"
                 )
 
 
@@ -408,11 +404,13 @@ class ResistanceProfile:
         direct = _solved_resistances(self.graph, self.y, points)
         offsets = np.array([p.offset for p in points])
         fitted = self.polys.values_at(np.arange(len(edges)), offsets)
+        ell = total_length(self.graph)
         for e, d, f in zip(edges, direct, np.real(fitted)):
-            if not abs(d - f) <= _PROFILE_CHECK_TOL * max(1.0, abs(d)):
+            err = abs(d - f) / ell
+            if not err <= _PROFILE_CHECK_TOL:
                 raise NumericError(
                     f"resistance profile mismatch on edge {e.id}: "
-                    f"{f:.3e} vs solver {d:.3e}"
+                    f"|profile - solver| / total length = {err:.3e}"
                 )
 
 

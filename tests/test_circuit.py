@@ -1,6 +1,7 @@
 """Effective resistance and j-functions against network-solver oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import circle_point, random_point
+from conftest import circle_point, lollipop, random_point
 from metragraph import (
     build_graph,
     builtin_graph,
     canonical_measure,
+    circuit,
     effective_resistance,
     j_function,
     scale_graph,
@@ -23,6 +25,7 @@ from metragraph.circuit import (
     resistance_profile,
 )
 from metragraph.green import tau_constant
+from metragraph.numerics import NumericError
 
 
 # quantized so generated points never sit denormally close to a vertex
@@ -67,14 +70,46 @@ def test_complete_graph_resistances():
     assert r == pytest.approx(5.0 / 81.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", ["banana:3", "petersen", "cube", "k5"])
+@pytest.mark.parametrize("name", ["banana:3", "petersen", "cube", "k5", "lollipop"])
 def test_resistance_matches_network_oracle(name, rng):
-    g = builtin_graph(name)
+    # the lollipop's two-edge tail puts bridges through the vertex form
+    g = lollipop() if name == "lollipop" else builtin_graph(name)
     for _ in range(8):
         x, y = random_point(g, rng), random_point(g, rng)
         assert effective_resistance(g, x, y) == pytest.approx(
             oracles.resistance(g, x, y), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1.0, 1e8])
+def test_resistance_exact_on_wide_length_spread(beta, rng):
+    # edges of length 1e-7 beta and beta in parallel (a cycle of length C)
+    # plus a 0.5 beta tail: on the cycle r = d (C - d) / C for the arc d
+    # between the points, and a tail offset adds in series.  The exact value
+    # is computed in rationals from the float lengths and offsets.
+    g = build_graph(["a", "b", "c"], [("e1", "a", "b", 1e-7 * beta),
+                                      ("e2", "a", "b", beta),
+                                      ("e3", "b", "c", 0.5 * beta)])
+    L1, L2 = (Fraction(e.length) for e in g.edges[:2])
+    C = L1 + L2
+
+    def place(p):
+        """(position on the cycle, distance out along the tail)"""
+        t = Fraction(p.offset)
+        return {"e1": (t, 0), "e2": (C - t, 0), "e3": (L1, t)}[p.edge]
+
+    def exact(x, y):
+        (cx, sx), (cy, sy) = place(x), place(y)
+        if x.edge == y.edge == "e3":
+            return abs(sx - sy)
+        d = abs(cx - cy)
+        return d * (C - d) / C + sx + sy
+
+    ell = sum(e.length for e in g.edges)
+    for _ in range(200):
+        x, y = random_point(g, rng), random_point(g, rng)
+        err = abs(effective_resistance(g, x, y) - float(exact(x, y)))
+        assert err <= 1e-14 * ell
 
 
 def test_resistance_degenerate_and_triangle(rng):
@@ -177,6 +212,21 @@ def test_short_edge_keeps_canonical_density():
     assert "t" not in dens
 
 
+def test_laplacian_assembly_matches_loop(rng):
+    # the array assembly sums each resistor's four entries in resistor
+    # order, so it equals the plain loop exactly, parallel resistors included
+    i = rng.integers(0, 7, 40)
+    j = (i + rng.integers(1, 7, 40)) % 7
+    length = rng.uniform(1e-3, 2.0, 40)
+    Q = np.zeros((7, 7))
+    for a, b, c in zip(i, j, 1.0 / length):
+        Q[a, a] += c
+        Q[b, b] += c
+        Q[a, b] -= c
+        Q[b, a] -= c
+    assert np.array_equal(circuit._laplacian(7, i, j, length), Q)
+
+
 def test_kernel_agrees_with_direct_solves(rng):
     g = builtin_graph("dodecahedron")
     kern = resistance_kernel(g)
@@ -212,6 +262,21 @@ def test_profile_check_holds_on_wide_length_spread(beta):
         for f in (0.0, 0.1, 0.5, 0.9, 1.0):
             prof = resistance_profile(g, g.point(e.id, f * e.length))
             assert 0.25 * prof.derivative_energy() == pytest.approx(tau, rel=1e-12)
+
+
+def test_kernel_and_profile_checks_scale_with_length(tetrahedron, monkeypatch):
+    # a solver off by a relative 1e-6 must fail both build-time checks at
+    # total length 1e-6, where r is about 5e-8: a bound of 1e-9 max(1, |r|)
+    # let it through
+    g = scale_graph(tetrahedron, 1e-6)
+    resistance_kernel(g)
+    solved = circuit._solved_resistances
+    monkeypatch.setattr(circuit, "_solved_resistances",
+                        lambda *args: (1.0 + 1e-6) * solved(*args))
+    with pytest.raises(NumericError, match="resistance kernel mismatch"):
+        circuit.ResistanceKernel(g)
+    with pytest.raises(NumericError, match="resistance profile mismatch"):
+        resistance_profile(g, g.point("e1", 0.3 * g.edges[0].length))
 
 
 def test_profile_energy_gives_tau():

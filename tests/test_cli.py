@@ -4,6 +4,7 @@ emitted JSON/CSV against closed-form values and the golden table file."""
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -187,10 +188,14 @@ def test_exit_codes(capsys, tmp_path):
         "edges": [{"id": "e1", "u": "a", "v": "b", "length": 1.0},
                   {"id": "e2", "u": "b", "v": "c", "length": 1e-320}],
     }))
-    assert main(["resistance", "--graph", str(sick), "--x", "a", "--y", "c"]) == 4
-    assert main(["tau", "--graph", str(sick)]) == 4
-    assert main(["canonical-measure", "--graph", str(sick)]) == 4
-    capsys.readouterr()
+    # without a warning on the way: the overflow to an infinite conductance
+    # is expected, and the solve names it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["resistance", "--graph", str(sick), "--x", "a", "--y", "c"]) == 4
+        assert main(["tau", "--graph", str(sick)]) == 4
+        assert main(["canonical-measure", "--graph", str(sick)]) == 4
+    assert capsys.readouterr().err.count("conductance not finite") == 3
 
     with pytest.raises(SystemExit) as exc:
         main(["resistance", "--graph", "builtin:interval", "--x", "a"])
