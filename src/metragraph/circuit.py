@@ -20,7 +20,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .graph_core import total_length
+from .graph_core import ValidationError, total_length
 from .numerics import NumericError, PiecewisePoly, solve_grounded
 
 # the build-time checks bound |kernel - solver| by these times the total length
@@ -185,7 +185,7 @@ class EdgeTable(Mapping):
         """Exact integral against a measure: the atoms' values, the densities
         through the per-edge moments L^(i+j+1) / (i+j+1) of t^i t^j, and per
         kink the closed form of integral over [a, L] of (t - a) t^j dt."""
-        rows, at, mass, D = self.kernel._sources(nu.atoms, nu.densities)
+        rows, at, mass, D = self.kernel._arrays(nu)
         L = self.kernel._L
         i = np.arange(self.coeffs.shape[1])[:, None]
         j = np.arange(D.shape[1])
@@ -303,34 +303,27 @@ class ResistanceKernel:
     def point_eval(self, p, q):
         return self.eval(p.edge, p.offset, q.edge, q.offset)
 
-    def _sources(self, atoms, densities):
-        """Atoms as arrays (edge rows, offsets, masses) and the densities as
-        one zero-padded coefficient matrix, one row per edge."""
-        rows = np.array([self._row[p.edge] for p, _ in atoms], dtype=int)
-        at = np.array([p.offset for p, _ in atoms], dtype=float)
-        coeffs = {self._row[eid]: np.atleast_1d(c) for eid, c in densities.items()}
-        mass = np.array([m for _, m in atoms])
-        dtype = np.result_type(float, mass, *coeffs.values())
-        width = max((c.size for c in coeffs.values()), default=1)
-        D = np.zeros((len(self._L), width), dtype)
-        for k, c in coeffs.items():
-            D[k, :c.size] = c
-        return rows, at, mass.astype(dtype), D
+    def _arrays(self, nu):
+        """nu.arrays, whose rows are this kernel's edge rows."""
+        if nu.graph is not self.graph:
+            raise ValidationError("measure lives on a different graph than the kernel")
+        return nu.arrays
 
-    def potential(self, atoms, densities):
-        """EdgeTable of x -> integral of r(x, zeta) d nu(zeta).
+    def potential(self, nu):
+        """EdgeTable of x -> integral of r(x, zeta) d nu(zeta), for a Measure
+        nu on this graph (masses may be complex).
 
-        nu is atoms [(point, mass)] plus per-edge densities (ascending
-        coefficients in the edge offset); masses may be complex.  In the
-        cross-edge form a source on edge f acts only through its moments m =
-        [integral of t^b d nu, b = 0..2]: vertex weights S_f m, the constant
-        q_f . m and its mass, so that form is one product of R with the summed
-        weights.  Each edge then subtracts 2 g_D against its own sources:
-        2 G(x) - 2 x (m0 - m1 / L) for a density (G'' = density, G(0) =
-        G'(0) = 0); -2 c x (L - a) / L left of an interior atom c at a, with a
-        kink of jump 2 c there; nothing for an atom at a vertex.
+        In the cross-edge form a source on edge f acts only through its
+        moments m = [integral of t^b d nu, b = 0..2]: vertex weights S_f m, the
+        constant q_f . m and its mass, so that form is one product of R with
+        the summed weights.  Each edge then subtracts 2 g_D against its own
+        sources: 2 G(x) - 2 x (m0 - m1 / L) for a density (G'' = density, G(0)
+        = G'(0) = 0); -2 c x (L - a) / L left of an interior atom c at a, with
+        a kink of jump 2 c there; nothing for an atom at a vertex.
         """
-        rows, at, mass, D = self._sources(atoms, densities)
+        return self._potential(*self._arrays(nu))
+
+    def _potential(self, rows, at, mass, D):
         L = self._L
         k = np.arange(D.shape[1])
         p = np.arange(3)[:, None] + k + 1
@@ -353,7 +346,8 @@ class ResistanceKernel:
 
     def profile_polys(self, y):
         """EdgeTable of x -> r(x, y)."""
-        return self.potential([(y, 1.0)], {})
+        return self._potential(np.array([self._row[y.edge]]), np.array([y.offset]),
+                               np.ones(1), np.zeros((len(self._L), 1)))
 
     def _validate(self):
         """r(p, y) for p on the first, middle and last edges and y on the

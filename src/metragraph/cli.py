@@ -99,12 +99,14 @@ def _spectral_kwargs(args):
 
 
 def _eigen_pairs(graph, mu, args):
+    if not args.lambda_max > 0.0:
+        raise ValidationError("--lambda-max must be positive")
     gamma_max = math.sqrt(args.lambda_max)
     return find_eigenvalues(graph, mu, gamma_max, **_spectral_kwargs(args))
 
 
 def _functions_at(graph, mu, eigenvalue, args):
-    rank_tol = args.rank_tol if args.rank_tol else DEFAULT_RANK_TOL
+    rank_tol = _spectral_kwargs(args).get("rank_tol", DEFAULT_RANK_TOL)
     return eigenfunctions_at(graph, mu, math.sqrt(eigenvalue), rank_tol)
 
 

@@ -414,12 +414,6 @@ def _builtin_raw(key):
     raise ValidationError(f"unknown built-in graph {key!r}")
 
 
-BUILTIN_NAMES = (
-    "interval", "circle", "banana:N", "K5", "K33", "Petersen", "tetrahedron",
-    "cube", "octahedron", "dodecahedron", "icosahedron",
-)
-
-
 def builtin_graph(name):
     """Built-in graph by name, normalized to total length 1 with equal edges.
 

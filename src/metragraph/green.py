@@ -28,16 +28,6 @@ TRACE_COMPARISON_TOL = 1e-7
 DISCRIMINANT_SLACK = 1e-9
 
 
-def resistance_potential(kernel, nu):
-    """Per-edge PiecewisePoly of x -> integral of r(x, zeta) d nu(zeta), as
-    an EdgeTable.
-
-    Exact for measures in atoms + polynomial-density form; complex masses
-    are allowed.
-    """
-    return kernel.potential(nu.atoms, nu.densities)
-
-
 class GreenEvaluator:
     """Evaluates g_mu(x, y) exactly through rho_mu, c_mu, and r(x, y)."""
 
@@ -46,7 +36,7 @@ class GreenEvaluator:
         self.graph = graph
         self.mu = mu
         self.kernel = circuit.resistance_kernel(graph)
-        self.rho = resistance_potential(self.kernel, mu)
+        self.rho = self.kernel.potential(mu)
         self.c_mu = float(np.real(0.5 * self.rho.integrate(mu)))
 
     def rho_at(self, point):
@@ -69,14 +59,6 @@ class GreenEvaluator:
         """Exact sup over the graph of g_mu(x, x), via derivative roots."""
         return max(
             self.diag_poly(e.id).extreme_values()[1] for e in self.graph.edges
-        )
-
-    def phi_at(self, x, polys):
-        """(phi_mu f)(x) for f given as per-edge PiecewisePoly; exact."""
-        profile = self.g_profile(x)
-        return math.fsum(
-            float(np.real((profile[eid] * polys[eid]).integral()))
-            for eid in profile
         )
 
 
@@ -132,7 +114,7 @@ def energy_pairing(evaluator, nu, omega):
     b = complex(omega_bar.total_mass())
     rho_nu_omega = complex(evaluator.rho.integrate(omega_bar))
     rho_mu_nu = complex(evaluator.rho.integrate(nu))
-    r_cross = complex(resistance_potential(evaluator.kernel, nu).integrate(omega_bar))
+    r_cross = complex(evaluator.kernel.potential(nu).integrate(omega_bar))
     value = (
         0.5 * b * rho_mu_nu
         + 0.5 * a * rho_nu_omega

@@ -5,7 +5,9 @@ Density coefficients are ascending in the un-normalized edge coordinate
 t in [0, L(e)] and give the density per unit length.  Atoms sitting at edge
 endpoints canonicalize to vertices and merge.  Reference measures must be
 real with total mass 1; auxiliary measures (for energy pairings) may carry
-complex masses.
+complex masses.  The total mass, the resistance potentials and the spectral
+layer read a measure through Measure.arrays: its atoms and densities as
+arrays in the graph's edge order, built once.
 """
 
 from __future__ import annotations
@@ -20,20 +22,27 @@ from . import circuit
 from .graph_core import (
     ValidationError, format_point, parse_point, total_length, valence,
 )
-from .numerics import PiecewisePoly, QuadratureRule, integrate_piecewise
+from .numerics import PiecewisePoly, QuadratureRule, integrate_piecewise, shift_polys
 
 REFERENCE_MASS_TOL = 1e-10
 CANONICAL_MASS_TOL = 1e-10
 
 
 class Measure:
-    """Atoms + per-edge polynomial densities on a fixed graph."""
+    """Atoms + per-edge polynomial densities on a fixed graph.
+
+    ``atoms`` and ``densities`` give the measure per point and per edge id.
+    ``arrays`` gives the same measure in array form, built once: the atoms'
+    edge rows, offsets and masses, in ``atoms`` order, and an m x K density
+    matrix whose row k holds the ascending coefficients on graph.edges[k],
+    zero-padded to the longest density (K = 1 when there is none).  Masses
+    and densities share one dtype, complex when any of them is.
+    """
 
     def __init__(self, graph, atoms=(), densities=None):
         self.graph = graph
         merged = {}
         for point, mass in atoms:
-            graph.edge(point.edge)  # existence check
             key = graph.point_key(point)
             if key in merged:
                 old_pt, old_mass = merged[key]
@@ -51,6 +60,17 @@ class Measure:
             if np.any(arr != 0):
                 dens[eid] = arr
         self.densities = {k: dens[k] for k in sorted(dens)}
+        row = {e.id: k for k, e in enumerate(graph.edges)}
+        points = [p for p, _ in self.atoms]
+        mass = np.array([m for _, m in self.atoms])
+        dtype = np.result_type(float, mass, *self.densities.values())
+        D = np.zeros((len(graph.edges), max(map(len, self.densities.values()), default=1)),
+                     dtype)
+        for eid, c in self.densities.items():
+            D[row[eid], :c.size] = c
+        self.arrays = (np.array([row[p.edge] for p in points], dtype=int),
+                       np.array([p.offset for p in points], dtype=float),
+                       mass.astype(dtype), D)
 
     @property
     def atoms(self):
@@ -61,21 +81,17 @@ class Measure:
         return self.densities.get(edge_id, np.zeros(1))
 
     def is_real(self):
-        if any(isinstance(m, complex) for _, m in self.atoms):
-            return False
-        return not any(np.iscomplexobj(c) for c in self.densities.values())
+        return not np.iscomplexobj(self.arrays[3])
 
     def total_mass(self):
-        mass = sum(m for _, m in self.atoms)
-        for e in self.graph.edges:
-            if e.id in self.densities:
-                # integral of sum_k c_k t^k over [0, L] = sum_k c_k L^(k+1) / (k+1)
-                c = np.atleast_1d(self.densities[e.id])
-                k = np.arange(1, c.size + 1)
-                mass += np.dot(c, e.length ** k / k)
-        if isinstance(mass, complex) and mass.imag == 0:
-            mass = mass.real
-        return mass
+        """Atom masses plus sum_k c_k L^(k+1) / (k+1) over the density rows."""
+        _, _, mass, D = self.arrays
+        L = np.array([e.length for e in self.graph.edges])
+        k = np.arange(1, D.shape[1] + 1)
+        total = (mass.sum() + np.sum(D * (L[:, None] ** k / k))).item()
+        if isinstance(total, complex) and total.imag == 0:
+            total = total.real
+        return total
 
     def total_variation(self):
         var = math.fsum(abs(m) for _, m in self.atoms)
@@ -275,21 +291,11 @@ def remap_measure(mu, graph2, remap):
     child edges with the child-local coordinate shift.
     """
     atoms = [(remap(p), m) for p, m in mu.atoms]
-    densities = {}
-    for eid, coeffs in mu.densities.items():
-        if remap.split_edge is None or eid != remap.split_edge:
-            densities[eid] = coeffs
-            continue
-        t0 = remap.split_offset
+    densities = dict(mu.densities)
+    if remap.split_edge in densities:
+        coeffs = densities.pop(remap.split_edge)
         densities[remap.child_u] = coeffs
-        # shift t -> t + t0 for the far child
-        shifted = np.zeros_like(np.asarray(coeffs, dtype=complex)
-                                if np.iscomplexobj(coeffs) else
-                                np.asarray(coeffs, dtype=float))
-        for k, c in enumerate(np.atleast_1d(coeffs)):
-            for j in range(k + 1):
-                shifted[j] += c * math.comb(k, j) * t0 ** (k - j)
-        densities[remap.child_v] = shifted
+        densities[remap.child_v] = shift_polys(coeffs[None], remap.split_offset)[0]
     return Measure(graph2, atoms, densities)
 
 

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: quadrature, grounded solves, nullspaces, roots."""
+"""Shared numerical kernels: quadrature, grounded solves, nullspaces, roots,
+polynomial shifts."""
 
 from __future__ import annotations
 
@@ -162,6 +163,19 @@ def real_roots_in_interval(coeffs, a, b, tol=1e-12):
     return sorted(out)
 
 
+def shift_polys(coeffs, t0):
+    """Ascending coefficients of p(t + t0) for every row p of coeffs (real or
+    complex), each row at its own t0, or all at one scalar t0."""
+    c = np.asarray(coeffs)
+    t0 = np.reshape(t0, (-1, 1))
+    out = np.zeros(c.shape, np.result_type(c, float))
+    for k in range(c.shape[1]):  # c_k (t + t0)^k = sum_j c_k C(k, j) t0^(k-j) t^j
+        j = np.arange(k + 1)
+        binom = np.array([math.comb(k, i) for i in j], dtype=float)
+        out[:, :k + 1] += c[:, k:k + 1] * binom * t0 ** (k - j)
+    return out
+
+
 class PiecewisePoly:
     """Piecewise polynomial on [breaks[0], breaks[-1]], one coefficient array
     (ascending, in the global coordinate) per piece.  Closed under addition,
@@ -181,14 +195,6 @@ class PiecewisePoly:
             if not np.iscomplexobj(arr):
                 arr = arr.astype(float)
             self.coeffs.append(arr)
-
-    @classmethod
-    def constant(cls, value, a, b):
-        return cls([a, b], [np.array([value])])
-
-    @classmethod
-    def from_poly(cls, coeffs, a, b):
-        return cls([a, b], [coeffs])
 
     def _piece_index(self, t):
         idx = np.searchsorted(self.breaks, t, side="right") - 1

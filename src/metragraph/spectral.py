@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ from .numerics import (
     golden_min,  # noqa: F401  (perfbench/tracing.py wraps spectral.golden_min)
     integrate_piecewise,
     nullspace_basis,
+    shift_polys,
 )
 
 DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
@@ -56,14 +56,6 @@ def _derivative(coeffs):
     if coeffs.shape[-1] < 2:
         return np.zeros(coeffs.shape[:-1] + (1,))
     return coeffs[..., 1:] * np.arange(1.0, coeffs.shape[-1])
-
-
-def _padded(polys):
-    """Ragged coefficient arrays as the rows of one zero-padded array."""
-    sizes = np.fromiter(map(len, polys), np.intp, len(polys))
-    out = np.zeros((len(polys), sizes.max()))
-    out[np.arange(out.shape[1]) < sizes[:, None]] = np.concatenate(polys)
-    return out
 
 
 def _rows_at(coeffs, x):
@@ -124,22 +116,33 @@ def trig_poly_moments(coeffs, omega, length):
     return z.real, z.imag
 
 
+def _particular_table(dens):
+    """P[e, :, j], the coefficients of s^j in the particular solution
+    h_e = sum_j s^j (-1)^j d_e^(2j) (s = 1 / gamma^2) of each density row d_e,
+    zero-padded to the width of dens; the sum stops where the repeated
+    second derivative of the highest power present vanishes."""
+    top = np.max(np.nonzero(dens)[1], initial=-1)
+    table = np.zeros(dens.shape + (top // 2 + 1,))
+    term = dens
+    for j in range(table.shape[2]):
+        table[:, :term.shape[1], j] = (-1.0) ** j * term
+        term = _derivative(_derivative(term))
+    return table
+
+
 def particular_solution(coeffs, gamma):
     """Polynomial h with h'' + gamma^2 h = gamma^2 g for polynomial g.
 
-    Finite expansion h = sum_k (-1)^k g^(2k) / gamma^(2k); the sum stops
-    once the repeated second derivative vanishes.
+    Finite expansion h = sum_k (-1)^k g^(2k) / gamma^(2k), as one row of
+    _particular_table; as long as g through its last nonzero coefficient
+    (all of g when g is zero).
     """
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
-    term = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
-    h = np.zeros_like(term)
-    sign = 1.0
-    while np.any(term != 0.0):
-        h = npoly.polyadd(h, sign * term)
-        term = np.atleast_1d(npoly.polyder(term, 2)) / (gamma * gamma)
-        sign = -sign
-    return np.atleast_1d(h)
+    g = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    table = _particular_table(g[None])[0]
+    h = table @ (1.0 / (gamma * gamma)) ** np.arange(table.shape[1])
+    return h[:max(np.flatnonzero(g), default=g.size - 1) + 1]
 
 
 def _overlap(coeffs, length):
@@ -159,35 +162,51 @@ def _overlap(coeffs, length):
 
 @dataclass
 class EdgeBasisSolution:
-    """One edge-wise solution at frequency gamma.
+    """One edge-wise solution at frequency gamma, in array form.
 
-    On edge e the value at local offset t is
-    trig[e][0] cos(gamma t) + trig[e][1] sin(gamma t) + constant * h_e(t),
-    where h_e = particular[e] and constant is the Lebesgue integral of the
-    function over the graph.
+    Row k is the edge with edges[edge id] = k, in the edge order of the
+    problem's working graph.  On it the value at local offset t is
+    ab[k, 0] cos(gamma t) + ab[k, 1] sin(gamma t) + constant * h_k(t), where
+    h (m x K) holds the ascending coefficients of the particular solutions,
+    zero-padded, and constant is the Lebesgue integral of the function over
+    the graph.  trig and particular are per-edge-id views of ab and h.
     """
 
     gamma: float
-    trig: dict
+    edges: dict
+    ab: np.ndarray
     constant: float
-    particular: dict
+    h: np.ndarray
 
     @property
     def eigenvalue(self):
         return self.gamma * self.gamma
 
+    @property
+    def trig(self):
+        """Edge id -> (A, B)."""
+        return {eid: tuple(self.ab[k].tolist()) for eid, k in self.edges.items()}
+
+    @property
+    def particular(self):
+        """Edge id -> h_e through its last nonzero coefficient (at least one)."""
+        return {eid: self.h[k, :max(np.flatnonzero(self.h[k]), default=0) + 1]
+                for eid, k in self.edges.items()}
+
     def value(self, edge_id, t):
-        A, B = self.trig[edge_id]
+        k = self.edges[edge_id]
+        A, B = self.ab[k]
         t = np.asarray(t, dtype=float)
-        h = npoly.polyval(t, self.particular[edge_id])
+        h = npoly.polyval(t, self.h[k])
         return A * np.cos(self.gamma * t) + B * np.sin(self.gamma * t) \
             + self.constant * h
 
     def derivative(self, edge_id, t):
-        A, B = self.trig[edge_id]
+        k = self.edges[edge_id]
+        A, B = self.ab[k]
         g = self.gamma
         t = np.asarray(t, dtype=float)
-        hp = npoly.polyval(t, npoly.polyder(self.particular[edge_id]))
+        hp = npoly.polyval(t, npoly.polyder(self.h[k]))
         return -A * g * np.sin(g * t) + B * g * np.cos(g * t) \
             + self.constant * hp
 
@@ -239,7 +258,8 @@ class SpectralProblem:
         self.graph = work
         self.mu = measure
         self.edges = work.edges
-        self._col = {e.id: 2 * k for k, e in enumerate(self.edges)}
+        self._row = {e.id: k for k, e in enumerate(self.edges)}
+        self._col = {eid: 2 * k for eid, k in self._row.items()}
         self.size = 2 * len(self.edges) + 1
         self._atom_mass = {}
         for p, mass in measure.atoms:
@@ -247,10 +267,6 @@ class SpectralProblem:
             if v is None:
                 raise NumericError("atom strictly inside an edge after subdivision")
             self._atom_mass[v] = self._atom_mass.get(v, 0.0) + float(np.real(mass))
-        self._density = {
-            e.id: np.atleast_1d(np.asarray(measure.density(e.id), dtype=float))
-            for e in self.edges
-        }
         tags = []
         for v in work.vertices:
             tags.extend([f"continuity@{v}"] * (len(work.incidences(v)) - 1))
@@ -260,9 +276,8 @@ class SpectralProblem:
         self._compile()
 
     def particulars(self, gamma):
-        """Edge id -> particular_solution of its density, from one table."""
-        h = self._ptab @ (1.0 / (gamma * gamma)) ** np.arange(self._ptab.shape[2])
-        return dict(zip(self._density, np.split(h[self._pmask], self._psplit)))
+        """The particular solutions at gamma, one zero-padded row per edge."""
+        return self._ptab @ (1.0 / (gamma * gamma)) ** np.arange(self._ptab.shape[2])
 
     def matrix(self, gamma):
         """Row-equilibrated M(gamma)."""
@@ -296,6 +311,24 @@ class SpectralProblem:
         order the rows accumulate, so repeated indices sum in a fixed order.
         """
         N, ccol = self.size, self.size - 1
+        # h = sum_j s^j P_j with s = 1/gamma^2 and P = _ptab; _hpoly[:, :, j]
+        # holds h(0), h(L), h'(0), -h'(L) and the integral of h*d for P_j.
+        # Constant densities get closed-form trig moments, the rows _poly of
+        # _dens batched ones.
+        self._lengths = L = np.array([e.length for e in self.edges])
+        self._dens = dens = self.mu.arrays[3]
+        poly = np.any(dens[:, 1:] != 0.0, axis=1)
+        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
+        self._ptab = P = _particular_table(dens)
+        K = dens.shape[1]
+        self._hpoly = np.zeros((len(L), 5, P.shape[2]))
+        for j in range(P.shape[2]):
+            h = P[:, :, j]
+            hp = _derivative(h)
+            prod = sum(h[:, [i]] * np.pad(dens, ((0, 0), (i, K - 1 - i))) for i in range(K))
+            integral = _rows_at(prod / np.arange(1, prod.shape[1] + 1), L) * L
+            self._hpoly[:, :, j] = np.stack(
+                (h[:, 0], _rows_at(h, L), hp[:, 0], -_rows_at(hp, L), integral), axis=1)
 
         def feature(k, j):
             return 2 + _EDGE_FEATURES * k + j
@@ -329,7 +362,7 @@ class SpectralProblem:
                 entries.append((r * N + ccol, _G2, -self._atom_mass[v]))
             r += 1
         for k, e in enumerate(self.edges):
-            if np.any(self._density[e.id] != 0.0):
+            if np.any(dens[k] != 0.0):
                 put(r, e, (feature(k, _CMOM), feature(k, _SMOM), feature(k, _HD)),
                     1.0)
         for v, mass in self._atom_mass.items():
@@ -339,35 +372,6 @@ class SpectralProblem:
         self._flat = np.array(flat, dtype=np.intp)
         self._feat = np.array(feat, dtype=np.intp)
         self._coef = np.array(coef, dtype=float)
-
-        # h = sum_j s^j (-1)^j d^(2j) with s = 1/gamma^2; _hpoly[:, :, j] holds
-        # h(0), h(L), h'(0), -h'(L) and the integral of h*d for power j, and
-        # _ptab[:, :, j] that power's coefficients of h.  Constant densities
-        # get closed-form trig moments, the rows _poly of _dens batched ones.
-        self._lengths = L = np.array([e.length for e in self.edges])
-        self._dens = dens = _padded(list(self._density.values()))
-        poly = np.any(dens[:, 1:] != 0.0, axis=1)
-        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
-        nonzero = dens != 0.0
-        top = np.max(np.nonzero(nonzero)[1], initial=-1)  # highest power present
-        self._hpoly = np.zeros((len(L), 5, top // 2 + 1))
-        self._ptab = np.zeros(dens.shape + self._hpoly.shape[2:])
-        term = dens
-        for j in range(self._hpoly.shape[2]):
-            der1 = _derivative(term)
-            prod = sum(term[:, [i]] * np.pad(dens, ((0, 0), (i, term.shape[1] - 1 - i)))
-                       for i in range(term.shape[1]))
-            integral = _rows_at(prod / np.arange(1, prod.shape[1] + 1), L) * L
-            self._hpoly[:, :, j] = (-1.0) ** j * np.stack((
-                term[:, 0], _rows_at(term, L), der1[:, 0], -_rows_at(der1, L), integral),
-                axis=1)
-            self._ptab[:, :term.shape[1], j] = (-1.0) ** j * term
-            term = _derivative(der1)
-        # particular_solution's length: through the last nonzero coefficient
-        # (a Measure stores a zero density as [0])
-        sizes = np.max(np.where(nonzero, np.arange(dens.shape[1]), 0), axis=1) + 1
-        self._pmask = np.arange(dens.shape[1]) < sizes[:, None]
-        self._psplit = np.cumsum(sizes)[:-1]
 
     def _assemble(self, gamma, derivative=False):
         """Raw M(gamma), or (M, dM/dgamma) through the same plan: cos -> -L sin,
@@ -411,19 +415,28 @@ class SpectralProblem:
                         minlength=self.size * self.size)
         return M.reshape(self.size, self.size)
 
-    def solution(self, gamma, vec, parts=None):
-        """EdgeBasisSolution from one coefficient vector."""
-        parts = parts or self.particulars(gamma)
-        trig = {
-            e.id: (float(vec[self._col[e.id]]), float(vec[self._col[e.id] + 1]))
-            for e in self.edges
-        }
-        return EdgeBasisSolution(gamma, trig, float(vec[-1]), parts)
+    def solution(self, gamma, vec, h=None):
+        """EdgeBasisSolution from one coefficient vector (and the table of
+        particular solutions at gamma, when at hand)."""
+        h = self.particulars(gamma) if h is None else h
+        return EdgeBasisSolution(gamma, self._row, np.reshape(vec[:-1], (-1, 2)),
+                                 float(vec[-1]), h)
+
+    def _gram(self, gamma, vecs, h):
+        """L2 Gram matrix of the solutions at gamma of the coefficient vectors
+        vecs (h: particulars(gamma)); G[i, j] = l2_inner(f_i, f_j), every
+        pair from one pair-form call."""
+        V = np.asarray(vecs)
+        ab = V[:, :-1].reshape(len(V), 1, -1, 2)
+        p = V[:, -1, None, None] * h
+        return np.sum(_pair_form(self._lengths, gamma, ab, p[:, None],
+                                 gamma, ab.swapaxes(0, 1), p[None]), axis=-1)
 
     def mu_integral(self, f):
-        """Exact integral of an EdgeBasisSolution f against the measure."""
-        L, ab, hp = _gather(self.graph, f)
-        total = float(np.sum(_pair_form(L, f.gamma, ab, hp, 0.0, 0.0 * ab, self._dens)))
+        """Exact integral of an EdgeBasisSolution f of this problem against
+        the measure."""
+        total = float(np.sum(_pair_form(self._lengths, f.gamma, f.ab, f.constant * f.h,
+                                        0.0, 0.0 * f.ab, self._dens)))
         for v, mass in self._atom_mass.items():
             total += mass * f.at_point(self.graph.point_at_vertex(v))
         return total
@@ -439,53 +452,55 @@ def characteristic_det(graph, mu, gamma):
     return float(np.linalg.det(assemble_characteristic_matrix(graph, mu, gamma).matrix))
 
 
-def _gather(graph, f):
-    """Lengths, (A, B) rows and padded C * h rows of f, in graph.edges order."""
-    ids = list(map(operator.attrgetter("id"), graph.edges))
-    lengths = np.fromiter(map(operator.attrgetter("length"), graph.edges), float)
-    ab = np.array(list(map(f.trig.__getitem__, ids)), dtype=float)
-    return lengths, ab, f.constant * _padded(list(map(f.particular.__getitem__, ids)))
-
-
 def _pair_form(L, g1, ab1, p1, g2, ab2, p2):
     """Per-edge integrals over [0, L] of the products of two edge solutions
-    a cos(g t) + b sin(g t) + p(t), from one batched moment call."""
-    m, n1, n2 = len(L), p1.shape[1], p2.shape[1]
+    a cos(g t) + b sin(g t) + p(t), from one batched moment call.  ab (..., m,
+    2) and p (..., m, n) may carry leading axes, which broadcast: one call
+    then gives the pair form of every pair of functions at g1 and g2."""
+    m, n1, n2 = len(L), p1.shape[-1], p2.shape[-1]
     omegas, which = np.unique([abs(g1 - g2), g1 + g2, g2, g1, 0.0], return_inverse=True)
     I = _exp_moments(np.repeat(omegas, m), np.tile(L, omegas.size),
                      n1 + n2 - 2).reshape(omegas.size, m, -1)[which]
     Cm, Sm = I[0, :, 0].real, math.copysign(1.0, g1 - g2) * I[0, :, 0].imag
     Cp, Sp = I[1, :, 0].real, I[1, :, 0].imag
-    (a1, b1), (a2, b2) = ab1.T, ab2.T
-    z1 = np.sum(p1 * I[2, :, :n1], axis=1)  # p1 against the trig part of f2
-    z2 = np.sum(p2 * I[3, :, :n2], axis=1)
+    a1, b1, a2, b2 = ab1[..., 0], ab1[..., 1], ab2[..., 0], ab2[..., 1]
+    z1 = np.sum(p1 * I[2, :, :n1], axis=-1)  # p1 against the trig part of f2
+    z2 = np.sum(p2 * I[3, :, :n2], axis=-1)
     pp = I[4].real[:, np.arange(n1)[:, None] + np.arange(n2)]
     return (0.5 * (a1 * a2 * (Cm + Cp) + b1 * b2 * (Cm - Cp)
                    + a1 * b2 * (Sp - Sm) + a2 * b1 * (Sp + Sm))
             + a2 * z1.real + b2 * z1.imag + a1 * z2.real + b1 * z2.imag
-            + np.einsum("ei,ej,eij->e", p1, p2, pp))
+            + np.einsum("...ei,...ej,eij->...e", p1, p2, pp))
+
+
+def _row_lengths(graph, f1, f2):
+    """Lengths of the edges of f1's rows, which f2 must share."""
+    if f2.edges != f1.edges:
+        raise ValidationError("the two functions have different edge rows")
+    return np.array([graph.edge(eid).length for eid in f1.edges])
 
 
 def l2_inner(graph, f1, f2):
     """Exact Lebesgue inner product of two EdgeBasisSolutions."""
-    (L, ab1, p1), (_, ab2, p2) = _gather(graph, f1), _gather(graph, f2)
-    return float(np.sum(_pair_form(L, f1.gamma, ab1, p1, f2.gamma, ab2, p2)))
+    return float(np.sum(_pair_form(_row_lengths(graph, f1, f2),
+                                   f1.gamma, f1.ab, f1.constant * f1.h,
+                                   f2.gamma, f2.ab, f2.constant * f2.h)))
 
 
 def dirichlet_inner(graph, f1, f2):
     """Exact integral of f1' f2' over the graph: the pair form of the derivatives."""
-    (L, ab1, p1), (_, ab2, p2) = _gather(graph, f1), _gather(graph, f2)
     return float(np.sum(_pair_form(
-        L, f1.gamma, ab1[:, ::-1] * [f1.gamma, -f1.gamma], _derivative(p1),
-        f2.gamma, ab2[:, ::-1] * [f2.gamma, -f2.gamma], _derivative(p2))))
+        _row_lengths(graph, f1, f2),
+        f1.gamma, f1.ab[:, ::-1] * [f1.gamma, -f1.gamma], _derivative(f1.constant * f1.h),
+        f2.gamma, f2.ab[:, ::-1] * [f2.gamma, -f2.gamma], _derivative(f2.constant * f2.h))))
 
 
 def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
 
-    The nullspace basis is mapped to EdgeBasisSolutions and combined through
-    the inverse square root of their exact L2 Gram matrix, so the returned
-    eigenfunctions are orthonormal.  A simple eigenfunction is sign-fixed by
+    The nullspace basis is combined through the inverse square root of the
+    exact L2 Gram matrix of its solutions, so the returned eigenfunctions
+    are orthonormal.  A simple eigenfunction is sign-fixed by
     its largest coefficient; a multiple eigenspace gets the one orthonormal
     basis whose pairing with a fixed generic probe of coefficient space is
     symmetric positive definite, whatever basis the SVD returned.
@@ -495,14 +510,9 @@ def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     if not basis:
         raise NumericError(f"no nullspace at gamma={gamma_star!r}; "
                            "the candidate root is discarded")
-    parts = problem.particulars(gamma_star)
-    raw = [problem.solution(gamma_star, v, parts) for v in basis]
-    k = len(raw)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            G[i, j] = G[j, i] = l2_inner(problem.graph, raw[i], raw[j])
-    w, U = np.linalg.eigh(G)
+    h = problem.particulars(gamma_star)
+    k = len(basis)
+    w, U = np.linalg.eigh(problem._gram(gamma_star, basis, h), UPLO="U")
     if w[0] <= 1e-12 * w[-1]:
         raise NumericError("degenerate Gram matrix in eigenspace orthonormalization")
     T = U @ np.diag(w ** -0.5) @ U.T  # symmetric inverse square root
@@ -517,7 +527,7 @@ def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
                        + np.sqrt(5.0) * i * j * (j - 1))
         W, _, Vt = np.linalg.svd(vecs @ probe)
         vecs = (W @ Vt).T @ vecs
-    funcs = tuple(problem.solution(gamma_star, vec, parts) for vec in vecs)
+    funcs = tuple(problem.solution(gamma_star, vec, h) for vec in vecs)
     return Eigenpair(gamma_star * gamma_star, k, funcs)
 
 
@@ -543,21 +553,20 @@ class EigenvalueCount:
     """
 
     def __init__(self, problem):
-        graph = problem.graph
-        n = len(graph.vertices)
-        pieces = []
-        for k, e in enumerate(problem.edges):
-            iu, iv = graph.vertex_index(e.u), graph.vertex_index(e.v)
-            cut, dens = GOLDEN_CUT * e.length, problem._density[e.id]
-            shifted = npoly.polyval(npoly.Polynomial([cut, 1.0]), dens).coef
-            pieces += [(iu, n + k, cut, dens), (n + k, iv, e.length - cut, shifted)]
-        u, v, lengths, densities = zip(*pieces)
-        u, v = np.array(u), np.array(v)
-        N = self._nodes = n + len(problem.edges)  # the cut of edge k is n + k
+        graph, L = problem.graph, problem._lengths
+        n, m = len(graph.vertices), len(L)
+        ends = np.array([[graph.vertex_index(e.u), graph.vertex_index(e.v)]
+                         for e in problem.edges])
+        cut, mid = GOLDEN_CUT * L, n + np.arange(m)  # the cut of edge k is node n + k
+        # piece 2k runs from u to the cut of edge k, piece 2k + 1 on to v
+        u = np.column_stack((ends[:, 0], mid)).ravel()
+        v = np.column_stack((mid, ends[:, 1])).ravel()
+        N = self._nodes = n + m
         self._ends = np.concatenate((u, v))
         self._flat = np.concatenate((u * N + u, v * N + v, u * N + v, v * N + u))
-        self._lengths = np.array(lengths)
-        dens = _padded(densities)
+        self._lengths = np.column_stack((cut, L - cut)).ravel()
+        dens = np.stack((problem._dens, shift_polys(problem._dens, cut)),
+                        axis=1).reshape(2 * m, -1)
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
         self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
         self._dens = dens[self._poly]
@@ -662,6 +671,8 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
         gamma_floor = DEFAULT_GAMMA_FLOOR / ell
     if not gamma_max > gamma_floor:
         raise ValidationError("gamma_max must exceed gamma_floor")
+    if not (math.isfinite(gamma_max) and math.isfinite(gamma_floor)):
+        raise ValidationError("gamma_max and gamma_floor must be finite")
     width = math.pi / (8.0 * ell)
     ratio = functools.cache(functools.partial(_newton_ratio, problem))
     count = EigenvalueCount(problem)

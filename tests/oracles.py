@@ -294,7 +294,7 @@ def secular_matrix(problem, gamma):
     ccol = N - 1
     g = gamma
     col = problem._col
-    parts = {e.id: _particular(problem._density[e.id], g) for e in problem.edges}
+    parts = {e.id: _particular(problem.mu.density(e.id), g) for e in problem.edges}
     val = {}  # (edge id, end) -> (A, B, C) coefficients of f at the endpoint
     der = {}  # (edge id, end) -> coefficients of the inward derivative
     for e in problem.edges:
@@ -325,7 +325,7 @@ def secular_matrix(problem, gamma):
         M[r, ccol] -= g * g * problem._atom_mass.get(v, 0.0)
         r += 1
     for e in problem.edges:
-        dens = problem._density[e.id]
+        dens = problem.mu.density(e.id)
         if np.any(dens != 0.0):
             cmom, smom = _gauss_trig_moments(dens, g, e.length)
             anti = npoly.polyint(npoly.polymul(parts[e.id], dens))

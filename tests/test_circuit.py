@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 import oracles
 from conftest import circle_point, lollipop, random_point
 from metragraph import (
+    Measure,
+    ValidationError,
     build_graph,
     builtin_graph,
     canonical_measure,
     circuit,
     effective_resistance,
     j_function,
+    lebesgue_measure,
     scale_graph,
 )
 from metragraph.circuit import (
@@ -292,3 +295,19 @@ def test_profile_energy_gives_tau():
     e1 = resistance_profile(g, g.point("e4", 0.11)).derivative_energy()
     assert 0.25 * e0 == pytest.approx(0.25 * e1, abs=1e-12)
     assert 0.25 * e0 == pytest.approx(tau_constant(g), abs=1e-12)
+
+
+def test_measure_on_another_graph_is_rejected():
+    # the same graph built again, and with its edges listed in reverse: a
+    # measure on either has rows that only match the kernel's by chance
+    g = build_graph("abc", [
+        ("e1", "a", "b", 0.5), ("e2", "b", "c", 0.25), ("e3", "c", "a", 0.25)])
+    kernel = resistance_kernel(g)
+    table = kernel.potential(lebesgue_measure(g))
+    for edges in (list(g.edges), list(g.edges)[::-1]):
+        other = build_graph(g.vertices, edges)
+        nu = Measure(other, [(other.point("e1", 0.2), 1.0)], {"e2": [1.0, 2.0]})
+        with pytest.raises(ValidationError, match="different graph"):
+            kernel.potential(nu)
+        with pytest.raises(ValidationError, match="different graph"):
+            table.integrate(nu)

@@ -201,6 +201,15 @@ def test_exit_codes(capsys, tmp_path):
         main(["resistance", "--graph", "builtin:interval", "--x", "a"])
     assert exc.value.code == 2
 
+    capsys.readouterr()
+    # spectral bounds out of range: one error line, exit 3
+    for command in ("eigen", "eigenfunctions", "mercer-check"):
+        for lam in ("-4", "0", "inf", "nan"):
+            argv = [command, "--graph", "builtin:interval", "--lambda-max", lam]
+            assert main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
 
 @pytest.mark.parametrize("spec", ["banana", "banana:x", "banana:N", "banana:0"])
 def test_malformed_banana_name(capsys, tmp_path, monkeypatch, spec):

@@ -25,7 +25,6 @@ from metragraph.graph_core import total_length
 from metragraph.green import (
     discriminant_sum,
     energy_pairing,
-    resistance_potential,
     trace_comparison,
     weak_laplacian_residual,
 )
@@ -143,7 +142,7 @@ def test_resistance_potential_matches_exact_oracle(name, rng):
     )
     kernel = resistance_kernel(g)
     for nu in (signed, complex_mass, shaped_measure(g, rng)):
-        rho = resistance_potential(kernel, nu)
+        rho = kernel.potential(nu)
         xs = [random_point(g, rng) for _ in range(4)]
         xs += [g.point(e0.id, 0.37 * e0.length), g.point(e1.id, 0.81 * e1.length)]
         xs += [p for p, _ in nu.atoms]

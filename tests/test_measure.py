@@ -168,6 +168,62 @@ def test_remap_preserves_mass_and_values(t, c0, c1):
         )
 
 
+def shaped_measures(graph, rng, count):
+    """Measures with real or complex masses, atoms at offset 0, at L and
+    inside edges, and ragged, trailing-zero, complex or no densities."""
+    out = []
+    for trial in range(count):
+        atoms = []
+        for _ in range(int(rng.integers(0, 6))):
+            e = graph.edges[int(rng.integers(len(graph.edges)))]
+            t = [0.0, e.length, float(rng.uniform(0.0, e.length))][int(rng.integers(3))]
+            m = complex(*rng.normal(size=2)) if trial % 3 == 0 else float(rng.normal())
+            atoms.append((graph.point(e.id, t), m))
+        densities = {}
+        edges = int(rng.integers(0, 4)) if trial % 4 else 0  # no density every 4th
+        for k in rng.permutation(len(graph.edges))[:edges]:
+            c = rng.normal(size=int(rng.integers(1, 5)))
+            if rng.random() < 0.3:
+                c = np.concatenate((c, np.zeros(int(rng.integers(1, 3)))))
+            if trial % 5 == 0:
+                c = c + 1j * rng.normal(size=c.size)
+            densities[graph.edges[k].id] = c
+        out.append(Measure(graph, atoms, densities))
+    return out
+
+
+@pytest.mark.parametrize("name", ["interval", "circle", "tetrahedron", "petersen"])
+def test_arrays_match_atoms_and_densities(name, rng):
+    g = builtin_graph(name)
+    for mu in shaped_measures(g, rng, 40):
+        rows, at, mass, D = mu.arrays
+        assert [g.edges[k].id for k in rows] == [p.edge for p, _ in mu.atoms]
+        assert at.tolist() == [p.offset for p, _ in mu.atoms]
+        assert mass.tolist() == [m for _, m in mu.atoms]
+        width = max((c.size for c in mu.densities.values()), default=1)
+        assert D.shape == (len(g.edges), width)
+        for k, e in enumerate(g.edges):
+            c = mu.density(e.id)
+            assert D[k, :c.size].tolist() == c.tolist() and not D[k, c.size:].any()
+        complex_parts = any(isinstance(m, complex) for _, m in mu.atoms) or any(
+            np.iscomplexobj(c) for c in mu.densities.values())
+        assert np.iscomplexobj(D) == np.iscomplexobj(mass) == complex_parts
+        assert mu.is_real() == (not complex_parts)
+
+
+@pytest.mark.parametrize("name", ["interval", "circle", "tetrahedron", "petersen"])
+def test_total_mass_matches_per_edge_closed_form(name, rng):
+    g = builtin_graph(name)
+    for mu in shaped_measures(g, rng, 40):
+        # atoms plus c_k L^(k+1) / (k+1) per density coefficient, summed exactly
+        terms = [complex(m) for _, m in mu.atoms] + [
+            complex(c) * (e.length ** (k + 1) / (k + 1))
+            for e in g.edges for k, c in enumerate(mu.density(e.id))]
+        want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        scale = math.fsum(abs(t) for t in terms)
+        assert abs(complex(mu.total_mass()) - want) <= 1e-15 * scale
+
+
 def test_cpa_function_basics():
     g = builtin_graph("interval")
     f = CPAFunction(g, {"a": 1.0, "b": 0.0})

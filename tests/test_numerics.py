@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from metragraph.numerics import (
     integrate_piecewise,
     nullspace_basis,
     real_roots_in_interval,
+    shift_polys,
     solve_grounded,
 )
 
@@ -140,3 +142,17 @@ def test_piecewise_poly_validation():
         PiecewisePoly([0.0, 0.0], [[1.0]])
     with pytest.raises(ValueError):
         PiecewisePoly([0.0, 1.0], [[1.0], [2.0]])
+
+
+def test_shift_polys_matches_composition(rng):
+    real = rng.normal(size=(8, 5))
+    real[2, 3:] = 0.0  # a ragged row, zero-padded
+    for c in (real, real + 1j * rng.normal(size=real.shape)):
+        t0 = rng.uniform(-1.0, 1.0, size=len(c))
+        for shift in (t0, 0.7):
+            got = shift_polys(c, shift)
+            assert got.shape == c.shape and got.dtype == c.dtype
+            for row, p, t in zip(got, c, np.broadcast_to(shift, len(c))):
+                want = npoly.polyval(npoly.Polynomial([t, 1.0]), p).coef  # p(t + t0)
+                want = np.pad(want, (0, c.shape[1] - want.size))
+                np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-14)

@@ -140,6 +140,27 @@ def test_particular_solution_solves_ode(coeffs, gamma):
     np.testing.assert_allclose(lhs, rhs, atol=1e-9 * scale)
 
 
+def test_particular_solution_lengths_match_table_rows(tetrahedron):
+    # zero, constant, trailing-zero and cubic densities keep their lengths:
+    # through the last nonzero coefficient, and all of a zero density
+    gamma = 2.7
+    densities = {"e2": [2.5], "e3": [1.0, -2.0, 0.0, 0.0], "e4": [0.5, -1.0, 2.0, 3.0]}
+    for coeffs, size in (([0.0], 1), ([0.0, 0.0, 0.0], 3), ([2.5], 1),
+                         (densities["e3"], 2), (densities["e4"], 4)):
+        assert particular_solution(coeffs, gamma).size == size
+    raw = Measure(tetrahedron, (), densities)
+    mu = raw * (1.0 / raw.total_mass())
+    problem = SpectralProblem(tetrahedron, mu)
+    rows = problem.particulars(gamma)
+    f = problem.solution(gamma, np.ones(problem.size))
+    for k, e in enumerate(tetrahedron.edges):  # e1, e5 and e6 carry no density
+        want = particular_solution(mu.density(e.id), gamma)
+        assert f.particular[e.id].size == want.size
+        np.testing.assert_allclose(rows[k, :want.size], want, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(f.particular[e.id], rows[k, :want.size])
+        assert not rows[k, want.size:].any()
+
+
 def test_particular_solution_rejects_bad_gamma():
     with pytest.raises(ValidationError):
         particular_solution([1.0], 0.0)
@@ -495,6 +516,14 @@ def test_find_eigenvalues_validation(interval):
         find_eigenvalues(interval, dirac(interval, interval.point("e1", 0.5), 2.0), 10.0)
 
 
+def test_find_eigenvalues_rejects_infinite_bounds(interval):
+    dx = lebesgue_measure(interval)
+    with pytest.raises(ValidationError, match="finite"):
+        find_eigenvalues(interval, dx, math.inf)
+    with pytest.raises(ValidationError, match="finite"):
+        find_eigenvalues(interval, dx, 10.0, gamma_floor=-math.inf)
+
+
 # ------------------------------------------------------- eigenfunctions
 
 def test_interval_eigenfunction_closed_form(interval):
@@ -586,6 +615,23 @@ def test_eigenspace_basis_survives_ulp_moves(name, kind, gamma):
                                coefficients(gamma), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name,kind,dim", [("petersen", "dx", 5), ("k33", "canonical", 4)])
+def test_one_call_gram_matches_pairwise_l2_inner(name, kind, dim):
+    graph = builtin_graph(name)
+    mu = lebesgue_measure(graph, normalize=True) if kind == "dx" \
+        else canonical_measure(graph)
+    gamma = next(math.sqrt(p.eigenvalue) for p in find_eigenvalues(graph, mu, 20.0)
+                 if p.multiplicity == dim)
+    problem = SpectralProblem(graph, mu)
+    basis = problem.nullspace(gamma)
+    h = problem.particulars(gamma)
+    funcs = [problem.solution(gamma, v, h) for v in basis]
+    pairwise = np.array([[l2_inner(problem.graph, f1, f2) for f2 in funcs] for f1 in funcs])
+    assert len(basis) == dim
+    np.testing.assert_allclose(problem._gram(gamma, basis, h), pairwise,
+                               rtol=0.0, atol=1e-14)
+
+
 def test_eigen_residuals_requires_functions(interval):
     dx = lebesgue_measure(interval)
     bare = find_eigenvalues(interval, dx, 4.0)[0]
@@ -598,7 +644,7 @@ def test_constant_function_is_not_an_eigenfunction(interval):
     # is 1, so the defining orthogonality condition fails
     dx = lebesgue_measure(interval)
     problem = SpectralProblem(interval, dx)
-    one = EdgeBasisSolution(1.0, {"e1": (0.0, 0.0)}, 1.0, {"e1": np.array([1.0])})
+    one = EdgeBasisSolution(1.0, {"e1": 0}, np.zeros((1, 2)), 1.0, np.ones((1, 1)))
     assert problem.mu_integral(one) == pytest.approx(1.0, rel=1e-12)
 
 
