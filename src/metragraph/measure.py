@@ -41,6 +41,7 @@ class Measure:
 
     def __init__(self, graph, atoms=(), densities=None):
         self.graph = graph
+        self._cache = {}
         merged = {}
         for point, mass in atoms:
             key = graph.point_key(point)

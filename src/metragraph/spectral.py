@@ -15,6 +15,7 @@ moment kernel, _exp_moments, called once for all edges.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import green as green_mod
-from .graph_core import ValidationError, subdivide_at, total_length
+from .graph_core import PointOnGraph, ValidationError, subdivide_at, total_length
 from .measure import integrate_polys_against, remap_measure
 from .numerics import (
     DEFAULT_RANK_TOL,
@@ -41,6 +42,7 @@ DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
 GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_ROW_REL = 1e-10
 SECANT_MAX_ITER = 100
+MAX_EIGENVALUES = 100_000  # per find_eigenvalues call, counted before any bisection
 
 # Features of M(gamma): two global ones, then per edge the trig values, the
 # derivative factors, h(0), h(L), h'(0), -h'(L) and the integral of h*d for
@@ -145,18 +147,25 @@ def particular_solution(coeffs, gamma):
     return h[:max(np.flatnonzero(g), default=g.size - 1) + 1]
 
 
-def _overlap(coeffs, length):
-    """Coefficients in y of the integral over [0, y] of d(t) d(t + length - y) dt."""
-    n = coeffs.size
-    out = np.zeros(2 * n)
-    for k, a in enumerate(coeffs):
-        power = np.ones(1)  # (length - y)^(k - m)
-        for m in range(k, -1, -1):  # a C(k, m) t^m (length - y)^(k - m) d(t)
-            anti = np.zeros(m + n + 1)  # integral over [0, y] of t^m d(t) dt
-            anti[m + 1:] = coeffs / np.arange(m + 1, m + n + 1)
-            term = a * math.comb(k, m) * np.convolve(anti, power)
-            out[:term.size] += term
-            power = np.convolve(power, [length, -1.0])
+def _row_products(a, b):
+    """Row-wise products of the ascending polynomials in a and b."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, [i]] * b
+    return out
+
+
+def _overlap(dens, lengths):
+    """Row p: coefficients in y of the integral over [0, y] of d(t) d(t + L - y)
+    dt (d = dens[p], L = lengths[p]), from d(t + s) = sum_q s^q d^(q)(t) / q!."""
+    out = np.zeros((len(dens), 2 * dens.shape[1]))
+    taylor, shift = dens, np.ones((len(dens), 1))  # d^(q) / q!, (L - y)^q
+    for q in range(dens.shape[1]):
+        prod = _row_products(taylor, dens)
+        anti = np.pad(prod / np.arange(1, prod.shape[1] + 1), ((0, 0), (1, 0)))
+        out += _row_products(shift, anti)
+        taylor = _derivative(taylor) / (q + 1)
+        shift = _row_products(shift, np.column_stack((lengths, -np.ones_like(lengths))))
     return out
 
 
@@ -169,7 +178,9 @@ class EdgeBasisSolution:
     ab[k, 0] cos(gamma t) + ab[k, 1] sin(gamma t) + constant * h_k(t), where
     h (m x K) holds the ascending coefficients of the particular solutions,
     zero-padded, and constant is the Lebesgue integral of the function over
-    the graph.  trig and particular are per-edge-id views of ab and h.
+    the graph.  trig and particular are per-edge-id views of ab and h; remaps,
+    the PointRemap chain of the problem shared per (graph, measure), lets
+    value, derivative and at_point take the caller's (unsplit) points too.
     """
 
     gamma: float
@@ -177,6 +188,7 @@ class EdgeBasisSolution:
     ab: np.ndarray
     constant: float
     h: np.ndarray
+    remaps: tuple = ()
 
     @property
     def eigenvalue(self):
@@ -193,7 +205,19 @@ class EdgeBasisSolution:
         return {eid: self.h[k, :max(np.flatnonzero(self.h[k]), default=0) + 1]
                 for eid, k in self.edges.items()}
 
+    def _on_pieces(self, method, edge_id, t):
+        """method at offsets t along a caller's edge split into pieces."""
+        def one(s):
+            p = functools.reduce(lambda q, remap: remap(q), self.remaps,
+                                 PointOnGraph(edge_id, float(s)))
+            if p.edge == edge_id:
+                raise KeyError(edge_id)
+            return method(p.edge, p.offset)
+        return np.vectorize(one, otypes=[float])(t)
+
     def value(self, edge_id, t):
+        if edge_id not in self.edges:
+            return self._on_pieces(self.value, edge_id, t)
         k = self.edges[edge_id]
         A, B = self.ab[k]
         t = np.asarray(t, dtype=float)
@@ -202,6 +226,8 @@ class EdgeBasisSolution:
             + self.constant * h
 
     def derivative(self, edge_id, t):
+        if edge_id not in self.edges:
+            return self._on_pieces(self.derivative, edge_id, t)
         k = self.edges[edge_id]
         A, B = self.ab[k]
         g = self.gamma
@@ -244,19 +270,22 @@ class SpectralProblem:
     Interior atoms force subdivisions so that every atom of the working
     measure sits at a vertex; the unknown vector is ordered
     (A_1, B_1, ..., A_m, B_m, C) following the working graph's edge order.
+    bases keeps find_eigenvalues' nullspace bases by (root, rank_tol).
     """
 
     def __init__(self, graph, mu):
         mu.require_reference()
-        work, measure = graph, mu
+        work, measure, self.remaps = graph, mu, ()
         while True:
             interior = [p for p, _ in measure.atoms if work.vertex_of(p) is None]
             if not interior:
                 break
             work, _, remap = subdivide_at(work, interior[0])
+            self.remaps += (remap,)
             measure = remap_measure(measure, work, remap)
         self.graph = work
         self.mu = measure
+        self.bases = {}
         self.edges = work.edges
         self._row = {e.id: k for k, e in enumerate(self.edges)}
         self._col = {eid: 2 * k for eid, k in self._row.items()}
@@ -325,7 +354,7 @@ class SpectralProblem:
         for j in range(P.shape[2]):
             h = P[:, :, j]
             hp = _derivative(h)
-            prod = sum(h[:, [i]] * np.pad(dens, ((0, 0), (i, K - 1 - i))) for i in range(K))
+            prod = _row_products(h, dens)
             integral = _rows_at(prod / np.arange(1, prod.shape[1] + 1), L) * L
             self._hpoly[:, :, j] = np.stack(
                 (h[:, 0], _rows_at(h, L), hp[:, 0], -_rows_at(hp, L), integral), axis=1)
@@ -420,7 +449,7 @@ class SpectralProblem:
         particular solutions at gamma, when at hand)."""
         h = self.particulars(gamma) if h is None else h
         return EdgeBasisSolution(gamma, self._row, np.reshape(vec[:-1], (-1, 2)),
-                                 float(vec[-1]), h)
+                                 float(vec[-1]), h, self.remaps)
 
     def _gram(self, gamma, vecs, h):
         """L2 Gram matrix of the solutions at gamma of the coefficient vectors
@@ -442,8 +471,20 @@ class SpectralProblem:
         return total
 
 
+def _problem(graph, mu):
+    """The SpectralProblem of (graph, mu), built once per pair of objects and
+    kept in mu's cache (a Measure does not change once built), on a copy of mu
+    whose cache is empty, so that no reference cycle waits for the collector."""
+    cached = mu._cache.get("spectral")
+    if cached is None or cached[0] is not graph:
+        work = copy.copy(mu)
+        work._cache = {}
+        cached = mu._cache["spectral"] = (graph, SpectralProblem(graph, work))
+    return cached[1]
+
+
 def assemble_characteristic_matrix(graph, mu, gamma):
-    problem = SpectralProblem(graph, mu)
+    problem = _problem(graph, mu)
     return CharacteristicMatrix(gamma, problem.matrix(gamma), problem.row_tags)
 
 
@@ -498,6 +539,8 @@ def dirichlet_inner(graph, f1, f2):
 def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
 
+    Problem and, at a root it returned (sqrt(eigenvalue) is that root
+    exactly), nullspace basis are find_eigenvalues' own for (graph, mu).
     The nullspace basis is combined through the inverse square root of the
     exact L2 Gram matrix of its solutions, so the returned eigenfunctions
     are orthonormal.  A simple eigenfunction is sign-fixed by
@@ -505,8 +548,8 @@ def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     basis whose pairing with a fixed generic probe of coefficient space is
     symmetric positive definite, whatever basis the SVD returned.
     """
-    problem = SpectralProblem(graph, mu)
-    basis = problem.nullspace(gamma_star, rank_tol)
+    problem = _problem(graph, mu)
+    basis = problem.bases.get((gamma_star, rank_tol)) or problem.nullspace(gamma_star, rank_tol)
     if not basis:
         raise NumericError(f"no nullspace at gamma={gamma_star!r}; "
                            "the candidate root is discarded")
@@ -570,8 +613,7 @@ class EigenvalueCount:
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
         self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
         self._dens = dens[self._poly]
-        self._overlap = np.array([_overlap(d, self._lengths[k])
-                                  for k, d in zip(self._poly, self._dens)])
+        self._overlap = _overlap(self._dens, self._lengths[self._poly])
         self._atoms = np.bincount([graph.vertex_index(v) for v in problem._atom_mass],
                                   list(problem._atom_mass.values()), minlength=N)
 
@@ -663,9 +705,11 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     (rank_tol); otherwise (two close roots, say) the bracket is bisected
     further, and NumericError is raised at float resolution.  gamma_floor,
     which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / total
-    length.  Returns Eigenpairs with empty eigenfunction tuples.
+    length.  More than MAX_EIGENVALUES roots raise ValidationError before
+    any bisection.  Returns Eigenpairs with empty eigenfunction tuples; the
+    problem and each root's basis are kept per (graph, mu) (_problem).
     """
-    problem = SpectralProblem(graph, mu)
+    problem = _problem(graph, mu)
     ell = total_length(problem.graph)
     if gamma_floor is None:
         gamma_floor = DEFAULT_GAMMA_FLOOR / ell
@@ -676,8 +720,12 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     width = math.pi / (8.0 * ell)
     ratio = functools.cache(functools.partial(_newton_ratio, problem))
     count = EigenvalueCount(problem)
+    na, nb = count(gamma_floor), count(gamma_max)
+    if nb - na > MAX_EIGENVALUES:
+        raise ValidationError(f"{float(nb - na):.6g} eigenvalues lie below gamma_max="
+                              f"{gamma_max!r}, more than the {MAX_EIGENVALUES} one call finds")
     out = []
-    stack = [(gamma_floor, count(gamma_floor), gamma_max, count(gamma_max))]
+    stack = [(gamma_floor, na, gamma_max, nb)]
     while stack:  # depth first, left half on top: roots come out ascending
         a, na, b, nb = stack.pop()
         jump = nb - na
@@ -686,9 +734,10 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
         if b - a <= width:
             root = _refine_root(ratio, a, b, root_tol)
             if root is not None:
-                dim = len(problem.nullspace(root, rank_tol))
-                if dim == jump:
-                    out.append(Eigenpair(root * root, dim))
+                basis = problem.nullspace(root, rank_tol)
+                if len(basis) == jump:
+                    problem.bases[(root, rank_tol)] = basis
+                    out.append(Eigenpair(root * root, jump))
                     continue
         mid = 0.5 * (a + b)
         if b - a <= 4.0 * np.finfo(float).eps * b:
@@ -720,7 +769,7 @@ def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5, rule=None):
     """
     if not eigenpair.eigenfunctions:
         raise ValidationError("eigenpair carries no eigenfunctions")
-    problem = SpectralProblem(graph, mu)
+    problem = _problem(graph, mu)
     work = problem.graph
     rule = rule or QuadratureRule(12)
     evaluator = green_mod.GreenEvaluator(work, problem.mu)

@@ -257,6 +257,23 @@ def exp_moments_row(omega, length, count):
     return out
 
 
+def overlap(coeffs, length):
+    """Coefficients in y of the integral over [0, y] of d(t) d(t + length - y) dt,
+    for one row by a double loop of convolutions over the binomial expansion
+    of (t + length - y)^k: the reference for the eigenvalue count's table."""
+    n = coeffs.size
+    out = np.zeros(2 * n)
+    for k, a in enumerate(coeffs):
+        power = np.ones(1)  # (length - y)^(k - m)
+        for m in range(k, -1, -1):  # a C(k, m) t^m (length - y)^(k - m) d(t)
+            anti = np.zeros(m + n + 1)  # integral over [0, y] of t^m d(t) dt
+            anti[m + 1:] = coeffs / np.arange(m + 1, m + n + 1)
+            term = a * math.comb(k, m) * np.convolve(anti, power)
+            out[:term.size] += term
+            power = np.convolve(power, [length, -1.0])
+    return out
+
+
 def _particular(coeffs, gamma):
     """h with h'' + gamma^2 h = gamma^2 g: sum_k (-1)^k g^(2k) / gamma^(2k)."""
     term = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()

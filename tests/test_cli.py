@@ -4,6 +4,7 @@ emitted JSON/CSV against closed-form values and the golden table file."""
 import json
 import math
 import os
+import time
 import warnings
 
 import pytest
@@ -238,3 +239,28 @@ def test_wide_length_spread(capsys, tmp_path):
     assert main(["resistance", "--graph", str(wide), "--x", "a", "--y", "c"]) == 0
     r = json.loads(capsys.readouterr().out)["resistance"]
     assert r == pytest.approx(0.5 + 1e-7 / (1.0 + 1e-7), rel=1e-12)
+
+
+def test_interior_atom_eigenfunctions_and_mercer_check(capsys, tmp_path):
+    # the functions live on the graph split at the atom; both commands read
+    # them at the points of the unsplit graph
+    spec = tmp_path / "atom.json"
+    spec.write_text(json.dumps({"atoms": [{"point": "e1:0.05", "mass": 1.0}]}))
+    argv = ["--graph", "builtin:tetrahedron", "--measure", str(spec), "--lambda-max", "400"]
+    funcs = run_json(capsys, "eigenfunctions", *argv)["eigenfunctions"]
+    assert {e["edge"] for e in funcs[0]["edges"]} >= {"e1.1", "e1.2"}
+    assert main(["eigenfunctions", *argv, "--format", "csv"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 20 * 6 * len(funcs) and any(r[2] == "e1" for r in rows)
+    check = run_json(capsys, "mercer-check", *argv)
+    assert check["rows"] and check["nonincreasing"]
+
+
+def test_eigen_rejects_a_huge_lambda_max_quickly(capsys):
+    # about 3e149 roots: the count says so before any bisection
+    start = time.perf_counter()
+    rc = main(["eigen", "--graph", "builtin:interval", "--lambda-max", "1e300"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 3 and elapsed < 1.0
+    assert err.startswith("error:") and err.count("\n") == 1, err

@@ -24,6 +24,7 @@ from metragraph import (
     ValidationError,
     assemble_characteristic_matrix,
     build_graph,
+    build_green,
     builtin_graph,
     canonical_measure,
     characteristic_det,
@@ -42,7 +43,8 @@ from metragraph import (
     trig_poly_moments,
 )
 from metragraph.cli import TABLE_GAMMA_MAX
-from metragraph.spectral import EdgeBasisSolution, EigenvalueCount, _exp_moments
+from metragraph import spectral
+from metragraph.spectral import EdgeBasisSolution, EigenvalueCount, _exp_moments, _overlap
 
 PI2 = math.pi * math.pi
 
@@ -433,6 +435,15 @@ def test_count_matches_fine_scan(name, kind):
         assert count(gamma * (1.0 + 1e-6)) == below
 
 
+def test_overlap_table_matches_loop_oracle():
+    # zero, constant, linear and quadratic rows in one call
+    rows = np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0], [0.3, -1.7, 0.0], [1.1, -0.4, 2.3]])
+    lengths = np.array([0.7, 1.3, 0.21, 2.9])
+    for row, length, got in zip(rows, lengths, _overlap(rows, lengths)):
+        want = oracles.overlap(row, length)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+
+
 WIDE_SPREAD = (["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
                                   ("e3", "b", "c", 0.5)])
 
@@ -514,6 +525,17 @@ def test_find_eigenvalues_validation(interval):
         find_eigenvalues(interval, lebesgue_measure(interval), 0.0)
     with pytest.raises(ValidationError):
         find_eigenvalues(interval, dirac(interval, interval.point("e1", 0.5), 2.0), 10.0)
+
+
+def test_root_count_is_capped_before_bisection(interval, monkeypatch):
+    # about 3e149 roots below gamma = 1e150: the two first counts say so at once
+    dx = lebesgue_measure(interval)
+    with pytest.raises(ValidationError, match="3.1831e[+]149 eigenvalues"):
+        find_eigenvalues(interval, dx, 1e150)
+    monkeypatch.setattr(spectral, "MAX_EIGENVALUES", 3)  # roots at gamma = n pi
+    assert len(find_eigenvalues(interval, dx, 3.0 * math.pi + 0.3)) == 3
+    with pytest.raises(ValidationError, match="4 eigenvalues"):
+        find_eigenvalues(interval, dx, 4.0 * math.pi + 0.3)
 
 
 def test_find_eigenvalues_rejects_infinite_bounds(interval):
@@ -646,6 +668,89 @@ def test_constant_function_is_not_an_eigenfunction(interval):
     problem = SpectralProblem(interval, dx)
     one = EdgeBasisSolution(1.0, {"e1": 0}, np.zeros((1, 2)), 1.0, np.ones((1, 1)))
     assert problem.mu_integral(one) == pytest.approx(1.0, rel=1e-12)
+
+
+# ------------------------------------ one problem per (graph, measure)
+
+@pytest.mark.parametrize("case", ["petersen", "paired"])
+def test_one_problem_per_graph_and_measure(monkeypatch, case):
+    # find_eigenvalues then eigenfunctions_at at every root build one problem
+    # and compute one nullspace per root; new objects get a fresh problem
+    def make_graph():  # Petersen has a 5-fold root, the other a close pair
+        return builtin_graph("petersen") if case == "petersen" else \
+            build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
+
+    def make_measure(graph):
+        return lebesgue_measure(graph, normalize=True) if case == "petersen" else \
+            poly_shaped_measure(graph, "const")
+
+    init, nullspace = SpectralProblem.__init__, SpectralProblem.nullspace
+    built, calls = [], []
+
+    def counted_init(self, graph, mu):
+        built.append(self)
+        init(self, graph, mu)
+
+    def counted_nullspace(self, *args):
+        calls.append(args)
+        return nullspace(self, *args)
+
+    monkeypatch.setattr(SpectralProblem, "__init__", counted_init)
+    monkeypatch.setattr(SpectralProblem, "nullspace", counted_nullspace)
+    graph = make_graph()
+    mu = make_measure(graph)
+    pairs = find_eigenvalues(graph, mu, 40.0 / total_length(graph))
+    funcs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs]
+    assert (len(built), len(calls)) == (1, len(pairs))
+    assert [f.multiplicity for f in funcs] == [p.multiplicity for p in pairs]
+    assert max(p.multiplicity for p in pairs) == (5 if case == "petersen" else 1)
+
+    # a new measure object: a fresh problem, whose bases are computed afresh
+    # and give the same functions bit for bit
+    mu2 = make_measure(graph)
+    for p, pair in zip(pairs, funcs):
+        again = eigenfunctions_at(graph, mu2, math.sqrt(p.eigenvalue))
+        for f, g in zip(pair.eigenfunctions, again.eigenfunctions):
+            assert np.array_equal(f.ab, g.ab) and f.constant == g.constant
+    assert (len(built), len(calls)) == (2, 2 * len(pairs))
+    eigenfunctions_at(make_graph(), mu, math.sqrt(pairs[0].eigenvalue))
+    assert (len(built), len(calls)) == (3, 2 * len(pairs) + 1)
+
+
+def interior_atom_measure(graph):
+    """Mass 1/2 at e1:0.05 and 1/2 spread evenly: mu is nonzero at the atom."""
+    ell = total_length(graph)
+    return Measure(graph, [(graph.point("e1", 0.05), 0.5)],
+                   {e.id: [0.5 / ell] for e in graph.edges})
+
+
+def test_functions_take_the_callers_points(tetrahedron):
+    # e1 (length 1/6) is split at the atom into e1.1 and e1.2 = e1 - 0.05
+    mu = interior_atom_measure(tetrahedron)
+    ts = np.append(np.linspace(0.0, 1.0 / 6.0, 9), 0.05)
+    for p in find_eigenvalues(tetrahedron, mu, 30.0):
+        for f in eigenfunctions_at(tetrahedron, mu, math.sqrt(p.eigenvalue)).eigenfunctions:
+            for method in (f.value, f.derivative):
+                want = [method("e1.1", t) if t <= 0.05 else method("e1.2", t - 0.05)
+                        for t in ts]
+                assert np.array_equal(method("e1", ts), want)
+                assert method("e1", 0.05) == method("e1.1", 0.05)
+            assert f.at_point(tetrahedron.point("e1", 0.1)) == f.value("e1.2", 0.1 - 0.05)
+            assert f.value("e2", 0.1) == f.value("e2", np.array([0.1]))[0]
+    with pytest.raises(KeyError):
+        f.value("e7", 0.1)
+
+
+def test_mercer_sums_converge_at_an_interior_atom(tetrahedron):
+    mu = interior_atom_measure(tetrahedron)
+    x = tetrahedron.point("e1", 0.05)
+    pairs = find_eigenvalues(tetrahedron, mu, 100.0)
+    funcs = [eigenfunctions_at(tetrahedron, mu, math.sqrt(p.eigenvalue)) for p in pairs]
+    gxx = build_green(tetrahedron, mu).g(x, x)
+    rest = [gxx - mercer_partial_sum(funcs[:k], x, x) for k in range(1, len(funcs) + 1)]
+    assert all(b <= a for a, b in zip(rest, rest[1:]))
+    assert rest[0] > 0.05 * gxx
+    assert 0.0 < rest[-1] < 5e-4 * gxx
 
 
 # --------------------------------------------- second route: kernel oracle
