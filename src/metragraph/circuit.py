@@ -15,6 +15,7 @@ built.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -47,39 +48,37 @@ def _laplacian(size, i, j, length):
     return np.bincount(cells.ravel(), weights.ravel(), size * size).reshape(size, size)
 
 
-def _solved_resistances(graph, y, points):
+def _solved_resistances(kernel, y, points):
     """[r(p, y) for p in points] from the graph subdivided at y and at every
     p, in one grounded solve with one right-hand side per point: the route
     the kernel and its profiles are checked against, sharing only the
-    Laplacian assembly.  The ground is the node of largest conductance sum:
-    grounded far from its shortest edges, the solve loses up to 2e-9 of r
-    on lengths that span 1e7."""
-    n = len(graph.vertices)
-    cuts = {}  # (edge id, offset) -> node index of an interior point
-
-    def node(p):
-        v = graph.vertex_of(p)
-        if v is not None:
-            return graph.vertex_index(v)
-        return cuts.setdefault((p.edge, p.offset), n + len(cuts))
-
-    iy = node(y)
-    cols = [node(p) for p in points]
-    chains = {}
-    for (eid, t), i in cuts.items():
-        chains.setdefault(eid, []).append((t, i))
-    segments = []
-    for e in graph.edges:
-        chain = [(0.0, graph.vertex_index(e.u)), *sorted(chains.get(e.id, [])),
-                 (e.length, graph.vertex_index(e.v))]
-        segments += [(i, j, t1 - t0) for (t0, i), (t1, j) in zip(chain, chain[1:])]
-    k = np.arange(len(cols))
-    B = np.zeros((n + len(cuts), len(cols)))
-    B[cols, k] += 1.0
+    Laplacian assembly.  The network is the kernel's edge list, each split
+    edge replaced in place by its pieces.  The ground is the node of largest
+    conductance sum: grounded far from its shortest edges, the solve loses
+    up to 2e-9 of r on lengths that span 1e7."""
+    ends, L, n = kernel._ends, kernel._L, len(kernel.graph.vertices)
+    k = np.array([kernel._row[p.edge] for p in (y, *points)])
+    t = np.array([p.offset for p in (y, *points)])
+    inner = (t > 0.0) & (t < L[k])
+    keys = list(zip(k[inner].tolist(), t[inner].tolist()))
+    cut = dict(zip(dict.fromkeys(keys), itertools.count(n)))
+    nodes = ends[k, (t > 0.0).astype(int)]
+    nodes[inner] = list(map(cut.__getitem__, keys))
+    # the nodes on each edge by offset; a resistor joins each neighbouring pair
+    row = np.concatenate([np.arange(len(L)).repeat(2), [r for r, _ in cut]])
+    at = np.concatenate([np.column_stack([np.zeros_like(L), L]).ravel(), [a for _, a in cut]])
+    node = np.concatenate([ends.ravel(), np.arange(n, n + len(cut))])
+    order = np.lexsort((at, row))
+    row, at, node = row[order], at[order], node[order]
+    link = row[1:] == row[:-1]
+    Q = _laplacian(n + len(cut), node[:-1][link], node[1:][link], np.diff(at)[link])
+    iy, cols = nodes[0], nodes[1:]
+    j = np.arange(len(cols))
+    B = np.zeros((len(Q), len(cols)))
+    B[cols, j] += 1.0
     B[iy] -= 1.0
-    Q = _laplacian(len(B), *zip(*segments))
     V = solve_grounded(Q, B, int(np.argmax(np.diag(Q))))
-    return V[cols, k] - V[iy]
+    return V[cols, j] - V[iy]
 
 
 def effective_resistance(graph, x, y):
@@ -356,7 +355,7 @@ class ResistanceKernel:
         y = g.point(edges[0].id, 0.7182818284 * edges[0].length)
         checked = [edges[k] for k in sorted({0, len(edges) // 2, len(edges) - 1})]
         points = [g.point(e.id, 0.3183098861 * e.length) for e in checked]
-        direct = _solved_resistances(g, y, points)
+        direct = _solved_resistances(self, y, points)
         ell = total_length(g)
         for e, p, d in zip(checked, points, direct):
             err = abs(d - self.point_eval(p, y)) / ell
@@ -395,7 +394,7 @@ class ResistanceProfile:
         one point per edge."""
         edges = self.graph.edges
         points = [self.graph.point(e.id, 0.3183098861 * e.length) for e in edges]
-        direct = _solved_resistances(self.graph, self.y, points)
+        direct = _solved_resistances(self.polys.kernel, self.y, points)
         offsets = np.array([p.offset for p in points])
         fitted = self.polys.values_at(np.arange(len(edges)), offsets)
         ell = total_length(self.graph)

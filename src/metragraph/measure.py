@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, compress
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -31,12 +32,13 @@ CANONICAL_MASS_TOL = 1e-10
 class Measure:
     """Atoms + per-edge polynomial densities on a fixed graph.
 
-    ``atoms`` and ``densities`` give the measure per point and per edge id.
+    ``atoms`` and ``densities`` give the measure per point and per edge id;
+    a density keeps its given length and stays real unless given complex.
     ``arrays`` gives the same measure in array form, built once: the atoms'
     edge rows, offsets and masses, in ``atoms`` order, and an m x K density
     matrix whose row k holds the ascending coefficients on graph.edges[k],
-    zero-padded to the longest density (K = 1 when there is none).  Masses
-    and densities share one dtype, complex when any of them is.
+    zero-padded to the longest density (K = 1 when there is none).  Its
+    masses and density matrix share one dtype, complex when any entry is.
     """
 
     def __init__(self, graph, atoms=(), densities=None):
@@ -52,25 +54,34 @@ class Measure:
                 merged[key] = (point, complex(mass) if isinstance(mass, complex)
                                else float(mass))
         self._atoms = {k: merged[k] for k in sorted(merged)}
-        dens = {}
-        for eid, coeffs in (densities or {}).items():
-            graph.edge(eid)
-            arr = np.atleast_1d(np.asarray(coeffs))
-            if not np.iscomplexobj(arr):
-                arr = arr.astype(float)
-            if np.any(arr != 0):
-                dens[eid] = arr
-        self.densities = {k: dens[k] for k in sorted(dens)}
         row = {e.id: k for k, e in enumerate(graph.edges)}
-        points = [p for p, _ in self.atoms]
+        densities = densities or {}
+        unknown = densities.keys() - row.keys()
+        if unknown:  # named as the first of them in the given order
+            graph.edge(next(filter(unknown.__contains__, densities)))
+        # one zero-padded matrix, a row per density in sorted edge-id order
+        names = sorted(densities)
+        rows = np.array(list(map(row.__getitem__, names)), dtype=int)
+        coeffs = list(map(densities.__getitem__, names))
+        if not all(map(np.iterable, coeffs)):
+            coeffs = list(map(np.atleast_1d, coeffs))
+        size = np.array(list(map(len, coeffs)), dtype=int)
+        flat = np.array(list(chain.from_iterable(coeffs)))
+        P = np.zeros((len(names), size.max(initial=1)), np.result_type(float, flat))
+        P[np.arange(P.shape[1]) < size[:, None]] = flat
+        cplx = np.zeros(len(names), dtype=bool)
+        if np.iscomplexobj(P):  # a real row beside a complex one stays real
+            cplx[:] = list(map(np.iscomplexobj, coeffs))
+        keep = np.any(P != 0, axis=1)
+        self.densities = dict(zip(compress(names, keep), map(
+            lambda r, k, c: (r if c else r.real)[:k],
+            P[keep], size[keep].tolist(), cplx[keep])))
         mass = np.array([m for _, m in self.atoms])
-        dtype = np.result_type(float, mass, *self.densities.values())
-        D = np.zeros((len(graph.edges), max(map(len, self.densities.values()), default=1)),
-                     dtype)
-        for eid, c in self.densities.items():
-            D[row[eid], :c.size] = c
-        self.arrays = (np.array([row[p.edge] for p in points], dtype=int),
-                       np.array([p.offset for p in points], dtype=float),
+        dtype = complex if np.iscomplexobj(mass) or np.any(cplx[keep]) else float
+        D = np.zeros((len(graph.edges), size[keep].max(initial=1)), dtype)
+        D[rows[keep]] = (P if dtype is complex else P.real)[keep, :D.shape[1]]
+        self.arrays = (np.array([row[p.edge] for p, _ in self.atoms], dtype=int),
+                       np.array([p.offset for p, _ in self.atoms], dtype=float),
                        mass.astype(dtype), D)
 
     @property

@@ -72,13 +72,12 @@ def solve_grounded(Q, b, grounded, tol=1e-12):
         raise ValueError("shape mismatch")
     if not np.all(np.isfinite(Q)):
         raise NumericError("grounded solve failed: conductance not finite")
-    keep = [i for i in range(n) if i != grounded]
+    keep = np.arange(n) != grounded
     v = np.zeros(b.shape)
-    if keep:
-        try:
-            v[keep] = np.linalg.solve(Q[np.ix_(keep, keep)], b[keep])
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"grounded solve failed: {exc}") from None
+    try:
+        v[keep] = np.linalg.solve(Q[keep[:, None] & keep].reshape(n - 1, n - 1), b[keep])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"grounded solve failed: {exc}") from None
     inf = np.inf
     residual = np.linalg.norm(Q @ v - b, inf)
     scale = np.linalg.norm(Q, inf) * np.linalg.norm(v, inf) + np.linalg.norm(b, inf)

@@ -668,8 +668,9 @@ def _refine_root(ratio, a, b, root_tol):
 
     None unless u goes from negative at a to positive at b.  Secant steps
     that leave the bracket or fail to halve the step before last fall back
-    to bisection.  Once a step is below root_tol + 8 eps gamma, one more
-    secant step is taken.
+    to bisection.  Once a step is below root_tol + 8 eps gamma, or a proposal
+    lies within 8 eps gamma of the last iterate (a root, where bisection only
+    shrinks a one-sided bracket), the next proposal is returned inside [a, b].
     """
     ua, ub = ratio(a), ratio(b)
     if not ua < 0.0 < ub:
@@ -678,7 +679,7 @@ def _refine_root(ratio, a, b, root_tol):
     steps, converged = [math.inf, math.inf], False
     for _ in range(SECANT_MAX_ITER):
         x = x1 - u1 * (x1 - x0) / (u1 - u0) if u1 != u0 else math.nan
-        if converged:  # the final secant step, kept inside the bracket
+        if converged or abs(x - x1) <= 8.0 * np.finfo(float).eps * x1:
             return min(max(x, a), b) if u1 != u0 else x1
         if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
             x = 0.5 * (a + b)

@@ -435,3 +435,66 @@ def scan_spectrum(problem, gamma_max, step):
         if best.fun < 1e-6:
             roots.append(r + best.x)
     return [(g, int(np.sum(svals(g) < 1e-6))) for g in roots]
+
+
+def measure_arrays(graph, atoms, densities):
+    """(densities, arrays) of a Measure by the per-edge loop it was once built
+    with: each density checked against the graph and converted on its own,
+    the all-zero ones dropped, the rest scattered row by row into the padded
+    matrix.  atoms is the measure's merged, ordered (point, mass) list."""
+    dens = {}
+    for eid, coeffs in (densities or {}).items():
+        graph.edge(eid)
+        arr = np.atleast_1d(np.asarray(coeffs))
+        if not np.iscomplexobj(arr):
+            arr = arr.astype(float)
+        if np.any(arr != 0):
+            dens[eid] = arr
+    dens = {k: dens[k] for k in sorted(dens)}
+    row = {e.id: k for k, e in enumerate(graph.edges)}
+    mass = np.array([m for _, m in atoms])
+    dtype = np.result_type(float, mass, *dens.values())
+    D = np.zeros((len(graph.edges), max(map(len, dens.values()), default=1)), dtype)
+    for eid, c in dens.items():
+        D[row[eid], :c.size] = c
+    return dens, (np.array([row[p.edge] for p, _ in atoms], dtype=int),
+                  np.array([p.offset for p, _ in atoms], dtype=float),
+                  mass.astype(dtype), D)
+
+
+def check_network(graph, y, points):
+    """(Q, B) of the resistance check's subdivided network by the chain walk
+    it was once built with: nodes at the vertices, then one per interior
+    point in order of first appearance; per edge in graph order, a resistor
+    between each pair of neighbours on its chain of nodes sorted by offset,
+    added to Q one at a time; B has a column per point, +1 there and -1 at y."""
+    n = len(graph.vertices)
+    vindex = {v: i for i, v in enumerate(graph.vertices)}
+    cuts = {}
+
+    def node(p):
+        v = graph.vertex_of(p)
+        if v is not None:
+            return vindex[v]
+        return cuts.setdefault((p.edge, p.offset), n + len(cuts))
+
+    iy = node(y)
+    cols = [node(p) for p in points]
+    chains = {}
+    for (eid, t), i in cuts.items():
+        chains.setdefault(eid, []).append((t, i))
+    size = n + len(cuts)
+    Q = np.zeros((size, size))
+    for e in graph.edges:
+        chain = [(0.0, vindex[e.u]), *sorted(chains.get(e.id, [])),
+                 (e.length, vindex[e.v])]
+        for (t0, i), (t1, j) in zip(chain, chain[1:]):
+            c = 1.0 / (t1 - t0)
+            Q[i, i] += c
+            Q[j, j] += c
+            Q[i, j] -= c
+            Q[j, i] -= c
+    B = np.zeros((size, len(cols)))
+    B[cols, np.arange(len(cols))] += 1.0
+    B[iy] -= 1.0
+    return Q, B

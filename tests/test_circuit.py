@@ -311,3 +311,79 @@ def test_measure_on_another_graph_is_rejected():
             kernel.potential(nu)
         with pytest.raises(ValidationError, match="different graph"):
             table.integrate(nu)
+
+
+CHECK_GRAPHS = {"tetrahedron": lambda: builtin_graph("tetrahedron"),
+                "banana": lambda: builtin_graph("banana:3"), "lollipop": lollipop}
+
+
+def check_cases(g):
+    """(y, points) pairs for the resistance check's network."""
+    e, f = g.edges[0], g.edges[-1]
+    y = g.point(e.id, 0.4 * e.length)
+    return {
+        "point at a vertex": (y, [g.point(f.id, 0.0), g.point(f.id, f.length),
+                                  g.point(e.id, 0.7 * e.length)]),
+        "two points on one edge": (y, [g.point(f.id, 0.6 * f.length),
+                                       g.point(f.id, 0.2 * f.length),
+                                       g.point(f.id, 0.6 * f.length)]),
+        "y on a checked edge": (y, [g.point(e.id, 0.9 * e.length),
+                                    g.point(e.id, 0.1 * e.length), y]),
+        "y at a vertex": (g.point_at_vertex(e.v), [g.point(f.id, 0.5 * f.length)]),
+        "every edge": (y, [g.point(d.id, 0.3183098861 * d.length) for d in g.edges]),
+    }
+
+
+@pytest.mark.parametrize("graph", CHECK_GRAPHS)
+@pytest.mark.parametrize("case", list(check_cases(builtin_graph("tetrahedron"))))
+def test_check_network_matches_chain_walk(graph, case, monkeypatch):
+    # the network built from the kernel's edge arrays against the per-edge
+    # chain walk it replaced: the same Laplacian, bit for bit, and the same
+    # right-hand sides and ground
+    g = CHECK_GRAPHS[graph]()
+    y, points = check_cases(g)[case]
+    kernel = resistance_kernel(g)
+    seen, solve = [], circuit.solve_grounded
+    monkeypatch.setattr(circuit, "solve_grounded",
+                        lambda Q, B, ground: seen.append((Q, B, ground)) or solve(Q, B, ground))
+    direct = circuit._solved_resistances(kernel, y, points)
+    (Q, B, ground), = seen
+    want_Q, want_B = oracles.check_network(g, y, points)
+    assert Q.shape == want_Q.shape and Q.tobytes() == want_Q.tobytes()
+    assert B.shape == want_B.shape and B.tobytes() == want_B.tobytes()
+    assert ground == np.argmax(np.diag(want_Q))
+    assert direct == pytest.approx([oracles.resistance(g, p, y) for p in points], abs=1e-12)
+
+
+def test_checks_catch_a_corrupted_kernel_or_profile():
+    # one symmetric pair of kernel entries, or one profile coefficient, off by
+    # twice the 1e-9 ell bound at a checked pair must raise, and off by half
+    # of it must not
+    g = lollipop()
+    edges, ell = g.edges, sum(e.length for e in g.edges)
+    y = g.point(edges[0].id, 0.7182818284 * edges[0].length)
+    checked = [g.point(e.id, 0.3183098861 * e.length) for e in (edges[0], edges[2], edges[-1])]
+    clean = resistance_kernel(g)
+
+    def corrupted(delta):
+        kernel = circuit.ResistanceKernel(g)
+        i, j = kernel._ends[-1, 0], kernel._ends[0, 1]
+        kernel._R[i, j] += delta
+        kernel._R[j, i] += delta
+        kernel._B.clear()
+        return kernel
+
+    probe = corrupted(1e-3 * ell)
+    weight = max(abs(probe.point_eval(p, y) - clean.point_eval(p, y)) for p in checked) / (1e-3 * ell)
+    assert weight > 0.1
+    corrupted(0.5e-9 * ell / weight)._validate()
+    with pytest.raises(NumericError, match="resistance kernel mismatch"):
+        corrupted(2e-9 * ell / weight)._validate()
+    for delta, fails in ((0.5e-9 * ell, False), (2e-9 * ell, True)):
+        profile = resistance_profile(g, y)
+        profile.polys.coeffs[-1, 0] += delta
+        if fails:
+            with pytest.raises(NumericError, match="resistance profile mismatch on edge s2"):
+                profile._validate()
+        else:
+            profile._validate()

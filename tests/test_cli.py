@@ -4,11 +4,14 @@ emitted JSON/CSV against closed-form values and the golden table file."""
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 
 import pytest
 
+import metragraph
 from metragraph.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -264,3 +267,20 @@ def test_eigen_rejects_a_huge_lambda_max_quickly(capsys):
     err = capsys.readouterr().err
     assert rc == 3 and elapsed < 1.0
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_library_loads_no_scipy():
+    # the library imports only numpy; scipy is a test dependency.  A fresh
+    # interpreter, since this suite's own imports load scipy.
+    src = os.path.dirname(os.path.dirname(metragraph.__file__))
+    code = ("import sys\nfrom metragraph.cli import main\n"
+            "rc = main(['tau', '--graph', 'builtin:tetrahedron'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),"
+            " file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0 []"
+    assert "tau" in json.loads(proc.stdout)

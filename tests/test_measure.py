@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import lollipop
 from metragraph import (
     CPAFunction,
     Measure,
@@ -209,6 +211,54 @@ def test_arrays_match_atoms_and_densities(name, rng):
             np.iscomplexobj(c) for c in mu.densities.values())
         assert np.iscomplexobj(D) == np.iscomplexobj(mass) == complex_parts
         assert mu.is_real() == (not complex_parts)
+
+
+DENSITY_CASES = {
+    "ragged": {"t2": [1.0, 2.0, 3.0], "s1": [4.0], "t1": [0.5, -1.0]},
+    "trailing zeros": {"t1": [1.0, 0.0, 0.0], "s2": [0.0, 2.0, 0.0, 0.0], "t3": [-0.0, 1.0]},
+    "all-zero rows": {"t1": [0.0] * 5, "s1": [1.0], "t3": [], "s2": [0j, 0j, 0j]},
+    "only zero rows": {"t1": [0.0], "s2": [0.0, -0.0]},
+    "complex": {"t1": [1.0 + 2.0j, 0.5], "s1": [3.0j]},
+    "real beside complex": {"t1": [1.0, 2.0], "s2": [1.0j, 0.0, 0.0], "t2": [0.25],
+                            "s1": np.array([1, 2])},
+    "scalars": {"t1": 2.0, "s2": np.float64(3.0), "t2": np.array(5.0), "s1": 1 + 1j,
+                "t3": 0.0},
+    "numpy arrays": {"t3": np.array([1.0, -0.0, 2.0]), "t1": np.arange(3),
+                     "s2": np.array([True, False]), "s1": np.zeros(4),
+                     "t2": np.array([0.5j, 1.0])},
+}
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", DENSITY_CASES)
+@pytest.mark.parametrize("complex_atom", [False, True])
+def test_array_pass_matches_loop_oracle(case, complex_atom):
+    # the padded-array build against the per-edge loop it replaced, on a
+    # graph whose edge order is not its sorted edge-id order
+    g = lollipop()
+    atoms = [(g.point("t2", 0.1), 0.5), (g.point_at_vertex("d"), -1.5)]
+    if complex_atom:
+        atoms.append((g.point("s1", 0.05), 0.25 + 1.0j))
+    mu = Measure(g, atoms, DENSITY_CASES[case])
+    dens, arrays = oracles.measure_arrays(g, mu.atoms, DENSITY_CASES[case])
+    assert list(mu.densities) == list(dens)
+    for eid, c in dens.items():
+        assert_same_bits(mu.densities[eid], c)
+    for got, want in zip(mu.arrays, arrays, strict=True):
+        assert_same_bits(got, want)
+
+
+def test_unknown_density_edge_is_named():
+    g = lollipop()
+    for densities in ({"t1": [1.0], "nope": [1.0]}, {"zz": [0.0], "t1": [1.0], "aa": [2.0]}):
+        with pytest.raises(ValidationError) as want:
+            oracles.measure_arrays(g, [], densities)
+        with pytest.raises(ValidationError) as got:
+            Measure(g, [], densities)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", ["interval", "circle", "tetrahedron", "petersen"])

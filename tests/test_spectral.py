@@ -389,7 +389,7 @@ def test_refinement_evaluation_count(monkeypatch):
         graph = builtin_graph(name)
         for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
             find_eigenvalues(graph, mu, TABLE_GAMMA_MAX)
-    assert sum(calls) <= 1500
+    assert sum(calls) <= 500
     assert len(counts) <= 1000
 
 
