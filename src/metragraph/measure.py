@@ -55,7 +55,20 @@ class Measure:
                                else float(mass))
         self._atoms = {k: merged[k] for k in sorted(merged)}
         row = {e.id: k for k, e in enumerate(graph.edges)}
-        densities = densities or {}
+        mass = np.array([m for _, m in self.atoms])
+        dtype = complex if np.iscomplexobj(mass) else float
+        if densities:
+            self.densities, D = self._density_arrays(graph, row, densities, dtype)
+        else:  # atom-only: no stacking pass
+            self.densities, D = {}, np.zeros((len(graph.edges), 1), dtype)
+        self.arrays = (np.array([row[p.edge] for p, _ in self.atoms], dtype=int),
+                       np.array([p.offset for p, _ in self.atoms], dtype=float),
+                       mass.astype(D.dtype), D)
+
+    @staticmethod
+    def _density_arrays(graph, row, densities, dtype):
+        """(densities, m x K matrix) in one pass; the matrix is complex when
+        dtype is or when any density is."""
         unknown = densities.keys() - row.keys()
         if unknown:  # named as the first of them in the given order
             graph.edge(next(filter(unknown.__contains__, densities)))
@@ -73,16 +86,14 @@ class Measure:
         if np.iscomplexobj(P):  # a real row beside a complex one stays real
             cplx[:] = list(map(np.iscomplexobj, coeffs))
         keep = np.any(P != 0, axis=1)
-        self.densities = dict(zip(compress(names, keep), map(
+        dens = dict(zip(compress(names, keep), map(
             lambda r, k, c: (r if c else r.real)[:k],
             P[keep], size[keep].tolist(), cplx[keep])))
-        mass = np.array([m for _, m in self.atoms])
-        dtype = complex if np.iscomplexobj(mass) or np.any(cplx[keep]) else float
+        if np.any(cplx[keep]):
+            dtype = complex
         D = np.zeros((len(graph.edges), size[keep].max(initial=1)), dtype)
         D[rows[keep]] = (P if dtype is complex else P.real)[keep, :D.shape[1]]
-        self.arrays = (np.array([row[p.edge] for p, _ in self.atoms], dtype=int),
-                       np.array([p.offset for p, _ in self.atoms], dtype=float),
-                       mass.astype(dtype), D)
+        return dens, D
 
     @property
     def atoms(self):

@@ -138,15 +138,16 @@ def golden_min(f, a, b, xatol):
 
 def equilibrate_rows(M):
     """Scale each row by its max absolute entry; zero rows are left alone.
+    A stack of matrices is scaled matrix by matrix.
 
     Returns (scaled matrix, scale factors).  Determinants of the scaled
     matrix differ from det(M) by the product of the factors, so only root
     locations carry meaning.
     """
     M = np.asarray(M, dtype=float)
-    scales = np.max(np.abs(M), axis=1)
+    scales = np.max(np.abs(M), axis=-1)
     scales[scales == 0.0] = 1.0
-    return M / scales[:, None], scales
+    return M / scales[..., None], scales
 
 
 def real_roots_in_interval(coeffs, a, b, tol=1e-12):

@@ -43,6 +43,10 @@ GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_ROW_REL = 1e-10
 SECANT_MAX_ITER = 100
 MAX_EIGENVALUES = 100_000  # per find_eigenvalues call, counted before any bisection
+# a stacked count or secant step takes at most MAX_BATCH gammas, fewer when
+# their stack of matrices would exceed MAX_STACK_ENTRIES, so memory stays flat
+MAX_BATCH = 64
+MAX_STACK_ENTRIES = 1 << 18
 
 # Features of M(gamma): two global ones, then per edge the trig values, the
 # derivative factors, h(0), h(L), h'(0), -h'(L) and the integral of h*d for
@@ -270,7 +274,8 @@ class SpectralProblem:
     Interior atoms force subdivisions so that every atom of the working
     measure sits at a vertex; the unknown vector is ordered
     (A_1, B_1, ..., A_m, B_m, C) following the working graph's edge order.
-    bases keeps find_eigenvalues' nullspace bases by (root, rank_tol).
+    bases keeps find_eigenvalues' nullspace bases by (root, rank_tol), and
+    count its EigenvalueCount.
     """
 
     def __init__(self, graph, mu):
@@ -303,6 +308,11 @@ class SpectralProblem:
         tags.append("integral")
         self.row_tags = tuple(tags)
         self._compile()
+
+    @functools.cached_property
+    def count(self):
+        """The problem's EigenvalueCount, built on first use."""
+        return EigenvalueCount(self)
 
     def particulars(self, gamma):
         """The particular solutions at gamma, one zero-padded row per edge."""
@@ -404,45 +414,56 @@ class SpectralProblem:
 
     def _assemble(self, gamma, derivative=False):
         """Raw M(gamma), or (M, dM/dgamma) through the same plan: cos -> -L sin,
-        s^j -> -2j s^j / gamma, and polynomial moments from those of t * p."""
-        if gamma <= 0:
+        s^j -> -2j s^j / gamma, and polynomial moments from those of t * p.
+        A 1-D array of gammas gives stacks, one matrix per gamma."""
+        gs = np.asarray(gamma, dtype=float)
+        if np.any(gs <= 0):
             raise ValidationError("gamma must be positive")
-        g = float(gamma)
-        L = self._lengths
+        g = np.atleast_1d(gs)[:, None]
+        L, B = self._lengths, g.shape[0]
         gL = g * L
         cg, sg = np.cos(gL), np.sin(gL)
         vers = 2.0 * np.sin(0.5 * gL) ** 2  # 1 - cos, stable at small gamma*L
-        F = np.empty((len(self.edges), _EDGE_FEATURES))
-        F[:, _COS], F[:, _SIN], F[:, _G] = cg, sg, g
-        F[:, _GSIN], F[:, _MGCOS] = g * sg, -g * cg
+        F = np.empty((B, len(self.edges), _EDGE_FEATURES))
+        F[..., _COS], F[..., _SIN], F[..., _G] = cg, sg, g
+        F[..., _GSIN], F[..., _MGCOS] = g * sg, -g * cg
         powers = (1.0 / (g * g)) ** np.arange(self._hpoly.shape[2])
-        F[:, _H0:_CMOM] = self._hpoly @ powers
-        F[:, _CMOM] = self._d0 * sg / g
-        F[:, _SMOM] = self._d0 * vers / g
-        if self._poly.size:  # moments of p and of t * p from one call
-            dens = self._dens[self._poly]
-            I = _exp_moments(g, L[self._poly], dens.shape[1])
-            z = np.sum(dens * I[:, :-1], axis=1)
-            F[self._poly, _CMOM], F[self._poly, _SMOM] = z.real, z.imag
-        M = self._scatter([1.0, g * g], F)
+
+        def h_features(weights):  # _hpoly against each gamma's row of weights
+            return (self._hpoly @ weights[:, None, :, None])[..., 0]
+
+        F[..., _H0:_CMOM] = h_features(powers)
+        F[..., _CMOM] = self._d0 * sg / g
+        F[..., _SMOM] = self._d0 * vers / g
+        k = self._poly
+        if k.size:  # moments of p and of t * p from one call
+            I = _exp_moments(np.repeat(g, k.size), np.tile(L[k], B),
+                             self._dens.shape[1]).reshape(B, k.size, -1)
+            z = np.sum(self._dens[k] * I[..., :-1], axis=-1)
+            F[:, k, _CMOM], F[:, k, _SMOM] = z.real, z.imag
+        M = self._scatter(np.column_stack((np.ones(B), g * g)), F)
         if not derivative:
-            return M
+            return M if gs.ndim else M[0]
         D = np.empty_like(F)
-        D[:, _COS], D[:, _SIN], D[:, _G] = -L * sg, L * cg, 1.0
-        D[:, _GSIN], D[:, _MGCOS] = sg + gL * cg, gL * sg - cg
-        D[:, _H0:_CMOM] = self._hpoly @ (powers * np.arange(powers.size)) * (-2.0 / g)
-        D[:, _CMOM] = self._d0 * (L * cg - sg / g) / g
-        D[:, _SMOM] = self._d0 * (L * sg - vers / g) / g
-        if self._poly.size:
-            z = np.sum(dens * I[:, 1:], axis=1)
-            D[self._poly, _CMOM], D[self._poly, _SMOM] = -z.imag, z.real
-        return M, self._scatter([0.0, 2.0 * g], D)
+        D[..., _COS], D[..., _SIN], D[..., _G] = -L * sg, L * cg, 1.0
+        D[..., _GSIN], D[..., _MGCOS] = sg + gL * cg, gL * sg - cg
+        D[..., _H0:_CMOM] = h_features(powers * np.arange(powers.shape[1])) \
+            * (-2.0 / g[..., None])
+        D[..., _CMOM] = self._d0 * (L * cg - sg / g) / g
+        D[..., _SMOM] = self._d0 * (L * sg - vers / g) / g
+        if k.size:
+            z = np.sum(self._dens[k] * I[..., 1:], axis=-1)
+            D[:, k, _CMOM], D[:, k, _SMOM] = -z.imag, z.real
+        dM = self._scatter(np.column_stack((np.zeros(B), 2.0 * g)), D)
+        return (M, dM) if gs.ndim else (M[0], dM[0])
 
     def _scatter(self, global_feats, edge_feats):
-        feats = np.concatenate((global_feats, edge_feats.ravel()))
-        M = np.bincount(self._flat, self._coef * feats[self._feat],
-                        minlength=self.size * self.size)
-        return M.reshape(self.size, self.size)
+        """The matrices of a stack of feature rows, from one bincount."""
+        B, NN = len(edge_feats), self.size * self.size
+        feats = np.concatenate((global_feats, edge_feats.reshape(B, -1)), axis=1)
+        M = np.bincount((self._flat + NN * np.arange(B)[:, None]).ravel(),
+                        (self._coef * feats[:, self._feat]).ravel(), minlength=B * NN)
+        return M.reshape(B, self.size, self.size)
 
     def solution(self, gamma, vec, h=None):
         """EdgeBasisSolution from one coefficient vector (and the table of
@@ -618,61 +639,105 @@ class EigenvalueCount:
                                   list(problem._atom_mass.values()), minlength=N)
 
     def __call__(self, gamma):
-        if gamma <= 0:
-            raise ValidationError("gamma must be positive")
-        g, L, N = float(gamma), self._lengths, self._nodes
+        """N_mu at gamma, an int; at a 1-D array of gammas, the list of them,
+        from one stacked solve and eigvalsh per batch (_batched)."""
+        return _batched(self._counts, gamma, self._nodes)
+
+    def _counts(self, gs):
+        g, L, N, B = gs[:, None], self._lengths, self._nodes, len(gs)
         gL = g * L
         sg, cg = np.sin(gL), np.cos(gL)
         tg = g * np.tan(0.5 * gL)  # gamma (1 - c) / s, a row sum of one piece
         off = g / sg
-        lam = np.bincount(self._flat, np.concatenate((-cg * off, -cg * off, off, off)),
-                          minlength=N * N).reshape(N, N)
-        r = np.bincount(self._ends, np.concatenate((tg, tg)), minlength=N)
+        lam = np.bincount((self._flat + N * N * np.arange(B)[:, None]).ravel(),
+                          np.concatenate((-cg * off, -cg * off, off, off), axis=1).ravel(),
+                          minlength=B * N * N).reshape(B, N, N)
+        ends = (self._ends + N * np.arange(B)[:, None]).ravel()
+        r = np.bincount(ends, np.concatenate((tg, tg), axis=1).ravel(),
+                        minlength=B * N).reshape(B, N)
         C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
         energy = self._d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
         if self._poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
             k = self._poly
-            I = _exp_moments(g, L[k], self._overlap.shape[1] - 1)
-            z = np.sum(self._dens * I[:, :self._dens.shape[1]], axis=1)
-            C[k], S[k] = z.real, z.imag
-            zz = z * z * (cg[k] - 1j * sg[k])  # integral of d d cos(g (t + t' - L))
-            energy[k] = (zz.real - 2.0 * np.sum(self._overlap * I.real, axis=1)) \
-                / (2.0 * g * sg[k])
-        slopes = np.concatenate((C - cg * S / sg, S / sg))
-        f = self._atoms + np.bincount(self._ends, slopes, minlength=N)
-        sub = lam[1:, 1:]
-        rs, fs = np.linalg.solve(sub, np.stack((r[1:], f[1:]), axis=1)).T
-        schur = r.sum() - r[1:] @ rs
-        z = f.sum() - r[1:] @ fs
-        w = energy.sum() - f[1:] @ fs - z * z / schur
-        kirchhoff = int(np.sum(np.floor(gL / math.pi))) \
-            + int(np.count_nonzero(np.linalg.eigvalsh(sub) > 0.0)) + int(schur > 0.0)
-        return kirchhoff - 1 + int(w > 0.0)
+            I = _exp_moments(np.repeat(g, k.size), np.tile(L[k], B),
+                             self._overlap.shape[1] - 1).reshape(B, k.size, -1)
+            z = np.sum(self._dens * I[..., :self._dens.shape[1]], axis=-1)
+            C[:, k], S[:, k] = z.real, z.imag
+            zz = z * z * (cg[:, k] - 1j * sg[:, k])  # integral of d d cos(g (t + t' - L))
+            energy[:, k] = (zz.real - 2.0 * np.sum(self._overlap * I.real, axis=-1)) \
+                / (2.0 * g * sg[:, k])
+        slopes = np.concatenate((C - cg * S / sg, S / sg), axis=1)
+        f = self._atoms + np.bincount(ends, slopes.ravel(), minlength=B * N).reshape(B, N)
+        sub = lam[:, 1:, 1:]
+        x = np.linalg.solve(sub, np.stack((r[:, 1:], f[:, 1:]), axis=2))
+        rs, fs = x[..., :1], x[..., 1:]  # stacked columns: dot products per gamma
+        schur = r.sum(axis=1) - (r[:, None, 1:] @ rs)[:, 0, 0]
+        z = f.sum(axis=1) - (r[:, None, 1:] @ fs)[:, 0, 0]
+        w = energy.sum(axis=1) - (f[:, None, 1:] @ fs)[:, 0, 0] - z * z / schur
+        rest = np.count_nonzero(np.linalg.eigvalsh(sub) > 0.0, axis=1) \
+            + (schur > 0.0) - 1 + (w > 0.0)
+        # Python ints: near a gamma_max that MAX_EIGENVALUES rejects, the
+        # trig term can exceed int64
+        return [int(t) + n for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
+                                           rest.tolist())]
+
+
+def _batched(fn, gamma, size):
+    """fn, which maps a 1-D array of gammas to a list, at a scalar (its one
+    value) or a 1-D array (one list), in batches of at most MAX_BATCH gammas
+    whose size x size matrices hold at most MAX_STACK_ENTRIES entries (one
+    matrix at least)."""
+    gs = np.asarray(gamma, dtype=float)
+    if np.any(gs <= 0):
+        raise ValidationError("gamma must be positive")
+    flat = np.atleast_1d(gs)
+    step = max(1, min(MAX_BATCH, MAX_STACK_ENTRIES // (size * size)))
+    out = [v for i in range(0, flat.size, step) for v in fn(flat[i:i + step])]
+    return out if gs.ndim else out[0]
+
+
+def _solve_traces(A, B):
+    """tr(A_i^-1 B_i) per stacked pair; inf where A_i is singular to working
+    precision, found by halving the stack that failed as a whole."""
+    try:
+        return np.trace(np.linalg.solve(A, B), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.array([math.inf])
+        h = len(A) // 2
+        return np.concatenate((_solve_traces(A[:h], B[:h]), _solve_traces(A[h:], B[h:])))
 
 
 def _newton_ratio(problem, gamma):
     """u = 1 / (d/dgamma log det M) = 1 / tr(M^-1 M'), about (gamma - root) / k
-    near a root of multiplicity k; equilibrating rows keeps the trace."""
-    M, dM = problem._assemble(gamma, derivative=True)
-    scaled, scales = equilibrate_rows(M)
-    try:
-        trace = float(np.trace(np.linalg.solve(scaled, dM / scales[:, None])))
-    except np.linalg.LinAlgError:  # singular to working precision: a root
-        return 0.0
-    return 1.0 / trace if trace else math.inf
+    near a root of multiplicity k; equilibrating rows keeps the trace.  0 where
+    M is singular to working precision (a root).  A float at a scalar gamma,
+    a list at a 1-D array, from one stacked assembly and solve per batch
+    (_batched)."""
+    def ratios(gs):
+        M, dM = problem._assemble(gs, derivative=True)
+        M, scales = equilibrate_rows(M)
+        dM /= scales[..., None]  # in place: the stacks are the step's largest arrays
+        trace = _solve_traces(M, dM)
+        with np.errstate(divide="ignore"):
+            return np.where(trace == 0.0, math.inf, 1.0 / trace).tolist()
+    return _batched(ratios, gamma, problem.size)
 
 
-def _refine_root(ratio, a, b, root_tol):
-    """Zero of u = ratio(gamma) in [a, b] by a bracketed secant iteration.
+def _refine_root(a, b, root_tol):
+    """Zero of u(gamma) = _newton_ratio in [a, b] by a bracketed secant
+    iteration, as a generator: it yields the tuple of gammas whose u it needs
+    next, is sent their values as a tuple, and returns the root (None unless
+    u goes from negative at a to positive at b).
 
-    None unless u goes from negative at a to positive at b.  Secant steps
-    that leave the bracket or fail to halve the step before last fall back
-    to bisection.  Once a step is below root_tol + 8 eps gamma, or a proposal
-    lies within 8 eps gamma of the last iterate (a root, where bisection only
-    shrinks a one-sided bracket), the next proposal is returned inside [a, b].
+    Secant steps that leave the bracket or fail to halve the step before last
+    fall back to bisection.  Once a step is below root_tol + 8 eps gamma, or a
+    proposal lies within 8 eps gamma of the last iterate (a root, where
+    bisection only shrinks a one-sided bracket), the next proposal is
+    returned inside [a, b].
     """
-    ua, ub = ratio(a), ratio(b)
+    ua, ub = yield a, b
     if not ua < 0.0 < ub:
         return None
     x0, u0, x1, u1 = a, ua, b, ub
@@ -683,7 +748,7 @@ def _refine_root(ratio, a, b, root_tol):
             return min(max(x, a), b) if u1 != u0 else x1
         if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
             x = 0.5 * (a + b)
-        ux = ratio(x)
+        (ux,) = yield (x,)
         if ux == 0.0:
             return x
         a, b = (x, b) if ux < 0.0 else (a, x)
@@ -691,6 +756,29 @@ def _refine_root(ratio, a, b, root_tol):
         converged = steps[-1] < root_tol + 8.0 * np.finfo(float).eps * x
         x0, u0, x1, u1 = x1, u1, x, ux
     return x1
+
+
+def _refine_roots(problem, memo, brackets, root_tol):
+    """_refine_root on every (a, b) of brackets in lockstep: each step asks
+    _newton_ratio once for all the gammas that the pending iterations need
+    and memo, the scan's dict gamma -> u, does not hold yet."""
+    runs = [_refine_root(a, b, root_tol) for a, b in brackets]
+    asks = [next(run) for run in runs]
+    roots = [None] * len(runs)
+    pending = list(range(len(runs)))
+    while pending:
+        need = list(dict.fromkeys(x for i in pending for x in asks[i] if x not in memo))
+        if need:
+            memo.update(zip(need, _newton_ratio(problem, np.array(need))))
+        waiting = []
+        for i in pending:
+            try:
+                asks[i] = runs[i].send(tuple(memo[x] for x in asks[i]))
+                waiting.append(i)
+            except StopIteration as done:
+                roots[i] = done.value
+        pending = waiting
+    return roots
 
 
 def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
@@ -708,7 +796,17 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / total
     length.  More than MAX_EIGENVALUES roots raise ValidationError before
     any bisection.  Returns Eigenpairs with empty eigenfunction tuples; the
-    problem and each root's basis are kept per (graph, mu) (_problem).
+    problem, its count and each root's basis are kept per (graph, mu)
+    (_problem).
+
+    The bracket tree is walked breadth first, one level at a time: the
+    secant iterations of all the level's narrow brackets advance in
+    lockstep, one stacked _newton_ratio call per step, and the count is
+    taken at the midpoints of all brackets still to be split in one stacked
+    call; stacks are split as _batched says.  The brackets, iterates and
+    roots are those of a depth-first walk, but when several brackets fail, the
+    NumericError raised is the first of the lowest failing level, which need
+    not be the one a depth-first walk meets first.
     """
     problem = _problem(graph, mu)
     ell = total_length(problem.graph)
@@ -719,36 +817,38 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     if not (math.isfinite(gamma_max) and math.isfinite(gamma_floor)):
         raise ValidationError("gamma_max and gamma_floor must be finite")
     width = math.pi / (8.0 * ell)
-    ratio = functools.cache(functools.partial(_newton_ratio, problem))
-    count = EigenvalueCount(problem)
-    na, nb = count(gamma_floor), count(gamma_max)
+    na, nb = problem.count(np.array([gamma_floor, gamma_max]))
     if nb - na > MAX_EIGENVALUES:
         raise ValidationError(f"{float(nb - na):.6g} eigenvalues lie below gamma_max="
                               f"{gamma_max!r}, more than the {MAX_EIGENVALUES} one call finds")
-    out = []
-    stack = [(gamma_floor, na, gamma_max, nb)]
-    while stack:  # depth first, left half on top: roots come out ascending
-        a, na, b, nb = stack.pop()
-        jump = nb - na
-        if jump == 0:
-            continue
-        if b - a <= width:
-            root = _refine_root(ratio, a, b, root_tol)
+    out, memo = [], {}
+    level = [(gamma_floor, na, gamma_max, nb)] if nb > na else []
+    while level:  # brackets in ascending order, each with a rise of the count
+        narrow = [(a, b) for a, _, b, _ in level if b - a <= width]
+        roots = iter(_refine_roots(problem, memo, narrow, root_tol))
+        split = []
+        for a, na, b, nb in level:
+            jump = nb - na
+            root = next(roots) if b - a <= width else None
             if root is not None:
                 basis = problem.nullspace(root, rank_tol)
                 if len(basis) == jump:
                     problem.bases[(root, rank_tol)] = basis
                     out.append(Eigenpair(root * root, jump))
                     continue
-        mid = 0.5 * (a + b)
-        if b - a <= 4.0 * np.finfo(float).eps * b:
-            raise NumericError(f"the eigenvalue count rises by {jump} in [{a!r}, "
-                               f"{b!r}], but no root there has a nullspace that big")
-        nm = count(mid)
-        if not na <= nm <= nb:
-            raise NumericError(f"eigenvalue count not monotone near gamma={mid!r}")
-        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
-    return out
+            if b - a <= 4.0 * np.finfo(float).eps * b:
+                raise NumericError(f"the eigenvalue count rises by {jump} in [{a!r}, "
+                                   f"{b!r}], but no root there has a nullspace that big")
+            split.append((a, na, b, nb))
+        if not split:
+            break
+        mids = [0.5 * (a + b) for a, _, b, _ in split]
+        level = []
+        for (a, na, b, nb), mid, nm in zip(split, mids, problem.count(np.array(mids))):
+            if not na <= nm <= nb:
+                raise NumericError(f"eigenvalue count not monotone near gamma={mid!r}")
+            level += [br for br in ((a, na, mid, nm), (mid, nm, b, nb)) if br[3] > br[1]]
+    return sorted(out, key=lambda pair: pair.eigenvalue)
 
 
 @dataclass

@@ -9,15 +9,25 @@ SpectralProblem's working graph, densities and atom masses), so test
 comparisons are genuine two-route checks.  The one exception,
 scan_spectrum, scans the package's compiled M(gamma) (itself checked
 against secular_matrix) with a plain grid, brentq and minimization, as a
-second route to the eigenvalue count.
+second route to the eigenvalue count.  depth_first_eigenvalues, the scan's
+former depth-first walk, also calls the package's count, secant ratio and
+nullspace, one gamma at a time, to check the level-by-level walk that
+replaced it.
 """
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
+
+from metragraph.graph_core import total_length
+from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL
+from metragraph.spectral import (
+    DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _newton_ratio,
+)
 
 
 class NetworkModel:
@@ -498,3 +508,59 @@ def check_network(graph, y, points):
     B[cols, np.arange(len(cols))] += 1.0
     B[iy] -= 1.0
     return Q, B
+
+
+def refine_root(ratio, a, b, root_tol):
+    """Zero of u = ratio(gamma) in [a, b] by find_eigenvalues' bracketed
+    secant iteration, as the plain loop it once was (None unless u goes from
+    negative at a to positive at b)."""
+    ua, ub = ratio(a), ratio(b)
+    if not ua < 0.0 < ub:
+        return None
+    x0, u0, x1, u1 = a, ua, b, ub
+    steps, converged = [math.inf, math.inf], False
+    for _ in range(SECANT_MAX_ITER):
+        x = x1 - u1 * (x1 - x0) / (u1 - u0) if u1 != u0 else math.nan
+        if converged or abs(x - x1) <= 8.0 * np.finfo(float).eps * x1:
+            return min(max(x, a), b) if u1 != u0 else x1
+        if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
+            x = 0.5 * (a + b)
+        ux = ratio(x)
+        if ux == 0.0:
+            return x
+        a, b = (x, b) if ux < 0.0 else (a, x)
+        steps.append(abs(x - x1))
+        converged = steps[-1] < root_tol + 8.0 * np.finfo(float).eps * x
+        x0, u0, x1, u1 = x1, u1, x, ux
+    return x1
+
+
+def depth_first_eigenvalues(graph, mu, gamma_max):
+    """(eigenvalue, multiplicity) pairs of find_eigenvalues at its default
+    floor and tolerances, by the depth-first walk of the bracket tree it once
+    made on a fresh SpectralProblem: one count per midpoint and one memoized
+    secant ratio per gamma, each a scalar call."""
+    problem = SpectralProblem(graph, mu)
+    ell = total_length(problem.graph)
+    width = math.pi / (8.0 * ell)
+    ratio = functools.cache(functools.partial(_newton_ratio, problem))
+    count = EigenvalueCount(problem)
+    gamma_floor = DEFAULT_GAMMA_FLOOR / ell
+    out = []
+    stack = [(gamma_floor, count(gamma_floor), gamma_max, count(gamma_max))]
+    while stack:  # left half on top: roots come out ascending
+        a, na, b, nb = stack.pop()
+        jump = nb - na
+        if jump == 0:
+            continue
+        if b - a <= width:
+            root = refine_root(ratio, a, b, DEFAULT_ROOT_TOL)
+            if root is not None and len(problem.nullspace(root, DEFAULT_RANK_TOL)) == jump:
+                out.append((root * root, jump))
+                continue
+        mid = 0.5 * (a + b)
+        assert b - a > 4.0 * np.finfo(float).eps * b, "no root at float resolution"
+        nm = count(mid)
+        assert na <= nm <= nb, "count not monotone"
+        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
+    return out

@@ -226,6 +226,8 @@ DENSITY_CASES = {
     "numpy arrays": {"t3": np.array([1.0, -0.0, 2.0]), "t1": np.arange(3),
                      "s2": np.array([True, False]), "s1": np.zeros(4),
                      "t2": np.array([0.5j, 1.0])},
+    "atom-only (None)": None,  # no stacking pass: the m x 1 zero matrix
+    "atom-only ({})": {},
 }
 
 

@@ -368,29 +368,55 @@ def test_no_spurious_roots_near_the_floor(name):
             == p.multiplicity
 
 
+TABLE_GRAPHS = ("k33", "k5", "petersen", "tetrahedron", "cube", "octahedron",
+                "dodecahedron", "icosahedron")
+
+
+def table_measures(graph):
+    return lebesgue_measure(graph, normalize=True), canonical_measure(graph)
+
+
 def test_refinement_evaluation_count(monkeypatch):
-    # derivative assemblies, the refinement's only M(gamma) evaluations, and
-    # eigenvalue counts over the 16 scans behind reproduce-table
-    calls, counts = [], []
+    # gammas evaluated, and the stacked calls that evaluate them, over the 16
+    # scans behind reproduce-table: derivative assemblies (the refinement's
+    # only M(gamma) evaluations) and eigenvalue counts
+    ratio_batches, count_batches = [], []
     assemble, count = SpectralProblem._assemble, EigenvalueCount.__call__
 
     def counting(self, gamma, derivative=False):
-        calls.append(derivative)
+        if derivative:
+            ratio_batches.append(np.size(gamma))
         return assemble(self, gamma, derivative)
 
     def counted(self, gamma):
-        counts.append(gamma)
+        count_batches.append(np.size(gamma))
         return count(self, gamma)
 
     monkeypatch.setattr(SpectralProblem, "_assemble", counting)
     monkeypatch.setattr(EigenvalueCount, "__call__", counted)
-    for name in ("k33", "k5", "petersen", "tetrahedron", "cube", "octahedron",
-                 "dodecahedron", "icosahedron"):
+    for name in TABLE_GRAPHS:
         graph = builtin_graph(name)
-        for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
+        for mu in table_measures(graph):
             find_eigenvalues(graph, mu, TABLE_GAMMA_MAX)
-    assert sum(calls) <= 500
-    assert len(counts) <= 1000
+    assert sum(ratio_batches) <= 500
+    assert sum(count_batches) <= 1000
+    assert len(ratio_batches) <= 130
+    assert len(count_batches) <= 160
+
+
+def test_count_is_built_once_per_problem(monkeypatch):
+    init, built = EigenvalueCount.__init__, []
+
+    def counted_init(self, problem):
+        built.append(problem)
+        init(self, problem)
+
+    monkeypatch.setattr(EigenvalueCount, "__init__", counted_init)
+    graph = builtin_graph("tetrahedron")
+    mu = lebesgue_measure(graph, normalize=True)
+    first = find_eigenvalues(graph, mu, 40.0)
+    assert find_eigenvalues(graph, mu, 40.0) == first
+    assert len(built) == 1
 
 
 # a random cubic graph (m = 18, lengths in [0.5, 2]) whose simple roots at
@@ -416,6 +442,99 @@ def test_close_pair_of_simple_roots_is_kept():
         11.99304, 14.3086, 18.38294, 25.51327, 27.75999, 30.22361, 31.99037,
         34.3104, 38.41873, 38.82225]
     assert all(p.multiplicity == 1 for p in pairs)
+
+
+# ------------------------------------------ the level-by-level scan
+
+def assert_same_as_depth_first(graph, mu, gamma_max):
+    """Eigenvalues bit for bit and multiplicities of the depth-first walk."""
+    got = [(p.eigenvalue, p.multiplicity) for p in find_eigenvalues(graph, mu, gamma_max)]
+    want = oracles.depth_first_eigenvalues(graph, mu, gamma_max)
+    assert [(lam.hex(), k) for lam, k in got] == [(lam.hex(), k) for lam, k in want]
+    return got
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["dx", "canonical"])
+@pytest.mark.parametrize("name", TABLE_GRAPHS)
+def test_table_scans_match_depth_first(name, kind):
+    graph = builtin_graph(name)
+    assert_same_as_depth_first(graph, table_measures(graph)[kind], TABLE_GAMMA_MAX)
+
+
+def test_close_pair_and_five_fold_root_match_depth_first():
+    paired = build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
+    got = assert_same_as_depth_first(paired, poly_shaped_measure(paired, "const"),
+                                     40.0 / total_length(paired))
+    assert len(got) == 10
+    petersen = builtin_graph("petersen")
+    got = assert_same_as_depth_first(petersen, lebesgue_measure(petersen, normalize=True),
+                                     40.0 / total_length(petersen))
+    assert max(k for _, k in got) == 5
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube"])
+def test_poly_measure_with_interior_atom_matches_depth_first(name):
+    graph = builtin_graph(name)
+    mu = poly_shaped_measure(graph)  # its atom sits at 0.3 of the first edge
+    assert SpectralProblem(graph, mu).graph is not graph
+    assert_same_as_depth_first(graph, mu, 40.0 / total_length(graph))
+
+
+def test_levels_wider_than_a_batch_match_depth_first(interval, monkeypatch):
+    # the roots n pi below 700: the widest levels hold over 100 brackets
+    sizes, count = [], EigenvalueCount._counts
+    monkeypatch.setattr(EigenvalueCount, "_counts",
+                        lambda self, gs: sizes.append(len(gs)) or count(self, gs))
+    got = assert_same_as_depth_first(interval, lebesgue_measure(interval), 700.0)
+    assert len(got) == 222
+    assert max(sizes) == spectral.MAX_BATCH and sizes.count(spectral.MAX_BATCH) > 1
+
+
+def test_stacks_of_large_matrices_hold_fewer_gammas(monkeypatch):
+    # with room for three 61 x 61 matrices per stack, the dodecahedron's
+    # secant steps take at most three gammas each, to the same roots
+    graph = builtin_graph("dodecahedron")
+    mu = canonical_measure(graph)
+    monkeypatch.setattr(spectral, "MAX_STACK_ENTRIES", 3 * 61 * 61 + 60)
+    sizes, assemble = [], SpectralProblem._assemble
+
+    def counting(self, gamma, derivative=False):
+        sizes.append(np.size(gamma) if derivative else 0)
+        return assemble(self, gamma, derivative)
+
+    monkeypatch.setattr(SpectralProblem, "_assemble", counting)
+    assert SpectralProblem(graph, mu).size == 61
+    assert_same_as_depth_first(graph, mu, TABLE_GAMMA_MAX)
+    assert max(sizes) == 3
+
+
+@pytest.mark.parametrize("case", ["table", "paired", "poly"])
+def test_stacked_values_equal_scalar_ones(case):
+    # count and secant ratio at 200 random gammas: one stacked call each
+    # against 200 calls of one gamma, bit for bit
+    if case == "table":
+        pairs = [(g, mu) for g in map(builtin_graph, TABLE_GRAPHS) for mu in table_measures(g)]
+    elif case == "paired":
+        g = build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
+        pairs = [(g, poly_shaped_measure(g, "const"))]
+    else:
+        pairs = [(g, poly_shaped_measure(g)) for g in map(builtin_graph, ("tetrahedron", "cube"))]
+    rng = np.random.default_rng(11)
+    for graph, mu in pairs:
+        problem = SpectralProblem(graph, mu)
+        gammas = rng.uniform(1e-3, 45.0, 200) / total_length(graph)
+        counts, ratios = problem.count(gammas), spectral._newton_ratio(problem, gammas)
+        assert counts == [problem.count(float(g)) for g in gammas]
+        assert ratios == [spectral._newton_ratio(problem, float(g)) for g in gammas]
+        assert all(type(c) is int for c in counts) and all(type(u) is float for u in ratios)
+
+
+def test_singular_member_of_a_stack():
+    # an exactly singular matrix fails the stacked solve; its trace alone is
+    # inf, so its secant ratio is 0, as at a root
+    A = np.stack([2.0 * np.eye(3), np.diag([1.0, 0.0, 1.0]), np.eye(3)])
+    B = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 2.0, 3.0])])
+    assert spectral._solve_traces(A, B).tolist() == [1.5, math.inf, 6.0]
 
 
 @pytest.mark.parametrize("kind", ["const", "poly"])
