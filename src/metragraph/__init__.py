@@ -14,10 +14,8 @@ from .graph_core import (
     builtin_graph,
     format_point,
     graph_from_json,
-    graph_to_json,
     load_graph,
     parse_point,
-    path_distance,
     scale_graph,
     subdivide_at,
     total_length,
@@ -26,9 +24,6 @@ from .graph_core import (
 from .numerics import (
     NumericError,
     PiecewisePoly,
-    QuadratureRule,
-    nullspace_basis,
-    solve_grounded,
 )
 from .circuit import (
     ResistanceKernel,
@@ -44,7 +39,6 @@ from .measure import (
     Measure,
     canonical_measure,
     dirac,
-    integrate_against,
     lebesgue_measure,
     load_measure,
     measure_from_json,
@@ -52,7 +46,6 @@ from .measure import (
     resolve_measure,
 )
 from .green import (
-    DiscriminantReport,
     GreenEvaluator,
     build_green,
     discriminant_sum,
@@ -63,20 +56,14 @@ from .green import (
     weak_laplacian_residual,
 )
 from .spectral import (
-    CharacteristicMatrix,
     EdgeBasisSolution,
     Eigenpair,
-    ResidualReport,
     SpectralProblem,
     assemble_characteristic_matrix,
     characteristic_det,
-    dirichlet_inner,
-    eigen_residuals,
     eigenfunctions_at,
     find_eigenvalues,
     l2_inner,
-    particular_solution,
-    trig_poly_moments,
     mercer_partial_sum,
     rayleigh_quotient,
 )
@@ -85,8 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CPAFunction",
-    "CharacteristicMatrix",
-    "DiscriminantReport",
     "Edge",
     "EdgeBasisSolution",
     "Eigenpair",
@@ -96,8 +81,6 @@ __all__ = [
     "NumericError",
     "PiecewisePoly",
     "PointOnGraph",
-    "QuadratureRule",
-    "ResidualReport",
     "ResistanceKernel",
     "ResistanceProfile",
     "SpectralProblem",
@@ -109,17 +92,13 @@ __all__ = [
     "canonical_measure",
     "characteristic_det",
     "dirac",
-    "dirichlet_inner",
     "discriminant_sum",
     "effective_resistance",
-    "eigen_residuals",
     "eigenfunctions_at",
     "energy_pairing",
     "find_eigenvalues",
     "format_point",
     "graph_from_json",
-    "graph_to_json",
-    "integrate_against",
     "j_function",
     "l2_inner",
     "lebesgue_measure",
@@ -128,23 +107,18 @@ __all__ = [
     "measure_from_json",
     "measure_to_json",
     "mercer_partial_sum",
-    "nullspace_basis",
     "parse_point",
-    "particular_solution",
-    "path_distance",
     "rayleigh_quotient",
     "removed_edge_resistance",
     "resistance_kernel",
     "resistance_profile",
     "resolve_measure",
     "scale_graph",
-    "solve_grounded",
     "subdivide_at",
     "tau_constant",
     "total_length",
     "trace_comparison",
     "trace_of_phi",
-    "trig_poly_moments",
     "valence",
     "weak_laplacian_residual",
 ]

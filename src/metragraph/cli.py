@@ -212,6 +212,8 @@ def cmd_eigen(args):
 
 
 def cmd_eigenfunctions(args):
+    if args.samples_per_edge < 0:
+        raise ValidationError("--samples-per-edge must be nonnegative")
     g = _load_graph_arg(args.graph)
     mu = resolve_measure(g, args.measure)
     pairs = _eigen_pairs(g, mu, args)
@@ -278,6 +280,8 @@ def _sample_grid(g, npts):
 
 
 def cmd_mercer_check(args):
+    if args.grid_points < 1:
+        raise ValidationError("--grid-points must be positive")
     g = _load_graph_arg(args.graph)
     mu = resolve_measure(g, args.measure)
     pairs = _eigen_pairs(g, mu, args)

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: quadrature, grounded solves, nullspaces, roots,
-polynomial shifts."""
+"""Shared numerical kernels: grounded solves, nullspaces, roots, polynomial
+shifts and piecewise polynomials."""
 
 from __future__ import annotations
 
@@ -16,44 +16,6 @@ class NumericError(RuntimeError):
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-12
 GOLDEN_MAX_ITER = 100
-
-
-class QuadratureRule:
-    """Gauss-Legendre rule; exact for polynomials of degree <= 2*order - 1."""
-
-    def __init__(self, order=12):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = int(order)
-        # nodes/weights on [-1, 1]
-        self._x, self._w = np.polynomial.legendre.leggauss(self.order)
-
-    def nodes(self, a, b):
-        """Nodes and weights transplanted to [a, b]."""
-        half = 0.5 * (b - a)
-        return 0.5 * (a + b) + half * self._x, half * self._w
-
-    def integrate(self, f, a, b):
-        if b <= a:
-            return 0.0
-        x, w = self.nodes(a, b)
-        y = np.asarray(f(x), dtype=float)
-        if not np.all(np.isfinite(y)):
-            raise NumericError(f"integrand not finite on [{a}, {b}]")
-        return float(w @ y)
-
-
-def integrate_piecewise(f, breakpoints, rule=None):
-    """Integrate f over [breakpoints[0], breakpoints[-1]] piece by piece.
-
-    Breakpoints must be sorted; each open piece is assumed smooth.  Exact for
-    piecewise polynomials of degree <= 2*order - 1.
-    """
-    rule = rule or QuadratureRule()
-    pts = list(breakpoints)
-    if any(b < a for a, b in zip(pts, pts[1:])):
-        raise ValueError("breakpoints must be sorted")
-    return math.fsum(rule.integrate(f, a, b) for a, b in zip(pts, pts[1:]) if b > a)
 
 
 def solve_grounded(Q, b, grounded, tol=1e-12):
@@ -151,8 +113,10 @@ def equilibrate_rows(M):
 
 
 def real_roots_in_interval(coeffs, a, b, tol=1e-12):
-    """Real roots of a polynomial (ascending coeffs) inside (a, b)."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    """Real roots of a polynomial (ascending coeffs, real or complex) inside
+    (a, b): its zeros whose imaginary part is below tol."""
+    c = np.asarray(coeffs)
+    c = np.trim_zeros(c.astype(np.result_type(c, float)), "b")
     if c.size <= 1:
         return []
     roots = npoly.polyroots(c)
@@ -275,7 +239,7 @@ class PiecewisePoly:
         cands = [self(self.breaks[0])]
         for k, (lo, hi) in enumerate(zip(self.breaks, self.breaks[1:])):
             cands.append(self(hi))
-            der = npoly.polyder(self.coeffs[k])
+            der = npoly.polyder(self.coeffs[k].real)
             for r in real_roots_in_interval(der, lo, hi):
                 cands.append(npoly.polyval(r, self.coeffs[k]))
         vals = np.real(np.asarray(cands, dtype=complex))

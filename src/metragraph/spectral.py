@@ -30,10 +30,8 @@ from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_ROOT_TOL,
     NumericError,
-    QuadratureRule,
     equilibrate_rows,
     golden_min,  # noqa: F401  (perfbench/tracing.py wraps spectral.golden_min)
-    integrate_piecewise,
     nullspace_basis,
     shift_polys,
 )
@@ -861,18 +859,19 @@ class ResidualReport:
     operator: float
 
 
-def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5, rule=None):
+def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5):
     """Continuity, derivative-balance, measure-integral, and operator residuals.
 
     The operator residual samples x on a grid and compares the integral of
-    g_mu(x, y) f(y) dy (piecewise Gauss quadrature, pieces split below the
-    trig wavelength) against f(x) / lambda.
+    g_mu(x, y) f(y) dy against f(x) / lambda.  The integral is exact: the
+    profile y -> g_mu(x, y) is a coefficient row per edge plus kinks
+    J (y - a) right of a, so it is the pair form of f with the rows, plus per
+    kink that of J (y - a) over [0, L] less that over [0, a].
     """
     if not eigenpair.eigenfunctions:
         raise ValidationError("eigenpair carries no eigenfunctions")
     problem = _problem(graph, mu)
-    work = problem.graph
-    rule = rule or QuadratureRule(12)
+    work, L = problem.graph, problem._lengths
     evaluator = green_mod.GreenEvaluator(work, problem.mu)
     cont = der = integ = oper = 0.0
     lam = eigenpair.eigenvalue
@@ -880,6 +879,7 @@ def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5, rule=None):
     for e in work.edges:
         for t in np.linspace(0.0, e.length, samples_per_edge + 2)[1:-1]:
             grid_points.append(work.point(e.id, float(t)))
+    profiles = [evaluator.g_profile(x) for x in grid_points]
     for f in eigenpair.eigenfunctions:
         gam = f.gamma
         for v in work.vertices:
@@ -895,20 +895,16 @@ def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5, rule=None):
             balance -= gam * gam * problem._atom_mass.get(v, 0.0) * f.constant
             der = max(der, abs(balance))
         integ = max(integ, abs(problem.mu_integral(f)))
-        for x in grid_points:
-            profile = evaluator.g_profile(x)
-            total = 0.0
-            for e in work.edges:
-                pw = profile[e.id]
-                breaks = set(float(b) for b in pw.breaks)
-                chunks = max(1, int(math.ceil(e.length * gam / 3.0)))
-                breaks.update(e.length * k / chunks for k in range(chunks + 1))
-                total += integrate_piecewise(
-                    lambda t, eid=e.id, p=pw: np.real(p(t)) * f.value(eid, t),
-                    sorted(breaks),
-                    rule,
-                )
-            oper = max(oper, abs(total - f.at_point(x) / lam))
+        p = f.constant * f.h
+        for x, profile in zip(grid_points, profiles):
+            total = np.sum(_pair_form(L, gam, f.ab, p, 0.0, 0.0 * f.ab,
+                                      np.real(profile.coeffs)))
+            rows, a, jumps = profile.kinks
+            if rows.size:
+                kink = np.real(jumps)[:, None] * np.column_stack((-a, np.ones_like(a)))
+                args = (gam, f.ab[rows], p[rows], 0.0, 0.0 * f.ab[rows], kink)
+                total += np.sum(_pair_form(L[rows], *args) - _pair_form(a, *args))
+            oper = max(oper, abs(float(total) - f.at_point(x) / lam))
     return ResidualReport(cont, der, integ, oper)
 
 

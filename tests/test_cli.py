@@ -215,6 +215,20 @@ def test_exit_codes(capsys, tmp_path):
             assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigenfunctions", "--samples-per-edge", "-1"],
+    ["mercer-check", "--grid-points", "-5"],
+    ["mercer-check", "--grid-points", "0"],
+])
+def test_bad_sample_sizes_are_rejected(capsys, argv):
+    # a negative sample count once raised numpy's ValueError, and a grid of
+    # -5 points silently ran on one point per edge
+    rc = main([*argv, "--graph", "builtin:interval", "--lambda-max", "20"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec", ["banana", "banana:x", "banana:N", "banana:0"])
 def test_malformed_banana_name(capsys, tmp_path, monkeypatch, spec):
     # not a built-in, and no file of that name: one error line, exit 2

@@ -12,14 +12,13 @@ from metragraph import (
     builtin_graph,
     format_point,
     graph_from_json,
-    graph_to_json,
     parse_point,
-    path_distance,
     scale_graph,
     subdivide_at,
     total_length,
     valence,
 )
+from metragraph.graph_core import graph_to_json, path_distance
 
 # (name, vertices before loop splits, edges after loop splits)
 BUILTIN_SHAPES = [

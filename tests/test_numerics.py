@@ -1,48 +1,19 @@
-"""Quadrature, grounded solves, nullspaces, minimization, piecewise polys."""
+"""Grounded solves, nullspaces, minimization, roots, piecewise polys."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from metragraph.numerics import (
     NumericError,
     PiecewisePoly,
-    QuadratureRule,
     equilibrate_rows,
     golden_min,
-    integrate_piecewise,
     nullspace_basis,
     real_roots_in_interval,
     shift_polys,
     solve_grounded,
 )
-
-
-@given(st.lists(st.floats(-3, 3), min_size=1, max_size=12))
-@settings(max_examples=50, deadline=None)
-def test_quadrature_exact_on_polynomials(coeffs):
-    rule = QuadratureRule(order=6)  # exact through degree 11
-    poly = np.polynomial.polynomial.Polynomial(coeffs)
-    exact = poly.integ()(1.5) - poly.integ()(0.25)
-    assert rule.integrate(poly, 0.25, 1.5) == pytest.approx(exact, abs=1e-10)
-
-
-def test_quadrature_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(order=0)
-    rule = QuadratureRule(4)
-    assert rule.integrate(np.cos, 1.0, 1.0) == 0.0
-    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-        rule.integrate(lambda x: np.log(x - 2.0), 0.0, 1.0)
-
-
-def test_integrate_piecewise_kink():
-    val = integrate_piecewise(lambda t: np.abs(t - 0.5), [0.0, 0.5, 1.0])
-    assert val == pytest.approx(0.25, abs=1e-14)
-    with pytest.raises(ValueError):
-        integrate_piecewise(np.cos, [1.0, 0.0])
 
 
 def test_solve_grounded_path_network():

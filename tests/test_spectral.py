@@ -29,22 +29,27 @@ from metragraph import (
     canonical_measure,
     characteristic_det,
     dirac,
-    dirichlet_inner,
-    eigen_residuals,
     eigenfunctions_at,
     find_eigenvalues,
     l2_inner,
     lebesgue_measure,
     mercer_partial_sum,
-    particular_solution,
     rayleigh_quotient,
     scale_graph,
     total_length,
-    trig_poly_moments,
 )
 from metragraph.cli import TABLE_GAMMA_MAX
 from metragraph import spectral
-from metragraph.spectral import EdgeBasisSolution, EigenvalueCount, _exp_moments, _overlap
+from metragraph.spectral import (
+    EdgeBasisSolution,
+    EigenvalueCount,
+    _exp_moments,
+    _overlap,
+    dirichlet_inner,
+    eigen_residuals,
+    particular_solution,
+    trig_poly_moments,
+)
 
 PI2 = math.pi * math.pi
 
@@ -707,7 +712,7 @@ def test_eigenpair_invariants_circle(circle):
         assert rep.continuity < 1e-9
         assert rep.derivative < 1e-9
         assert rep.integral < 1e-9
-        assert rep.operator < 1e-6
+        assert rep.operator < 1e-13
         for f in pair.eigenfunctions:
             funcs.append(f)
             lams.append(pair.eigenvalue)
@@ -771,6 +776,26 @@ def test_one_call_gram_matches_pairwise_l2_inner(name, kind, dim):
     assert len(basis) == dim
     np.testing.assert_allclose(problem._gram(gamma, basis, h), pairwise,
                                rtol=0.0, atol=1e-14)
+
+
+def test_eigen_residuals_interior_atom_and_linear_densities(tetrahedron):
+    # the atom splits e2 in the working graph, and every profile of g_mu
+    # read at an interior grid point kinks there: both parts of the exact
+    # operator residual are exercised
+    dens = {e.id: [1.0, -0.5 / e.length * (k % 2)] for k, e in enumerate(tetrahedron.edges)}
+    scale = 0.75 / Measure(tetrahedron, (), dens).total_mass()
+    e2 = tetrahedron.edge("e2")
+    mu = Measure(tetrahedron, [(tetrahedron.point("e2", 0.3 * e2.length), 0.25)],
+                 {eid: [c * scale for c in coeffs] for eid, coeffs in dens.items()})
+    pairs = find_eigenvalues(tetrahedron, mu, 20.0)
+    assert [p.multiplicity for p in pairs] == [1, 2, 1, 1]
+    for p in pairs:
+        rep = eigen_residuals(tetrahedron, mu, eigenfunctions_at(tetrahedron, mu,
+                                                                 math.sqrt(p.eigenvalue)))
+        assert rep.continuity < 1e-13
+        assert rep.derivative < 1e-12
+        assert rep.integral < 1e-13
+        assert rep.operator < 1e-15
 
 
 def test_eigen_residuals_requires_functions(interval):
