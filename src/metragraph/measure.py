@@ -23,7 +23,7 @@ from . import circuit
 from .graph_core import (
     ValidationError, format_point, parse_point, total_length, valence,
 )
-from .numerics import NumericError, PiecewisePoly, real_roots_in_interval, shift_polys
+from .numerics import PiecewisePoly, shift_polys
 
 REFERENCE_MASS_TOL = 1e-10
 CANONICAL_MASS_TOL = 1e-10
@@ -117,27 +117,13 @@ class Measure:
         return total
 
     def total_variation(self):
-        """Atom masses plus the integral of |density|: exact for a real
-        density, and for a complex one a 24-point Gauss rule on each piece
-        between the real zeros, where |p| has its kinks."""
+        """Atom masses plus the integral of |density| (PiecewisePoly.abs_integral:
+        exact for a real density, a Gauss rule between the real zeros of a
+        complex one)."""
         var = math.fsum(abs(m) for _, m in self.atoms)
         for e in self.graph.edges:
-            if e.id not in self.densities:
-                continue
-            c = self.densities[e.id]
-            if not np.iscomplexobj(c):
-                var += PiecewisePoly([0.0, e.length], [c]).abs_integral()
-                continue
-            x, w = np.polynomial.legendre.leggauss(24)
-            cuts = [0.0] + real_roots_in_interval(c, 0.0, e.length) + [e.length]
-            pieces = []
-            for a, b in zip(cuts, cuts[1:]):
-                half = 0.5 * (b - a)
-                y = np.abs(npoly.polyval(0.5 * (a + b) + half * x, c))
-                if not np.all(np.isfinite(y)):
-                    raise NumericError(f"density not finite on [{a}, {b}] of {e.id!r}")
-                pieces.append(float((half * w) @ y))
-            var += math.fsum(pieces)
+            if e.id in self.densities:
+                var += PiecewisePoly([0.0, e.length], [self.densities[e.id]]).abs_integral()
         return float(var)
 
     def atom_count(self):

@@ -114,15 +114,18 @@ def equilibrate_rows(M):
 
 def real_roots_in_interval(coeffs, a, b, tol=1e-12):
     """Real roots of a polynomial (ascending coeffs, real or complex) inside
-    (a, b): its zeros whose imaginary part is below tol."""
+    (a, b): its zeros whose imaginary part is below tol * max(|a|, |b|) and
+    whose real part is more than tol * (b - a) from either end, so that the
+    tolerance scales with the interval."""
     c = np.asarray(coeffs)
     c = np.trim_zeros(c.astype(np.result_type(c, float)), "b")
     if c.size <= 1:
         return []
     roots = npoly.polyroots(c)
+    imag_tol, end_tol = tol * max(abs(a), abs(b)), tol * (b - a)
     out = []
     for r in roots:
-        if abs(r.imag) < tol and a + tol < r.real < b - tol:
+        if abs(r.imag) < imag_tol and a + end_tol < r.real < b - end_tol:
             out.append(float(r.real))
     return sorted(out)
 
@@ -225,13 +228,26 @@ class PiecewisePoly:
         return total
 
     def abs_integral(self):
-        """Integral of |self|, splitting pieces at their real roots."""
+        """Integral of |self|, splitting pieces at their real roots, where |p|
+        has its kinks: exact on a real piece, and on a complex one a 24-point
+        Gauss rule between the roots."""
         total = 0.0
-        for k, (lo, hi) in enumerate(zip(self.breaks, self.breaks[1:])):
-            cuts = [lo] + real_roots_in_interval(self.coeffs[k].real, lo, hi) + [hi]
-            anti = npoly.polyint(self.coeffs[k])
+        for c, lo, hi in zip(self.coeffs, self.breaks, self.breaks[1:]):
+            cuts = [lo] + real_roots_in_interval(c, lo, hi) + [hi]
+            if not np.iscomplexobj(c):
+                anti = npoly.polyint(c)
+                for a, b in zip(cuts, cuts[1:]):
+                    total += abs(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+                continue
+            x, w = np.polynomial.legendre.leggauss(24)
+            pieces = []
             for a, b in zip(cuts, cuts[1:]):
-                total += abs(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+                half = 0.5 * (b - a)
+                y = np.abs(npoly.polyval(0.5 * (a + b) + half * x, c))
+                if not np.all(np.isfinite(y)):
+                    raise NumericError(f"piecewise polynomial not finite on [{a}, {b}]")
+                pieces.append(float((half * w) @ y))
+            total += math.fsum(pieces)
         return total
 
     def extreme_values(self):

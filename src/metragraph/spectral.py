@@ -10,7 +10,9 @@ square homogeneous system M(gamma) of size 2m+1; eigenvalues are
 lambda = gamma^2 exactly where M(gamma) is singular, with multiplicity the
 nullspace dimension.  Every edge integral at a given gamma (trig moments of
 the densities and of products of edge solutions) comes from one batched
-moment kernel, _exp_moments, called once for all edges.
+moment kernel, _exp_moments, called once for all edges: integration by parts
+in closed form where omega*L is large, and otherwise a power series summed
+as each row's real power table x^j / j! times one fixed complex table.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ def _rows_at(coeffs, x):
     return value
 
 
+@functools.lru_cache(maxsize=None)
+def _series_table(count):
+    """C[j, k] = i^j / (k + j + 1) for k = 0..count and every j that a series
+    row can need: such a row has x = omega*L < count + 1 (it needs some
+    k > floor(x - 1)), so j stays below 40 + ceil(7.5 (count + 1))."""
+    j = np.arange(40 + math.ceil(7.5 * (count + 1)))[:, None]
+    table = np.array([1, 1j, -1, -1j])[j % 4] * (1.0 / (j + np.arange(count + 1) + 1.0))
+    table.flags.writeable = False
+    return table
+
+
 def _exp_moments(omega, lengths, count):
     """I[e, k] = integral of t^k exp(i omega_e t) over [0, L_e], k = 0..count,
     for every row of omega and lengths (broadcast) at once.
@@ -77,7 +90,11 @@ def _exp_moments(omega, lengths, count):
     The closed form from integration by parts cancels catastrophically when
     omega*L is small relative to k, so each (row, k) picks between it and a
     power series in (i omega); the crossover omega*L >= k+1 keeps the
-    upward recursion's error amplification factor k/(omega*L) below 1.
+    upward recursion's error amplification factor k/(omega*L) below 1.  The
+    series is I_k = L^(k+1) sum_j P[j] C[j, k]: a real power table
+    P[j] = x^j / j! per row (x = omega*L) times _series_table's C, taken as a
+    stacked (1 x J) @ (J x count+1) product per row, which, unlike one gemm
+    over all rows, gives each row the same bits whatever else is in the batch.
     """
     omega, L = np.broadcast_arrays(np.ravel(omega), np.ravel(lengths))
     if np.any(omega < 0):
@@ -96,19 +113,14 @@ def _exp_moments(omega, lengths, count):
         out[rows] = np.stack(Ik, axis=1)
     rows = np.flatnonzero(~closed[:, -1])
     if rows.size:
-        # I_k = L^(k+1) sum_j (i x)^j / (j! (k + j + 1)); past j = e^2 x + 40
-        # the terms are below e^-40 of the first, and each row's terms past
-        # its own bound are exact zeros, which leave the sum unchanged
-        xs, Lr = x[rows, None], L[rows]
+        # past j = e^2 x + 40 the terms are below e^-40 of the first; each
+        # row's terms past its own bound are exact zeros
+        xs = x[rows, None]
         j = np.arange(40.0 + math.ceil(7.5 * xs.max()))
-        # times 1/j: numpy's complex-by-real quotient bit for bit, but faster
-        powers = np.cumprod(np.concatenate(  # (i x)^j / j!
-            (np.ones_like(xs), 1j * xs * (1.0 / j[1:])), axis=1), axis=1)
-        powers[j >= 40.0 + np.ceil(7.5 * xs)] = 0.0
-        series = out[rows]
-        for k in np.flatnonzero(~closed[rows].all(axis=0)):
-            terms = powers * (1.0 / (k + j + 1.0))  # summed from the tail: more accurate
-            series[:, k] = Lr ** (k + 1.0) * np.cumsum(terms[:, ::-1], axis=1)[:, -1]
+        P = np.cumprod(np.concatenate((np.ones_like(xs), xs * (1.0 / j[1:])), axis=1), axis=1)
+        P[j >= 40.0 + np.ceil(7.5 * xs)] = 0.0
+        series = (P[:, None, :] @ _series_table(count)[:j.size])[:, 0]
+        series *= L[rows, None] ** np.arange(1.0, count + 2.0)
         out[rows] = np.where(closed[rows], out[rows], series)
     return out
 

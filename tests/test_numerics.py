@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from metragraph import Measure, build_graph
 from metragraph.numerics import (
     NumericError,
     PiecewisePoly,
@@ -104,6 +105,23 @@ def test_piecewise_poly_abs_and_extremes():
     lo, hi = g.extreme_values()
     assert lo == pytest.approx(-0.25, abs=1e-14)
     assert hi == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("length", [1e-13, 1e-11, 1e-6, 1.0, 1e3, 1e8])
+@pytest.mark.parametrize("factor", [1.0, 1j])
+def test_roots_are_found_on_intervals_of_any_length(length, factor):
+    # an absolute root tolerance of 1e-12 dropped every root on [0, 1e-13]:
+    # the variation of (1 - 2t/L)/L read 0.0 and the minimum of (t - 0.3L)^2
+    # read 9e-28; extreme_values reads the real part, 0 for factor 1j
+    density = factor * np.array([1.0 / length, -2.0 / length**2])
+    assert PiecewisePoly([0.0, length], [density]).abs_integral() == \
+        pytest.approx(0.5, rel=1e-12)
+    g = build_graph(["a", "b"], [("e1", "a", "b", length)])
+    assert Measure(g, (), {"e1": density}).total_variation() == pytest.approx(0.5, rel=1e-12)
+    square = factor * np.array([0.09 * length**2, -0.6 * length, 1.0])
+    lo, hi = PiecewisePoly([0.0, length], [square]).extreme_values()
+    assert lo == pytest.approx(0.0, abs=1e-15 * length**2)
+    assert hi == pytest.approx(0.49 * length**2 * factor.real, rel=1e-12)
 
 
 def test_piecewise_poly_validation():

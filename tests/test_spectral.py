@@ -6,8 +6,10 @@ solver chases roots of det M(gamma), the oracle diagonalizes the Green matrix
 of a fine resistor network, and the two must agree.
 """
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,45 @@ def test_batched_moments_take_one_frequency_per_row():
                                    rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError):
         _exp_moments(-omegas, lengths, 3)
+
+
+# x = omega*L from near 0 to count + 2.5, on and just below each crossover
+# x = k + 1 and halfway between, so every k is taken by both branches
+MOMENT_X = [1e-6, 1e-3, 0.1] + [m + d for m in range(1, 12) for d in (-0.02, 0.0, 0.5)]
+
+
+@functools.cache
+def unit_moments_by_quadrature(x, count):
+    """integral of u^k exp(i x u) over [0, 1], k = 0..count, by mpmath quadrature."""
+    with mpmath.workdps(20):
+        return [complex(mpmath.quad(lambda u: u**k * mpmath.expj(x * u), [0, 1]))
+                for k in range(count + 1)]
+
+
+@pytest.mark.parametrize("length", [0.05, 0.7, 2.0])
+def test_moments_match_quadrature_across_the_crossover(length):
+    # I_k = L^(k+1) times the unit moment at x; omega*L rounds x by an ulp or
+    # two, which moves I_k by far less than the bound, a fraction of the
+    # scale L^(k+1)/(k+1); the worst error is 3.2e-13, at x = 9.5 and k = 9
+    count = 9
+    x = np.array(MOMENT_X)
+    got = _exp_moments(x / length, length, count)
+    k = np.arange(count + 1)
+    want = length ** (k + 1.0) * np.array([unit_moments_by_quadrature(v, count) for v in x])
+    assert np.max(np.abs(got - want) * (k + 1.0) / length ** (k + 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("size, count", [(1, 0), (7, 4), (64, 2), (600, 9)])
+def test_moments_of_a_row_do_not_depend_on_its_batch(size, count):
+    # a stacked count or secant step batches the rows of many gammas, and a
+    # scan's results must not depend on which gammas share a batch
+    rng = np.random.default_rng(size)
+    lengths = rng.uniform(0.01, 2.0, size)
+    omegas = rng.uniform(0.0, count + 3.0, size) / lengths
+    omegas[::5] = 0.0
+    batch = _exp_moments(omegas, lengths, count)
+    for row, omega, length in zip(batch, omegas, lengths):
+        np.testing.assert_array_equal(row, _exp_moments(omega, length, count)[0])
 
 
 def test_particular_solution_examples():
