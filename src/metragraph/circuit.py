@@ -15,6 +15,7 @@ built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -22,7 +23,9 @@ from collections.abc import Mapping
 import numpy as np
 
 from .graph_core import ValidationError, total_length
-from .numerics import NumericError, PiecewisePoly, solve_grounded
+from .numerics import (
+    NumericError, PiecewisePoly, polyval_rows, real_roots_in_intervals, solve_grounded,
+)
 
 # the build-time checks bound |kernel - solver| by these times the total length
 _KERNEL_CHECK_TOL = 1e-9
@@ -109,59 +112,124 @@ def removed_edge_resistance(graph, edge_id):
     return resistance_kernel(graph).removed(edge_id)
 
 
+@functools.cache
+def _gauss_rule():
+    """The 24-point Gauss-Legendre rule, computed on first use (it loads LAPACK)."""
+    return np.polynomial.legendre.leggauss(24)
+
+
+def _edge_rows(graph):
+    """(edge id -> row, lengths) in graph.edges order, memoized on the graph."""
+    if "edge_rows" not in graph._cache:
+        graph._cache["edge_rows"] = ({e.id: k for k, e in enumerate(graph.edges)},
+                                     np.array([e.length for e in graph.edges]))
+    return graph._cache["edge_rows"]
+
+
 class EdgeTable(Mapping):
-    """Per-edge piecewise polynomials in array form, one row per edge.
+    """Per-edge piecewise polynomials on a graph in array form, one row per
+    edge in graph.edges order: the library's one piecewise-polynomial engine.
 
     On edge k the function is coeffs[k] (ascending in the edge offset x)
     plus jump * (x - a) right of each kink (k, a, jump), 0 < a < L; kinks
     holds the three arrays (edge rows, offsets a, jumps).  A resistance
-    potential has this form, each interior atom adding one |x - a| kink.
-    Read as a mapping, it gives each edge's PiecewisePoly, built on first
-    access.
+    potential has this form, each interior atom adding one |x - a| kink, and
+    so do a measure's densities and a CPA function.  Read as a mapping, it
+    gives each edge's PiecewisePoly, sliced from the piece expansion.
     """
 
-    def __init__(self, kernel, coeffs, kinks):
-        self.kernel = kernel
+    def __init__(self, graph, coeffs, kinks=_NO_KINKS):
+        self.graph = graph
+        self._row, self._L = _edge_rows(graph)
         self.coeffs = coeffs
         self.kinks = kinks
+        self._expanded = None
         self._polys = {}
 
     def __iter__(self):
-        return iter(self.kernel._row)
+        return iter(self._row)
 
     def __len__(self):
-        return len(self.kernel._row)
+        return len(self._row)
+
+    def _pieces(self):
+        """(rows, lo, hi, C), every piece by row and offset: C[i] is its row's
+        coefficients plus J (x - a) per kink offset a left of it (J the jumps
+        summed there), added in offset order, on [lo[i], hi[i]]."""
+        if self._expanded is None:
+            key, inv = np.unique(np.column_stack(self.kinks[:2]), axis=0, return_inverse=True)
+            J = np.zeros(len(key), np.result_type(self.kinks[2], float))
+            np.add.at(J, inv.ravel(), self.kinks[2])
+            rows, at, m = key[:, 0].astype(int), key[:, 1], len(self._L)
+            count = np.bincount(rows, minlength=m)
+            depth = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(count) - count, count)
+            P = np.zeros((m, count.max(initial=0) + 1, max(self.coeffs.shape[1], 2)),
+                         np.result_type(self.coeffs, J))
+            P[:, 0, :self.coeffs.shape[1]] = self.coeffs
+            P[rows, depth, 0], P[rows, depth, 1] = J * -at, J
+            ends = np.zeros((m, P.shape[1] + 1))
+            ends[rows, depth], ends[np.arange(m), count + 1] = at, self._L
+            valid = np.arange(P.shape[1]) <= count[:, None]
+            self._expanded = (np.nonzero(valid)[0], ends[:, :-1][valid], ends[:, 1:][valid],
+                              np.cumsum(P, axis=1)[valid])
+        return self._expanded
 
     def __getitem__(self, edge_id):
         if edge_id not in self._polys:
-            k = self.kernel._row[edge_id]
-            rows, at, jumps = self.kinks
-            sel = rows == k
-            cuts, group = np.unique(at[sel], return_inverse=True)
-            pieces = [self.coeffs[k]]
-            for i, a in enumerate(cuts):
-                piece = pieces[-1].copy()
-                piece[:2] += jumps[sel][group == i].sum() * np.array([-a, 1.0])
-                pieces.append(piece)
-            breaks = np.concatenate([[0.0], cuts, [self.kernel._L[k]]])
-            self._polys[edge_id] = PiecewisePoly(breaks, pieces)
+            rows, lo, hi, C = self._pieces()
+            k = self._row[edge_id]
+            i, j = np.searchsorted(rows, [k, k + 1])
+            self._polys[edge_id] = PiecewisePoly(np.append(lo[i:j], hi[j - 1]), C[i:j])
         return self._polys[edge_id]
 
     def __add__(self, other):
         """Sum with another table or a constant."""
         if not isinstance(other, EdgeTable):
-            other = EdgeTable(self.kernel, np.full((len(self), 1), other), _NO_KINKS)
+            other = EdgeTable(self.graph, np.full((len(self), 1), other))
         width = max(self.coeffs.shape[1], other.coeffs.shape[1])
         coeffs = sum(np.pad(t.coeffs, ((0, 0), (0, width - t.coeffs.shape[1])))
                      for t in (self, other))
         kinks = tuple(np.concatenate(pair) for pair in zip(self.kinks, other.kinks))
-        return EdgeTable(self.kernel, coeffs, kinks)
+        return EdgeTable(self.graph, coeffs, kinks)
 
     def __mul__(self, scalar):
         rows, at, jumps = self.kinks
-        return EdgeTable(self.kernel, self.coeffs * scalar, (rows, at, jumps * scalar))
+        return EdgeTable(self.graph, self.coeffs * scalar, (rows, at, jumps * scalar))
 
     __rmul__ = __mul__
+
+    def extrema(self):
+        """Candidate values for the extremes of the real part: every piece
+        at its two ends and at the real roots of its derivative inside it."""
+        _, lo, hi, C = self._pieces()
+        C = C.real
+        piece, x = real_roots_in_intervals(C[:, 1:] * np.arange(1, C.shape[1]), lo, hi)
+        return np.concatenate([polyval_rows(C, lo), polyval_rows(C, hi),
+                               polyval_rows(C[piece], x)])
+
+    def abs_integrals(self):
+        """Per-row integral of |f| over [0, L], each piece split at its real
+        zeros and the parts added in offset order: |F(b) - F(a)| for the
+        antiderivative F on a real piece, the Gauss rule on a complex one."""
+        rows, lo, hi, C = self._pieces()
+        piece, x = real_roots_in_intervals(C, lo, hi)
+        n = np.arange(len(lo))
+        at, owner = np.concatenate([lo, x, hi]), np.concatenate([n, piece, n])
+        order = np.lexsort((at, owner))
+        at, owner = at[order], owner[order]
+        part = np.flatnonzero(owner[1:] == owner[:-1])
+        p, a, b = owner[part], at[part], at[part + 1]
+        anti = np.column_stack([np.zeros(len(p)), C[p].real / np.arange(1, C.shape[1] + 1)])
+        out = np.abs(polyval_rows(anti, b) - polyval_rows(anti, a))
+        cplx = np.any(C.imag != 0, axis=1)[p]
+        if np.any(cplx):
+            x, w = _gauss_rule()
+            half, mid = 0.5 * (b - a)[cplx, None], 0.5 * (a + b)[cplx, None]
+            y = np.abs(polyval_rows(C[p[cplx]], mid + half * x))
+            if not np.all(np.isfinite(y)):
+                raise NumericError("piecewise polynomial not finite")
+            out[cplx] = np.sum(half * w * y, axis=1)
+        return np.bincount(rows[p], out, minlength=len(self._L))
 
     def values_at(self, rows, t):
         """Values at offsets t on the edges of the given rows."""
@@ -173,7 +241,7 @@ class EdgeTable(Mapping):
 
     def integrals(self):
         """Per-edge integral over [0, L] against dx."""
-        L = self.kernel._L
+        L = self._L
         p = np.arange(1, self.coeffs.shape[1] + 1)
         out = np.einsum("ek,ek->e", self.coeffs, L[:, None] ** p / p)
         rows, at, jumps = self.kinks
@@ -184,8 +252,10 @@ class EdgeTable(Mapping):
         """Exact integral against a measure: the atoms' values, the densities
         through the per-edge moments L^(i+j+1) / (i+j+1) of t^i t^j, and per
         kink the closed form of integral over [a, L] of (t - a) t^j dt."""
-        rows, at, mass, D = self.kernel._arrays(nu)
-        L = self.kernel._L
+        if nu.graph is not self.graph:
+            raise ValidationError("measure lives on a different graph than the table")
+        rows, at, mass, D = nu.arrays
+        L = self._L
         i = np.arange(self.coeffs.shape[1])[:, None]
         j = np.arange(D.shape[1])
         p = i + j + 1
@@ -203,7 +273,7 @@ class EdgeTable(Mapping):
         + (4/3) b2^2 L^3; a kink of jump J at a adds 2 J (p(L) - p(a)) +
         J^2 (L - a), and two kinks on one edge add 2 J J' (L - max(a, a')).
         """
-        L = self.kernel._L
+        L = self._L
         b1, b2 = self.coeffs[:, 1], self.coeffs[:, 2]
         total = np.sum(L * (b1 * b1 + 2.0 * b1 * b2 * L + (4.0 / 3.0) * (b2 * L) ** 2))
         rows, at, jumps = self.kinks
@@ -237,8 +307,8 @@ class ResistanceKernel:
     def __init__(self, graph):
         self.graph = graph
         n = len(graph.vertices)
-        self._row = {e.id: k for k, e in enumerate(graph.edges)}
-        self._L = L = np.array([e.length for e in graph.edges])
+        self._row, self._L = _edge_rows(graph)
+        L = self._L
         self._ends = np.array([[graph.vertex_index(e.u), graph.vertex_index(e.v)]
                                for e in graph.edges])
         Q = _laplacian(n, self._ends[:, 0], self._ends[:, 1], L)
@@ -302,12 +372,6 @@ class ResistanceKernel:
     def point_eval(self, p, q):
         return self.eval(p.edge, p.offset, q.edge, q.offset)
 
-    def _arrays(self, nu):
-        """nu.arrays, whose rows are this kernel's edge rows."""
-        if nu.graph is not self.graph:
-            raise ValidationError("measure lives on a different graph than the kernel")
-        return nu.arrays
-
     def potential(self, nu):
         """EdgeTable of x -> integral of r(x, zeta) d nu(zeta), for a Measure
         nu on this graph (masses may be complex).
@@ -320,7 +384,9 @@ class ResistanceKernel:
         = G'(0) = 0); -2 c x (L - a) / L left of an interior atom c at a, with
         a kink of jump 2 c there; nothing for an atom at a vertex.
         """
-        return self._potential(*self._arrays(nu))
+        if nu.graph is not self.graph:
+            raise ValidationError("measure lives on a different graph than the kernel")
+        return self._potential(*nu.arrays)
 
     def _potential(self, rows, at, mass, D):
         L = self._L
@@ -341,7 +407,7 @@ class ResistanceKernel:
         inner = (at > 0.0) & (at < L[rows])
         ri, ai, ci = rows[inner], at[inner], mass[inner]
         np.add.at(T[:, 1], ri, -2.0 * ci * (L[ri] - ai) / L[ri])
-        return EdgeTable(self, T, (ri, ai, 2.0 * ci))
+        return EdgeTable(self.graph, T, (ri, ai, 2.0 * ci))
 
     def profile_polys(self, y):
         """EdgeTable of x -> r(x, y)."""
@@ -394,7 +460,7 @@ class ResistanceProfile:
         one point per edge."""
         edges = self.graph.edges
         points = [self.graph.point(e.id, 0.3183098861 * e.length) for e in edges]
-        direct = _solved_resistances(self.polys.kernel, self.y, points)
+        direct = _solved_resistances(resistance_kernel(self.graph), self.y, points)
         offsets = np.array([p.offset for p in points])
         fitted = self.polys.values_at(np.arange(len(edges)), offsets)
         ell = total_length(self.graph)

@@ -25,7 +25,7 @@ from .numerics import NumericError
 
 TAU_INDEPENDENCE_TOL = 1e-10
 TRACE_COMPARISON_TOL = 1e-7
-DISCRIMINANT_SLACK = 1e-9
+DISCRIMINANT_SLACK = 1e-9  # times the total length, the scale of g
 
 
 class GreenEvaluator:
@@ -51,15 +51,10 @@ class GreenEvaluator:
         shift = 0.5 * self.rho_at(y) - self.c_mu
         return 0.5 * (self.rho + (-1.0) * self.kernel.profile_polys(y)) + shift
 
-    def diag_poly(self, edge_id):
-        """x -> g_mu(x, x) on one edge (r(x, x) = 0)."""
-        return self.rho[edge_id] + (-self.c_mu)
-
     def sup_diag(self):
-        """Exact sup over the graph of g_mu(x, x), via derivative roots."""
-        return max(
-            self.diag_poly(e.id).extreme_values()[1] for e in self.graph.edges
-        )
+        """Exact sup over the graph of g_mu(x, x) = rho_mu(x) - c_mu, from
+        the candidates of EdgeTable.extrema (ends, kinks, derivative roots)."""
+        return float(np.max(self.rho.extrema())) - self.c_mu
 
 
 def build_green(graph, mu):
@@ -69,19 +64,16 @@ def build_green(graph, mu):
 def weak_laplacian_residual(evaluator, y, phi):
     """|integral of (d/dx g(x,y)) phi'(x) dx - (phi(y) - integral of phi dmu)|.
 
-    phi is a CPAFunction; all integrals are exact piecewise-polynomial ones.
+    phi is a CPAFunction.  phi' is a constant s on each of its segments [a,
+    b] and g(., y) is continuous, so the left side is the sum of s (g(b) -
+    g(a)), exact; the right integrates phi's EdgeTable against mu.
     """
-    lhs = 0.0
+    rows, a, b, fa, fb = phi.segments
     profile = evaluator.g_profile(y)
-    phi_polys = {}
-    for e in evaluator.graph.edges:
-        pw = phi.to_piecewise(e.id)
-        phi_polys[e.id] = pw
-        lhs += float(np.real(
-            (profile[e.id].derivative() * pw.derivative()).integral()
-        ))
+    dg = profile.values_at(rows, b) - profile.values_at(rows, a)
+    lhs = float(np.real(np.sum((fb - fa) / (b - a) * dg)))
     rhs = phi.at_point(y) - float(np.real(
-        integrate_polys_against(evaluator.mu, phi_polys)
+        integrate_polys_against(evaluator.mu, phi.table())
     ))
     return abs(lhs - rhs)
 
@@ -154,7 +146,7 @@ def discriminant_sum(evaluator, points):
     s = total / (n * (n - 1))
     m = evaluator.sup_diag()
     bound = -m / (n - 1)
-    if s < bound - DISCRIMINANT_SLACK:
+    if s < bound - DISCRIMINANT_SLACK * total_length(evaluator.graph):
         raise NumericError(
             f"discriminant sum {s!r} violates lower bound {bound!r}"
         )

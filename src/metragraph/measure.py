@@ -23,7 +23,7 @@ from . import circuit
 from .graph_core import (
     ValidationError, format_point, parse_point, total_length, valence,
 )
-from .numerics import PiecewisePoly, shift_polys
+from .numerics import shift_polys
 
 REFERENCE_MASS_TOL = 1e-10
 CANONICAL_MASS_TOL = 1e-10
@@ -117,14 +117,12 @@ class Measure:
         return total
 
     def total_variation(self):
-        """Atom masses plus the integral of |density| (PiecewisePoly.abs_integral:
+        """Atom masses plus the integral of |density| (EdgeTable.abs_integrals:
         exact for a real density, a Gauss rule between the real zeros of a
-        complex one)."""
+        complex one), the edges added one by one in graph order."""
         var = math.fsum(abs(m) for _, m in self.atoms)
-        for e in self.graph.edges:
-            if e.id in self.densities:
-                var += PiecewisePoly([0.0, e.length], [self.densities[e.id]]).abs_integral()
-        return float(var)
+        per_edge = circuit.EdgeTable(self.graph, self.arrays[3]).abs_integrals()
+        return float(np.cumsum(np.append(var, per_edge))[-1])
 
     def atom_count(self):
         return len(self._atoms)
@@ -208,15 +206,10 @@ def canonical_measure(graph):
     return mu
 
 
-def integrate_polys_against(mu, polys):
-    """Exact integral against mu of a per-edge PiecewisePoly family."""
-    total = 0.0
-    for p, mass in mu.atoms:
-        total = total + mass * polys[p.edge](p.offset)
-    for eid, coeffs in mu.densities.items():
-        e = mu.graph.edge(eid)
-        g = PiecewisePoly([0.0, e.length], [coeffs])
-        total = total + (polys[eid] * g).integral()
+def integrate_polys_against(mu, table):
+    """Exact integral against mu of an EdgeTable (EdgeTable.integrate); a
+    complex total with no imaginary part is returned as a real one."""
+    total = table.integrate(mu)
     if isinstance(total, complex) and total.imag == 0:
         total = total.real
     return total
@@ -289,14 +282,16 @@ class CPAFunction:
     """Continuous piecewise-affine test function on a graph.
 
     Built from one value per vertex plus optional interior nodes per edge;
-    affine between nodes.
+    affine between nodes.  ``segments`` holds the segments between nodes as
+    arrays (edge rows, ends a and b, values fa and fb), by row and offset.
     """
 
     def __init__(self, graph, vertex_values, interior=None):
         self.graph = graph
         self._nodes = {}
         interior = interior or {}
-        for e in graph.edges:
+        segments = []
+        for k, e in enumerate(graph.edges):
             u_val = float(vertex_values.get(e.u, 0.0))
             v_val = float(vertex_values.get(e.v, 0.0))
             pts = sorted(interior.get(e.id, []))
@@ -307,7 +302,9 @@ class CPAFunction:
                     )
             ts = [0.0] + [float(t) for t, _ in pts] + [e.length]
             vs = [u_val] + [float(v) for _, v in pts] + [v_val]
-            self._nodes[e.id] = (np.array(ts), np.array(vs))
+            self._nodes[e.id] = ts, vs = np.array(ts), np.array(vs)
+            segments.append((np.full(len(pts) + 1, k), ts[:-1], ts[1:], vs[:-1], vs[1:]))
+        self.segments = tuple(map(np.concatenate, zip(*segments)))
 
     @classmethod
     def hat(cls, graph, vertex):
@@ -321,33 +318,23 @@ class CPAFunction:
     def at_point(self, point):
         return float(self.eval(point.edge, point.offset))
 
-    def breakpoints(self, edge_id):
-        ts, _ = self._nodes[edge_id]
-        return [float(t) for t in ts[1:-1]]
-
-    def to_piecewise(self, edge_id):
-        ts, vs = self._nodes[edge_id]
-        coeffs = []
-        for (a, b, fa, fb) in zip(ts, ts[1:], vs, vs[1:]):
-            slope = (fb - fa) / (b - a)
-            coeffs.append(np.array([fa - slope * a, slope]))
-        return PiecewisePoly(ts, coeffs)
-
-    def prime(self, edge_id):
-        """(breaks, slopes): the piecewise-constant derivative."""
-        ts, vs = self._nodes[edge_id]
-        return ts, np.diff(vs) / np.diff(ts)
+    def table(self):
+        """The function as an EdgeTable: each edge's first segment as its
+        row, and a kink at each interior node whose jump is the change of
+        slope there."""
+        rows, a, b, fa, fb = self.segments
+        slope = (fb - fa) / (b - a)
+        inner = a > 0.0
+        coeffs = np.column_stack([fa[~inner], slope[~inner]])
+        jumps = slope[inner] - slope[np.flatnonzero(inner) - 1]
+        return circuit.EdgeTable(self.graph, coeffs, (rows[inner], a[inner], jumps))
 
     def dirichlet_energy(self):
-        total = 0.0
-        for eid in self._nodes:
-            ts, slopes = self.prime(eid)
-            total += float(np.sum(slopes**2 * np.diff(ts)))
-        return total
+        """Sum over segments of slope^2 (b - a)."""
+        _, a, b, fa, fb = self.segments
+        return float(np.sum(((fb - fa) / (b - a)) ** 2 * (b - a)))
 
     def l2_norm_sq(self):
-        total = 0.0
-        for eid in self._nodes:
-            pw = self.to_piecewise(eid)
-            total += (pw * pw).integral()
-        return float(total)
+        """Sum over segments of (b - a) (fa^2 + fa fb + fb^2) / 3, exact."""
+        _, a, b, fa, fb = self.segments
+        return float(np.sum((b - a) * (fa * fa + fa * fb + fb * fb)) / 3.0)

@@ -1,12 +1,12 @@
-"""Shared numerical kernels: grounded solves, nullspaces, roots, polynomial
-shifts and piecewise polynomials."""
+"""Shared numerical kernels: grounded solves, nullspaces, the stacked real
+root finder, row-wise Horner evaluation, polynomial shifts, and the per-edge
+read view of the piecewise polynomials that circuit.EdgeTable holds."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
 class NumericError(RuntimeError):
@@ -112,22 +112,45 @@ def equilibrate_rows(M):
     return M / scales[..., None], scales
 
 
-def real_roots_in_interval(coeffs, a, b, tol=1e-12):
-    """Real roots of a polynomial (ascending coeffs, real or complex) inside
-    (a, b): its zeros whose imaginary part is below tol * max(|a|, |b|) and
-    whose real part is more than tol * (b - a) from either end, so that the
-    tolerance scales with the interval."""
+def real_roots_in_intervals(coeffs, lo, hi, tol=1e-12):
+    """Real roots of each row of coeffs (ascending, real or complex) inside
+    its interval (lo[i], hi[i]), as (row index, root) arrays ordered by row
+    and then by root.  The rows of each trimmed degree share one stacked
+    companion-matrix eigvals.  A zero counts when its imaginary part is
+    below tol * max(|lo|, |hi|) and its real part is more than tol * (hi -
+    lo) from either end, so that the tolerance scales with the interval."""
     c = np.asarray(coeffs)
-    c = np.trim_zeros(c.astype(np.result_type(c, float)), "b")
-    if c.size <= 1:
-        return []
-    roots = npoly.polyroots(c)
-    imag_tol, end_tol = tol * max(abs(a), abs(b)), tol * (b - a)
-    out = []
-    for r in roots:
-        if abs(r.imag) < imag_tol and a + end_tol < r.real < b - end_tol:
-            out.append(float(r.real))
-    return sorted(out)
+    c = c.astype(np.result_type(c, float))
+    degree = np.max(np.where(c != 0, np.arange(c.shape[1]), 0), axis=1)
+    rows, roots = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    # the degrees present; np.unique would page in its hashing code (~1 MB)
+    for n in np.flatnonzero(np.bincount(degree)[1:]) + 1:
+        sel = np.flatnonzero(degree == n)
+        comp = np.zeros((sel.size, n, n), c.dtype)
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[:, :, -1] -= c[sel, :n] / c[sel, n:n + 1]
+        rows.append(sel.repeat(n))
+        # a 1 x 1 companion is its root, -c0 / c1, as in npoly.polyroots
+        roots.append(comp.ravel() if n == 1 else np.linalg.eigvals(comp).ravel())
+    rows, roots = np.concatenate(rows), np.concatenate(roots)
+    a, b = np.asarray(lo, dtype=float)[rows], np.asarray(hi, dtype=float)[rows]
+    end_tol = tol * (b - a)
+    keep = ((np.abs(roots.imag) < tol * np.maximum(np.abs(a), np.abs(b)))
+            & (a + end_tol < roots.real) & (roots.real < b - end_tol))
+    order = np.lexsort((roots.real[keep], rows[keep]))
+    return rows[keep][order], roots.real[keep][order]
+
+
+def polyval_rows(coeffs, x):
+    """Row i of coeffs (ascending) at x[i], or at every entry of the row
+    x[i] of a 2-d x, by Horner's rule in npoly.polyval's order."""
+    x = np.asarray(x)
+    c = np.asarray(coeffs)
+    c = c.reshape(c.shape[:1] + (1,) * (x.ndim - 1) + c.shape[1:])
+    out = c[..., -1] + x * 0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out = c[..., k] + out * x
+    return out
 
 
 def shift_polys(coeffs, t0):
@@ -145,8 +168,8 @@ def shift_polys(coeffs, t0):
 
 class PiecewisePoly:
     """Piecewise polynomial on [breaks[0], breaks[-1]], one coefficient array
-    (ascending, in the global coordinate) per piece.  Closed under addition,
-    scaling, multiplication, differentiation, and exact integration."""
+    (ascending, in the global coordinate) per piece: the per-edge read view
+    of an EdgeTable (circuit.EdgeTable), which does the algebra."""
 
     def __init__(self, breaks, coeffs):
         self.breaks = np.asarray(breaks, dtype=float)
@@ -162,101 +185,10 @@ class PiecewisePoly:
             if not np.iscomplexobj(arr):
                 arr = arr.astype(float)
             self.coeffs.append(arr)
-
-    def _piece_index(self, t):
-        idx = np.searchsorted(self.breaks, t, side="right") - 1
-        return np.clip(idx, 0, len(self.coeffs) - 1)
+        width = max(map(len, self.coeffs))  # zero-padded rows evaluate alike
+        self._table = np.array([np.pad(c, (0, width - len(c))) for c in self.coeffs])
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        idx = self._piece_index(tt)
-        dtype = complex if any(np.iscomplexobj(c) for c in self.coeffs) else float
-        out = np.empty(tt.shape, dtype=dtype)
-        for k in range(len(self.coeffs)):
-            sel = idx == k
-            if np.any(sel):
-                out[sel] = npoly.polyval(tt[sel], self.coeffs[k])
-        return out[0] if scalar else out
-
-    def _binary(self, other, op):
-        if isinstance(other, PiecewisePoly):
-            breaks = np.union1d(self.breaks, other.breaks)
-            lo = max(self.breaks[0], other.breaks[0])
-            hi = min(self.breaks[-1], other.breaks[-1])
-            breaks = breaks[(breaks >= lo) & (breaks <= hi)]
-            coeffs = []
-            for a, b in zip(breaks, breaks[1:]):
-                mid = 0.5 * (a + b)
-                ca = self.coeffs[int(self._piece_index(mid))]
-                cb = other.coeffs[int(other._piece_index(mid))]
-                coeffs.append(op(ca, cb))
-            return PiecewisePoly(breaks, coeffs)
-        other_c = np.atleast_1d(np.asarray(other))
-        return PiecewisePoly(self.breaks, [op(c, other_c) for c in self.coeffs])
-
-    def __add__(self, other):
-        return self._binary(other, npoly.polyadd)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, npoly.polysub)
-
-    def __mul__(self, other):
-        if isinstance(other, PiecewisePoly):
-            return self._binary(other, npoly.polymul)
-        return PiecewisePoly(self.breaks, [c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        return PiecewisePoly(self.breaks, [npoly.polyder(c) for c in self.coeffs])
-
-    def integral(self, a=None, b=None):
-        """Exact integral over [a, b] (default: the whole support)."""
-        a = self.breaks[0] if a is None else a
-        b = self.breaks[-1] if b is None else b
-        total = 0.0
-        for k, (lo, hi) in enumerate(zip(self.breaks, self.breaks[1:])):
-            lo2, hi2 = max(lo, a), min(hi, b)
-            if hi2 <= lo2:
-                continue
-            anti = npoly.polyint(self.coeffs[k])
-            total += npoly.polyval(hi2, anti) - npoly.polyval(lo2, anti)
-        return total
-
-    def abs_integral(self):
-        """Integral of |self|, splitting pieces at their real roots, where |p|
-        has its kinks: exact on a real piece, and on a complex one a 24-point
-        Gauss rule between the roots."""
-        total = 0.0
-        for c, lo, hi in zip(self.coeffs, self.breaks, self.breaks[1:]):
-            cuts = [lo] + real_roots_in_interval(c, lo, hi) + [hi]
-            if not np.iscomplexobj(c):
-                anti = npoly.polyint(c)
-                for a, b in zip(cuts, cuts[1:]):
-                    total += abs(npoly.polyval(b, anti) - npoly.polyval(a, anti))
-                continue
-            x, w = np.polynomial.legendre.leggauss(24)
-            pieces = []
-            for a, b in zip(cuts, cuts[1:]):
-                half = 0.5 * (b - a)
-                y = np.abs(npoly.polyval(0.5 * (a + b) + half * x, c))
-                if not np.all(np.isfinite(y)):
-                    raise NumericError(f"piecewise polynomial not finite on [{a}, {b}]")
-                pieces.append(float((half * w) @ y))
-            total += math.fsum(pieces)
-        return total
-
-    def extreme_values(self):
-        """(min, max) over the support, found exactly via derivative roots."""
-        cands = [self(self.breaks[0])]
-        for k, (lo, hi) in enumerate(zip(self.breaks, self.breaks[1:])):
-            cands.append(self(hi))
-            der = npoly.polyder(self.coeffs[k].real)
-            for r in real_roots_in_interval(der, lo, hi):
-                cands.append(npoly.polyval(r, self.coeffs[k]))
-        vals = np.real(np.asarray(cands, dtype=complex))
-        return float(vals.min()), float(vals.max())
+        idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.coeffs) - 1)
+        return polyval_rows(self._table[idx.ravel()], t.ravel()).reshape(t.shape)[()]

@@ -35,6 +35,7 @@ from .numerics import (
     equilibrate_rows,
     golden_min,  # noqa: F401  (perfbench/tracing.py wraps spectral.golden_min)
     nullspace_basis,
+    polyval_rows,
     shift_polys,
 )
 
@@ -62,14 +63,6 @@ def _derivative(coeffs):
     if coeffs.shape[-1] < 2:
         return np.zeros(coeffs.shape[:-1] + (1,))
     return coeffs[..., 1:] * np.arange(1.0, coeffs.shape[-1])
-
-
-def _rows_at(coeffs, x):
-    """Each row of ascending coefficients at its own x (Horner, as npoly.polyval)."""
-    value = coeffs[:, -1] + x * 0.0
-    for c in coeffs[:, -2::-1].T:
-        value = c + value * x
-    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,13 +118,6 @@ def _exp_moments(omega, lengths, count):
     return out
 
 
-def trig_poly_moments(coeffs, omega, length):
-    """(integral of p(t) cos(omega t), integral of p(t) sin(omega t)) on [0, length]."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    z = complex(c @ _exp_moments(omega, length, c.size - 1)[0])
-    return z.real, z.imag
-
-
 def _particular_table(dens):
     """P[e, :, j], the coefficients of s^j in the particular solution
     h_e = sum_j s^j (-1)^j d_e^(2j) (s = 1 / gamma^2) of each density row d_e,
@@ -144,21 +130,6 @@ def _particular_table(dens):
         table[:, :term.shape[1], j] = (-1.0) ** j * term
         term = _derivative(_derivative(term))
     return table
-
-
-def particular_solution(coeffs, gamma):
-    """Polynomial h with h'' + gamma^2 h = gamma^2 g for polynomial g.
-
-    Finite expansion h = sum_k (-1)^k g^(2k) / gamma^(2k), as one row of
-    _particular_table; as long as g through its last nonzero coefficient
-    (all of g when g is zero).
-    """
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    g = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    table = _particular_table(g[None])[0]
-    h = table @ (1.0 / (gamma * gamma)) ** np.arange(table.shape[1])
-    return h[:max(np.flatnonzero(g), default=g.size - 1) + 1]
 
 
 def _row_products(a, b):
@@ -375,9 +346,9 @@ class SpectralProblem:
             h = P[:, :, j]
             hp = _derivative(h)
             prod = _row_products(h, dens)
-            integral = _rows_at(prod / np.arange(1, prod.shape[1] + 1), L) * L
+            integral = polyval_rows(prod / np.arange(1, prod.shape[1] + 1), L) * L
             self._hpoly[:, :, j] = np.stack(
-                (h[:, 0], _rows_at(h, L), hp[:, 0], -_rows_at(hp, L), integral), axis=1)
+                (h[:, 0], polyval_rows(h, L), hp[:, 0], -polyval_rows(hp, L), integral), axis=1)
 
         def feature(k, j):
             return 2 + _EDGE_FEATURES * k + j
@@ -937,22 +908,13 @@ def rayleigh_quotient(graph, mu, trial):
     centering is rejected.
     """
     mu.require_reference()
-    polys = {e.id: trial.to_piecewise(e.id) for e in graph.edges}
-    mean = float(np.real(integrate_polys_against(mu, polys)))
-    sup_shift = 0.0
-    scale = 1.0
-    lebesgue_total = 0.0
-    l2 = 0.0
-    for e in graph.edges:
-        ts = [0.0] + trial.breakpoints(e.id) + [e.length]
-        vals = trial.eval(e.id, np.asarray(ts))
-        sup_shift = max(sup_shift, float(np.max(np.abs(vals - mean))))
-        scale = max(scale, float(np.max(np.abs(vals))))
-        lebesgue_total += polys[e.id].integral()
-        l2 += (polys[e.id] * polys[e.id]).integral()
-    if sup_shift <= 1e-12 * scale:
+    mean = float(np.real(integrate_polys_against(mu, trial.table())))
+    _, a, b, fa, fb = trial.segments
+    vals = np.concatenate([fa, fb])
+    if np.max(np.abs(vals - mean)) <= 1e-12 * max(1.0, np.max(np.abs(vals))):
         raise ValidationError("trial function is constant after mean centering")
     num = trial.dirichlet_energy()
-    denom = float(np.real(l2)) - 2.0 * mean * float(np.real(lebesgue_total)) \
+    lebesgue_total = 0.5 * np.sum((b - a) * (fa + fb))
+    denom = trial.l2_norm_sq() - 2.0 * mean * lebesgue_total \
         + mean * mean * total_length(graph)
     return num / denom

@@ -12,7 +12,9 @@ against secular_matrix) with a plain grid, brentq and minimization, as a
 second route to the eigenvalue count.  depth_first_eigenvalues, the scan's
 former depth-first walk, also calls the package's count, secant ratio and
 nullspace, one gamma at a time, to check the level-by-level walk that
-replaced it.
+replaced it.  piecewise_extremes and piecewise_abs_integral are the former
+per-piece loops of the piecewise-polynomial class, one numpy polyroots per
+piece, that the array passes of circuit.EdgeTable replaced.
 """
 
 import functools
@@ -564,3 +566,55 @@ def depth_first_eigenvalues(graph, mu, gamma_max):
         assert na <= nm <= nb, "count not monotone"
         stack += [(mid, nm, b, nb), (a, na, mid, nm)]
     return out
+
+
+def _roots_in(coeffs, a, b, tol=1e-12):
+    """Sorted real roots of one polynomial inside (a, b), from numpy's
+    polyroots, with the package's scale-relative tolerances."""
+    c = np.asarray(coeffs)
+    c = np.trim_zeros(c.astype(np.result_type(c, float)), "b")
+    if c.size <= 1:
+        return []
+    imag_tol, end_tol = tol * max(abs(a), abs(b)), tol * (b - a)
+    return sorted(float(r.real) for r in npoly.polyroots(c)
+                  if abs(r.imag) < imag_tol and a + end_tol < r.real < b - end_tol)
+
+
+def piecewise_extremes(breaks, coeffs):
+    """(min, max) of the real part of a piecewise polynomial, one piece and
+    one derivative-root solve at a time: the per-piece loop that
+    EdgeTable.extrema replaced.  A break takes the value of the piece right
+    of it, the last break that of the last piece."""
+    def value(t):
+        k = min(max(int(np.searchsorted(breaks, t, side="right")) - 1, 0), len(coeffs) - 1)
+        return npoly.polyval(t, coeffs[k])
+
+    cands = [value(breaks[0])]
+    for c, lo, hi in zip(coeffs, breaks, breaks[1:]):
+        cands.append(value(hi))
+        for r in _roots_in(npoly.polyder(np.real(c)), lo, hi):
+            cands.append(npoly.polyval(r, c))
+    vals = np.real(np.asarray(cands, dtype=complex))
+    return float(vals.min()), float(vals.max())
+
+
+def piecewise_abs_integral(breaks, coeffs):
+    """Integral of |p| for a piecewise polynomial, one piece at a time: the
+    loop that EdgeTable.abs_integrals replaced.  Exact on a real piece; a
+    24-point Gauss rule between the real roots of a complex one."""
+    total = 0.0
+    for c, lo, hi in zip(coeffs, breaks, breaks[1:]):
+        c = np.asarray(c)
+        cuts = [lo] + _roots_in(c, lo, hi) + [hi]
+        if not np.iscomplexobj(c):
+            anti = npoly.polyint(c)
+            for a, b in zip(cuts, cuts[1:]):
+                total += abs(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+            continue
+        x, w = np.polynomial.legendre.leggauss(24)
+        parts = []
+        for a, b in zip(cuts, cuts[1:]):
+            half = 0.5 * (b - a)
+            parts.append(float((half * w) @ np.abs(npoly.polyval(0.5 * (a + b) + half * x, c))))
+        total += math.fsum(parts)
+    return total

@@ -1,14 +1,18 @@
 """Green's functions, tau, traces, energy pairing, discriminant bound."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import oracles
 from conftest import circle_point, lollipop, random_mass_zero, random_point
 from metragraph import (
     CPAFunction,
     Measure,
+    NumericError,
     ValidationError,
+    build_graph,
     builtin_graph,
     build_green,
     canonical_measure,
@@ -49,6 +53,30 @@ def shaped_measure(graph, rng, dtype=float):
         dens = {eid: c * (1.0 + 1j * rng.normal(size=c.size))
                 for eid, c in dens.items()}
     return Measure(graph, atoms, {eid: c * scale for eid, c in dens.items()})
+
+
+def signed_linear_measure(graph, rng):
+    """Mass-1 measure: an interior atom of mass 0.8 and on every edge the
+    density (1 - 1.6 t / L) / total length, which changes sign at 0.625 L."""
+    ell = total_length(graph)
+    dens = {e.id: np.array([1.0, -1.6 / e.length]) / ell for e in graph.edges}
+    return Measure(graph, [(random_point(graph, rng, interior=True), 0.8)], dens)
+
+
+def random_cubic(seed, m):
+    """Connected simple cubic graph with m edges, lengths from U[0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    nxg = nx.random_regular_graph(3, 2 * m // 3, seed=seed)
+    assert nx.is_connected(nxg)
+    return build_graph([f"v{i}" for i in nxg.nodes], [
+        (f"e{k}", f"v{a}", f"v{b}", float(rng.uniform(0.5, 2.0)))
+        for k, (a, b) in enumerate(nxg.edges)])
+
+
+def wide_spread():
+    """Parallel edges of lengths 1e-7 and 1 plus a tail of length 0.5."""
+    return build_graph(["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
+                                         ("e3", "b", "c", 0.5)])
 
 
 def halves(graph):
@@ -286,6 +314,15 @@ def test_weak_laplacian_residual_small(rng):
             vals = {v: float(rng.normal()) for v in g.vertices}
             phi = CPAFunction(g, vals)
             assert weak_laplacian_residual(ev, y, phi) < 1e-10
+    # interior nodes, one of them at y, under a signed measure with an atom
+    g = lollipop()
+    ev = build_green(g, shaped_measure(g, rng))
+    y = random_point(g, rng, interior=True)
+    interior = {e.id: [(f * e.length, float(rng.normal())) for f in (0.2, 0.55, 0.9)]
+                for e in g.edges}
+    interior[y.edge].append((y.offset, 1.5))
+    phi = CPAFunction(g, {v: float(rng.normal()) for v in g.vertices}, interior)
+    assert weak_laplacian_residual(ev, y, phi) < 1e-10
 
 
 def test_trace_values(interval, circle):
@@ -340,6 +377,34 @@ def test_energy_pairing_properties(rng):
     assert complex(energy_pairing(ev, eta, eta)) == pytest.approx(
         direct, abs=1e-10
     )
+
+
+@pytest.mark.parametrize("name", ["lollipop", "wide", "cubic6", "cubic30", "cubic90"])
+def test_sup_diag_matches_per_piece_loop(name, rng):
+    g = {"lollipop": lollipop, "wide": wide_spread}.get(name) or \
+        (lambda: random_cubic(int(name[5:]), int(name[5:])))
+    g = g()
+    for mu in (canonical_measure(g), shaped_measure(g, rng), signed_linear_measure(g, rng)):
+        ev = build_green(g, mu)
+        want = max(oracles.piecewise_extremes(
+            ev.rho[e.id].breaks, [npoly.polyadd(c, [-ev.c_mu]) for c in ev.rho[e.id].coeffs])[1]
+            for e in g.edges)
+        assert ev.sup_diag() == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [1e-9, 1.0, 1e8])
+def test_discriminant_check_is_scale_free(beta, rng, monkeypatch):
+    # the slack scales with the total length: at beta = 1e-9 an absolute
+    # slack of 1e-9 exceeded every value of g and the check never fired
+    g = scale_graph(builtin_graph("dodecahedron"), beta)
+    ev = build_green(g, lebesgue_measure(g, normalize=True))
+    pts = [random_point(g, rng) for _ in range(6)]
+    rep = discriminant_sum(ev, pts)
+    assert rep.average_sum >= rep.lower_bound
+    true_sup = ev.sup_diag()
+    monkeypatch.setattr(ev, "sup_diag", lambda: -true_sup)
+    with pytest.raises(NumericError, match="violates lower bound"):
+        discriminant_sum(ev, pts)
 
 
 def test_discriminant_report(rng):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import lollipop
+from conftest import lollipop, random_point
 from metragraph import (
     CPAFunction,
     Measure,
@@ -19,6 +19,7 @@ from metragraph import (
     lebesgue_measure,
     subdivide_at,
 )
+from metragraph.circuit import EdgeTable
 from metragraph.measure import (
     integrate_polys_against,
     load_measure,
@@ -28,7 +29,6 @@ from metragraph.measure import (
     remap_measure,
     resolve_measure,
 )
-from metragraph.numerics import PiecewisePoly
 
 
 def test_atoms_merge_by_point_identity():
@@ -122,7 +122,7 @@ def test_canonical_unit_mass(name):
 def test_integrate_polys_against_exact():
     g = builtin_graph("interval")
     mu = Measure(g, [(g.point("e1", 1.0), 3.0)], {"e1": [1.0, 1.0]})
-    polys = {"e1": PiecewisePoly([0.0, 1.0], [[0.0, 0.0, 1.0]])}  # t^2
+    polys = EdgeTable(g, np.array([[0.0, 0.0, 1.0]]))  # t^2
     # 3 * 1 + int t^2 (1 + t) = 3 + 1/3 + 1/4
     assert integrate_polys_against(mu, polys) == pytest.approx(
         3.0 + 1.0 / 3.0 + 0.25, abs=1e-14
@@ -286,18 +286,55 @@ def test_cpa_function_basics():
     assert f.at_point(g.point("e1", 0.25)) == pytest.approx(0.75)
     assert f.dirichlet_energy() == pytest.approx(1.0)
     assert f.l2_norm_sq() == pytest.approx(1.0 / 3.0)
-    pw = f.to_piecewise("e1")
+    pw = f.table()["e1"]
     assert pw(0.4) == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("name", ["lollipop", "dodecahedron", "banana:3"])
+def test_total_variation_matches_per_piece_loop(name, rng):
+    # real densities of degree 0 to 4 that change sign, beside zero and
+    # constant ones: bit-identical to the per-edge loop, edges in graph order
+    g = lollipop() if name == "lollipop" else builtin_graph(name)
+    for _ in range(4):
+        dens = {e.id: rng.normal(size=k % 5 + 1) / e.length ** np.arange(k % 5 + 1)
+                for k, e in enumerate(g.edges) if k % 7 != 3}
+        dens[g.edges[0].id] = np.zeros(2)
+        atoms = [(random_point(g, rng), float(rng.normal())) for _ in range(3)]
+        for mu in (Measure(g, atoms, dens), canonical_measure(g)):
+            want = math.fsum(abs(m) for _, m in mu.atoms)
+            for e in g.edges:
+                if e.id in mu.densities:
+                    want += oracles.piecewise_abs_integral([0.0, e.length],
+                                                           [mu.densities[e.id]])
+            assert mu.total_variation() == want
+
+
+def test_cpa_table_and_closed_forms(rng):
+    g = lollipop()
+    interior = {e.id: sorted((float(t), float(rng.normal()))
+                             for t in rng.uniform(0.05, 0.95, k) * e.length)
+                for k, e in enumerate(g.edges)}
+    f = CPAFunction(g, {v: float(rng.normal()) for v in g.vertices}, interior)
+    table = f.table()
+    for _ in range(20):
+        p = random_point(g, rng)
+        assert table[p.edge](p.offset) == pytest.approx(f.at_point(p), abs=1e-14)
+    # the squared L2 norm against a fine midpoint sum of f^2 on every segment
+    want = 0.0
+    for k, a, b, _, _ in zip(*f.segments):
+        x = a + (b - a) * (np.arange(2000) + 0.5) / 2000
+        want += np.sum(f.eval(g.edges[k].id, x) ** 2) * (b - a) / 2000
+    assert f.l2_norm_sq() == pytest.approx(want, rel=1e-6)
 
 
 def test_cpa_interior_nodes():
     g = builtin_graph("interval")
     f = CPAFunction(g, {"a": 0.0, "b": 0.0}, {"e1": [(0.5, 1.0)]})
-    assert f.breakpoints("e1") == [0.5]
+    rows, a, b, fa, fb = f.segments
+    assert list(a[1:]) == [0.5]
     assert f.at_point(g.point("e1", 0.25)) == pytest.approx(0.5)
     assert f.dirichlet_energy() == pytest.approx(2.0 * 2.0 * 0.5 * 2)
-    ts, slopes = f.prime("e1")
-    assert list(slopes) == pytest.approx([2.0, -2.0])
+    assert list((fb - fa) / (b - a)) == pytest.approx([2.0, -2.0])
     with pytest.raises(ValidationError):
         CPAFunction(g, {}, {"e1": [(1.5, 1.0)]})
 

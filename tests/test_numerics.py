@@ -1,20 +1,34 @@
-"""Grounded solves, nullspaces, minimization, roots, piecewise polys."""
+"""Grounded solves, nullspaces, minimization, roots, and the piecewise
+polynomials of circuit.EdgeTable with their per-edge PiecewisePoly view."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from metragraph import Measure, build_graph
+import oracles
+from metragraph import Measure, build_graph, builtin_graph
+from metragraph.circuit import EdgeTable
 from metragraph.numerics import (
     NumericError,
     PiecewisePoly,
     equilibrate_rows,
     golden_min,
     nullspace_basis,
-    real_roots_in_interval,
+    polyval_rows,
+    real_roots_in_intervals,
     shift_polys,
     solve_grounded,
 )
+
+
+def one_edge_table(length, coeffs, kinks=None, graph=None):
+    """EdgeTable of one edge e1 of the given length (or of the given graph):
+    the row coeffs plus kinks [(offset, jump), ...]."""
+    g = graph or build_graph(["a", "b"], [("e1", "a", "b", length)])
+    at, jumps = (np.array(v, dtype=float) for v in zip(*kinks)) if kinks else ([], [])
+    return EdgeTable(g, np.atleast_2d(coeffs),
+                     (np.zeros(len(at), dtype=int), np.asarray(at, dtype=float),
+                      np.asarray(jumps)))
 
 
 def test_solve_grounded_path_network():
@@ -79,32 +93,73 @@ def test_equilibrate_rows():
 
 
 def test_real_roots_in_interval():
-    # (t - 1)(t - 2) = 2 - 3t + t^2
-    assert real_roots_in_interval([2.0, -3.0, 1.0], 0.0, 3.0) == \
-        pytest.approx([1.0, 2.0])
-    assert real_roots_in_interval([2.0, -3.0, 1.0], 1.0, 3.0) == \
-        pytest.approx([2.0])  # open interval drops the endpoint root
-    assert real_roots_in_interval([5.0], 0.0, 1.0) == []
+    # (t - 1)(t - 2) = 2 - 3t + t^2, on (0, 3) and (1, 3); a constant has none
+    rows, roots = real_roots_in_intervals(
+        [[2.0, -3.0, 1.0], [2.0, -3.0, 1.0], [5.0, 0.0, 0.0]], [0.0, 1.0, 0.0], [3.0, 3.0, 1.0])
+    assert list(rows) == [0, 0, 1]
+    assert list(roots) == pytest.approx([1.0, 2.0, 2.0])  # open interval drops the endpoint root
+
+
+def test_real_roots_match_polyroots_per_row(rng):
+    # rows of every trimmed degree, real beside complex, with zero leading
+    # coefficients: the stacked eigvals agree with one polyroots per row
+    c = rng.normal(size=(40, 5)) + 1j * (rng.random((40, 1)) < 0.3) * rng.normal(size=(40, 5))
+    c[np.arange(40), rng.integers(1, 5, 40)] = 0.0
+    c[::7, 2:] = 0.0
+    lo, hi = -np.ones(40), np.ones(40)
+    rows, roots = real_roots_in_intervals(c, lo, hi)
+    for k in range(40):
+        want = oracles._roots_in(c[k], -1.0, 1.0)
+        assert list(roots[rows == k]) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_polyval_rows_is_polyval(rng):
+    c = rng.normal(size=(6, 4))
+    x = rng.normal(size=6)
+    assert list(polyval_rows(c, x)) == [npoly.polyval(t, r) for t, r in zip(x, c)]
+    xs = rng.normal(size=(6, 3))
+    assert np.array_equal(polyval_rows(c, xs),
+                          [npoly.polyval(t, r) for t, r in zip(xs, c)])
 
 
 def test_piecewise_poly_algebra():
-    f = PiecewisePoly([0.0, 1.0], [[0.0, 1.0]])  # t
-    g = PiecewisePoly([0.0, 0.5, 1.0], [[1.0], [0.0]])  # indicator of [0, .5]
-    h = (f + g) * f
-    assert h(0.25) == pytest.approx(0.25 * 1.25)
-    assert h(0.75) == pytest.approx(0.75 * 0.75)
-    assert (f * f).integral() == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert (f * f).integral(0.5, 1.0) == pytest.approx(7.0 / 24.0, abs=1e-14)
-    assert f.derivative()(0.9) == pytest.approx(1.0)
+    interval = builtin_graph("interval")
+    f = one_edge_table(1.0, [0.0, 1.0], graph=interval)  # t
+    g = one_edge_table(1.0, [0.5, -1.0], [(0.5, 2.0)], graph=interval)  # |t - 1/2|
+    h = (f + g) * 2.0 + 1.0
+    assert h["e1"](0.25) == pytest.approx(2.0 * (0.25 + 0.25) + 1.0)
+    assert h["e1"](0.75) == pytest.approx(2.0 * (0.75 + 0.25) + 1.0)
+    assert list(h["e1"].breaks) == [0.0, 0.5, 1.0]
+    assert list(h["e1"].coeffs[1]) == pytest.approx([0.0, 4.0], abs=1e-15)
+    mu = Measure(f.graph, (), {"e1": [0.0, 1.0]})  # t dt
+    assert f.integrate(mu) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert (3.0 * g).integrate(mu) == pytest.approx(3.0 * 0.125, abs=1e-14)
+    assert g.integrals()[0] == pytest.approx(0.25, abs=1e-14)
 
 
 def test_piecewise_poly_abs_and_extremes():
-    f = PiecewisePoly([0.0, 1.0], [[1.0, -2.0]])  # 1 - 2t, crosses at 0.5
-    assert f.abs_integral() == pytest.approx(0.5, abs=1e-14)
-    g = PiecewisePoly([0.0, 2.0], [[0.0, -1.0, 1.0]])  # t^2 - t
-    lo, hi = g.extreme_values()
+    f = one_edge_table(1.0, [1.0, -2.0])  # 1 - 2t, crosses at 0.5
+    assert f.abs_integrals()[0] == pytest.approx(0.5, abs=1e-14)
+    g = one_edge_table(2.0, [0.0, -1.0, 1.0])  # t^2 - t
+    vals = g.extrema()
+    lo, hi = vals.min(), vals.max()
     assert lo == pytest.approx(-0.25, abs=1e-14)
     assert hi == pytest.approx(2.0, abs=1e-14)
+
+
+def test_table_pieces_read_the_kinks():
+    # two kinks at one offset sum; a kink right of a root splits the |.| parts
+    t = one_edge_table(3.0, [1.0, -1.0, 0.0], [(2.0, 0.5), (1.5, 1.0), (2.0, 0.5)])
+    pw = t["e1"]
+    assert list(pw.breaks) == [0.0, 1.5, 2.0, 3.0]
+    xs = np.linspace(0.0, 3.0, 31)
+    want = 1.0 - xs + np.maximum(xs - 1.5, 0.0) + np.maximum(xs - 2.0, 0.0)
+    assert np.allclose(pw(xs), want, rtol=0.0, atol=1e-14)
+    # f = 1 - t on [0, 1.5], -0.5 on [1.5, 2], t - 2.5 on [2, 3]
+    assert t.abs_integrals()[0] == pytest.approx(0.5 + 0.125 + 0.25 + 0.125 + 0.125)
+    vals = t.extrema()
+    assert (vals.min(), vals.max()) == pytest.approx((-0.5, 1.0))
+    assert oracles.piecewise_abs_integral(pw.breaks, pw.coeffs) == t.abs_integrals()[0]
 
 
 @pytest.mark.parametrize("length", [1e-13, 1e-11, 1e-6, 1.0, 1e3, 1e8])
@@ -112,14 +167,15 @@ def test_piecewise_poly_abs_and_extremes():
 def test_roots_are_found_on_intervals_of_any_length(length, factor):
     # an absolute root tolerance of 1e-12 dropped every root on [0, 1e-13]:
     # the variation of (1 - 2t/L)/L read 0.0 and the minimum of (t - 0.3L)^2
-    # read 9e-28; extreme_values reads the real part, 0 for factor 1j
+    # read 9e-28; extrema reads the real part, 0 for factor 1j
     density = factor * np.array([1.0 / length, -2.0 / length**2])
-    assert PiecewisePoly([0.0, length], [density]).abs_integral() == \
+    assert one_edge_table(length, density).abs_integrals()[0] == \
         pytest.approx(0.5, rel=1e-12)
     g = build_graph(["a", "b"], [("e1", "a", "b", length)])
     assert Measure(g, (), {"e1": density}).total_variation() == pytest.approx(0.5, rel=1e-12)
     square = factor * np.array([0.09 * length**2, -0.6 * length, 1.0])
-    lo, hi = PiecewisePoly([0.0, length], [square]).extreme_values()
+    vals = one_edge_table(length, square).extrema()
+    lo, hi = vals.min(), vals.max()
     assert lo == pytest.approx(0.0, abs=1e-15 * length**2)
     assert hi == pytest.approx(0.49 * length**2 * factor.real, rel=1e-12)
 
