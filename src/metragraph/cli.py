@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .graph_core import (
+    PointOnGraph,
     ValidationError,
     builtin_graph,
     format_point,
@@ -24,6 +25,7 @@ from .graph_core import (
     total_length,
     valence,
 )
+from .circuit import _edge_arrays
 from .green import (
     build_green,
     discriminant_sum,
@@ -211,12 +213,29 @@ def cmd_eigen(args):
     return payload, ["lambda", "multiplicity"], rows
 
 
+def _coefficient_rows(f):
+    """f's coefficients as JSON rows by the caller's edge id; an edge that the
+    remap chain cut at interior atoms comes as its pieces in offset order,
+    each with its "start" on the edge and coefficients in its own offset."""
+    cut = {}
+    for r in f.remaps:
+        edge, start = cut.pop(r.split_edge, (r.split_edge, 0.0))
+        cut[r.child_u], cut[r.child_v] = (edge, start), (edge, start + r.split_offset)
+    trig, particular = f.trig, f.particular
+    rows = [{**dict(zip(("edge", "start"), cut.get(eid, (eid,)))), "cos": trig[eid][0],
+             "sin": trig[eid][1], "particular": [float(c) for c in particular[eid]]}
+            for eid in f.edges]
+    return sorted(rows, key=lambda row: (row["edge"], row.get("start", 0.0)))
+
+
 def cmd_eigenfunctions(args):
     if args.samples_per_edge < 0:
         raise ValidationError("--samples-per-edge must be nonnegative")
     g = _load_graph_arg(args.graph)
     mu = resolve_measure(g, args.measure)
     pairs = _eigen_pairs(g, mu, args)
+    ids = np.repeat([e.id for e in g.edges], args.samples_per_edge).tolist()
+    t = np.linspace(0.0, _edge_arrays(g)[1], args.samples_per_edge, axis=1).ravel()
     entries = []
     rows = []
     index = 0
@@ -229,20 +248,10 @@ def cmd_eigenfunctions(args):
                 "lambda": pair.eigenvalue,
                 "gamma": f.gamma,
                 "constant": f.constant,
-                "edges": [
-                    {
-                        "edge": eid,
-                        "cos": f.trig[eid][0],
-                        "sin": f.trig[eid][1],
-                        "particular": [float(c) for c in f.particular[eid]],
-                    }
-                    for eid in sorted(f.trig)
-                ],
+                "edges": _coefficient_rows(f),
             })
-            for e in g.edges:
-                for t in np.linspace(0.0, e.length, args.samples_per_edge):
-                    rows.append([index, pair.eigenvalue, e.id, float(t),
-                                 float(f.value(e.id, float(t)))])
+            rows += zip([index] * len(ids), [pair.eigenvalue] * len(ids), ids, t.tolist(),
+                        f.value(ids, t).tolist())
     payload = {"measure": args.measure, "eigenfunctions": entries}
     return payload, ["index", "lambda", "edge", "offset", "value"], rows
 
@@ -271,12 +280,14 @@ def cmd_trace_compare(args):
 
 
 def _sample_grid(g, npts):
-    ell = total_length(g)
-    pts = []
-    for e in g.edges:
-        k = max(1, round(npts * e.length / ell))
-        pts.extend(g.point(e.id, (j + 0.5) * e.length / k) for j in range(k))
-    return pts
+    """(edge ids, rows, offsets) of the midpoints of k = max(1, round(npts L
+    / total length)) equal parts of each edge of length L."""
+    _, L, _ = _edge_arrays(g)
+    k = np.maximum(1, np.round(npts * L / total_length(g))).astype(int)
+    rows = np.repeat(np.arange(len(L)), k)
+    j = np.arange(len(rows)) - np.repeat(np.cumsum(k) - k, k)
+    ids = np.array([e.id for e in g.edges], dtype=object)[rows]
+    return ids, rows, (j + 0.5) * L[rows] / k[rows]
 
 
 def cmd_mercer_check(args):
@@ -286,22 +297,22 @@ def cmd_mercer_check(args):
     mu = resolve_measure(g, args.measure)
     pairs = _eigen_pairs(g, mu, args)
     ev = build_green(g, mu)
-    pts = _sample_grid(g, args.grid_points)
-    exact = np.array([[ev.g(x, y) for y in pts] for x in pts])
+    ids, k, t = _sample_grid(g, args.grid_points)
+    exact = np.column_stack([ev.g_profile(y).values_at(k, t)
+                             for y in map(PointOnGraph, ids, t.tolist())])
     partial = np.zeros_like(exact)
     rows = []
     used = 0
     for p in pairs:
         pair = _functions_at(g, mu, p.eigenvalue, args)
-        for f in pair.eigenfunctions:
-            vals = np.array([f.at_point(x) for x in pts])
-            partial += np.outer(vals, vals) / pair.eigenvalue
-            used += 1
+        vals = np.array([f.value(ids, t) for f in pair.eigenfunctions])
+        partial += vals.T @ vals / pair.eigenvalue
+        used += len(vals)
         rows.append([p.eigenvalue, used, float(np.max(np.abs(exact - partial)))])
     sups = [r[2] for r in rows]
     payload = {
         "measure": args.measure,
-        "grid_points": len(pts),
+        "grid_points": len(t),
         "rows": [
             {"lambda": lam, "functions": n, "sup_error": s}
             for lam, n, s in rows

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import green as green_mod
+from .circuit import _edge_arrays
 from .graph_core import PointOnGraph, ValidationError, subdivide_at, total_length
 from .measure import integrate_polys_against, remap_measure
 from .numerics import (
@@ -165,7 +165,8 @@ class EdgeBasisSolution:
     zero-padded, and constant is the Lebesgue integral of the function over
     the graph.  trig and particular are per-edge-id views of ab and h; remaps,
     the PointRemap chain of the problem shared per (graph, measure), lets
-    value, derivative and at_point take the caller's (unsplit) points too.
+    value, derivative and at_point take the caller's (unsplit) points too,
+    and value and derivative take an array of edge ids as well as one id.
     """
 
     gamma: float
@@ -190,47 +191,37 @@ class EdgeBasisSolution:
         return {eid: self.h[k, :max(np.flatnonzero(self.h[k]), default=0) + 1]
                 for eid, k in self.edges.items()}
 
-    def _on_pieces(self, method, edge_id, t):
-        """method at offsets t along a caller's edge split into pieces."""
-        def one(s):
-            p = functools.reduce(lambda q, remap: remap(q), self.remaps,
-                                 PointOnGraph(edge_id, float(s)))
-            if p.edge == edge_id:
-                raise KeyError(edge_id)
-            return method(p.edge, p.offset)
-        return np.vectorize(one, otypes=[float])(t)
+    def _read(self, edge_id, t, derivative):
+        """value or derivative in one array pass; the remap chain is walked one
+        vectorised step per split, with each remap's own test and subtraction."""
+        ids, t = np.broadcast_arrays(np.array(edge_id, dtype=object), np.asarray(t, dtype=float))
+        shape, ids, t = t.shape, ids.flatten(), t.flatten()
+        for remap in self.remaps:
+            hit = ids == remap.split_edge
+            right = hit & (t > remap.split_offset)
+            ids[hit] = remap.child_u
+            ids[right] = remap.child_v
+            t[right] -= remap.split_offset
+        k = np.fromiter(map(self.edges.__getitem__, ids), dtype=np.intp, count=ids.size)
+        (A, B), g, h = self.ab[k].T, self.gamma, self.h
+        if derivative:  # B g cos - A g sin + C h'
+            (A, B), h = (B * g, -A * g), _derivative(h)
+        out = A * np.cos(g * t) + B * np.sin(g * t) + self.constant * polyval_rows(h[k], t)
+        return out.reshape(shape)[()]
 
     def value(self, edge_id, t):
-        if edge_id not in self.edges:
-            return self._on_pieces(self.value, edge_id, t)
-        k = self.edges[edge_id]
-        A, B = self.ab[k]
-        t = np.asarray(t, dtype=float)
-        h = npoly.polyval(t, self.h[k])
-        return A * np.cos(self.gamma * t) + B * np.sin(self.gamma * t) \
-            + self.constant * h
+        return self._read(edge_id, t, False)
 
     def derivative(self, edge_id, t):
-        if edge_id not in self.edges:
-            return self._on_pieces(self.derivative, edge_id, t)
-        k = self.edges[edge_id]
-        A, B = self.ab[k]
-        g = self.gamma
-        t = np.asarray(t, dtype=float)
-        hp = npoly.polyval(t, npoly.polyder(self.h[k]))
-        return -A * g * np.sin(g * t) + B * g * np.cos(g * t) \
-            + self.constant * hp
+        return self._read(edge_id, t, True)
 
     def at_point(self, point):
         return float(self.value(point.edge, point.offset))
 
     def sup_norm(self, graph, samples_per_edge=64):
         """Grid estimate of the supremum norm."""
-        worst = 0.0
-        for e in graph.edges:
-            t = np.linspace(0.0, e.length, samples_per_edge)
-            worst = max(worst, float(np.max(np.abs(self.value(e.id, t)))))
-        return worst
+        t = np.linspace(0.0, _edge_arrays(graph)[1], samples_per_edge, axis=1)
+        return float(np.max(np.abs(self.value([[e.id] for e in graph.edges], t))))
 
 
 @dataclass
@@ -273,8 +264,7 @@ class SpectralProblem:
         self.mu = measure
         self.bases = {}
         self.edges = work.edges
-        self._row = {e.id: k for k, e in enumerate(self.edges)}
-        self._col = {eid: 2 * k for eid, k in self._row.items()}
+        self._row, self._lengths, self._ends = _edge_arrays(work)
         self.size = 2 * len(self.edges) + 1
         self._atom_mass = {}
         for p, mass in measure.atoms:
@@ -335,7 +325,7 @@ class SpectralProblem:
         # holds h(0), h(L), h'(0), -h'(L) and the integral of h*d for P_j.
         # Constant densities get closed-form trig moments, the rows _poly of
         # _dens batched ones.
-        self._lengths = L = np.array([e.length for e in self.edges])
+        L = self._lengths
         self._dens = dens = self.mu.arrays[3]
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
         self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
@@ -363,7 +353,7 @@ class SpectralProblem:
         entries = []
 
         def put(r, e, feats, coef):
-            c = self._col[e.id]
+            c = 2 * self._row[e.id]
             for col, feat in zip((c, c + 1, ccol), feats):
                 if feat is not None:
                     entries.append((r * N + col, feat, coef))
@@ -598,10 +588,8 @@ class EigenvalueCount:
     """
 
     def __init__(self, problem):
-        graph, L = problem.graph, problem._lengths
+        graph, L, ends = problem.graph, problem._lengths, problem._ends
         n, m = len(graph.vertices), len(L)
-        ends = np.array([[graph.vertex_index(e.u), graph.vertex_index(e.v)]
-                         for e in problem.edges])
         cut, mid = GOLDEN_CUT * L, n + np.arange(m)  # the cut of edge k is node n + k
         # piece 2k runs from u to the cut of edge k, piece 2k + 1 on to v
         u = np.column_stack((ends[:, 0], mid)).ravel()
@@ -858,46 +846,45 @@ def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5):
     evaluator = green_mod.GreenEvaluator(work, problem.mu)
     cont = der = integ = oper = 0.0
     lam = eigenpair.eigenvalue
-    grid_points = [work.point_at_vertex(v) for v in work.vertices]
-    for e in work.edges:
-        for t in np.linspace(0.0, e.length, samples_per_edge + 2)[1:-1]:
-            grid_points.append(work.point(e.id, float(t)))
-    profiles = [evaluator.g_profile(x) for x in grid_points]
+    # f is read at n points per edge; end 2k + side of edge k is ends[2k +
+    # side], at vertex[2k + side]; vertex i's grid point is its first end
+    n = samples_per_edge + 2
+    ids = np.repeat(np.array([e.id for e in work.edges], dtype=object), n)
+    t = np.linspace(0.0, L, n, axis=1).ravel()
+    ends = (np.arange(0, len(t), n)[:, None] + [0, n - 1]).ravel()
+    vertex = problem._ends.ravel()
+    first = np.unique(vertex, return_index=True)[1]
+    grid = np.concatenate((ends[first], np.setdiff1d(np.arange(len(t)), ends)))
+    profiles = [evaluator.g_profile(x) for x in map(PointOnGraph, ids[grid], t[grid].tolist())]
+    coeffs = np.real(np.stack([q.coeffs for q in profiles]))
+    rows, a, jumps = (np.concatenate(z) for z in zip(*(q.kinks for q in profiles)))
+    owner = np.repeat(np.arange(len(grid)), [q.kinks[0].size for q in profiles])
+    kink = np.real(jumps)[:, None] * np.column_stack((-a, np.ones_like(a)))
+    sign = np.tile([1.0, -1.0], len(L))  # slopes out of the u end, into the v end
+    mass = np.array([problem._atom_mass.get(v, 0.0) for v in work.vertices])
     for f in eigenpair.eigenfunctions:
         gam = f.gamma
-        for v in work.vertices:
-            inc = work.incidences(v)
-            e0, end0 = inc[0]
-            base = f.value(e0.id, 0.0 if end0 == 0 else e0.length)
-            balance = 0.0
-            for e, end in inc:
-                t_end = 0.0 if end == 0 else e.length
-                cont = max(cont, abs(float(f.value(e.id, t_end)) - float(base)))
-                d = float(f.derivative(e.id, t_end))
-                balance += d if end == 0 else -d
-            balance -= gam * gam * problem._atom_mass.get(v, 0.0) * f.constant
-            der = max(der, abs(balance))
+        vals = f.value(ids, t)
+        cont = max(cont, float(np.max(np.abs(vals[ends] - vals[ends[first]][vertex]))))
+        balance = np.bincount(vertex, sign * f.derivative(ids[ends], t[ends]),
+                              minlength=len(mass)) - gam * gam * mass * f.constant
+        der = max(der, float(np.max(np.abs(balance))))
         integ = max(integ, abs(problem.mu_integral(f)))
         p = f.constant * f.h
-        for x, profile in zip(grid_points, profiles):
-            total = np.sum(_pair_form(L, gam, f.ab, p, 0.0, 0.0 * f.ab,
-                                      np.real(profile.coeffs)))
-            rows, a, jumps = profile.kinks
-            if rows.size:
-                kink = np.real(jumps)[:, None] * np.column_stack((-a, np.ones_like(a)))
-                args = (gam, f.ab[rows], p[rows], 0.0, 0.0 * f.ab[rows], kink)
-                total += np.sum(_pair_form(L[rows], *args) - _pair_form(a, *args))
-            oper = max(oper, abs(float(total) - f.at_point(x) / lam))
+        total = np.sum(_pair_form(L, gam, f.ab, p, 0.0, 0.0 * f.ab, coeffs), axis=-1)
+        if rows.size:
+            args = (gam, f.ab[rows], p[rows], 0.0, 0.0 * f.ab[rows], kink)
+            total += np.bincount(owner, _pair_form(L[rows], *args) - _pair_form(a, *args),
+                                 minlength=len(grid))
+        oper = max(oper, float(np.max(np.abs(total - vals[grid] / lam))))
     return ResidualReport(cont, der, integ, oper)
 
 
 def mercer_partial_sum(eigenpairs, x, y):
     """Sum over the given eigenpairs of f_n(x) f_n(y) / lambda_n."""
-    total = 0.0
-    for pair in eigenpairs:
-        for f in pair.eigenfunctions:
-            total += f.at_point(x) * f.at_point(y) / pair.eigenvalue
-    return total
+    terms = [np.prod(f.value([x.edge, y.edge], [x.offset, y.offset])) / pair.eigenvalue
+             for pair in eigenpairs for f in pair.eigenfunctions]
+    return float(np.cumsum([0.0, *terms])[-1])
 
 
 def rayleigh_quotient(graph, mu, trial):

@@ -15,6 +15,13 @@ nullspace, one gamma at a time, to check the level-by-level walk that
 replaced it.  piecewise_extremes and piecewise_abs_integral are the former
 per-piece loops of the piecewise-polynomial class, one numpy polyroots per
 piece, that the array passes of circuit.EdgeTable replaced.
+solution_value, mercer_sum and vertex_residuals read an EdgeBasisSolution's
+arrays one point at a time: the PointRemap chain walked point by point and
+the scalar per-edge formula, the former per-point paths of the solution's
+value and derivative, of mercer_partial_sum and of eigen_residuals' vertex
+loops, that one array pass replaced.  operator_residual is the former
+per-grid-point loop of eigen_residuals' operator residual, on the package's
+Green profiles and pair form.
 """
 
 import functools
@@ -25,10 +32,12 @@ from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
 
-from metragraph.graph_core import total_length
+from metragraph.graph_core import PointOnGraph, total_length
 from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL
+from metragraph.green import GreenEvaluator
 from metragraph.spectral import (
     DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _newton_ratio,
+    _pair_form, _problem,
 )
 
 
@@ -322,7 +331,7 @@ def secular_matrix(problem, gamma):
     M = np.zeros((N, N))
     ccol = N - 1
     g = gamma
-    col = problem._col
+    col = {e.id: 2 * k for k, e in enumerate(problem.edges)}
     parts = {e.id: _particular(problem.mu.density(e.id), g) for e in problem.edges}
     val = {}  # (edge id, end) -> (A, B, C) coefficients of f at the endpoint
     der = {}  # (edge id, end) -> coefficients of the inward derivative
@@ -618,3 +627,82 @@ def piecewise_abs_integral(breaks, coeffs):
             parts.append(float((half * w) @ np.abs(npoly.polyval(0.5 * (a + b) + half * x, c))))
         total += math.fsum(parts)
     return total
+
+
+def remap_point(remaps, point):
+    """A point carried through a PointRemap chain one remap at a time."""
+    return functools.reduce(lambda p, remap: remap(p), remaps, point)
+
+
+def solution_value(f, point, derivative=False):
+    """An EdgeBasisSolution, or its derivative, at one point of the caller's
+    or the working graph: remap_point, then npoly.polyval of the edge's row
+    of particular solutions (or of its npoly.polyder)."""
+    p = remap_point(f.remaps, point)
+    k = f.edges[p.edge]
+    A, B = f.ab[k]
+    g, t = f.gamma, np.asarray(p.offset, dtype=float)
+    if derivative:
+        return -A * g * np.sin(g * t) + B * g * np.cos(g * t) \
+            + f.constant * npoly.polyval(t, npoly.polyder(f.h[k]))
+    return A * np.cos(g * t) + B * np.sin(g * t) + f.constant * npoly.polyval(t, f.h[k])
+
+
+def mercer_sum(eigenpairs, x, y):
+    """Sum of f(x) f(y) / lambda over the functions of the eigenpairs, one
+    term at a time."""
+    total = 0.0
+    for pair in eigenpairs:
+        for f in pair.eigenfunctions:
+            total += float(solution_value(f, x)) * float(solution_value(f, y)) / pair.eigenvalue
+    return total
+
+
+def vertex_residuals(problem, f):
+    """(continuity, derivative-balance) residuals of a solution of the
+    SpectralProblem, vertex by vertex and incidence by incidence: the worst
+    |f(end) - f(first end)| and |sum of outgoing slopes - gamma^2 mass C|."""
+    work = problem.graph
+    cont = der = 0.0
+    for v in work.vertices:
+        inc = work.incidences(v)
+        e0, end0 = inc[0]
+        base = solution_value(f, PointOnGraph(e0.id, 0.0 if end0 == 0 else e0.length))
+        balance = 0.0
+        for e, end in inc:
+            p = PointOnGraph(e.id, 0.0 if end == 0 else e.length)
+            cont = max(cont, abs(float(solution_value(f, p)) - float(base)))
+            d = float(solution_value(f, p, derivative=True))
+            balance += d if end == 0 else -d
+        balance -= f.gamma * f.gamma * problem._atom_mass.get(v, 0.0) * f.constant
+        der = max(der, abs(balance))
+    return cont, der
+
+
+def operator_residual(graph, mu, eigenpair, samples_per_edge):
+    """max over the functions and the grid points x of |integral of g_mu(x,
+    y) f(y) dy - f(x) / lambda| on the working graph, one grid point and one
+    pair-form call per kink at a time; the grid is every vertex (at its
+    point_at_vertex) and samples_per_edge interior points per edge."""
+    problem = _problem(graph, mu)
+    work, L = problem.graph, np.array([e.length for e in problem.edges])
+    evaluator = GreenEvaluator(work, problem.mu)
+    grid = [work.point_at_vertex(v) for v in work.vertices]
+    for e in work.edges:
+        for t in np.linspace(0.0, e.length, samples_per_edge + 2)[1:-1]:
+            grid.append(work.point(e.id, float(t)))
+    worst = 0.0
+    for x in grid:
+        profile = evaluator.g_profile(x)
+        for f in eigenpair.eigenfunctions:
+            p = f.constant * f.h
+            total = np.sum(_pair_form(L, f.gamma, f.ab, p, 0.0, 0.0 * f.ab,
+                                      np.real(profile.coeffs)))
+            rows, a, jumps = profile.kinks
+            if rows.size:
+                kink = np.real(jumps)[:, None] * np.column_stack((-a, np.ones_like(a)))
+                args = (f.gamma, f.ab[rows], p[rows], 0.0, 0.0 * f.ab[rows], kink)
+                total += np.sum(_pair_form(L[rows], *args) - _pair_form(a, *args))
+            fx = float(solution_value(f, x))
+            worst = max(worst, abs(float(total) - fx / eigenpair.eigenvalue))
+    return worst

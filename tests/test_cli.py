@@ -260,12 +260,15 @@ def test_wide_length_spread(capsys, tmp_path):
 
 def test_interior_atom_eigenfunctions_and_mercer_check(capsys, tmp_path):
     # the functions live on the graph split at the atom; both commands read
-    # them at the points of the unsplit graph
+    # them at the points of the unsplit graph, and the JSON names the two
+    # pieces of e1 by the caller's edge and their start offsets
     spec = tmp_path / "atom.json"
     spec.write_text(json.dumps({"atoms": [{"point": "e1:0.05", "mass": 1.0}]}))
     argv = ["--graph", "builtin:tetrahedron", "--measure", str(spec), "--lambda-max", "400"]
     funcs = run_json(capsys, "eigenfunctions", *argv)["eigenfunctions"]
-    assert {e["edge"] for e in funcs[0]["edges"]} >= {"e1.1", "e1.2"}
+    for func in funcs:
+        rows = [(e["edge"], e.get("start")) for e in func["edges"]]
+        assert rows == [("e1", 0.0), ("e1", 0.05)] + [(f"e{k}", None) for k in range(2, 7)]
     assert main(["eigenfunctions", *argv, "--format", "csv"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 20 * 6 * len(funcs) and any(r[2] == "e1" for r in rows)
@@ -298,3 +301,16 @@ def test_library_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "0 []"
     assert "tau" in json.loads(proc.stdout)
+
+
+def test_eigenfunctions_list_the_pieces_of_an_edge_split_twice(capsys, tmp_path):
+    spec = tmp_path / "atoms.json"
+    spec.write_text(json.dumps({"atoms": [{"point": "e1:0.3", "mass": 0.25},
+                                          {"point": "e1:0.7", "mass": 0.25}],
+                                "densities": [{"edge": "e1", "poly": [0.5]}]}))
+    funcs = run_json(capsys, "eigenfunctions", "--graph", "builtin:interval", "--measure",
+                     str(spec), "--lambda-max", "200")["eigenfunctions"]
+    assert funcs
+    for func in funcs:
+        assert [(e["edge"], e["start"]) for e in func["edges"]] == \
+            [("e1", 0.0), ("e1", 0.3), ("e1", 0.7)]

@@ -1,9 +1,9 @@
 """Byte-for-byte CLI stdout against tests/data/cli_golden.txt.
 
 The golden file holds one block per command: a line "$ <argv>" and then the
-command's stdout.  The argv names the lollipop graph and the trial function
-by file name only; the test writes both into a temporary directory and runs
-from there.  The file was written by ``PYTHONPATH=src python
+command's stdout.  The argv names the lollipop graph, the trial function and
+the interior-atom measure by file name only; the test writes them into a
+temporary directory and runs from there.  The file was written by ``PYTHONPATH=src python
 tests/test_cli_golden.py > tests/data/cli_golden.txt``.
 """
 
@@ -19,6 +19,7 @@ from metragraph.graph_core import graph_to_json
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.txt")
 DODECA_POINTS = "v0,c0:0.01,c3:0.02,c10:0.015,v7,d6:0.005"
+ATOM = {"atoms": [{"point": "e1:0.05", "mass": 1.0}]}
 TRIAL = {"vertex_values": {"a": 0.2, "b": -0.7},
          "interior_nodes": [{"point": "e1:0.3", "value": 1.1},
                             {"point": "e1:0.85", "value": -0.05}]}
@@ -33,6 +34,10 @@ COMMANDS = [
      "--x", "c4:0.01", "--y", "v9"],
     *(["rayleigh", "--graph", "builtin:interval", "--measure", m,
        "--trial", "trial.json"] for m in ("dx", "canonical")),
+    ["mercer-check", "--graph", "builtin:tetrahedron", "--measure", "canonical",
+     "--lambda-max", "2000"],
+    *([command, "--graph", "builtin:tetrahedron", "--measure", "atom.json",
+       "--lambda-max", "400"] for command in ("mercer-check", "eigenfunctions")),
 ]
 
 
@@ -41,6 +46,8 @@ def _write_inputs(directory):
         json.dump(graph_to_json(lollipop()), fh)
     with open(os.path.join(directory, "trial.json"), "w", encoding="utf-8") as fh:
         json.dump(TRIAL, fh)
+    with open(os.path.join(directory, "atom.json"), "w", encoding="utf-8") as fh:
+        json.dump(ATOM, fh)
 
 
 def _run(argv):

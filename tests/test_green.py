@@ -417,3 +417,19 @@ def test_discriminant_report(rng):
     assert rep.constant == pytest.approx(2.0 * rep.sup_diagonal)
     with pytest.raises(ValidationError):
         discriminant_sum(ev, pts[:1])
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "lollipop", "dodecahedron"])
+def test_profile_columns_match_pointwise_green(name, rng):
+    # the exact matrix of mercer-check: one g_profile(y) column per point,
+    # read at every point, against one ev.g call per pair of points
+    graph = graph_named(name)
+    mu = shaped_measure(graph, rng) if name == "tetrahedron" else canonical_measure(graph)
+    ev = build_green(graph, mu)
+    pts = [random_point(graph, rng) for _ in range(30)]
+    pts += [graph.point_at_vertex(v) for v in graph.vertices]
+    row = {e.id: k for k, e in enumerate(graph.edges)}
+    rows, t = np.array([row[p.edge] for p in pts]), np.array([p.offset for p in pts])
+    got = np.column_stack([ev.g_profile(y).values_at(rows, t) for y in pts])
+    want = np.array([[ev.g(x, y) for y in pts] for x in pts])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

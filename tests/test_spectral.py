@@ -931,6 +931,61 @@ def test_functions_take_the_callers_points(tetrahedron):
         f.value("e7", 0.1)
 
 
+def _split_cases(tetrahedron, interval):
+    """(graph, mu, gamma_max, the caller points where the atoms cut edges):
+    e1 of the tetrahedron split once, the interval's e1 twice (0.3, 0.7)."""
+    atoms = [(interval.point("e1", 0.3), 0.25), (interval.point("e1", 0.7), 0.25)]
+    return [(tetrahedron, interior_atom_measure(tetrahedron), 30.0,
+             [tetrahedron.point("e1", 0.05)]),
+            (interval, Measure(interval, atoms, {"e1": [0.5]}), 30.0, [p for p, _ in atoms])]
+
+
+def _edge_points(graph, count):
+    return [graph.point(e.id, float(t)) for e in graph.edges
+            for t in np.linspace(0.0, e.length, count)]
+
+
+def test_array_reads_match_the_point_by_point_chain(tetrahedron, interval):
+    # every read, at the caller's points and at the working graph's, is the
+    # remap chain walked point by point and the scalar formula, to the bit
+    for graph, mu, gamma_max, cuts in _split_cases(tetrahedron, interval):
+        work = spectral._problem(graph, mu).graph
+        point_sets = (_edge_points(graph, 9) + cuts, _edge_points(work, 6))
+        for p in find_eigenvalues(graph, mu, gamma_max):
+            for f in eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)).eigenfunctions:
+                for pts in point_sets:
+                    ids, ts = [q.edge for q in pts], [q.offset for q in pts]
+                    for derivative, method in ((False, f.value), (True, f.derivative)):
+                        want = [oracles.solution_value(f, q, derivative) for q in pts]
+                        assert np.array_equal(method(ids, ts), want)
+                        assert [method(q.edge, q.offset) for q in pts] == want
+                    assert [f.at_point(q) for q in pts] == [float(w) for w in
+                                                            (oracles.solution_value(f, q)
+                                                             for q in pts)]
+                want = max(abs(oracles.solution_value(f, q)) for q in _edge_points(graph, 7))
+                assert f.sup_norm(graph, 7) == want
+
+
+def test_residuals_and_mercer_sums_match_the_loops(tetrahedron, interval):
+    for graph, mu, gamma_max, cuts in _split_cases(tetrahedron, interval):
+        problem = spectral._problem(graph, mu)
+        pairs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue))
+                 for p in find_eigenvalues(graph, mu, gamma_max)]
+        for pair in pairs:
+            cont, der = np.max([oracles.vertex_residuals(problem, f)
+                                for f in pair.eigenfunctions], axis=0)
+            for samples in (0, 2):  # 0: every grid point a vertex, no profile kinks
+                rep = eigen_residuals(graph, mu, pair, samples_per_edge=samples)
+                assert rep.continuity == pytest.approx(cont, rel=1e-15, abs=0.0)
+                assert rep.derivative == pytest.approx(der, rel=1e-15, abs=0.0)
+                assert rep.operator == pytest.approx(
+                    oracles.operator_residual(graph, mu, pair, samples), rel=1e-15, abs=0.0)
+        pts = _edge_points(graph, 4) + cuts
+        for x, y in zip(pts, pts[::-1]):
+            assert mercer_partial_sum(pairs, x, y) == pytest.approx(
+                oracles.mercer_sum(pairs, x, y), rel=1e-15, abs=0.0)
+
+
 def test_mercer_sums_converge_at_an_interior_atom(tetrahedron):
     mu = interior_atom_measure(tetrahedron)
     x = tetrahedron.point("e1", 0.05)
