@@ -185,22 +185,6 @@ class EdgeTable(Mapping):
             self._polys[edge_id] = PiecewisePoly(np.append(lo[i:j], hi[j - 1]), C[i:j])
         return self._polys[edge_id]
 
-    def __add__(self, other):
-        """Sum with another table or a constant."""
-        if not isinstance(other, EdgeTable):
-            other = EdgeTable(self.graph, np.full((len(self), 1), other))
-        width = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        coeffs = sum(np.pad(t.coeffs, ((0, 0), (0, width - t.coeffs.shape[1])))
-                     for t in (self, other))
-        kinks = tuple(np.concatenate(pair) for pair in zip(self.kinks, other.kinks))
-        return EdgeTable(self.graph, coeffs, kinks)
-
-    def __mul__(self, scalar):
-        rows, at, jumps = self.kinks
-        return EdgeTable(self.graph, self.coeffs * scalar, (rows, at, jumps * scalar))
-
-    __rmul__ = __mul__
-
     def extrema(self):
         """Candidate values for the extremes of the real part: every piece
         at its two ends and at the real roots of its derivative inside it."""
@@ -241,6 +225,12 @@ class EdgeTable(Mapping):
         kr, ka, kj = self.kinks
         right = (kr == rows[:, None]) & (ka < t[:, None])
         return vals + np.sum(np.where(right, kj * (t[:, None] - ka), 0.0), axis=1)
+
+    def at_points(self, points):
+        """Real values at a list of PointOnGraph (values_at)."""
+        rows = np.array([self._row[p.edge] for p in points], dtype=int)
+        t = np.array([p.offset for p in points], dtype=float)
+        return np.real(self.values_at(rows, t))
 
     def integrals(self):
         """Per-edge integral over [0, L] against dx."""
@@ -289,7 +279,7 @@ class EdgeTable(Mapping):
 
 
 class ResistanceKernel:
-    """Exact per-edge-pair representation of r(x, y).
+    """Exact r(x, y) from the vertex resistances and the points' vertex weights.
 
     R is the n x n vertex-resistance matrix, from one grounded solve of the
     vertex Laplacian.  Edge e = (u, v) keeps r(u, v) = R[u, v] and inv =
@@ -327,7 +317,6 @@ class ResistanceKernel:
         self._S = np.stack([np.column_stack([np.ones_like(L), -h, zero]),
                             np.column_stack([zero, h, zero])], axis=1)
         self._q = np.column_stack([zero, inv * L, -inv])
-        self._B = {}
         self._validate()
 
     def removed(self, edge_id):
@@ -339,20 +328,20 @@ class ResistanceKernel:
         return float(L * r / (L - r))
 
     def biquad(self, e1, e2):
-        key = (e1, e2)
-        if key not in self._B:
-            i, j = self._row[e1], self._row[e2]
-            B = self._S[i].T @ self._R[np.ix_(self._ends[i], self._ends[j])] @ self._S[j]
-            B[:, 0] += self._q[i]
-            B[0, :] += self._q[j]
-            self._B[key] = B
-        return self._B[key]
+        """The 3 x 3 matrix B with r(x, y) = [1, t, t^2] B [1, s, s^2]^T for
+        x at offset t on e1 and y at offset s on e2 != e1."""
+        i, j = self._row[e1], self._row[e2]
+        B = self._S[i].T @ self._R[np.ix_(self._ends[i], self._ends[j])] @ self._S[j]
+        B[:, 0] += self._q[i]
+        B[0, :] += self._q[j]
+        return B
 
     def eval(self, e1, t1, e2, t2):
         """r at offsets t1 on edge e1 and t2 on edge e2 (broadcasting)."""
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
-        scalar = t1.ndim == 0 and t2.ndim == 0
+        # [()] turns a 0-d input into a numpy scalar, whose arithmetic costs
+        # a fraction of a 0-d array's
+        t1 = np.asarray(t1, dtype=float)[()]
+        t2 = np.asarray(t2, dtype=float)[()]
         if e1 == e2:
             d = t1 - t2
             vals = np.abs(d) - d * d * self.canonical_density[e1]
@@ -361,14 +350,13 @@ class ResistanceKernel:
                 # one order per pair keeps r symmetric to the last bit, so
                 # j_zeta(x, y) is exactly 0 when x or y is zeta
                 e1, t1, e2, t2 = e2, t2, e1, t1
-            B = self.biquad(e1, e2)
-            a1, a2 = np.broadcast_arrays(np.atleast_1d(t1), np.atleast_1d(t2))
-            P1 = np.vander(a1.ravel(), 3, increasing=True)
-            P2 = np.vander(a2.ravel(), 3, increasing=True)
-            vals = np.einsum("ia,ab,ib->i", P1, B, P2).reshape(a1.shape)
-        if scalar:
-            return float(np.asarray(vals).reshape(-1)[0])
-        return vals
+            i, j = self._row[e1], self._row[e2]
+            (a, b), (c, d) = self._R[self._ends[i][:, None], self._ends[j]].tolist()
+            u, w = t1 / self._L[i], t2 / self._L[j]
+            vals = ((1.0 - u) * (a * (1.0 - w) + b * w) + u * (c * (1.0 - w) + d * w)
+                    + self._inv[i] * t1 * (self._L[i] - t1)
+                    + self._inv[j] * t2 * (self._L[j] - t2))
+        return float(vals) if np.ndim(vals) == 0 else vals
 
     def point_eval(self, p, q):
         return self.eval(p.edge, p.offset, q.edge, q.offset)
@@ -450,7 +438,7 @@ class ResistanceProfile:
         self._validate()
 
     def value(self, point):
-        return float(np.real(self.polys[point.edge](point.offset)))
+        return float(self.polys.at_points([point])[0])
 
     def derivative_energy(self):
         """Integral over the graph of (d/dx r(x, y))^2."""

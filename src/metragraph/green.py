@@ -39,17 +39,20 @@ class GreenEvaluator:
         self.rho = self.kernel.potential(mu)
         self.c_mu = float(np.real(0.5 * self.rho.integrate(mu)))
 
-    def rho_at(self, point):
-        return float(np.real(self.rho[point.edge](point.offset)))
-
     def g(self, x, y):
         r = self.kernel.point_eval(x, y)
-        return 0.5 * (self.rho_at(x) + self.rho_at(y) - r) - self.c_mu
+        rx, ry = self.rho.at_points([x, y]).tolist()
+        return 0.5 * (rx + ry - r) - self.c_mu
 
     def g_profile(self, y):
-        """Per-edge PiecewisePoly of x -> g_mu(x, y), as an EdgeTable."""
-        shift = 0.5 * self.rho_at(y) - self.c_mu
-        return 0.5 * (self.rho + (-1.0) * self.kernel.profile_polys(y)) + shift
+        """EdgeTable of x -> g_mu(x, y): the resistance potential of (mu -
+        delta_y) / 2, plus rho_mu(y) / 2 - c_mu in the constant column."""
+        rows, at, mass, D = self.mu.arrays
+        table = self.kernel._potential(np.append(rows, self.kernel._row[y.edge]),
+                                       np.append(at, y.offset), 0.5 * np.append(mass, -1.0),
+                                       0.5 * D)
+        table.coeffs[:, 0] += 0.5 * self.rho.at_points([y])[0] - self.c_mu
+        return table
 
     def sup_diag(self):
         """Exact sup over the graph of g_mu(x, x) = rho_mu(x) - c_mu, from
@@ -136,7 +139,7 @@ def discriminant_sum(evaluator, points):
     n = len(pts)
     if n < 2:
         raise ValidationError("need at least two points")
-    rho_vals = np.array([evaluator.rho_at(p) for p in pts])
+    rho_vals = evaluator.rho.at_points(pts)
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -163,20 +166,24 @@ def trace_of_phi(evaluator):
 def trace_comparison(graph, mu1, mu2):
     """Both sides of the trace-change identity between two unit measures.
 
-    lhs = Tr(phi_mu1); rhs = Tr(phi_mu2) - <dx, dx>_mu2 +
-    <dx - mu1, dx - mu1>_mu2.  Agreement is asserted to 1e-7.
+    With nu = dx / ell (ell the total length), integrating g_mu1(x, x) =
+    g_mu2(x, x) - 2 integral of g_mu2(x, z) d mu1(z) + <mu1, mu1>_mu2 over dx
+    gives Tr(phi_mu1) = Tr(phi_mu2) - 2 ell <nu, mu1>_mu2 + ell <mu1, mu1>_mu2,
+    checked to 1e-7 of |lhs| in the form rhs = Tr(phi_mu2) - ell <nu, nu>_mu2
+    + ell <nu - mu1, nu - mu1>_mu2.
     """
     ev1 = build_green(graph, mu1)
     ev2 = build_green(graph, mu2)
     lhs = trace_of_phi(ev1)
-    dx = lebesgue_measure(graph)
-    diff = dx - mu1
+    ell = total_length(graph)
+    nu = lebesgue_measure(graph, normalize=True)
+    diff = nu - mu1
     rhs = (
         trace_of_phi(ev2)
-        - float(np.real(energy_pairing(ev2, dx, dx)))
-        + float(np.real(energy_pairing(ev2, diff, diff)))
+        - ell * float(np.real(energy_pairing(ev2, nu, nu)))
+        + ell * float(np.real(energy_pairing(ev2, diff, diff)))
     )
-    if abs(lhs - rhs) > TRACE_COMPARISON_TOL * max(1.0, abs(lhs)):
+    if abs(lhs - rhs) > TRACE_COMPARISON_TOL * abs(lhs):
         raise NumericError(
             f"trace comparison mismatch: {lhs!r} vs {rhs!r}"
         )

@@ -21,7 +21,10 @@ the scalar per-edge formula, the former per-point paths of the solution's
 value and derivative, of mercer_partial_sum and of eigen_residuals' vertex
 loops, that one array pass replaced.  operator_residual is the former
 per-grid-point loop of eigen_residuals' operator residual, on the package's
-Green profiles and pair form.
+Green profiles and pair form.  kernel_eval is the former body of
+ResistanceKernel.eval, the edge pair's 3 x 3 monomial form (the kernel's
+biquad) read through vander and einsum, that the vertex-weight read
+replaced.
 """
 
 import functools
@@ -154,6 +157,29 @@ def resistance(graph, x, y):
     b[iy] = -1.0
     v = net.solve(b, iy)
     return float(v[ix])
+
+
+def kernel_eval(kernel, e1, t1, e2, t2):
+    """r at offsets t1 on e1 and t2 on e2 (broadcasting) through the monomial
+    form [1, t, t^2] B [1, s, s^2]^T, B = kernel.biquad(e1, e2), one order
+    per edge pair; on one edge |d| - d^2 inv."""
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    scalar = t1.ndim == 0 and t2.ndim == 0
+    if e1 == e2:
+        d = t1 - t2
+        vals = np.abs(d) - d * d * kernel.canonical_density[e1]
+    else:
+        if e1 > e2:
+            e1, t1, e2, t2 = e2, t2, e1, t1
+        B = kernel.biquad(e1, e2)
+        a1, a2 = np.broadcast_arrays(np.atleast_1d(t1), np.atleast_1d(t2))
+        P1 = np.vander(a1.ravel(), 3, increasing=True)
+        P2 = np.vander(a2.ravel(), 3, increasing=True)
+        vals = np.einsum("ia,ab,ib->i", P1, B, P2).reshape(a1.shape)
+    if scalar:
+        return float(np.asarray(vals).reshape(-1)[0])
+    return vals
 
 
 def j_value(graph, zeta, y, x):

