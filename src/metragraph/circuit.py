@@ -118,17 +118,6 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(24)
 
 
-def _edge_arrays(graph):
-    """(edge id -> row, lengths, m x 2 end-vertex indices) in graph.edges
-    order, built once per graph: the edges as arrays, for every layer."""
-    if "edge_arrays" not in graph._cache:
-        graph._cache["edge_arrays"] = (
-            {e.id: k for k, e in enumerate(graph.edges)},
-            np.array([e.length for e in graph.edges]),
-            np.array([[graph.vertex_index(e.u), graph.vertex_index(e.v)] for e in graph.edges]))
-    return graph._cache["edge_arrays"]
-
-
 class EdgeTable(Mapping):
     """Per-edge piecewise polynomials on a graph in array form, one row per
     edge in graph.edges order: the library's one piecewise-polynomial engine.
@@ -143,7 +132,7 @@ class EdgeTable(Mapping):
 
     def __init__(self, graph, coeffs, kinks=_NO_KINKS):
         self.graph = graph
-        self._row, self._L, _ = _edge_arrays(graph)
+        self._row, self._L, _ = graph.edge_arrays
         self.coeffs = coeffs
         self.kinks = kinks
         self._expanded = None
@@ -300,7 +289,7 @@ class ResistanceKernel:
     def __init__(self, graph):
         self.graph = graph
         n = len(graph.vertices)
-        self._row, self._L, self._ends = _edge_arrays(graph)
+        self._row, self._L, self._ends = graph.edge_arrays
         L = self._L
         Q = _laplacian(n, self._ends[:, 0], self._ends[:, 1], L)
         ground = int(np.argmax(np.diag(Q)))

@@ -8,6 +8,7 @@ unreadable input, 3 validation error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from .graph_core import (
     total_length,
     valence,
 )
-from .circuit import _edge_arrays
 from .green import (
     build_green,
     discriminant_sum,
@@ -235,7 +235,7 @@ def cmd_eigenfunctions(args):
     mu = resolve_measure(g, args.measure)
     pairs = _eigen_pairs(g, mu, args)
     ids = np.repeat([e.id for e in g.edges], args.samples_per_edge).tolist()
-    t = np.linspace(0.0, _edge_arrays(g)[1], args.samples_per_edge, axis=1).ravel()
+    t = np.linspace(0.0, g.edge_arrays[1], args.samples_per_edge, axis=1).ravel()
     entries = []
     rows = []
     index = 0
@@ -282,7 +282,7 @@ def cmd_trace_compare(args):
 def _sample_grid(g, npts):
     """(edge ids, rows, offsets) of the midpoints of k = max(1, round(npts L
     / total length)) equal parts of each edge of length L."""
-    _, L, _ = _edge_arrays(g)
+    _, L, _ = g.edge_arrays
     k = np.maximum(1, np.round(npts * L / total_length(g))).astype(int)
     rows = np.repeat(np.arange(len(L)), k)
     j = np.arange(len(rows)) - np.repeat(np.cumsum(k) - k, k)
@@ -343,18 +343,9 @@ def cmd_disc_sum(args):
     mu = resolve_measure(g, args.measure)
     ev = build_green(g, mu)
     pts = [parse_point(g, tok) for tok in args.points.split(",") if tok]
-    report = discriminant_sum(ev, pts)
-    payload = {
-        "measure": args.measure,
-        "points": len(pts),
-        "average_sum": report.average_sum,
-        "lower_bound": report.lower_bound,
-        "sup_diagonal": report.sup_diagonal,
-        "constant": report.constant,
-    }
-    rows = [[report.average_sum, report.lower_bound,
-             report.sup_diagonal, report.constant]]
-    return payload, ["average_sum", "lower_bound", "sup_diagonal", "constant"], rows
+    report = dataclasses.asdict(discriminant_sum(ev, pts))
+    payload = {"measure": args.measure, "points": len(pts), **report}
+    return payload, list(report), [list(report.values())]
 
 
 def _load_trial(graph, path):

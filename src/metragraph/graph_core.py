@@ -9,11 +9,14 @@ distinct endpoints; parallel edges are kept.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -49,6 +52,14 @@ class MetrizedGraph:
             inc[e.v].append((e, 1))
         self._incidences = {v: tuple(pairs) for v, pairs in inc.items()}
         self._cache = {}
+
+    @functools.cached_property
+    def edge_arrays(self):
+        """(edge id -> row, lengths, m x 2 end-vertex indices) in edges
+        order, built once: the edges as arrays, for every layer."""
+        return ({e.id: k for k, e in enumerate(self.edges)},
+                np.array([e.length for e in self.edges]),
+                np.array([[self._vindex[e.u], self._vindex[e.v]] for e in self.edges]))
 
     def edge(self, edge_id):
         try:

@@ -54,7 +54,7 @@ class Measure:
                 merged[key] = (point, complex(mass) if isinstance(mass, complex)
                                else float(mass))
         self._atoms = {k: merged[k] for k in sorted(merged)}
-        row = circuit._edge_arrays(graph)[0]
+        row = graph.edge_arrays[0]
         mass = np.array([m for _, m in self.atoms])
         dtype = complex if np.iscomplexobj(mass) else float
         if densities:
@@ -109,7 +109,7 @@ class Measure:
     def total_mass(self):
         """Atom masses plus sum_k c_k L^(k+1) / (k+1) over the density rows."""
         _, _, mass, D = self.arrays
-        L = circuit._edge_arrays(self.graph)[1]
+        L = self.graph.edge_arrays[1]
         k = np.arange(1, D.shape[1] + 1)
         total = (mass.sum() + np.sum(D * (L[:, None] ** k / k))).item()
         if isinstance(total, complex) and total.imag == 0:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import green as green_mod
-from .circuit import _edge_arrays
 from .graph_core import PointOnGraph, ValidationError, subdivide_at, total_length
 from .measure import integrate_polys_against, remap_measure
 from .numerics import (
@@ -43,7 +42,10 @@ DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
 GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_ROW_REL = 1e-10
 SECANT_MAX_ITER = 100
-MAX_EIGENVALUES = 100_000  # per find_eigenvalues call, counted before any bisection
+# per find_eigenvalues call, counted before any bisection: a root of M(gamma)
+# of size s costs s^3 + 230 s^2 + 8e4 units, about 2.6 ns each on a 2-core
+# x86 host (fitted on the interval and random cubic graphs, m = 30 to 300)
+MAX_SCAN_WORK = 4e9  # about 10 s
 # a stacked count or secant step takes at most MAX_BATCH gammas, fewer when
 # their stack of matrices would exceed MAX_STACK_ENTRIES, so memory stays flat
 MAX_BATCH = 64
@@ -220,7 +222,7 @@ class EdgeBasisSolution:
 
     def sup_norm(self, graph, samples_per_edge=64):
         """Grid estimate of the supremum norm."""
-        t = np.linspace(0.0, _edge_arrays(graph)[1], samples_per_edge, axis=1)
+        t = np.linspace(0.0, graph.edge_arrays[1], samples_per_edge, axis=1)
         return float(np.max(np.abs(self.value([[e.id] for e in graph.edges], t))))
 
 
@@ -264,7 +266,7 @@ class SpectralProblem:
         self.mu = measure
         self.bases = {}
         self.edges = work.edges
-        self._row, self._lengths, self._ends = _edge_arrays(work)
+        self._row, self._lengths, self._ends = work.edge_arrays
         self.size = 2 * len(self.edges) + 1
         self._atom_mass = {}
         for p, mass in measure.atoms:
@@ -646,7 +648,7 @@ class EigenvalueCount:
         w = energy.sum(axis=1) - (f[:, None, 1:] @ fs)[:, 0, 0] - z * z / schur
         rest = np.count_nonzero(np.linalg.eigvalsh(sub) > 0.0, axis=1) \
             + (schur > 0.0) - 1 + (w > 0.0)
-        # Python ints: near a gamma_max that MAX_EIGENVALUES rejects, the
+        # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
         # trig term can exceed int64
         return [int(t) + n for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
                                            rest.tolist())]
@@ -763,10 +765,10 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     (rank_tol); otherwise (two close roots, say) the bracket is bisected
     further, and NumericError is raised at float resolution.  gamma_floor,
     which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / total
-    length.  More than MAX_EIGENVALUES roots raise ValidationError before
-    any bisection.  Returns Eigenpairs with empty eigenfunction tuples; the
-    problem, its count and each root's basis are kept per (graph, mu)
-    (_problem).
+    length.  More roots than fit in MAX_SCAN_WORK raise ValidationError
+    before any bisection.  Returns Eigenpairs with empty eigenfunction
+    tuples; the problem, its count and each root's basis are kept per
+    (graph, mu) (_problem).
 
     The bracket tree is walked breadth first, one level at a time: the
     secant iterations of all the level's narrow brackets advance in
@@ -787,9 +789,11 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
         raise ValidationError("gamma_max and gamma_floor must be finite")
     width = math.pi / (8.0 * ell)
     na, nb = problem.count(np.array([gamma_floor, gamma_max]))
-    if nb - na > MAX_EIGENVALUES:
+    per_root = problem.size ** 3 + 230 * problem.size ** 2 + 80_000
+    if (nb - na) * per_root > MAX_SCAN_WORK:
         raise ValidationError(f"{float(nb - na):.6g} eigenvalues lie below gamma_max="
-                              f"{gamma_max!r}, more than the {MAX_EIGENVALUES} one call finds")
+                              f"{gamma_max!r}, more than the {int(MAX_SCAN_WORK // per_root)} "
+                              f"one call finds at matrix size {problem.size}")
     out, memo = [], {}
     level = [(gamma_floor, na, gamma_max, nb)] if nb > na else []
     while level:  # brackets in ascending order, each with a rise of the count

@@ -24,6 +24,15 @@ def lollipop():
     ])
 
 
+def wide_lengths():
+    """Lengths from 1e-6 to 1e3: a triangle, a parallel pair, a short loop
+    edge and a bridge."""
+    return build_graph("abcde", [("e1", "a", "b", 1e-6), ("e2", "b", "c", 1e3),
+                                 ("e3", "c", "a", 0.5), ("e4", "c", "d", 2.0),
+                                 ("e5", "d", "a", 1e-3), ("e6", "c", "d", 7.0),
+                                 ("e7", "d", "e", 40.0)])
+
+
 def random_point(graph, rng, interior=False):
     e = graph.edges[int(rng.integers(len(graph.edges)))]
     lo = 0.05 * e.length if interior else 0.0

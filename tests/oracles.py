@@ -24,10 +24,13 @@ per-grid-point loop of eigen_residuals' operator residual, on the package's
 Green profiles and pair form.  kernel_eval is the former body of
 ResistanceKernel.eval, the edge pair's 3 x 3 monomial form (the kernel's
 biquad) read through vander and einsum, that the vertex-weight read
-replaced.
+replaced.  discriminant_pairs is the former pair loop of
+green.discriminant_sum, one package point_eval per pair, that the energy
+form replaced.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -180,6 +183,20 @@ def kernel_eval(kernel, e1, t1, e2, t2):
     if scalar:
         return float(np.asarray(vals).reshape(-1)[0])
     return vals
+
+
+def discriminant_pairs(evaluator, points):
+    """(mean of g_mu(x_i, x_j), mean of |g_mu(x_i, x_j)|) over i != j, pair
+    by pair from rho_mu at the points, c_mu and one kernel point_eval."""
+    rho = evaluator.rho.at_points(points)
+    total = size = 0.0
+    for i, j in itertools.combinations(range(len(points)), 2):
+        r = evaluator.kernel.point_eval(points[i], points[j])
+        gij = 0.5 * (rho[i] + rho[j] - r) - evaluator.c_mu
+        total += 2.0 * gij
+        size += 2.0 * abs(gij)
+    pairs = len(points) * (len(points) - 1)
+    return total / pairs, size / pairs
 
 
 def j_value(graph, zeta, y, x):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import circle_point, lollipop, random_point
+from conftest import circle_point, lollipop, random_point, wide_lengths
 from metragraph import (
     Measure,
     ValidationError,
@@ -169,15 +169,6 @@ def test_j_function_identities(rng):
         assert j_function(g, zeta, x, x) == pytest.approx(
             effective_resistance(g, zeta, x), abs=1e-11
         )
-
-
-def wide_lengths():
-    """Lengths from 1e-6 to 1e3: a triangle, a parallel pair, a short loop
-    edge and a bridge."""
-    return build_graph("abcde", [("e1", "a", "b", 1e-6), ("e2", "b", "c", 1e3),
-                                 ("e3", "c", "a", 0.5), ("e4", "c", "d", 2.0),
-                                 ("e5", "d", "a", 1e-3), ("e6", "c", "d", 7.0),
-                                 ("e7", "d", "e", 40.0)])
 
 
 def point_set(g, rng):

@@ -296,6 +296,18 @@ def test_eigen_rejects_a_huge_lambda_max_quickly(capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_eigen_rejects_too_much_work_quickly(capsys):
+    # 95,489 roots, fewer than a root cap of 1e5 would stop, but each costs
+    # a 61 x 61 secular matrix: bisecting to all of them took 89 s
+    start = time.perf_counter()
+    rc = main(["eigen", "--graph", "builtin:dodecahedron", "--measure", "dx-normalized",
+               "--lambda-max", "9e10"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 3 and elapsed < 1.0
+    assert "95489 eigenvalues" in err and err.count("\n") == 1, err
+
+
 def test_library_loads_no_scipy():
     # the library imports only numpy; scipy is a test dependency.  A fresh
     # interpreter, since this suite's own imports load scipy.

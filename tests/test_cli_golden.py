@@ -52,6 +52,14 @@ COMMANDS = [
      "--lambda-max", "2000"],
     *([command, "--graph", "builtin:tetrahedron", "--measure", "atom.json",
        "--lambda-max", "400"] for command in ("mercer-check", "eigenfunctions")),
+    # discriminant sums with repeated points, a vertex by name and as an
+    # edge end, an atom measure and a split loop
+    *(["disc-sum", "--graph", graph, "--measure", m, "--points", pts]
+      for graph, m, pts in (
+          ("lollipop.json", "canonical", "a,t1:0.0,t2:0.1,t2:0.1,t2:0.2,s2:0.05,e"),
+          ("lollipop.json", "dx", "t1:0.1,t1:0.1"),
+          ("builtin:tetrahedron", "atom.json", "e1:0.05,e1:0.1,a,e4:0.1,e6:0.1"),
+          ("builtin:circle", "canonical", "e1.1:0.1,e1.1:0.3,e1.2:0.2,a"))),
 ]
 
 

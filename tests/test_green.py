@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import oracles
-from conftest import circle_point, lollipop, random_mass_zero, random_point
+from conftest import circle_point, lollipop, random_mass_zero, random_point, wide_lengths
 from metragraph import (
     CPAFunction,
     Measure,
@@ -436,6 +436,34 @@ def test_discriminant_report(rng):
     assert rep.constant == pytest.approx(2.0 * rep.sup_diagonal)
     with pytest.raises(ValidationError):
         discriminant_sum(ev, pts[:1])
+
+
+def discriminant_point_sets(graph, rng):
+    """A vertex by name and the same vertex as an edge end, another vertex, a
+    repeated point, several points on one edge and random points; and two
+    sets of two points, one of them a repeated point."""
+    e = graph.edges[-1]
+    x, y = (random_point(graph, rng, interior=True) for _ in range(2))
+    many = [graph.point_at_vertex(e.v), graph.point(e.id, e.length),
+            graph.point_at_vertex(graph.vertices[0]), x, x,
+            *(graph.point(e.id, f * e.length) for f in (0.2, 0.5, 0.9)),
+            *(random_point(graph, rng) for _ in range(6))]
+    return [many, [x, y], [y, y]]
+
+
+@pytest.mark.parametrize("name", ["lollipop", "dodecahedron", "wide"])
+def test_discriminant_sum_is_the_energy_less_the_diagonal(name, rng):
+    # the energy form of the sum against the pair loop it replaced, and the
+    # step the bound rests on: g_mu is a positive semidefinite kernel, so
+    # <nu, nu>_mu >= 0 for the point measure nu = sum of delta_{x_i}
+    g = wide_lengths() if name == "wide" else graph_named(name)
+    for mu in (canonical_measure(g), shaped_measure(g, rng), signed_linear_measure(g, rng)):
+        ev = build_green(g, mu)
+        for pts in discriminant_point_sets(g, rng):
+            want, size = oracles.discriminant_pairs(ev, pts)
+            assert abs(discriminant_sum(ev, pts).average_sum - want) <= 1e-14 * size
+            nu = Measure(g, [(p, 1.0) for p in pts])
+            assert energy_pairing(ev, nu, nu).real >= -1e-12 * len(pts) ** 2 * size
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "lollipop", "dodecahedron"])

@@ -702,7 +702,8 @@ def test_root_count_is_capped_before_bisection(interval, monkeypatch):
     dx = lebesgue_measure(interval)
     with pytest.raises(ValidationError, match="3.1831e[+]149 eigenvalues"):
         find_eigenvalues(interval, dx, 1e150)
-    monkeypatch.setattr(spectral, "MAX_EIGENVALUES", 3)  # roots at gamma = n pi
+    # roots at gamma = n pi; a work budget of 3 roots at matrix size 3
+    monkeypatch.setattr(spectral, "MAX_SCAN_WORK", 3 * (3 ** 3 + 230 * 3 ** 2 + 80_000))
     assert len(find_eigenvalues(interval, dx, 3.0 * math.pi + 0.3)) == 3
     with pytest.raises(ValidationError, match="4 eigenvalues"):
         find_eigenvalues(interval, dx, 4.0 * math.pi + 0.3)
