@@ -118,6 +118,24 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(24)
 
 
+def _integrals(lo, hi, c):
+    """Per row i, the integral of c[i] over [lo[i], hi[i]], by Horner on its antiderivative."""
+    a = c / np.arange(1, c.shape[1] + 1)
+    at_hi = at_lo = a[:, -1]
+    for k in range(c.shape[1] - 2, -1, -1):
+        at_hi = a[:, k] + at_hi * hi
+        at_lo = a[:, k] + at_lo * lo
+    return at_hi * hi - at_lo * lo
+
+
+def _product(a, b):
+    """Row-wise products of the polynomial rows of a and b (ascending)."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), np.result_type(a, b))
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
+    return out
+
+
 class EdgeTable(Mapping):
     """Per-edge piecewise polynomials on a graph in array form, one row per
     edge in graph.edges order: the library's one piecewise-polynomial engine.
@@ -126,17 +144,18 @@ class EdgeTable(Mapping):
     plus jump * (x - a) right of each kink (k, a, jump), 0 < a < L; kinks
     holds the three arrays (edge rows, offsets a, jumps).  A resistance
     potential has this form, each interior atom adding one |x - a| kink, and
-    so do a measure's densities and a CPA function.  Read as a mapping, it
-    gives each edge's PiecewisePoly, sliced from the piece expansion.
+    so do a measure's densities and a CPA function.  Every read, and each
+    edge's PiecewisePoly (the table read as a mapping), goes through the
+    piece expansion; the arrays are read-only, so it never goes stale.
     """
 
     def __init__(self, graph, coeffs, kinks=_NO_KINKS):
         self.graph = graph
         self._row, self._L, _ = graph.edge_arrays
-        self.coeffs = coeffs
-        self.kinks = kinks
+        self.coeffs, self.kinks = coeffs, kinks
+        for a in (coeffs, *kinks):
+            a.setflags(write=False)
         self._expanded = None
-        self._polys = {}
 
     def __iter__(self):
         return iter(self._row)
@@ -145,34 +164,46 @@ class EdgeTable(Mapping):
         return len(self._row)
 
     def _pieces(self):
-        """(rows, lo, hi, C), every piece by row and offset: C[i] is its row's
-        coefficients plus J (x - a) per kink offset a left of it (J the jumps
-        summed there), added in offset order, on [lo[i], hi[i]]."""
+        """(rows, lo, hi, C), every piece by row and offset, in O(rows + kinks)
+        memory: C[i] is its row's coefficients plus J (x - a) per kink offset a
+        left of it (J the jumps summed there), added in offset order."""
         if self._expanded is None:
-            key, inv = np.unique(np.column_stack(self.kinks[:2]), axis=0, return_inverse=True)
-            J = np.zeros(len(key), np.result_type(self.kinks[2], float))
-            np.add.at(J, inv.ravel(), self.kinks[2])
-            rows, at, m = key[:, 0].astype(int), key[:, 1], len(self._L)
-            count = np.bincount(rows, minlength=m)
-            depth = np.arange(1, len(rows) + 1) - np.repeat(np.cumsum(count) - count, count)
-            P = np.zeros((m, count.max(initial=0) + 1, max(self.coeffs.shape[1], 2)),
-                         np.result_type(self.coeffs, J))
-            P[:, 0, :self.coeffs.shape[1]] = self.coeffs
-            P[rows, depth, 0], P[rows, depth, 1] = J * -at, J
-            ends = np.zeros((m, P.shape[1] + 1))
-            ends[rows, depth], ends[np.arange(m), count + 1] = at, self._L
-            valid = np.arange(P.shape[1]) <= count[:, None]
-            self._expanded = (np.nonzero(valid)[0], ends[:, :-1][valid], ends[:, 1:][valid],
-                              np.cumsum(P, axis=1)[valid])
+            C, (kr, ka, J), L = self.coeffs, self.kinks, self._L
+            m, K = C.shape
+            if not kr.size and K > 1:
+                self._expanded = np.arange(m), np.zeros(m), L, C
+                return self._expanded
+            count = np.bincount(kr, minlength=m) + 1  # pieces per row
+            ends = count.cumsum()
+            right, levels = ends[kr] - 1, [slice(None)]  # kinks alone on their rows
+            if count.max() > 2:  # kinks sharing a row: by offset, repeats merged, by depth
+                order = np.lexsort((ka, kr))
+                kr, ka, J = kr[order], ka[order], J[order]
+                first = np.flatnonzero(np.append(True, (kr[1:] != kr[:-1]) | (ka[1:] != ka[:-1])))
+                kr, ka, J = kr[first], ka[first], np.add.reduceat(J, first)
+                count = np.bincount(kr, minlength=m) + 1
+                ends = count.cumsum()
+                right = kr + np.arange(1, len(kr) + 1)
+                depth = right - (ends - count)[kr]
+                levels = (depth == d for d in range(1, depth.max() + 1))
+            lo, hi = np.zeros(ends[-1]), np.empty(ends[-1])
+            lo[right], hi[right - 1], hi[ends - 1] = ka, ka, L
+            P = np.zeros((ends[-1], max(K, 2)), np.result_type(C, J, float))
+            P[:, :K] = C.repeat(count, axis=0)
+            # P[right] = P[right - 1] + J (x - a), the kinks of one depth in every row at once
+            Ja, p0, p1 = J * ka, P[:, 0], P[:, 1]
+            for at in levels:
+                r = right[at]
+                p0[r], p1[r] = p0[r - 1] - Ja[at], p1[r - 1] + J[at]
+            P.setflags(write=False)  # the PiecewisePoly views share it
+            self._expanded = np.arange(m).repeat(count), lo, hi, P
         return self._expanded
 
     def __getitem__(self, edge_id):
-        if edge_id not in self._polys:
-            rows, lo, hi, C = self._pieces()
-            k = self._row[edge_id]
-            i, j = np.searchsorted(rows, [k, k + 1])
-            self._polys[edge_id] = PiecewisePoly(np.append(lo[i:j], hi[j - 1]), C[i:j])
-        return self._polys[edge_id]
+        rows, lo, hi, C = self._pieces()
+        k = self._row[edge_id]
+        i, j = np.searchsorted(rows, [k, k + 1])
+        return PiecewisePoly(np.append(lo[i:j], hi[j - 1]), C[i:j])
 
     def extrema(self):
         """Candidate values for the extremes of the real part: every piece
@@ -185,8 +216,8 @@ class EdgeTable(Mapping):
 
     def abs_integrals(self):
         """Per-row integral of |f| over [0, L], each piece split at its real
-        zeros and the parts added in offset order: |F(b) - F(a)| for the
-        antiderivative F on a real piece, the Gauss rule on a complex one."""
+        zeros and the parts added in offset order: |integral| of each part
+        on a real piece, the Gauss rule on a complex one."""
         rows, lo, hi, C = self._pieces()
         piece, x = real_roots_in_intervals(C, lo, hi)
         n = np.arange(len(lo))
@@ -195,8 +226,7 @@ class EdgeTable(Mapping):
         at, owner = at[order], owner[order]
         part = np.flatnonzero(owner[1:] == owner[:-1])
         p, a, b = owner[part], at[part], at[part + 1]
-        anti = np.column_stack([np.zeros(len(p)), C[p].real / np.arange(1, C.shape[1] + 1)])
-        out = np.abs(polyval_rows(anti, b) - polyval_rows(anti, a))
+        out = np.abs(_integrals(a, b, C[p].real))
         cplx = np.any(C.imag != 0, axis=1)[p]
         if np.any(cplx):
             x, w = _gauss_rule()
@@ -208,12 +238,11 @@ class EdgeTable(Mapping):
         return np.bincount(rows[p], out, minlength=len(self._L))
 
     def values_at(self, rows, t):
-        """Values at offsets t on the edges of the given rows."""
-        K = self.coeffs.shape[1]
-        vals = np.einsum("ik,ik->i", self.coeffs[rows], t[:, None] ** np.arange(K))
-        kr, ka, kj = self.kinks
-        right = (kr == rows[:, None]) & (ka < t[:, None])
-        return vals + np.sum(np.where(right, kj * (t[:, None] - ka), 0.0), axis=1)
+        """Values at offsets t on rows, each point's piece by one sorted search:
+        t = 0 reads the row's first piece, t = L its last, a kink the right one."""
+        prow, lo, _, C = self._pieces()
+        i = np.searchsorted(prow + 1j * lo, rows + 1j * t, side="right") - 1
+        return polyval_rows(C[i], t)
 
     def at_points(self, points):
         """Real values at a list of PointOnGraph (values_at)."""
@@ -222,49 +251,24 @@ class EdgeTable(Mapping):
         return np.real(self.values_at(rows, t))
 
     def integrals(self):
-        """Per-edge integral over [0, L] against dx."""
-        L = self._L
-        p = np.arange(1, self.coeffs.shape[1] + 1)
-        out = np.einsum("ek,ek->e", self.coeffs, L[:, None] ** p / p)
-        rows, at, jumps = self.kinks
-        np.add.at(out, rows, 0.5 * jumps * (L[rows] - at) ** 2)
-        return out
+        """Per-edge integral over [0, L] against dx, summed over the pieces."""
+        rows, lo, hi, C = self._pieces()
+        starts = np.searchsorted(rows, np.arange(len(self._L)))
+        return np.add.reduceat(_integrals(lo, hi, C), starts)
 
     def integrate(self, nu):
-        """Exact integral against a measure: the atoms' values, the densities
-        through the per-edge moments L^(i+j+1) / (i+j+1) of t^i t^j, and per
-        kink the closed form of integral over [a, L] of (t - a) t^j dt."""
+        """Exact integral against a measure: atoms' values, pieces x densities."""
         if nu.graph is not self.graph:
             raise ValidationError("measure lives on a different graph than the table")
         rows, at, mass, D = nu.arrays
-        L = self._L
-        i = np.arange(self.coeffs.shape[1])[:, None]
-        j = np.arange(D.shape[1])
-        p = i + j + 1
-        total = mass @ self.values_at(rows, at) + np.einsum(
-            "ei,eij,ej->", self.coeffs, L[:, None, None] ** p / p, D)
-        kr, a, jumps = self.kinks
-        Lk, a, q = L[kr][:, None], a[:, None], j + 1
-        tail = (Lk ** (q + 1) - a ** (q + 1)) / (q + 1) - a * (Lk ** q - a ** q) / q
-        return total + np.einsum("k,kj,kj->", jumps, tail, D[kr])
+        prow, lo, hi, C = self._pieces()
+        return mass @ self.values_at(rows, at) + _integrals(lo, hi, _product(C, D[prow])).sum()
 
     def derivative_energy(self):
-        """Integral over the graph of (d/dx f)^2 for a table of degree <= 2.
-
-        An edge whose row p has slope b1 + 2 b2 x gives b1^2 L + 2 b1 b2 L^2
-        + (4/3) b2^2 L^3; a kink of jump J at a adds 2 J (p(L) - p(a)) +
-        J^2 (L - a), and two kinks on one edge add 2 J J' (L - max(a, a')).
-        """
-        L = self._L
-        b1, b2 = self.coeffs[:, 1], self.coeffs[:, 2]
-        total = np.sum(L * (b1 * b1 + 2.0 * b1 * b2 * L + (4.0 / 3.0) * (b2 * L) ** 2))
-        rows, at, jumps = self.kinks
-        Lk = L[rows]
-        total += np.sum(2.0 * jumps * (Lk - at) * (b1[rows] + b2[rows] * (Lk + at)))
-        same = rows[:, None] == rows
-        total += np.sum(np.where(same, np.outer(jumps, jumps)
-                                 * (Lk[:, None] - np.maximum.outer(at, at)), 0.0))
-        return float(np.real(total))
+        """Integral over the graph of (d/dx f)^2, piece by piece, any degree."""
+        _, lo, hi, C = self._pieces()
+        d = C[:, 1:] * np.arange(1, C.shape[1])
+        return float(np.real(_integrals(lo, hi, _product(d, d)).sum()))
 
 
 class ResistanceKernel:
@@ -306,6 +310,7 @@ class ResistanceKernel:
         self._S = np.stack([np.column_stack([np.ones_like(L), -h, zero]),
                             np.column_stack([zero, h, zero])], axis=1)
         self._q = np.column_stack([zero, inv * L, -inv])
+        self._factors = {}
         self._validate()
 
     def removed(self, edge_id):
@@ -364,33 +369,38 @@ class ResistanceKernel:
         """
         if nu.graph is not self.graph:
             raise ValidationError("measure lives on a different graph than the kernel")
-        return self._potential(*nu.arrays)
+        return EdgeTable(self.graph, *self._potential(*nu.arrays))
 
     def _potential(self, rows, at, mass, D):
-        L = self._L
-        k = np.arange(D.shape[1])
-        p = np.arange(3)[:, None] + k + 1
-        dmom = np.einsum("ek,ebk->eb", D, L[:, None, None] ** p / p)
+        """(coefficient rows, kinks) of the potential of a measure's arrays."""
+        L, K = self._L, D.shape[1]
+        if K not in self._factors:  # per density width: edge moments, (k+1)(k+2)
+            k = np.arange(K)
+            p = np.arange(3)[:, None] + k + 1
+            self._factors[K] = L[:, None, None] ** p / p, (k + 1) * (k + 2)
+        moments, lift = self._factors[K]
+        dmom = np.einsum("ek,ebk->eb", D, moments)
         mom = dmom.copy()
         np.add.at(mom, rows, mass[:, None] * at[:, None] ** np.arange(3))
         W = np.einsum("eab,eb->ea", self._S, mom)
         w = np.zeros(len(self._R), W.dtype)
         np.add.at(w, self._ends, W)
-        T = np.zeros((len(L), max(3, D.shape[1] + 2)), W.dtype)
+        T = np.zeros((len(L), max(3, K + 2)), W.dtype)
         T[:, :3] = np.einsum("eab,ea->eb", self._S, (self._R @ w)[self._ends])
-        T[:, :3] += self._q * np.sum(mom[:, 0])
-        T[:, 0] += np.sum(self._q * mom)
-        T[:, 2:D.shape[1] + 2] += 2.0 * D / ((k + 1) * (k + 2))
+        T[:, :3] += self._q * mom[:, 0].sum()
+        T[:, 0] += (self._q * mom).sum()
+        T[:, 2:K + 2] += 2.0 * D / lift
         T[:, 1] -= 2.0 * (dmom[:, 0] - dmom[:, 1] / L)
         inner = (at > 0.0) & (at < L[rows])
         ri, ai, ci = rows[inner], at[inner], mass[inner]
         np.add.at(T[:, 1], ri, -2.0 * ci * (L[ri] - ai) / L[ri])
-        return EdgeTable(self.graph, T, (ri, ai, 2.0 * ci))
+        return T, (ri, ai, 2.0 * ci)
 
     def profile_polys(self, y):
         """EdgeTable of x -> r(x, y)."""
-        return self._potential(np.array([self._row[y.edge]]), np.array([y.offset]),
-                               np.ones(1), np.zeros((len(self._L), 1)))
+        return EdgeTable(self.graph, *self._potential(
+            np.array([self._row[y.edge]]), np.array([y.offset]), np.ones(1),
+            np.zeros((len(self._L), 1))))
 
     def _validate(self):
         """r(p, y) for p on the first, middle and last edges and y on the

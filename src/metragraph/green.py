@@ -48,11 +48,11 @@ class GreenEvaluator:
         """EdgeTable of x -> g_mu(x, y): the resistance potential of (mu -
         delta_y) / 2, plus rho_mu(y) / 2 - c_mu in the constant column."""
         rows, at, mass, D = self.mu.arrays
-        table = self.kernel._potential(np.append(rows, self.kernel._row[y.edge]),
-                                       np.append(at, y.offset), 0.5 * np.append(mass, -1.0),
-                                       0.5 * D)
-        table.coeffs[:, 0] += 0.5 * self.rho.at_points([y])[0] - self.c_mu
-        return table
+        T, kinks = self.kernel._potential(np.append(rows, self.kernel._row[y.edge]),
+                                          np.append(at, y.offset), 0.5 * np.append(mass, -1.0),
+                                          0.5 * D)
+        T[:, 0] += 0.5 * self.rho.at_points([y])[0] - self.c_mu
+        return circuit.EdgeTable(self.graph, T, kinks)
 
     def sup_diag(self):
         """Exact sup over the graph of g_mu(x, x) = rho_mu(x) - c_mu, from
@@ -82,13 +82,11 @@ def weak_laplacian_residual(evaluator, y, phi):
 
 
 def tau_constant(graph):
-    """tau = (1/4) integral of (d/dx r(x, y))^2 dx, independent of y.
-
-    The profile r(., y) has a linear derivative on each edge, so the
-    integral is a closed form over all edges at once (EdgeTable.
-    derivative_energy).  Computed at two distinct base points, a vertex and
-    the midpoint of the last edge, and cross-checked relative to tau, so the
-    check holds at any length scale.
+    """tau = (1/4) integral of (d/dx r(x, y))^2 dx, independent of y, exact
+    over the profile's pieces (EdgeTable.derivative_energy).  Computed at
+    two distinct base points, a vertex and the midpoint of the last edge,
+    and cross-checked relative to tau, so the check holds at any length
+    scale.
     """
     y1 = graph.point_at_vertex(graph.vertices[0])
     e_last = graph.edges[-1]
@@ -120,9 +118,9 @@ def energy_pairing(evaluator, nu, omega):
 
 
 def _conjugate_measure(nu):
-    atoms = [(p, np.conjugate(m)) for p, m in nu.atoms]
-    dens = {eid: np.conjugate(c) for eid, c in nu.densities.items()}
-    return Measure(nu.graph, atoms, dens)
+    return nu if nu.is_real() else Measure(
+        nu.graph, [(p, np.conjugate(m)) for p, m in nu.atoms],
+        {eid: np.conjugate(c) for eid, c in nu.densities.items()})
 
 
 @dataclass
@@ -137,9 +135,7 @@ def discriminant_sum(evaluator, points):
     """Average off-diagonal Green sum over a point set, with its lower bound.
 
     The sum over i != j of g_mu(x_i, x_j) is the energy <nu, nu>_mu of nu =
-    sum of delta_{x_i} less its diagonal, sum of rho_mu(x_i) - c_mu.  Memory
-    grows as n^2: nu's potential is read at its own n atoms against n kinks
-    (EdgeTable.values_at), a peak of about 105 MB at n = 2000.
+    sum of delta_{x_i} less its diagonal, sum of rho_mu(x_i) - c_mu.
     """
     pts = list(points)
     n = len(pts)

@@ -167,9 +167,9 @@ def shift_polys(coeffs, t0):
 
 
 class PiecewisePoly:
-    """Piecewise polynomial on [breaks[0], breaks[-1]], one coefficient array
+    """Piecewise polynomial on [breaks[0], breaks[-1]], one coefficient row
     (ascending, in the global coordinate) per piece: the per-edge read view
-    of an EdgeTable (circuit.EdgeTable), which does the algebra."""
+    of an EdgeTable's pieces (circuit.EdgeTable), which does the algebra."""
 
     def __init__(self, breaks, coeffs):
         self.breaks = np.asarray(breaks, dtype=float)
@@ -179,16 +179,9 @@ class PiecewisePoly:
             raise ValueError("breakpoints must strictly increase")
         if len(coeffs) != self.breaks.size - 1:
             raise ValueError("one coefficient array per piece")
-        self.coeffs = []
-        for c in coeffs:
-            arr = np.atleast_1d(np.asarray(c))
-            if not np.iscomplexobj(arr):
-                arr = arr.astype(float)
-            self.coeffs.append(arr)
-        width = max(map(len, self.coeffs))  # zero-padded rows evaluate alike
-        self._table = np.array([np.pad(c, (0, width - len(c))) for c in self.coeffs])
+        self.coeffs = np.asarray(coeffs)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, len(self.coeffs) - 1)
-        return polyval_rows(self._table[idx.ravel()], t.ravel()).reshape(t.shape)[()]
+        return polyval_rows(self.coeffs[idx.ravel()], t.ravel()).reshape(t.shape)[()]

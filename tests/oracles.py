@@ -26,13 +26,18 @@ ResistanceKernel.eval, the edge pair's 3 x 3 monomial form (the kernel's
 biquad) read through vander and einsum, that the vertex-weight read
 replaced.  discriminant_pairs is the former pair loop of
 green.discriminant_sum, one package point_eval per pair, that the energy
-form replaced.
+form replaced.  table_values, table_integrals and table_integrate are the
+former raw-array reads of circuit.EdgeTable (coefficient powers plus the
+kinks left of each point, and closed kink tail forms), that the reads
+through the table's pieces replaced, evaluated at 40 digits with mpmath
+and rounded once.
 """
 
 import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import integrate
@@ -197,6 +202,74 @@ def discriminant_pairs(evaluator, points):
         size += 2.0 * abs(gij)
     pairs = len(points) * (len(points) - 1)
     return total / pairs, size / pairs
+
+
+def _table_value(table, row, t):
+    """One value of an EdgeTable from its raw arrays, as an mpmath number:
+    the row's coefficients times the powers of t, plus jump * (t - a) for
+    each kink of the row with a < t."""
+    kr, ka, kj = table.kinks
+    left = (kr == row) & (ka < t)
+    t = mpmath.mpf(float(t))
+    value = mpmath.polyval([mpmath.mpmathify(c) for c in table.coeffs[row][::-1]], t)
+    for a, jump in zip(ka[left], kj[left]):
+        value += mpmath.mpmathify(jump) * (t - mpmath.mpf(float(a)))
+    return value
+
+
+def _rounded(values, table):
+    out = np.array([complex(v) for v in values])
+    return out if np.iscomplexobj(table.coeffs) or np.iscomplexobj(table.kinks[2]) else out.real
+
+
+def table_values(table, rows, t):
+    """An EdgeTable at offsets t on the given rows, read from its raw arrays
+    (coefficient powers plus the kinks left of each point, the former
+    EdgeTable.values_at) at 40 digits and rounded once."""
+    with mpmath.workdps(40):
+        return _rounded([_table_value(table, r, x) for r, x in zip(rows, t)], table)
+
+
+def _table_integrals(table):
+    """Per-edge integrals over [0, L] of an EdgeTable's raw arrays: sum of
+    c_k L^(k+1) / (k+1), plus J (L - a)^2 / 2 per kink (the former
+    EdgeTable.integrals), as mpmath numbers."""
+    L = [mpmath.mpf(float(x)) for x in table.graph.edge_arrays[1]]
+    out = [sum(mpmath.mpmathify(c) * L[e] ** (k + 1) / (k + 1) for k, c in enumerate(row))
+           for e, row in enumerate(table.coeffs)]
+    for e, a, jump in zip(*table.kinks):
+        out[e] += mpmath.mpmathify(jump) * (L[e] - mpmath.mpf(float(a))) ** 2 / 2
+    return out
+
+
+def table_integrals(table):
+    """_table_integrals at 40 digits, rounded once."""
+    with mpmath.workdps(40):
+        return _rounded(_table_integrals(table), table)
+
+
+def table_integrate(table, nu):
+    """Integral of an EdgeTable against a measure from the raw arrays (the
+    former EdgeTable.integrate) at 40 digits: the atoms' values, each
+    density against the row coefficients through the moments L^(i+j+1) /
+    (i+j+1), and per kink of jump J at a, J times the integral over [a, L]
+    of (t - a) t^j d_j dt."""
+    rows, at, mass, D = nu.arrays
+    with mpmath.workdps(40):
+        L = [mpmath.mpf(float(x)) for x in table.graph.edge_arrays[1]]
+        total = sum(mpmath.mpmathify(m) * _table_value(table, r, a)
+                    for r, a, m in zip(rows, at, mass))
+        for e, (row, dens) in enumerate(zip(table.coeffs, D)):
+            total += sum(mpmath.mpmathify(c) * mpmath.mpmathify(d)
+                         * L[e] ** (i + j + 1) / (i + j + 1)
+                         for i, c in enumerate(row) for j, d in enumerate(dens))
+        for e, a, jump in zip(*table.kinks):
+            a = mpmath.mpf(float(a))
+            total += mpmath.mpmathify(jump) * sum(
+                mpmath.mpmathify(d) * ((L[e] ** (j + 2) - a ** (j + 2)) / (j + 2)
+                                       - a * (L[e] ** (j + 1) - a ** (j + 1)) / (j + 1))
+                for j, d in enumerate(D[e]))
+        return complex(total)
 
 
 def j_value(graph, zeta, y, x):

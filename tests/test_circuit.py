@@ -421,7 +421,9 @@ def test_checks_catch_a_corrupted_kernel_or_profile():
         corrupted(2e-9 * ell / weight)._validate()
     for delta, fails in ((0.5e-9 * ell, False), (2e-9 * ell, True)):
         profile = resistance_profile(g, y)
-        profile.polys.coeffs[-1, 0] += delta
+        coeffs = profile.polys.coeffs.copy()
+        coeffs[-1, 0] += delta
+        profile.polys = circuit.EdgeTable(g, coeffs, profile.polys.kinks)
         if fails:
             with pytest.raises(NumericError, match="resistance profile mismatch on edge s2"):
                 profile._validate()

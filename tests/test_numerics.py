@@ -6,8 +6,9 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import oracles
-from metragraph import Measure, build_graph, builtin_graph
-from metragraph.circuit import EdgeTable
+from conftest import lollipop, wide_lengths
+from metragraph import Measure, build_graph, builtin_graph, build_green, canonical_measure
+from metragraph.circuit import EdgeTable, resistance_kernel
 from metragraph.numerics import (
     NumericError,
     PiecewisePoly,
@@ -155,6 +156,65 @@ def test_table_pieces_read_the_kinks():
     vals = t.extrema()
     assert (vals.min(), vals.max()) == pytest.approx((-0.5, 1.0))
     assert oracles.piecewise_abs_integral(pw.breaks, pw.coeffs) == t.abs_integrals()[0]
+
+
+def potential_tables(g, factor):
+    """The potential of a measure with two interior atoms on one edge, one
+    on another, one at a vertex and densities of degree 2 and 0, and the
+    Green profile g_mu(., y) of the canonical measure at the first atom;
+    factor scales the first atom's mass and the quadratic density (complex
+    for complex tables)."""
+    e, f, h, last = g.edges[0], g.edges[1], g.edges[2], g.edges[-1]
+    x = g.point(e.id, 0.3 * e.length)
+    nu = Measure(g, [(x, 0.7 * factor), (g.point(e.id, 0.8 * e.length), -0.4),
+                     (g.point(last.id, 0.5 * last.length), 1.1),
+                     (g.point_at_vertex(g.vertices[1]), 0.2)],
+                 {f.id: factor * np.array([0.3, -0.2, 0.5]) / f.length, h.id: [1.0 / h.length]})
+    return nu, [resistance_kernel(g).potential(nu),
+                build_green(g, canonical_measure(g)).g_profile(x)]
+
+
+@pytest.mark.parametrize("graph", ["lollipop", "wide"])
+@pytest.mark.parametrize("factor", [1.0, 0.8 + 0.6j])
+def test_table_reads_match_the_raw_arrays(graph, factor, rng):
+    # values, per-edge integrals and integrals against a measure read through
+    # the pieces, against the raw coefficient rows plus kinks and the kink
+    # tail forms they replaced, taken exactly: values at random points, at
+    # every kink offset and at both ends of every row, to 1e-15 of the
+    # largest |value| (times the edge length, or the measure's total
+    # variation, for an integral)
+    g = lollipop() if graph == "lollipop" else wide_lengths()
+    L = g.edge_arrays[1]
+    nu, tables = potential_tables(g, factor)
+    for table in tables:
+        kr, ka, _ = table.kinks
+        ends = np.arange(len(L))
+        rows = np.concatenate([rng.integers(0, len(L), 200), kr, ends, ends])
+        t = np.concatenate([rng.random(200) * L[rows[:200]], ka, np.zeros(len(L)), L])
+        want = oracles.table_values(table, rows, t)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(table.values_at(rows, t) - want)) <= 1e-15 * scale
+        assert np.all(np.abs(table.integrals() - oracles.table_integrals(table))
+                      <= 1e-15 * scale * L)
+        assert abs(table.integrate(nu) - oracles.table_integrate(table, nu)) \
+            <= 1e-15 * scale * nu.total_variation()
+
+
+def test_derivative_energy_reads_every_degree():
+    # an atom and a quadratic density on one edge give a potential of degree
+    # 4 there; the energy against a Gauss rule on every piece of f'
+    g = builtin_graph("tetrahedron")
+    e = g.edges[0]
+    nu = Measure(g, [(g.point(e.id, 0.3 * e.length), 1.0)], {e.id: [0.2, 1.0, -0.7]})
+    table = resistance_kernel(g).potential(nu)
+    assert table.coeffs.shape[1] == 5
+    x, w = np.polynomial.legendre.leggauss(8)
+    want = 0.0
+    for pw in table.values():
+        for c, a, b in zip(pw.coeffs, pw.breaks, pw.breaks[1:]):
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            want += half * w @ npoly.polyval(mid + half * x, npoly.polyder(c)) ** 2
+    assert table.derivative_energy() == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("length", [1e-13, 1e-11, 1e-6, 1.0, 1e3, 1e8])
