@@ -24,7 +24,8 @@ import numpy as np
 
 from .graph_core import ValidationError, total_length
 from .numerics import (
-    NumericError, PiecewisePoly, polyval_rows, real_roots_in_intervals, solve_grounded,
+    NumericError, PiecewisePoly, integrate_rows, polyder_rows, polymul_rows, polyval_rows,
+    real_roots_in_intervals, solve_grounded,
 )
 
 # the build-time checks bound |kernel - solver| by these times the total length
@@ -118,24 +119,6 @@ def _gauss_rule():
     return np.polynomial.legendre.leggauss(24)
 
 
-def _integrals(lo, hi, c):
-    """Per row i, the integral of c[i] over [lo[i], hi[i]], by Horner on its antiderivative."""
-    a = c / np.arange(1, c.shape[1] + 1)
-    at_hi = at_lo = a[:, -1]
-    for k in range(c.shape[1] - 2, -1, -1):
-        at_hi = a[:, k] + at_hi * hi
-        at_lo = a[:, k] + at_lo * lo
-    return at_hi * hi - at_lo * lo
-
-
-def _product(a, b):
-    """Row-wise products of the polynomial rows of a and b (ascending)."""
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), np.result_type(a, b))
-    for j in range(b.shape[1]):
-        out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
-    return out
-
-
 class EdgeTable(Mapping):
     """Per-edge piecewise polynomials on a graph in array form, one row per
     edge in graph.edges order: the library's one piecewise-polynomial engine.
@@ -210,7 +193,7 @@ class EdgeTable(Mapping):
         at its two ends and at the real roots of its derivative inside it."""
         _, lo, hi, C = self._pieces()
         C = C.real
-        piece, x = real_roots_in_intervals(C[:, 1:] * np.arange(1, C.shape[1]), lo, hi)
+        piece, x = real_roots_in_intervals(polyder_rows(C), lo, hi)
         return np.concatenate([polyval_rows(C, lo), polyval_rows(C, hi),
                                polyval_rows(C[piece], x)])
 
@@ -226,7 +209,7 @@ class EdgeTable(Mapping):
         at, owner = at[order], owner[order]
         part = np.flatnonzero(owner[1:] == owner[:-1])
         p, a, b = owner[part], at[part], at[part + 1]
-        out = np.abs(_integrals(a, b, C[p].real))
+        out = np.abs(integrate_rows(a, b, C[p].real))
         cplx = np.any(C.imag != 0, axis=1)[p]
         if np.any(cplx):
             x, w = _gauss_rule()
@@ -254,7 +237,7 @@ class EdgeTable(Mapping):
         """Per-edge integral over [0, L] against dx, summed over the pieces."""
         rows, lo, hi, C = self._pieces()
         starts = np.searchsorted(rows, np.arange(len(self._L)))
-        return np.add.reduceat(_integrals(lo, hi, C), starts)
+        return np.add.reduceat(integrate_rows(lo, hi, C), starts)
 
     def integrate(self, nu):
         """Exact integral against a measure: atoms' values, pieces x densities."""
@@ -262,13 +245,14 @@ class EdgeTable(Mapping):
             raise ValidationError("measure lives on a different graph than the table")
         rows, at, mass, D = nu.arrays
         prow, lo, hi, C = self._pieces()
-        return mass @ self.values_at(rows, at) + _integrals(lo, hi, _product(C, D[prow])).sum()
+        return mass @ self.values_at(rows, at) \
+            + integrate_rows(lo, hi, polymul_rows(C, D[prow])).sum()
 
     def derivative_energy(self):
         """Integral over the graph of (d/dx f)^2, piece by piece, any degree."""
         _, lo, hi, C = self._pieces()
-        d = C[:, 1:] * np.arange(1, C.shape[1])
-        return float(np.real(_integrals(lo, hi, _product(d, d)).sum()))
+        d = polyder_rows(C)
+        return float(np.real(integrate_rows(lo, hi, polymul_rows(d, d)).sum()))
 
 
 class ResistanceKernel:

@@ -10,7 +10,6 @@ distinct endpoints; parallel edges are kept.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import math
 from collections import namedtuple
@@ -249,30 +248,6 @@ def total_length(graph):
 
 def valence(graph, vertex):
     return len(graph.incidences(vertex))
-
-
-def _vertex_distances(graph, source):
-    dist = {v: math.inf for v in graph.vertices}
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for e, end in graph.incidences(v):
-            w = e.v if end == 0 else e.u
-            nd = d + e.length
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
-
-
-def path_distance(graph, p, q):
-    """Shortest-path metric d(p, q) between two points."""
-    g1, vp, remap = subdivide_at(graph, p)
-    g2, vq, _ = subdivide_at(g1, remap(q))
-    return _vertex_distances(g2, vp)[vq]
 
 
 def scale_graph(graph, beta):

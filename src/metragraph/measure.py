@@ -107,14 +107,17 @@ class Measure:
         return not np.iscomplexobj(self.arrays[3])
 
     def total_mass(self):
-        """Atom masses plus sum_k c_k L^(k+1) / (k+1) over the density rows."""
-        _, _, mass, D = self.arrays
-        L = self.graph.edge_arrays[1]
-        k = np.arange(1, D.shape[1] + 1)
-        total = (mass.sum() + np.sum(D * (L[:, None] ** k / k))).item()
-        if isinstance(total, complex) and total.imag == 0:
-            total = total.real
-        return total
+        """Atom masses plus sum_k c_k L^(k+1) / (k+1) over the density rows,
+        computed on first use and kept in the measure's cache."""
+        if "total_mass" not in self._cache:
+            _, _, mass, D = self.arrays
+            L = self.graph.edge_arrays[1]
+            k = np.arange(1, D.shape[1] + 1)
+            total = (mass.sum() + np.sum(D * (L[:, None] ** k / k))).item()
+            if isinstance(total, complex) and total.imag == 0:
+                total = total.real
+            self._cache["total_mass"] = total
+        return self._cache["total_mass"]
 
     def total_variation(self):
         """Atom masses plus the integral of |density| (EdgeTable.abs_integrals:
@@ -305,11 +308,6 @@ class CPAFunction:
             self._nodes[e.id] = ts, vs = np.array(ts), np.array(vs)
             segments.append((np.full(len(pts) + 1, k), ts[:-1], ts[1:], vs[:-1], vs[1:]))
         self.segments = tuple(map(np.concatenate, zip(*segments)))
-
-    @classmethod
-    def hat(cls, graph, vertex):
-        """1 at the given vertex, 0 at every other vertex, affine on edges."""
-        return cls(graph, {vertex: 1.0})
 
     def eval(self, edge_id, t):
         ts, vs = self._nodes[edge_id]

@@ -1,6 +1,6 @@
 """Shared numerical kernels: grounded solves, nullspaces, the stacked real
-root finder, row-wise Horner evaluation, polynomial shifts, and the per-edge
-read view of the piecewise polynomials that circuit.EdgeTable holds."""
+root finder, row-wise polynomial arithmetic (evaluation, shifts, derivatives,
+products, definite integrals) and the per-edge read view of EdgeTable."""
 
 from __future__ import annotations
 
@@ -164,6 +164,31 @@ def shift_polys(coeffs, t0):
         binom = np.array([math.comb(k, i) for i in j], dtype=float)
         out[:, :k + 1] += c[:, k:k + 1] * binom * t0 ** (k - j)
     return out
+
+
+def polyder_rows(coeffs):
+    """Ascending coefficients of p' along the last axis, at least one."""
+    if coeffs.shape[-1] < 2:
+        return np.zeros(coeffs.shape[:-1] + (1,))
+    return coeffs[..., 1:] * np.arange(1.0, coeffs.shape[-1])
+
+
+def polymul_rows(a, b):
+    """Row-wise products of the ascending polynomial rows of a and b."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), np.result_type(a, b))
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j:j + 1]
+    return out
+
+
+def integrate_rows(lo, hi, c):
+    """Per row i, the integral of c[i] over [lo[i], hi[i]], by Horner on its antiderivative."""
+    a = c / np.arange(1, c.shape[1] + 1)
+    at_hi = at_lo = a[:, -1]
+    for k in range(c.shape[1] - 2, -1, -1):
+        at_hi = a[:, k] + at_hi * hi
+        at_lo = a[:, k] + at_lo * lo
+    return at_hi * hi - at_lo * lo
 
 
 class PiecewisePoly:

@@ -8,7 +8,9 @@ solution.  Continuity at each vertex, one derivative-balance condition per
 vertex, and the vanishing of the integral of f against the measure yield a
 square homogeneous system M(gamma) of size 2m+1; eigenvalues are
 lambda = gamma^2 exactly where M(gamma) is singular, with multiplicity the
-nullspace dimension.  Every edge integral at a given gamma (trig moments of
+nullspace dimension.  The scan brackets each root with the exact eigenvalue
+count (EigenvalueCount), the inertia of one symmetric bordered matrix of
+size n + m + 1 per gamma.  Every edge integral at a given gamma (trig moments of
 the densities and of products of edge solutions) comes from one batched
 moment kernel, _exp_moments, called once for all edges: integration by parts
 in closed form where omega*L is large, and otherwise a power series summed
@@ -33,7 +35,10 @@ from .numerics import (
     NumericError,
     equilibrate_rows,
     golden_min,  # noqa: F401  (perfbench/tracing.py wraps spectral.golden_min)
+    integrate_rows,
     nullspace_basis,
+    polyder_rows,
+    polymul_rows,
     polyval_rows,
     shift_polys,
 )
@@ -58,13 +63,6 @@ _ONE, _G2 = 0, 1
 (_COS, _SIN, _G, _GSIN, _MGCOS, _H0, _HL, _HP0, _MHPL, _HD,
  _CMOM, _SMOM) = range(12)
 _EDGE_FEATURES = 12
-
-
-def _derivative(coeffs):
-    """Ascending coefficients of p' along the last axis, at least one."""
-    if coeffs.shape[-1] < 2:
-        return np.zeros(coeffs.shape[:-1] + (1,))
-    return coeffs[..., 1:] * np.arange(1.0, coeffs.shape[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,16 +128,8 @@ def _particular_table(dens):
     term = dens
     for j in range(table.shape[2]):
         table[:, :term.shape[1], j] = (-1.0) ** j * term
-        term = _derivative(_derivative(term))
+        term = polyder_rows(polyder_rows(term))
     return table
-
-
-def _row_products(a, b):
-    """Row-wise products of the ascending polynomials in a and b."""
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[1]):
-        out[:, i:i + b.shape[1]] += a[:, [i]] * b
-    return out
 
 
 def _overlap(dens, lengths):
@@ -148,11 +138,11 @@ def _overlap(dens, lengths):
     out = np.zeros((len(dens), 2 * dens.shape[1]))
     taylor, shift = dens, np.ones((len(dens), 1))  # d^(q) / q!, (L - y)^q
     for q in range(dens.shape[1]):
-        prod = _row_products(taylor, dens)
+        prod = polymul_rows(taylor, dens)
         anti = np.pad(prod / np.arange(1, prod.shape[1] + 1), ((0, 0), (1, 0)))
-        out += _row_products(shift, anti)
-        taylor = _derivative(taylor) / (q + 1)
-        shift = _row_products(shift, np.column_stack((lengths, -np.ones_like(lengths))))
+        out += polymul_rows(shift, anti)
+        taylor = polyder_rows(taylor) / (q + 1)
+        shift = polymul_rows(shift, np.column_stack((lengths, -np.ones_like(lengths))))
     return out
 
 
@@ -207,7 +197,7 @@ class EdgeBasisSolution:
         k = np.fromiter(map(self.edges.__getitem__, ids), dtype=np.intp, count=ids.size)
         (A, B), g, h = self.ab[k].T, self.gamma, self.h
         if derivative:  # B g cos - A g sin + C h'
-            (A, B), h = (B * g, -A * g), _derivative(h)
+            (A, B), h = (B * g, -A * g), polyder_rows(h)
         out = A * np.cos(g * t) + B * np.sin(g * t) + self.constant * polyval_rows(h[k], t)
         return out.reshape(shape)[()]
 
@@ -219,11 +209,6 @@ class EdgeBasisSolution:
 
     def at_point(self, point):
         return float(self.value(point.edge, point.offset))
-
-    def sup_norm(self, graph, samples_per_edge=64):
-        """Grid estimate of the supremum norm."""
-        t = np.linspace(0.0, graph.edge_arrays[1], samples_per_edge, axis=1)
-        return float(np.max(np.abs(self.value([[e.id] for e in graph.edges], t))))
 
 
 @dataclass
@@ -336,9 +321,8 @@ class SpectralProblem:
         self._hpoly = np.zeros((len(L), 5, P.shape[2]))
         for j in range(P.shape[2]):
             h = P[:, :, j]
-            hp = _derivative(h)
-            prod = _row_products(h, dens)
-            integral = polyval_rows(prod / np.arange(1, prod.shape[1] + 1), L) * L
+            hp = polyder_rows(h)
+            integral = integrate_rows(np.zeros_like(L), L, polymul_rows(h, dens))
             self._hpoly[:, :, j] = np.stack(
                 (h[:, 0], polyval_rows(h, L), hp[:, 0], -polyval_rows(hp, L), integral), axis=1)
 
@@ -522,14 +506,6 @@ def l2_inner(graph, f1, f2):
                                    f2.gamma, f2.ab, f2.constant * f2.h)))
 
 
-def dirichlet_inner(graph, f1, f2):
-    """Exact integral of f1' f2' over the graph: the pair form of the derivatives."""
-    return float(np.sum(_pair_form(
-        _row_lengths(graph, f1, f2),
-        f1.gamma, f1.ab[:, ::-1] * [f1.gamma, -f1.gamma], _derivative(f1.constant * f1.h),
-        f2.gamma, f2.ab[:, ::-1] * [f2.gamma, -f2.gamma], _derivative(f2.constant * f2.h))))
-
-
 def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
 
@@ -583,10 +559,11 @@ class EigenvalueCount:
     slopes (C - c S / s, S / s) of its Dirichlet solution to f (which
     starts from the atoms) and the self-energy of d under its Dirichlet
     Green's function to E, all bounded as gamma -> 0: w = E - f^T Lambda^-1 f.
-    Lambda's constant direction, with an eigenvalue near gamma^2 ell lost to
-    rounding at small gamma, is deflated: x = c 1 + (0, y) and the exact row
-    sums r = Lambda 1 give #pos(Lambda) = #pos(Lambda_22) +
-    [sum r - r_2^T Lambda_22^-1 r_2 > 0], and w by the same elimination.
+    By Haynsworth inertia additivity, #pos(Lambda) + [w > 0] = #pos(B) for
+    B = [[Lambda / gamma, f], [f^T, gamma E]], congruent to [[Lambda, f],
+    [f^T, E]] and free of units.  B's border holds Lambda's near-null constant
+    direction (1^T f is about mu's mass), and the scaling keeps w's eigenvalue
+    clear of rounding near piece poles, so nothing needs deflating.
     """
 
     def __init__(self, problem):
@@ -597,8 +574,10 @@ class EigenvalueCount:
         u = np.column_stack((ends[:, 0], mid)).ravel()
         v = np.column_stack((mid, ends[:, 1])).ravel()
         N = self._nodes = n + m
-        self._ends = np.concatenate((u, v))
-        self._flat = np.concatenate((u * N + u, v * N + v, u * N + v, v * N + u))
+        # B's entries: Lambda / gamma in the first N rows and columns, then the
+        # end slopes in row N (eigvalsh reads the lower triangle)
+        rows = np.concatenate((u, v, u, v, np.full(4 * m, N)))
+        self._flat = rows * (N + 1) + np.concatenate((u, v, v, u, u, v))
         self._lengths = np.column_stack((cut, L - cut)).ravel()
         dens = np.stack((problem._dens, shift_polys(problem._dens, cut)),
                         axis=1).reshape(2 * m, -1)
@@ -611,23 +590,15 @@ class EigenvalueCount:
 
     def __call__(self, gamma):
         """N_mu at gamma, an int; at a 1-D array of gammas, the list of them,
-        from one stacked solve and eigvalsh per batch (_batched)."""
-        return _batched(self._counts, gamma, self._nodes)
+        from one stacked eigvalsh of B per batch (_batched)."""
+        return _batched(self._counts, gamma, self._nodes + 1)
 
     def _counts(self, gs):
         g, L, N, B = gs[:, None], self._lengths, self._nodes, len(gs)
         gL = g * L
         sg, cg = np.sin(gL), np.cos(gL)
-        tg = g * np.tan(0.5 * gL)  # gamma (1 - c) / s, a row sum of one piece
-        off = g / sg
-        lam = np.bincount((self._flat + N * N * np.arange(B)[:, None]).ravel(),
-                          np.concatenate((-cg * off, -cg * off, off, off), axis=1).ravel(),
-                          minlength=B * N * N).reshape(B, N, N)
-        ends = (self._ends + N * np.arange(B)[:, None]).ravel()
-        r = np.bincount(ends, np.concatenate((tg, tg), axis=1).ravel(),
-                        minlength=B * N).reshape(B, N)
         C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
-        energy = self._d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
+        energy = self._d0 ** 2 * (2.0 * np.tan(0.5 * gL) / g - L) / (g * g)
         if self._poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
             k = self._poly
@@ -638,20 +609,18 @@ class EigenvalueCount:
             zz = z * z * (cg[:, k] - 1j * sg[:, k])  # integral of d d cos(g (t + t' - L))
             energy[:, k] = (zz.real - 2.0 * np.sum(self._overlap * I.real, axis=-1)) \
                 / (2.0 * g * sg[:, k])
-        slopes = np.concatenate((C - cg * S / sg, S / sg), axis=1)
-        f = self._atoms + np.bincount(ends, slopes.ravel(), minlength=B * N).reshape(B, N)
-        sub = lam[:, 1:, 1:]
-        x = np.linalg.solve(sub, np.stack((r[:, 1:], f[:, 1:]), axis=2))
-        rs, fs = x[..., :1], x[..., 1:]  # stacked columns: dot products per gamma
-        schur = r.sum(axis=1) - (r[:, None, 1:] @ rs)[:, 0, 0]
-        z = f.sum(axis=1) - (r[:, None, 1:] @ fs)[:, 0, 0]
-        w = energy.sum(axis=1) - (f[:, None, 1:] @ fs)[:, 0, 0] - z * z / schur
-        rest = np.count_nonzero(np.linalg.eigvalsh(sub) > 0.0, axis=1) \
-            + (schur > 0.0) - 1 + (w > 0.0)
+        off = 1.0 / sg  # Lambda / gamma
+        weights = np.concatenate((-cg * off, -cg * off, off, off, C - cg * S * off, S * off),
+                                 axis=1).ravel()
+        bordered = np.bincount((self._flat + (N + 1) ** 2 * np.arange(B)[:, None]).ravel(),
+                               weights, minlength=B * (N + 1) ** 2).reshape(B, N + 1, N + 1)
+        bordered[:, N, :N] += self._atoms
+        bordered[:, N, N] = gs * energy.sum(axis=1)
+        positive = np.count_nonzero(np.linalg.eigvalsh(bordered, UPLO="L") > 0.0, axis=1)
         # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
         # trig term can exceed int64
-        return [int(t) + n for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
-                                           rest.tolist())]
+        return [int(t) + n - 1 for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
+                                               positive.tolist())]
 
 
 def _batched(fn, gamma, size):

@@ -30,10 +30,14 @@ form replaced.  table_values, table_integrals and table_integrate are the
 former raw-array reads of circuit.EdgeTable (coefficient powers plus the
 kinks left of each point, and closed kink tail forms), that the reads
 through the table's pieces replaced, evaluated at 40 digits with mpmath
-and rounded once.
+and rounded once.  deflated_counts is the eigenvalue count as it was read
+before the bordered matrix B, #pos(Lambda) and the sign of w apart with a
+deflating solve.  path_distance, dirichlet_inner, sup_norm and cpa_hat are
+helpers that only the tests read.
 """
 
 import functools
+import heapq
 import itertools
 import math
 
@@ -43,12 +47,13 @@ from numpy.polynomial import polynomial as npoly
 from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
 
-from metragraph.graph_core import PointOnGraph, total_length
-from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL
+from metragraph.graph_core import PointOnGraph, subdivide_at, total_length
+from metragraph.measure import CPAFunction
+from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, polyder_rows
 from metragraph.green import GreenEvaluator
 from metragraph.spectral import (
-    DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _newton_ratio,
-    _pair_form, _problem,
+    DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _exp_moments,
+    _newton_ratio, _pair_form, _problem, _row_lengths,
 )
 
 
@@ -693,6 +698,52 @@ def depth_first_eigenvalues(graph, mu, gamma_max):
     return out
 
 
+def deflated_counts(count, gs):
+    """N_mu at each of the 1-D array gs from an EigenvalueCount's arrays, as
+    the count was read before the bordered matrix B: #pos(Lambda) and the
+    sign of w = E - f^T Lambda^-1 f apart, with Lambda's constant direction
+    deflated.  x = c 1 + (0, y) and the exact row sums r = Lambda 1 give
+    #pos(Lambda) = #pos(Lambda_22) + [sum r - r_2^T Lambda_22^-1 r_2 > 0],
+    and w by the same elimination, from one stacked solve against Lambda_22
+    with r_2 and f_2 as its two right-hand sides."""
+    g, L, N, B = gs[:, None], count._lengths, count._nodes, len(gs)
+    u, v = np.split(count._flat[:2 * len(L)] // (N + 1), 2)  # each piece's two ends
+    flat = np.concatenate((u * N + u, v * N + v, u * N + v, v * N + u))
+    gL = g * L
+    sg, cg = np.sin(gL), np.cos(gL)
+    tg = g * np.tan(0.5 * gL)  # gamma (1 - c) / s, a row sum of one piece
+    off = g / sg
+    lam = np.bincount((flat + N * N * np.arange(B)[:, None]).ravel(),
+                      np.concatenate((-cg * off, -cg * off, off, off), axis=1).ravel(),
+                      minlength=B * N * N).reshape(B, N, N)
+    ends = (np.concatenate((u, v)) + N * np.arange(B)[:, None]).ravel()
+    r = np.bincount(ends, np.concatenate((tg, tg), axis=1).ravel(),
+                    minlength=B * N).reshape(B, N)
+    C, S = count._d0 * sg / g, count._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
+    energy = count._d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
+    if count._poly.size:
+        k = count._poly
+        I = _exp_moments(np.repeat(g, k.size), np.tile(L[k], B),
+                         count._overlap.shape[1] - 1).reshape(B, k.size, -1)
+        z = np.sum(count._dens * I[..., :count._dens.shape[1]], axis=-1)
+        C[:, k], S[:, k] = z.real, z.imag
+        zz = z * z * (cg[:, k] - 1j * sg[:, k])
+        energy[:, k] = (zz.real - 2.0 * np.sum(count._overlap * I.real, axis=-1)) \
+            / (2.0 * g * sg[:, k])
+    slopes = np.concatenate((C - cg * S / sg, S / sg), axis=1)
+    f = count._atoms + np.bincount(ends, slopes.ravel(), minlength=B * N).reshape(B, N)
+    sub = lam[:, 1:, 1:]
+    x = np.linalg.solve(sub, np.stack((r[:, 1:], f[:, 1:]), axis=2))
+    rs, fs = x[..., :1], x[..., 1:]
+    schur = r.sum(axis=1) - (r[:, None, 1:] @ rs)[:, 0, 0]
+    z = f.sum(axis=1) - (r[:, None, 1:] @ fs)[:, 0, 0]
+    w = energy.sum(axis=1) - (f[:, None, 1:] @ fs)[:, 0, 0] - z * z / schur
+    rest = np.count_nonzero(np.linalg.eigvalsh(sub) > 0.0, axis=1) \
+        + (schur > 0.0) - 1 + (w > 0.0)
+    return [int(t) + n for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
+                                       rest.tolist())]
+
+
 def _roots_in(coeffs, a, b, tol=1e-12):
     """Sorted real roots of one polynomial inside (a, b), from numpy's
     polyroots, with the package's scale-relative tolerances."""
@@ -822,3 +873,49 @@ def operator_residual(graph, mu, eigenpair, samples_per_edge):
             fx = float(solution_value(f, x))
             worst = max(worst, abs(float(total) - fx / eigenpair.eigenvalue))
     return worst
+
+
+def _vertex_distances(graph, source):
+    dist = {v: math.inf for v in graph.vertices}
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for e, end in graph.incidences(v):
+            w = e.v if end == 0 else e.u
+            nd = d + e.length
+            if nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
+
+
+def path_distance(graph, p, q):
+    """Shortest-path metric d(p, q) between two points, by Dijkstra on the
+    graph subdivided at both."""
+    g1, vp, remap = subdivide_at(graph, p)
+    g2, vq, _ = subdivide_at(g1, remap(q))
+    return _vertex_distances(g2, vp)[vq]
+
+
+def dirichlet_inner(graph, f1, f2):
+    """Exact integral of f1' f2' over the graph for two EdgeBasisSolutions:
+    the package's pair form of their derivatives."""
+    return float(np.sum(_pair_form(
+        _row_lengths(graph, f1, f2),
+        f1.gamma, f1.ab[:, ::-1] * [f1.gamma, -f1.gamma], polyder_rows(f1.constant * f1.h),
+        f2.gamma, f2.ab[:, ::-1] * [f2.gamma, -f2.gamma], polyder_rows(f2.constant * f2.h))))
+
+
+def sup_norm(f, graph, samples_per_edge=64):
+    """Grid estimate of the supremum norm of an EdgeBasisSolution."""
+    t = np.linspace(0.0, graph.edge_arrays[1], samples_per_edge, axis=1)
+    return float(np.max(np.abs(f.value([[e.id] for e in graph.edges], t))))
+
+
+def cpa_hat(graph, vertex):
+    """The CPAFunction that is 1 at the given vertex, 0 at every other vertex
+    and affine on edges."""
+    return CPAFunction(graph, {vertex: 1.0})

