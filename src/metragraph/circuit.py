@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -272,10 +273,13 @@ class ResistanceKernel:
     the coefficients of a polynomial in t to psi (and from the moments of a
     measure on e to its vertex weights), and q = (0, inv L, -inv), the
     coefficients of inv t (L - t).
+
+    The kernel refers to its graph weakly and the graph's cache owns it, so
+    no cycle keeps them alive: callers keep the graph, not only the kernel.
     """
 
     def __init__(self, graph):
-        self.graph = graph
+        self._graph = weakref.ref(graph)
         n = len(graph.vertices)
         self._row, self._L, self._ends = graph.edge_arrays
         L = self._L
@@ -296,6 +300,12 @@ class ResistanceKernel:
         self._q = np.column_stack([zero, inv * L, -inv])
         self._factors = {}
         self._validate()
+
+    @property
+    def graph(self):
+        if (graph := self._graph()) is None:
+            raise ValidationError("the kernel's graph no longer exists")
+        return graph
 
     def removed(self, edge_id):
         """R(e) = L r(u, v) / (L - r(u, v)); math.inf on a bridge."""

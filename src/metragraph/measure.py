@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, compress
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import circuit
 from .graph_core import (
-    ValidationError, format_point, parse_point, total_length, valence,
+    PointOnGraph, ValidationError, format_point, parse_point, total_length,
 )
 from .numerics import shift_polys
 
@@ -32,18 +32,16 @@ CANONICAL_MASS_TOL = 1e-10
 class Measure:
     """Atoms + per-edge polynomial densities on a fixed graph.
 
-    ``atoms`` and ``densities`` give the measure per point and per edge id;
-    a density keeps its given length and stays real unless given complex.
-    ``arrays`` gives the same measure in array form, built once: the atoms'
-    edge rows, offsets and masses, in ``atoms`` order, and an m x K density
-    matrix whose row k holds the ascending coefficients on graph.edges[k],
-    zero-padded to the longest density (K = 1 when there is none).  Its
-    masses and density matrix share one dtype, complex when any entry is.
+    ``arrays`` is the measure: the atoms' edge rows, offsets and masses, and
+    an m x K density matrix whose row k holds the ascending coefficients on
+    graph.edges[k], zero-padded to the longest density (K = 1 when there is
+    none), in one dtype, complex when any entry is.  ``atoms`` and
+    ``densities`` are views built on first read: the merged (point, mass)
+    pairs by point key, and edge id -> coefficients by edge id, each density
+    at its given length and real unless given complex.
     """
 
     def __init__(self, graph, atoms=(), densities=None):
-        self.graph = graph
-        self._cache = {}
         merged = {}
         for point, mass in atoms:
             key = graph.point_key(point)
@@ -53,22 +51,31 @@ class Measure:
             else:
                 merged[key] = (point, complex(mass) if isinstance(mass, complex)
                                else float(mass))
-        self._atoms = {k: merged[k] for k in sorted(merged)}
+        atoms = [merged[k] for k in sorted(merged)]
         row = graph.edge_arrays[0]
-        mass = np.array([m for _, m in self.atoms])
+        mass = np.array([m for _, m in atoms])
         dtype = complex if np.iscomplexobj(mass) else float
         if densities:
-            self.densities, D = self._density_arrays(graph, row, densities, dtype)
+            D, lengths = self._density_arrays(graph, row, densities, dtype)
         else:  # atom-only: no stacking pass
-            self.densities, D = {}, np.zeros((len(graph.edges), 1), dtype)
-        self.arrays = (np.array([row[p.edge] for p, _ in self.atoms], dtype=int),
-                       np.array([p.offset for p, _ in self.atoms], dtype=float),
-                       mass.astype(D.dtype), D)
+            D, lengths = np.zeros((len(graph.edges), 1), dtype), None
+        self._set(graph, (np.array([row[p.edge] for p, _ in atoms], dtype=int),
+                          np.array([p.offset for p, _ in atoms], dtype=float),
+                          mass.astype(D.dtype), D), atoms, lengths)
+
+    def _set(self, graph, arrays, atoms=None, lengths=None):
+        """Fill the measure from its arrays; ``lengths`` holds each edge's density
+        length, negative where it stays complex.  Both it and ``atoms`` default
+        to what the arrays give when each density is one real coefficient."""
+        self.graph, self.arrays, self._atoms, self._densities = graph, arrays, atoms, None
+        self._lengths = (arrays[3][:, 0] != 0).astype(int) if lengths is None else lengths
+        arrays[3].setflags(write=False)  # the density views share it
+        self._cache = {}
+        return self
 
     @staticmethod
     def _density_arrays(graph, row, densities, dtype):
-        """(densities, m x K matrix) in one pass; the matrix is complex when
-        dtype is or when any density is."""
+        """(m x K matrix, complex when dtype or any density is; per-edge lengths)."""
         unknown = densities.keys() - row.keys()
         if unknown:  # named as the first of them in the given order
             graph.edge(next(filter(unknown.__contains__, densities)))
@@ -86,19 +93,32 @@ class Measure:
         if np.iscomplexobj(P):  # a real row beside a complex one stays real
             cplx[:] = list(map(np.iscomplexobj, coeffs))
         keep = np.any(P != 0, axis=1)
-        dens = dict(zip(compress(names, keep), map(
-            lambda r, k, c: (r if c else r.real)[:k],
-            P[keep], size[keep].tolist(), cplx[keep])))
         if np.any(cplx[keep]):
             dtype = complex
         D = np.zeros((len(graph.edges), size[keep].max(initial=1)), dtype)
         D[rows[keep]] = (P if dtype is complex else P.real)[keep, :D.shape[1]]
-        return dens, D
+        lengths = np.zeros(len(graph.edges), dtype=int)
+        lengths[rows[keep]] = np.where(cplx, -size, size)[keep]
+        return D, lengths
 
     @property
     def atoms(self):
         """Deterministically ordered list of (point, mass)."""
-        return list(self._atoms.values())
+        if self._atoms is None:
+            rows, at, mass, _ = self.arrays
+            self._atoms = [(PointOnGraph(self.graph.edges[k].id, t), m)
+                           for k, t, m in zip(rows.tolist(), at.tolist(), mass.tolist())]
+        return list(self._atoms)
+
+    @property
+    def densities(self):
+        """Edge id -> ascending density coefficients, read-only views of the matrix."""
+        if self._densities is None:
+            D, lengths = self.arrays[3], self._lengths.tolist()
+            self._densities = {eid: (D[k] if n < 0 else D[k].real)[:abs(n)]
+                               for eid, k in sorted(self.graph.edge_arrays[0].items())
+                               if (n := lengths[k])}
+        return self._densities
 
     def density(self, edge_id):
         return self.densities.get(edge_id, np.zeros(1))
@@ -128,7 +148,7 @@ class Measure:
         return float(np.cumsum(np.append(var, per_edge))[-1])
 
     def atom_count(self):
-        return len(self._atoms)
+        return len(self.arrays[0])
 
     def require_reference(self):
         """Validate use as a reference measure: real, total mass 1."""
@@ -183,26 +203,29 @@ def dirac(graph, point, mass=1.0):
 def lebesgue_measure(graph, normalize=False):
     """Constant density 1 per unit length (1/total length when normalized)."""
     c = 1.0 / total_length(graph) if normalize else 1.0
-    return Measure(graph, (), {e.id: [c] for e in graph.edges})
+    arrays = np.zeros(0, int), np.zeros(0), np.zeros(0), np.full((len(graph.edges), 1), c)
+    return Measure.__new__(Measure)._set(graph, arrays)
 
 
 def canonical_measure(graph):
     """Vertex masses 1 - valence/2 plus edge densities 1/(L(e) + R(e)).
 
-    R(e) is the removed-edge resistance; the densities are read from the
-    resistance kernel, and bridges get density 0.  The total mass is
-    asserted to be 1.
+    Each vertex's atom sits at its first incidence, the atoms in sorted
+    vertex order.  R(e) is the removed-edge resistance; the densities are
+    read from the resistance kernel, and bridges get density 0.  The total
+    mass is asserted to be 1.
     """
-    atoms = []
-    for v in graph.vertices:
-        mass = 1.0 - 0.5 * valence(graph, v)
-        if mass != 0.0:
-            atoms.append((graph.point_at_vertex(v), mass))
+    _, L, ends = graph.edge_arrays
+    n = len(graph.vertices)
+    mass = 1.0 - 0.5 * np.bincount(ends.ravel(), minlength=n)
+    first = np.full(n, ends.size)  # each vertex's first incidence, as 2 * row + end
+    np.minimum.at(first, ends.ravel(), np.arange(ends.size))
+    order = np.array(sorted(range(n), key=graph.vertices.__getitem__), dtype=int)
+    order = order[mass[order] != 0.0]
+    k, end = np.divmod(first[order], 2)
     kernel = circuit.resistance_kernel(graph)
-    densities = {
-        eid: [c] for eid, c in kernel.canonical_density.items() if c > 0.0
-    }
-    mu = Measure(graph, atoms, densities)
+    mu = Measure.__new__(Measure)._set(graph, (k, np.where(end == 1, L[k], 0.0), mass[order],
+                                               kernel._inv[:, None].copy()))
     mass = mu.total_mass()
     if abs(mass - 1.0) > CANONICAL_MASS_TOL:
         raise ValidationError(f"canonical measure has mass {mass!r}")

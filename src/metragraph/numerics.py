@@ -40,9 +40,10 @@ def solve_grounded(Q, b, grounded, tol=1e-12):
         v[keep] = np.linalg.solve(Q[keep[:, None] & keep].reshape(n - 1, n - 1), b[keep])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"grounded solve failed: {exc}") from None
-    inf = np.inf
-    residual = np.linalg.norm(Q @ v - b, inf)
-    scale = np.linalg.norm(Q, inf) * np.linalg.norm(v, inf) + np.linalg.norm(b, inf)
+    def norm(x):  # np.linalg.norm(x, np.inf) of a vector or a matrix, undispatched
+        return np.abs(x).reshape(n, -1).sum(axis=1).max()
+    residual = norm(Q @ v - b)
+    scale = norm(Q) * norm(v) + norm(b)
     # written as a negated <= so that a nan residual also fails
     if not residual <= tol * scale:
         raise NumericError(f"grounded solve residual {residual:g} exceeds tolerance")

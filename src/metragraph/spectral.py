@@ -47,6 +47,7 @@ DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
 GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_ROW_REL = 1e-10
 SECANT_MAX_ITER = 100
+_EPS = np.finfo(float).eps
 # per find_eigenvalues call, counted before any bisection: a root of M(gamma)
 # of size s costs s^3 + 230 s^2 + 8e4 units, about 2.6 ns each on a 2-core
 # x86 host (fitted on the interval and random cubic graphs, m = 30 to 300)
@@ -684,7 +685,7 @@ def _refine_root(a, b, root_tol):
     steps, converged = [math.inf, math.inf], False
     for _ in range(SECANT_MAX_ITER):
         x = x1 - u1 * (x1 - x0) / (u1 - u0) if u1 != u0 else math.nan
-        if converged or abs(x - x1) <= 8.0 * np.finfo(float).eps * x1:
+        if converged or abs(x - x1) <= 8.0 * _EPS * x1:
             return min(max(x, a), b) if u1 != u0 else x1
         if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
             x = 0.5 * (a + b)
@@ -693,7 +694,7 @@ def _refine_root(a, b, root_tol):
             return x
         a, b = (x, b) if ux < 0.0 else (a, x)
         steps.append(abs(x - x1))
-        converged = steps[-1] < root_tol + 8.0 * np.finfo(float).eps * x
+        converged = steps[-1] < root_tol + 8.0 * _EPS * x
         x0, u0, x1, u1 = x1, u1, x, ux
     return x1
 
@@ -778,7 +779,7 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
                     problem.bases[(root, rank_tol)] = basis
                     out.append(Eigenpair(root * root, jump))
                     continue
-            if b - a <= 4.0 * np.finfo(float).eps * b:
+            if b - a <= 4.0 * _EPS * b:
                 raise NumericError(f"the eigenvalue count rises by {jump} in [{a!r}, "
                                    f"{b!r}], but no root there has a nullspace that big")
             split.append((a, na, b, nb))

@@ -1,5 +1,6 @@
 """Shared fixtures and small helpers for the suite."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -31,6 +32,22 @@ def wide_lengths():
                                  ("e3", "c", "a", 0.5), ("e4", "c", "d", 2.0),
                                  ("e5", "d", "a", 1e-3), ("e6", "c", "d", 7.0),
                                  ("e7", "d", "e", 40.0)])
+
+
+def random_cubic(seed, m):
+    """Connected simple cubic graph with m edges, lengths from U[0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    nxg = nx.random_regular_graph(3, 2 * m // 3, seed=seed)
+    assert nx.is_connected(nxg)
+    return build_graph([f"v{i}" for i in nxg.nodes], [
+        (f"e{k}", f"v{a}", f"v{b}", float(rng.uniform(0.5, 2.0)))
+        for k, (a, b) in enumerate(nxg.edges)])
+
+
+def wide_spread():
+    """Parallel edges of lengths 1e-7 and 1 plus a tail of length 0.5."""
+    return build_graph(["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
+                                         ("e3", "b", "c", 0.5)])
 
 
 def random_point(graph, rng, interior=False):

@@ -256,6 +256,18 @@ def test_short_edge_keeps_canonical_density():
     assert "t" not in dens
 
 
+def test_kernel_whose_graph_is_gone_fails_loudly():
+    # the graph's cache owns the kernel and the kernel refers to the graph
+    # weakly, so a kernel kept alone loses its graph and says so
+    g = build_graph("abc", [("e1", "a", "b", 1.0), ("e2", "b", "c", 0.5),
+                            ("e3", "c", "a", 2.0)])
+    kernel = resistance_kernel(g)
+    assert kernel.graph is g
+    del g
+    with pytest.raises(ValidationError, match="the kernel's graph no longer exists"):
+        kernel.graph
+
+
 def test_laplacian_assembly_matches_loop(rng):
     # the array assembly sums each resistor's four entries in resistor
     # order, so it equals the plain loop exactly, parallel resistors included

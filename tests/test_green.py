@@ -1,14 +1,18 @@
 """Green's functions, tau, traces, energy pairing, discriminant bound."""
 
+import gc
 import tracemalloc
+import weakref
 
-import networkx as nx
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 import oracles
-from conftest import circle_point, lollipop, random_mass_zero, random_point, wide_lengths
+from conftest import (
+    circle_point, lollipop, random_cubic, random_mass_zero, random_point, wide_lengths,
+    wide_spread,
+)
 from metragraph import (
     CPAFunction,
     Measure,
@@ -64,22 +68,6 @@ def signed_linear_measure(graph, rng):
     ell = total_length(graph)
     dens = {e.id: np.array([1.0, -1.6 / e.length]) / ell for e in graph.edges}
     return Measure(graph, [(random_point(graph, rng, interior=True), 0.8)], dens)
-
-
-def random_cubic(seed, m):
-    """Connected simple cubic graph with m edges, lengths from U[0.5, 2]."""
-    rng = np.random.default_rng(seed)
-    nxg = nx.random_regular_graph(3, 2 * m // 3, seed=seed)
-    assert nx.is_connected(nxg)
-    return build_graph([f"v{i}" for i in nxg.nodes], [
-        (f"e{k}", f"v{a}", f"v{b}", float(rng.uniform(0.5, 2.0)))
-        for k, (a, b) in enumerate(nxg.edges)])
-
-
-def wide_spread():
-    """Parallel edges of lengths 1e-7 and 1 plus a tail of length 0.5."""
-    return build_graph(["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
-                                         ("e3", "b", "c", 0.5)])
 
 
 def halves(graph):
@@ -500,3 +488,26 @@ def test_profile_columns_match_pointwise_green(name, rng):
     want = np.array([[ev.g(x, y) for y in pts] for x in pts])
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert type(ev.g(pts[0], pts[1])) is float
+
+
+def test_green_builds_leave_no_reference_cycle():
+    # with the cyclic collector off, a graph and everything built on it are
+    # freed by reference counting alone once the last name goes
+    g = build_graph("abcdef", [  # a triangular prism, lengths written out
+        ("e1", "a", "b", 0.7), ("e2", "b", "c", 1.3), ("e3", "c", "a", 0.9),
+        ("e4", "d", "e", 1.1), ("e5", "e", "f", 0.6), ("e6", "f", "d", 1.7),
+        ("e7", "a", "d", 0.8), ("e8", "b", "e", 1.4), ("e9", "c", "f", 0.5)])
+    ell = total_length(g)
+    signed = Measure(g, [(g.point("e2", 0.4), 0.75), (g.point("e8", 1.0), -0.5)],
+                     {e.id: [0.75 / ell] for e in g.edges})
+    gc.disable()
+    try:
+        mus = [canonical_measure(g), lebesgue_measure(g, normalize=True), signed]
+        evs = [build_green(g, mu) for mu in mus]
+        tau, traces = tau_constant(g), [trace_of_phi(ev) for ev in evs]
+        assert tau > 0.0 and all(t > 0.0 for t in traces)
+        ref = weakref.ref(g)
+        del g, mus, evs, signed
+        assert ref() is None
+    finally:
+        gc.enable()

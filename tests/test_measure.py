@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import lollipop, random_point
+from conftest import lollipop, random_cubic, random_point, wide_spread
 from metragraph import (
     CPAFunction,
     Measure,
@@ -19,7 +19,8 @@ from metragraph import (
     lebesgue_measure,
     subdivide_at,
 )
-from metragraph.circuit import EdgeTable
+from metragraph.circuit import EdgeTable, resistance_kernel
+from metragraph.graph_core import total_length
 from metragraph.measure import (
     integrate_polys_against,
     load_measure,
@@ -255,6 +256,44 @@ def test_array_pass_matches_loop_oracle(case, complex_atom):
         assert_same_bits(mu.densities[eid], c)
     for got, want in zip(mu.arrays, arrays, strict=True):
         assert_same_bits(got, want)
+
+
+ARRAY_BUILD_GRAPHS = {
+    **{name: lambda name=name: builtin_graph(name) for name in [
+        "interval", "circle", "banana:3", "tetrahedron", "k5", "k33", "petersen", "cube",
+        "octahedron", "dodecahedron", "icosahedron"]},
+    "wide spread": wide_spread,
+    "cubic30": lambda: random_cubic(30, 30),
+    "cubic90": lambda: random_cubic(90, 90),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_BUILD_GRAPHS)
+def test_array_builds_match_the_dict_route(name):
+    # lebesgue_measure and canonical_measure fill the arrays directly; the
+    # general constructor, given their atoms and densities, gives the same bits
+    g = ARRAY_BUILD_GRAPHS[name]()
+    ell = total_length(g)
+    atoms = [(g.point_at_vertex(v), 1.0 - 0.5 * len(g.incidences(v))) for v in g.vertices]
+    density = resistance_kernel(g).canonical_density
+    routes = [
+        (lebesgue_measure(g), [], {e.id: [1.0] for e in g.edges}),
+        (lebesgue_measure(g, normalize=True), [], {e.id: [1.0 / ell] for e in g.edges}),
+        (canonical_measure(g), [(p, m) for p, m in atoms if m != 0.0],
+         {eid: [c] for eid, c in density.items() if c > 0.0}),
+    ]
+    for got, atoms, densities in routes:
+        want = Measure(g, atoms, densities)
+        dens, arrays = oracles.measure_arrays(g, want.atoms, densities)
+        for a, b, c in zip(got.arrays, want.arrays, arrays, strict=True):
+            assert_same_bits(a, b)
+            assert_same_bits(a, c)
+        assert repr(got.atoms) == repr(want.atoms) and got.atom_count() == len(want.atoms)
+        assert list(got.densities) == list(want.densities) == list(dens)
+        for eid, c in dens.items():
+            assert_same_bits(got.densities[eid], c)
+            assert_same_bits(want.densities[eid], c)
+        assert repr(got.total_mass()) == repr(want.total_mass())
 
 
 def test_unknown_density_edge_is_named():
