@@ -16,7 +16,6 @@ built.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from collections.abc import Mapping
@@ -47,9 +46,9 @@ def _laplacian(size, i, j, length):
     grounded solve reports."""
     with np.errstate(over="ignore"):
         c = 1.0 / np.asarray(length, dtype=float)
-    i, j = np.asarray(i), np.asarray(j)
-    cells = np.column_stack([i * size + i, j * size + j, i * size + j, j * size + i])
-    weights = np.column_stack([c, c, -c, -c])
+    # per resistor, the flat indices of its cells (i, i), (j, j), (i, j) and (j, i)
+    cells = np.array([i, j]).T @ [[size + 1, 0, size, 1], [0, size + 1, 1, size]]
+    weights = np.multiply.outer(c, [1.0, 1.0, -1.0, -1.0])
     return np.bincount(cells.ravel(), weights.ravel(), size * size).reshape(size, size)
 
 
@@ -58,32 +57,34 @@ def _solved_resistances(kernel, y, points):
     p, in one grounded solve with one right-hand side per point: the route
     the kernel and its profiles are checked against, sharing only the
     Laplacian assembly.  The network is the kernel's edge list, each split
-    edge replaced in place by its pieces.  The ground is the node of largest
-    conductance sum: grounded far from its shortest edges, the solve loses
-    up to 2e-9 of r on lengths that span 1e7."""
+    edge replaced in place by its pieces, with a node per interior point
+    after the vertices in order of first appearance.  The ground is the node
+    of largest conductance sum: grounded far from its shortest edges, the
+    solve loses up to 2e-9 of r on lengths that span 1e7."""
     ends, L, n = kernel._ends, kernel._L, len(kernel.graph.vertices)
-    k = np.array([kernel._row[p.edge] for p in (y, *points)])
-    t = np.array([p.offset for p in (y, *points)])
-    inner = (t > 0.0) & (t < L[k])
-    keys = list(zip(k[inner].tolist(), t[inner].tolist()))
-    cut = dict(zip(dict.fromkeys(keys), itertools.count(n)))
-    nodes = ends[k, (t > 0.0).astype(int)]
-    nodes[inner] = list(map(cut.__getitem__, keys))
-    # the nodes on each edge by offset; a resistor joins each neighbouring pair
-    row = np.concatenate([np.arange(len(L)).repeat(2), [r for r, _ in cut]])
-    at = np.concatenate([np.column_stack([np.zeros_like(L), L]).ravel(), [a for _, a in cut]])
-    node = np.concatenate([ends.ravel(), np.arange(n, n + len(cut))])
-    order = np.lexsort((at, row))
-    row, at, node = row[order], at[order], node[order]
-    link = row[1:] == row[:-1]
-    Q = _laplacian(n + len(cut), node[:-1][link], node[1:][link], np.diff(at)[link])
-    iy, cols = nodes[0], nodes[1:]
-    j = np.arange(len(cols))
-    B = np.zeros((len(Q), len(cols)))
-    B[cols, j] += 1.0
-    B[iy] -= 1.0
-    V = solve_grounded(Q, B, int(np.argmax(np.diag(Q))))
-    return V[cols, j] - V[iy]
+    cut, nodes = {}, []
+    for p in (y, *points):
+        k, t = kernel._row[p.edge], p.offset
+        if 0.0 < t < L[k]:
+            nodes.append(cut.setdefault((k, t), n + len(cut)))
+        else:
+            nodes.append(kernel._end_list[k][t > 0.0])
+    # split the cut edges in place, from the last cut back: the piece from an
+    # edge's start to its cut keeps the edge's place and the rest follows it
+    # (O(m) per cut, against the O((n + cuts)^3) solve of the network)
+    i, j, lo, hi = ends[:, 0].tolist(), ends[:, 1].tolist(), [0.0] * len(L), L.tolist()
+    for (k, t), c in sorted(cut.items(), reverse=True):
+        i.insert(k + 1, c)
+        j.insert(k, c)
+        lo.insert(k + 1, t)
+        hi.insert(k, t)
+    Q = _laplacian(n + len(cut), i, j, np.subtract(hi, lo))
+    col = np.arange(len(points))
+    B = np.zeros((len(Q), len(points)))
+    B[nodes[1:], col] = 1.0
+    B[nodes[0]] -= 1.0
+    V = solve_grounded(Q, B, int(Q.diagonal().argmax()))
+    return V[nodes[1:], col] - V[nodes[0]]
 
 
 def effective_resistance(graph, x, y):
@@ -223,10 +224,12 @@ class EdgeTable(Mapping):
 
     def values_at(self, rows, t):
         """Values at offsets t on rows, each point's piece by one sorted search:
-        t = 0 reads the row's first piece, t = L its last, a kink the right one."""
+        t = 0 reads the row's first piece, t = L its last, a kink the right one.
+        Without kinks, the pieces are the rows."""
         prow, lo, _, C = self._pieces()
-        i = np.searchsorted(prow + 1j * lo, rows + 1j * t, side="right") - 1
-        return polyval_rows(C[i], t)
+        if self.kinks[0].size:
+            rows = np.searchsorted(prow + 1j * lo, rows + 1j * t, side="right") - 1
+        return polyval_rows(C[rows], t)
 
     def at_points(self, points):
         """Real values at a list of PointOnGraph (values_at)."""
@@ -246,8 +249,9 @@ class EdgeTable(Mapping):
             raise ValidationError("measure lives on a different graph than the table")
         rows, at, mass, D = nu.arrays
         prow, lo, hi, C = self._pieces()
-        return mass @ self.values_at(rows, at) \
-            + integrate_rows(lo, hi, polymul_rows(C, D[prow])).sum()
+        atoms = mass @ self.values_at(rows, at) if len(rows) else 0.0
+        D = D[prow] if self.kinks[0].size else D  # without kinks, the pieces are the rows
+        return atoms + integrate_rows(lo, hi, polymul_rows(C, D)).sum()
 
     def derivative_energy(self):
         """Integral over the graph of (d/dx f)^2, piece by piece, any degree."""
@@ -281,25 +285,30 @@ class ResistanceKernel:
     def __init__(self, graph):
         self._graph = weakref.ref(graph)
         n = len(graph.vertices)
-        self._row, self._L, self._ends = graph.edge_arrays
-        L = self._L
-        Q = _laplacian(n, self._ends[:, 0], self._ends[:, 1], L)
-        ground = int(np.argmax(np.diag(Q)))
+        self._row, L, ends = self._row, self._L, self._ends = graph.edge_arrays
+        self._end_list = ends.tolist()  # for the scalar reads of eval
+        Q = _laplacian(n, ends[:, 0], ends[:, 1], L)
+        ground = int(Q.diagonal().argmax())
         B = np.eye(n)
         B[ground] -= 1.0
         G = solve_grounded(Q, B, ground)
-        d = np.diag(G)
-        self._R = d[:, None] + d[None, :] - G - G.T
-        self._r = self._R[self._ends[:, 0], self._ends[:, 1]]
+        self._R = np.add.outer(G.diagonal(), G.diagonal())
+        self._R -= G
+        self._R -= G.T
+        self._r = self._R[ends[:, 0], ends[:, 1]]
         gap = L - self._r
         self._inv = inv = np.where(gap > _BRIDGE_TOL * L, gap / L / L, 0.0)
-        self.canonical_density = dict(zip(self._row, inv.tolist()))
-        h, zero = 1.0 / L, np.zeros_like(L)
-        self._S = np.stack([np.column_stack([np.ones_like(L), -h, zero]),
-                            np.column_stack([zero, h, zero])], axis=1)
-        self._q = np.column_stack([zero, inv * L, -inv])
+        self._S = np.multiply.outer(1.0 / L, [[0.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+        self._S[:, 0, 0] = 1.0
+        self._q = np.multiply.outer(inv, [0.0, 0.0, -1.0])
+        self._q[:, 1] = inv * L
         self._factors = {}
         self._validate()
+
+    @functools.cached_property
+    def canonical_density(self):
+        """Edge id -> 1 / (L + R(e)), 0 on a bridge."""
+        return dict(zip(self._row, self._inv.tolist()))
 
     @property
     def graph(self):
@@ -332,19 +341,20 @@ class ResistanceKernel:
         t2 = np.asarray(t2, dtype=float)[()]
         if e1 == e2:
             d = t1 - t2
-            vals = np.abs(d) - d * d * self.canonical_density[e1]
+            vals = np.abs(d) - d * d * self._inv[self._row[e1]]
         else:
             if e1 > e2:
                 # one order per pair keeps r symmetric to the last bit, so
                 # j_zeta(x, y) is exactly 0 when x or y is zeta
                 e1, t1, e2, t2 = e2, t2, e1, t1
             i, j = self._row[e1], self._row[e2]
-            (a, b), (c, d) = self._R[self._ends[i][:, None], self._ends[j]].tolist()
+            (ui, vi), (uj, vj), R = self._end_list[i], self._end_list[j], self._R
+            a, b, c, d = R.item(ui, uj), R.item(ui, vj), R.item(vi, uj), R.item(vi, vj)
             u, w = t1 / self._L[i], t2 / self._L[j]
             vals = ((1.0 - u) * (a * (1.0 - w) + b * w) + u * (c * (1.0 - w) + d * w)
                     + self._inv[i] * t1 * (self._L[i] - t1)
                     + self._inv[j] * t2 * (self._L[j] - t2))
-        return float(vals) if np.ndim(vals) == 0 else vals
+        return vals if isinstance(vals, np.ndarray) else float(vals)
 
     def point_eval(self, p, q):
         return self.eval(p.edge, p.offset, q.edge, q.offset)
@@ -373,12 +383,17 @@ class ResistanceKernel:
             p = np.arange(3)[:, None] + k + 1
             self._factors[K] = L[:, None, None] ** p / p, (k + 1) * (k + 2)
         moments, lift = self._factors[K]
-        dmom = np.einsum("ek,ebk->eb", D, moments)
-        mom = dmom.copy()
-        np.add.at(mom, rows, mass[:, None] * at[:, None] ** np.arange(3))
+        mom = dmom = np.einsum("ek,ebk->eb", D, moments)
+        if len(rows):  # the atoms add onto the density moments one by one
+            mom = dmom.copy()
+            np.add.at(mom, rows, mass[:, None] * at[:, None] ** np.arange(3))
         W = np.einsum("eab,eb->ea", self._S, mom)
-        w = np.zeros(len(self._R), W.dtype)
-        np.add.at(w, self._ends, W)
+        # the vertex weights summed in edge order, as np.add.at would from
+        # zero; the parts of a complex sum add apart
+        w = np.bincount(self._ends.ravel(), W.real.ravel(), len(self._R))
+        if np.iscomplexobj(W):
+            w = w.astype(complex)
+            w.imag = np.bincount(self._ends.ravel(), W.imag.ravel(), len(self._R))
         T = np.zeros((len(L), max(3, K + 2)), W.dtype)
         T[:, :3] = np.einsum("eab,ea->eb", self._S, (self._R @ w)[self._ends])
         T[:, :3] += self._q * mom[:, 0].sum()
@@ -386,6 +401,8 @@ class ResistanceKernel:
         T[:, 2:K + 2] += 2.0 * D / lift
         T[:, 1] -= 2.0 * (dmom[:, 0] - dmom[:, 1] / L)
         inner = (at > 0.0) & (at < L[rows])
+        if not inner.any():
+            return T, _NO_KINKS
         ri, ai, ci = rows[inner], at[inner], mass[inner]
         np.add.at(T[:, 1], ri, -2.0 * ci * (L[ri] - ai) / L[ri])
         return T, (ri, ai, 2.0 * ci)

@@ -39,17 +39,13 @@ class MetrizedGraph:
     Immutable after build; construct through :func:`build_graph`.
     """
 
-    def __init__(self, vertices, edges):
+    def __init__(self, vertices, edges, edge_arrays=None):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self._eindex = {e.id: e for e in self.edges}
-        # (edge, end) pairs per vertex; end 0 is the u side, end 1 the v side
-        inc = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.u].append((e, 0))
-            inc[e.v].append((e, 1))
-        self._incidences = {v: tuple(pairs) for v, pairs in inc.items()}
+        if edge_arrays is not None:  # as build_graph's walk filled them
+            self.edge_arrays = edge_arrays
         self._cache = {}
 
     @functools.cached_property
@@ -59,6 +55,23 @@ class MetrizedGraph:
         return ({e.id: k for k, e in enumerate(self.edges)},
                 np.array([e.length for e in self.edges]),
                 np.array([[self._vindex[e.u], self._vindex[e.v]] for e in self.edges]))
+
+    @functools.cached_property
+    def _first_ends(self):
+        """Each vertex's first incidence in edge order, as 2 * row + end."""
+        ends = self.edge_arrays[2]
+        first = np.full(len(self.vertices), ends.size)
+        np.minimum.at(first, ends.ravel(), np.arange(ends.size))
+        return first
+
+    @functools.cached_property
+    def _incidences(self):
+        """(edge, end) pairs per vertex; end 0 is the u side, end 1 the v side."""
+        inc = {v: [] for v in self.vertices}
+        for e in self.edges:
+            inc[e.u].append((e, 0))
+            inc[e.v].append((e, 1))
+        return {v: tuple(pairs) for v, pairs in inc.items()}
 
     def edge(self, edge_id):
         try:
@@ -90,8 +103,8 @@ class MetrizedGraph:
 
     def point_at_vertex(self, name):
         """Canonical PointOnGraph for a vertex (first incidence in edge order)."""
-        pairs = self.incidences(name)
-        e, end = pairs[0]
+        k, end = divmod(int(self._first_ends[self.vertex_index(name)]), 2)
+        e = self.edges[k]
         return PointOnGraph(e.id, 0.0 if end == 0 else e.length)
 
     def vertex_of(self, point):
@@ -160,58 +173,56 @@ def build_graph(vertices, edge_list):
         duplicate names, or a disconnected graph.
     """
     vertices = [str(v) for v in vertices]
-    if len(set(vertices)) != len(vertices):
+    vindex = {v: i for i, v in enumerate(vertices)}
+    if len(vindex) != len(vertices):
         raise ValidationError("duplicate vertex names")
-    vset = set(vertices)
     edge_list = list(edge_list)
     if not edge_list:
         raise ValidationError("edge list is empty")
 
-    vertices_out = list(vertices)
-    edges_out = []
+    # one walk: validate, build the edges and their arrays, join their ends
+    edges, ends, lengths = [], [], []
+    root = list(range(len(vertices)))  # union-find over vertex indices
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
     for item in edge_list:
         eid, u, v, length = item
         eid, u, v = str(eid), str(u), str(v)
         length = float(length)
-        if u not in vset:
+        if u not in vindex:
             raise ValidationError(f"edge {eid!r} references unknown endpoint {u!r}")
-        if v not in vset:
+        if v not in vindex:
             raise ValidationError(f"edge {eid!r} references unknown endpoint {v!r}")
         if not (length > 0.0 and math.isfinite(length)):
             raise ValidationError(f"edge {eid!r} has nonpositive length {length}")
         if u == v:
             mid = f"{eid}.mid"
-            if mid in vset:
+            if mid in vindex:
                 raise ValidationError(f"vertex name {mid!r} collides with loop split")
-            vertices_out.append(mid)
-            vset.add(mid)
-            edges_out.append(Edge(f"{eid}.1", u, mid, length / 2.0))
-            edges_out.append(Edge(f"{eid}.2", mid, v, length / 2.0))
+            vindex[mid] = len(vertices)
+            vertices.append(mid)
+            root.append(find(vindex[u]))
+            edges += [Edge(f"{eid}.1", u, mid, length / 2.0),
+                      Edge(f"{eid}.2", mid, v, length / 2.0)]
+            ends += [vindex[u], vindex[mid], vindex[mid], vindex[v]]
+            lengths += [length / 2.0, length / 2.0]
         else:
-            edges_out.append(Edge(eid, u, v, length))
+            edges.append(Edge(eid, u, v, length))
+            ends += [vindex[u], vindex[v]]
+            lengths.append(length)
+            root[find(vindex[u])] = find(vindex[v])
 
-    ids = [e.id for e in edges_out]
-    if len(set(ids)) != len(ids):
+    rows = {e.id: k for k, e in enumerate(edges)}
+    if len(rows) != len(edges):
         raise ValidationError("duplicate edge ids")
-
-    graph = MetrizedGraph(vertices_out, edges_out)
-    _check_connected(graph)
-    return graph
-
-
-def _check_connected(graph):
-    seen = {graph.vertices[0]}
-    stack = [graph.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for e, end in graph.incidences(v):
-            w = e.v if end == 0 else e.u
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(graph.vertices):
-        missing = sorted(set(graph.vertices) - seen)
+    if missing := sorted(v for v, i in vindex.items() if find(i) != find(0)):
         raise ValidationError(f"graph is disconnected (unreachable: {missing})")
+    return MetrizedGraph(vertices, edges,
+                         (rows, np.array(lengths), np.array(ends).reshape(-1, 2)))
 
 
 def subdivide_at(graph, point):

@@ -218,11 +218,9 @@ def canonical_measure(graph):
     _, L, ends = graph.edge_arrays
     n = len(graph.vertices)
     mass = 1.0 - 0.5 * np.bincount(ends.ravel(), minlength=n)
-    first = np.full(n, ends.size)  # each vertex's first incidence, as 2 * row + end
-    np.minimum.at(first, ends.ravel(), np.arange(ends.size))
     order = np.array(sorted(range(n), key=graph.vertices.__getitem__), dtype=int)
     order = order[mass[order] != 0.0]
-    k, end = np.divmod(first[order], 2)
+    k, end = np.divmod(graph._first_ends[order], 2)
     kernel = circuit.resistance_kernel(graph)
     mu = Measure.__new__(Measure)._set(graph, (k, np.where(end == 1, L[k], 0.0), mass[order],
                                                kernel._inv[:, None].copy()))

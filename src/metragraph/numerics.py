@@ -32,7 +32,10 @@ def solve_grounded(Q, b, grounded, tol=1e-12):
     n = Q.shape[0]
     if Q.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ValueError("shape mismatch")
-    if not np.all(np.isfinite(Q)):
+    def norm(x):  # np.linalg.norm(x, np.inf) of a vector or a matrix, undispatched
+        return np.maximum.reduce(np.add.reduce(abs(x).reshape(n, -1), 1))
+    # an entry that is not finite, or a node's sum of them, leaves ||Q|| so
+    if not math.isfinite(norm_q := norm(Q)):
         raise NumericError("grounded solve failed: conductance not finite")
     keep = np.arange(n) != grounded
     v = np.zeros(b.shape)
@@ -40,12 +43,11 @@ def solve_grounded(Q, b, grounded, tol=1e-12):
         v[keep] = np.linalg.solve(Q[keep[:, None] & keep].reshape(n - 1, n - 1), b[keep])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"grounded solve failed: {exc}") from None
-    def norm(x):  # np.linalg.norm(x, np.inf) of a vector or a matrix, undispatched
-        return np.abs(x).reshape(n, -1).sum(axis=1).max()
-    residual = norm(Q @ v - b)
-    scale = norm(Q) * norm(v) + norm(b)
+    r = Q @ v
+    r -= b
+    residual = norm(r)
     # written as a negated <= so that a nan residual also fails
-    if not residual <= tol * scale:
+    if not residual <= tol * (norm_q * norm(v) + norm(b)):
         raise NumericError(f"grounded solve residual {residual:g} exceeds tolerance")
     return v
 

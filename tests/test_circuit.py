@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import circle_point, lollipop, random_point, wide_lengths
+from conftest import circle_point, lollipop, random_cubic, random_point, wide_lengths
 from metragraph import (
     Measure,
     ValidationError,
@@ -367,7 +367,8 @@ def test_measure_on_another_graph_is_rejected():
 
 
 CHECK_GRAPHS = {"tetrahedron": lambda: builtin_graph("tetrahedron"),
-                "banana": lambda: builtin_graph("banana:3"), "lollipop": lollipop}
+                "banana": lambda: builtin_graph("banana:3"), "lollipop": lollipop,
+                "cubic30": lambda: random_cubic(3, 30), "cubic90": lambda: random_cubic(3, 90)}
 
 
 def check_cases(g):
@@ -384,6 +385,11 @@ def check_cases(g):
                                     g.point(e.id, 0.1 * e.length), y]),
         "y at a vertex": (g.point_at_vertex(e.v), [g.point(f.id, 0.5 * f.length)]),
         "every edge": (y, [g.point(d.id, 0.3183098861 * d.length) for d in g.edges]),
+        # the kernel's own check: y on the first edge, a point on the first,
+        # middle and last edges
+        "kernel check": (g.point(e.id, 0.7182818284 * e.length),
+                         [g.point(d.id, 0.3183098861 * d.length) for d in
+                          (e, g.edges[len(g.edges) // 2], f)]),
     }
 
 

@@ -1,16 +1,20 @@
 """Byte-for-byte CLI stdout against tests/data/cli_golden.txt.
 
 The golden file holds one block per command: a line "$ <argv>" and then the
-command's stdout.  The argv names the lollipop graph, the trial function and
-the interior-atom measure by file name only; the test writes them into a
-temporary directory and runs from there.  The file was written by ``PYTHONPATH=src python
-tests/test_cli_golden.py > tests/data/cli_golden.txt``.
+command's stdout.  The argv names the lollipop graph, a 30-edge cubic graph,
+the trial function and the interior-atom measure by file name only; the test
+writes them into a temporary directory and runs from there.  The cubic graph
+is the Desargues graph from its LCF notation [5, -5, 9, -9]^5, its k-th edge
+of length 0.5 + 1.5 frac(k phi), so that no RNG or networkx version enters.
+The file was written by ``PYTHONPATH=src python tests/test_cli_golden.py >
+tests/data/cli_golden.txt``.
 """
 
 import contextlib
 import difflib
 import io
 import json
+import math
 import os
 import sys
 
@@ -24,6 +28,23 @@ ATOM = {"atoms": [{"point": "e1:0.05", "mass": 1.0}]}
 TRIAL = {"vertex_values": {"a": 0.2, "b": -0.7},
          "interior_nodes": [{"point": "e1:0.3", "value": 1.1},
                             {"point": "e1:0.85", "value": -0.05}]}
+GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def cubic30():
+    """The Desargues graph, 20 vertices and 30 edges, as graph JSON: the
+    cycle c0..c19 and then the chords of its LCF notation [5, -5, 9, -9]^5,
+    each chord once, the k-th edge of length 0.5 + 1.5 frac(k phi)."""
+    n, jumps = 20, [5, -5, 9, -9] * 5
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs += [(i, (i + d) % n) for i, d in enumerate(jumps) if i < (i + d) % n]
+    ids = [f"c{i}" for i in range(n)] + [f"d{i}" for i in range(len(pairs) - n)]
+    return {"vertices": [f"v{i}" for i in range(n)],
+            "edges": [{"id": eid, "u": f"v{a}", "v": f"v{b}",
+                       "length": 0.5 + 1.5 * math.modf(k * GOLDEN_RATIO)[0]}
+                      for k, (eid, (a, b)) in enumerate(zip(ids, pairs))]}
+
+
 COMMANDS = [
     *(["resistance", "--graph", "builtin:dodecahedron", "--x", x, "--y", y]
       for x, y in (("c4:0.01", "d6:0.02"), ("c4:0.01", "c4:0.03"), ("v0", "c10:0.015"))),
@@ -60,12 +81,18 @@ COMMANDS = [
           ("lollipop.json", "dx", "t1:0.1,t1:0.1"),
           ("builtin:tetrahedron", "atom.json", "e1:0.05,e1:0.1,a,e4:0.1,e6:0.1"),
           ("builtin:circle", "canonical", "e1.1:0.1,e1.1:0.3,e1.2:0.2,a"))),
+    # the Green path at the size of the benchmark's potential workload
+    ["tau", "--graph", "cubic30.json"],
+    *(["trace", "--graph", "cubic30.json", "--measure", m]
+      for m in ("canonical", "dx-normalized")),
 ]
 
 
 def _write_inputs(directory):
     with open(os.path.join(directory, "lollipop.json"), "w", encoding="utf-8") as fh:
         json.dump(graph_to_json(lollipop()), fh)
+    with open(os.path.join(directory, "cubic30.json"), "w", encoding="utf-8") as fh:
+        json.dump(cubic30(), fh)
     with open(os.path.join(directory, "trial.json"), "w", encoding="utf-8") as fh:
         json.dump(TRIAL, fh)
     with open(os.path.join(directory, "atom.json"), "w", encoding="utf-8") as fh:

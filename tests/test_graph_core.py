@@ -57,6 +57,48 @@ def test_build_rejects_bad_input():
         )
 
 
+@pytest.mark.parametrize("vertices,edges,message", [
+    # duplicate names are found before the edges are read
+    (["a", "b", "a"], [], "duplicate vertex names"),
+    (["a"], [], "edge list is empty"),
+    # each edge in turn: its u, its v, its length, then its loop split
+    (["a", "b"], [("e1", "x", "y", -1.0)], "edge 'e1' references unknown endpoint 'x'"),
+    (["a", "b"], [("e1", "a", "y", -1.0)], "edge 'e1' references unknown endpoint 'y'"),
+    (["a", "b"], [("e1", "a", "b", 0.0), ("e2", "a", "c", 1.0)],
+     "edge 'e1' has nonpositive length 0.0"),
+    (["a", "b"], [("e1", "a", "b", 1.0), ("e2", "a", "b", math.nan)],
+     "edge 'e2' has nonpositive length nan"),
+    (["a", "b"], [("e1", "a", "b", math.inf)], "edge 'e1' has nonpositive length inf"),
+    (["a", "e1.mid"], [("e1", "a", "a", 1.0)], "vertex name 'e1.mid' collides with loop split"),
+    # a later edge may name a split vertex; an unknown end still wins over
+    # the duplicate id it also carries
+    (["a", "b"], [("e1", "a", "a", 1.0), ("e2", "b", "e1.mid", 1.0), ("e1", "c", "b", 1.0)],
+     "edge 'e1' references unknown endpoint 'c'"),
+    # duplicate ids only once every edge is read, and before connectivity
+    (["a", "b"], [("e", "a", "b", 1.0), ("e", "a", "b", 1.0), ("f", "a", "b", -2.0)],
+     "edge 'f' has nonpositive length -2.0"),
+    (["a", "b", "c", "d"], [("e", "a", "b", 1.0), ("e", "c", "d", 1.0)], "duplicate edge ids"),
+    (["a", "b"], [("e", "a", "a", 1.0), ("e.1", "a", "b", 1.0)], "duplicate edge ids"),
+    # the vertices that the first one cannot reach, sorted by name
+    (["a", "b", "d", "c"], [("e1", "a", "b", 1.0), ("e2", "d", "c", 1.0)],
+     "graph is disconnected (unreachable: ['c', 'd'])"),
+    (["z", "a", "b"], [("e1", "a", "a", 1.0), ("e2", "b", "a", 1.0)],
+     "graph is disconnected (unreachable: ['a', 'b', 'e1.mid'])"),
+    (["a", "b"], [("e1", "a", "a", 1.0)], "graph is disconnected (unreachable: ['b'])"),
+])
+def test_build_errors_name_the_first_bad_item(vertices, edges, message):
+    with pytest.raises(ValidationError) as exc:
+        build_graph(vertices, edges)
+    assert str(exc.value) == message
+
+
+def test_loop_split_vertex_can_be_an_endpoint():
+    g = build_graph(["a", "b"], [("e", "a", "a", 1.0), ("f", "e.mid", "b", 2.0)])
+    assert g.vertices == ("a", "b", "e.mid")
+    assert [e.id for e in g.edges] == ["e.1", "e.2", "f"]
+    assert valence(g, "e.mid") == 3
+
+
 def test_loop_splits_at_midpoint():
     g = build_graph(["a"], [("e1", "a", "a", 1.0)])
     assert sorted(e.id for e in g.edges) == ["e1.1", "e1.2"]

@@ -42,6 +42,32 @@ def test_solve_grounded_path_network():
         solve_grounded(Q, np.array([1.0, 0.0, 0.0]), grounded=2)
 
 
+@pytest.mark.parametrize("factor,fails", [(2.0, True), (0.5, False)])
+def test_solve_grounded_rejects_a_perturbed_solution(factor, fails, monkeypatch):
+    # the residual check: a solve whose v is off at one node so that
+    # ||Q v - b|| is factor times tol (||Q|| ||v|| + ||b||) raises when the
+    # factor is 2 and passes when it is 1/2
+    c = {(0, 1): 2.0, (1, 2): 0.5, (2, 3): 3.0, (3, 0): 1.0, (0, 2): 0.25}
+    Q = np.zeros((4, 4))
+    for (i, j), w in c.items():
+        Q[[i, j], [i, j]] += w
+        Q[[i, j], [j, i]] -= w
+    b = np.array([1.0, 0.0, 0.0, -1.0])
+    v = solve_grounded(Q, b, grounded=2)
+    norm = lambda x: np.abs(x).reshape(4, -1).sum(axis=1).max()  # noqa: E731
+    bound = 1e-12 * (norm(Q) * norm(v) + norm(b))
+    delta = factor * bound / np.abs(Q[:, 0]).max()
+    solve = np.linalg.solve
+    # node 0 is the first unknown of the grounded system
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda A, B: solve(A, B) + delta * (np.arange(len(B)) == 0))
+    if fails:
+        with pytest.raises(NumericError, match="grounded solve residual"):
+            solve_grounded(Q, b, grounded=2)
+    else:
+        assert solve_grounded(Q, b, grounded=2)[0] == v[0] + delta
+
+
 def test_nullspace_basis_known_rank():
     M = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
     basis = nullspace_basis(M, rank_tol=1e-10)
