@@ -56,17 +56,16 @@ def nullspace_basis(M, rank_tol=DEFAULT_RANK_TOL):
     """Orthonormal basis of the numerical nullspace via SVD.
 
     Vectors whose singular value is below rank_tol times the largest singular
-    value are kept; a zero matrix yields the full space.
+    value are kept; a zero matrix yields the full space.  A stack of matrices
+    gives the list of their bases, from one stacked SVD.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
-        return []
+        return [] if M.ndim == 2 else [[] for _ in M]
     _, s, vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return [vh[i] for i in range(vh.shape[0])]
-    ns = [vh[i] for i in range(vh.shape[0]) if i >= s.size or s[i] < rank_tol * smax]
-    return ns
+    bases = [[v for i, v in enumerate(vt) if i >= sv.size or not sv[0] or sv[i] < rank_tol * sv[0]]
+             for sv, vt in zip(s.reshape(-1, s.shape[-1]), vh.reshape(-1, *vh.shape[-2:]))]
+    return bases if M.ndim == 3 else bases[0]
 
 
 def golden_min(f, a, b, xatol):
@@ -110,7 +109,7 @@ def equilibrate_rows(M):
     locations carry meaning.
     """
     M = np.asarray(M, dtype=float)
-    scales = np.max(np.abs(M), axis=-1)
+    scales = np.abs(M).max(axis=-1)
     scales[scales == 0.0] = 1.0
     return M / scales[..., None], scales
 

@@ -10,7 +10,9 @@ square homogeneous system M(gamma) of size 2m+1; eigenvalues are
 lambda = gamma^2 exactly where M(gamma) is singular, with multiplicity the
 nullspace dimension.  The scan brackets each root with the exact eigenvalue
 count (EigenvalueCount), the inertia of one symmetric bordered matrix of
-size n + m + 1 per gamma.  Every edge integral at a given gamma (trig moments of
+size n + m + 1 per gamma, refines it by a secant iteration on M(gamma) and
+confirms it by the nullspace dimension of M there, each stage on a stack of
+gammas per call.  Every edge integral at a given gamma (trig moments of
 the densities and of products of edge solutions) comes from one batched
 moment kernel, _exp_moments, called once for all edges: integration by parts
 in closed form where omega*L is large, and otherwise a power series summed
@@ -64,6 +66,13 @@ _ONE, _G2 = 0, 1
 (_COS, _SIN, _G, _GSIN, _MGCOS, _H0, _HL, _HP0, _MHPL, _HD,
  _CMOM, _SMOM) = range(12)
 _EDGE_FEATURES = 12
+# The features that a put of _compile writes into the A, B, C columns of its
+# edge e, by kind: the value (side) or derivative (2 + side) at an end, the
+# moments (4), an atom's gamma^2 term (5); -1 for none, edge e's own where
+# _PUT_ON_EDGE is 1.
+_PUT_FEATURES = np.array([[_ONE, -1, _H0], [_COS, _SIN, _HL], [-1, _G, _HP0],
+                          [_GSIN, _MGCOS, _MHPL], [_CMOM, _SMOM, _HD], [-1, -1, _G2]])
+_PUT_ON_EDGE = np.array([[0, 0, 1], [1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,12 +133,12 @@ def _particular_table(dens):
     h_e = sum_j s^j (-1)^j d_e^(2j) (s = 1 / gamma^2) of each density row d_e,
     zero-padded to the width of dens; the sum stops where the repeated
     second derivative of the highest power present vanishes."""
-    top = np.max(np.nonzero(dens)[1], initial=-1)
+    top = np.nonzero(dens)[1].max(initial=-1)
     table = np.zeros(dens.shape + (top // 2 + 1,))
     term = dens
     for j in range(table.shape[2]):
+        term = polyder_rows(polyder_rows(term)) if j else term
         table[:, :term.shape[1], j] = (-1.0) ** j * term
-        term = polyder_rows(polyder_rows(term))
     return table
 
 
@@ -241,11 +250,13 @@ class SpectralProblem:
     def __init__(self, graph, mu):
         mu.require_reference()
         work, measure, self.remaps = graph, mu, ()
-        while True:
-            interior = [p for p, _ in measure.atoms if work.vertex_of(p) is None]
-            if not interior:
+        while True:  # the vertex index of each atom, -1 inside an edge
+            rows, at, mass, _ = measure.arrays
+            _, L, ends = work.edge_arrays
+            vertex = np.where(at == 0.0, ends[rows, 0], np.where(at == L[rows], ends[rows, 1], -1))
+            if (vertex >= 0).all():
                 break
-            work, _, remap = subdivide_at(work, interior[0])
+            work, _, remap = subdivide_at(work, measure.atoms[np.argmin(vertex)][0])
             self.remaps += (remap,)
             measure = remap_measure(measure, work, remap)
         self.graph = work
@@ -255,18 +266,18 @@ class SpectralProblem:
         self._row, self._lengths, self._ends = work.edge_arrays
         self.size = 2 * len(self.edges) + 1
         self._atom_mass = {}
-        for p, mass in measure.atoms:
-            v = work.vertex_of(p)
-            if v is None:
-                raise NumericError("atom strictly inside an edge after subdivision")
-            self._atom_mass[v] = self._atom_mass.get(v, 0.0) + float(np.real(mass))
-        tags = []
-        for v in work.vertices:
-            tags.extend([f"continuity@{v}"] * (len(work.incidences(v)) - 1))
-            tags.append(f"derivative@{v}")
-        tags.append("integral")
-        self.row_tags = tuple(tags)
+        for v, m in zip(map(work.vertices.__getitem__, vertex.tolist()), mass.real.tolist()):
+            self._atom_mass[v] = self._atom_mass.get(v, 0.0) + m
         self._compile()
+
+    @functools.cached_property
+    def row_tags(self):
+        """The kind and vertex of each row of M, built on first read."""
+        tags = []
+        for v in self.graph.vertices:
+            tags.extend([f"continuity@{v}"] * (len(self.graph.incidences(v)) - 1))
+            tags.append(f"derivative@{v}")
+        return (*tags, "integral")
 
     @functools.cached_property
     def count(self):
@@ -290,15 +301,20 @@ class SpectralProblem:
         per-row equilibration would rescale its numerical noise to unit
         size, hiding one nullspace dimension.  Near-zero rows are therefore
         dropped before the remaining rows are equilibrated and the rank
-        decision is made.
+        decision is made.  A 1-D array of gammas gives the list of their
+        bases (_batched): the matrices that keep every row share one stacked
+        SVD, and one that drops rows goes alone.
         """
-        raw = self._assemble(gamma)
-        rowmax = np.max(np.abs(raw), axis=1)
-        keep = rowmax > ZERO_ROW_REL * float(np.max(rowmax))
-        if not np.any(keep):
-            return nullspace_basis(np.zeros((1, self.size)), rank_tol)
-        reduced, _ = equilibrate_rows(raw[keep])
-        return nullspace_basis(reduced, rank_tol)
+        def bases(gs):
+            raw = self._assemble(gs)
+            rowmax = np.abs(raw).max(axis=2)
+            keep = rowmax > ZERO_ROW_REL * rowmax.max(axis=1, keepdims=True)
+            whole = keep.all(axis=1)
+            stacked = iter(nullspace_basis(equilibrate_rows(raw[whole])[0], rank_tol))
+            return [next(stacked) if w else nullspace_basis(equilibrate_rows(
+                        M[k] if k.any() else np.zeros((1, self.size)))[0], rank_tol)
+                    for M, k, w in zip(raw, keep, whole)]
+        return _batched(bases, gamma, self.size)
 
     def _compile(self):
         """Scatter plan of M(gamma) in split form, M = sum_j f_j(gamma) A_j.
@@ -307,85 +323,82 @@ class SpectralProblem:
         coefficient); _assemble evaluates the features at gamma and scatters
         coefficient * feature with one bincount.  Entries are listed in the
         order the rows accumulate, so repeated indices sum in a fixed order.
+        A vertex's rows start at its first incidence (incidences in edge
+        order, end u before end v): a continuity row per later incidence, its
+        value less the first's, then the derivative row, every derivative and
+        then the atom.  The integral row takes the moments, then each atom's
+        mass times the value at its vertex's first incidence.
         """
-        N, ccol = self.size, self.size - 1
         # h = sum_j s^j P_j with s = 1/gamma^2 and P = _ptab; _hpoly[:, :, j]
         # holds h(0), h(L), h'(0), -h'(L) and the integral of h*d for P_j.
-        # Constant densities get closed-form trig moments, the rows _poly of
-        # _dens batched ones.
+        # Constant densities get closed forms (h = d0, the trig moments), the
+        # rows _poly of _dens batched ones.
         L = self._lengths
         self._dens = dens = self.mu.arrays[3]
-        poly = np.any(dens[:, 1:] != 0.0, axis=1)
-        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
+        nonzero = dens != 0.0
+        poly = nonzero[:, 1:].any(axis=1)
+        k, d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
+        self._poly, self._d0 = k, d0
         self._ptab = P = _particular_table(dens)
-        K = dens.shape[1]
         self._hpoly = np.zeros((len(L), 5, P.shape[2]))
-        for j in range(P.shape[2]):
-            h = P[:, :, j]
+        if P.shape[2]:
+            self._hpoly[:, 0, 0] = self._hpoly[:, 1, 0] = d0
+            self._hpoly[:, 4, 0] = d0 * d0 * L
+        for j in range(P.shape[2] if k.size else 0):
+            h = P[k, :, j]
             hp = polyder_rows(h)
-            integral = integrate_rows(np.zeros_like(L), L, polymul_rows(h, dens))
-            self._hpoly[:, :, j] = np.stack(
-                (h[:, 0], polyval_rows(h, L), hp[:, 0], -polyval_rows(hp, L), integral), axis=1)
-
-        def feature(k, j):
-            return 2 + _EDGE_FEATURES * k + j
-
-        val, der = {}, {}  # (edge id, end) -> features of the A, B, C columns
-        for k, e in enumerate(self.edges):
-            val[(e.id, 0)] = (_ONE, None, feature(k, _H0))
-            val[(e.id, 1)] = (feature(k, _COS), feature(k, _SIN), feature(k, _HL))
-            der[(e.id, 0)] = (None, feature(k, _G), feature(k, _HP0))
-            der[(e.id, 1)] = (feature(k, _GSIN), feature(k, _MGCOS),
-                              feature(k, _MHPL))
-        entries = []
-
-        def put(r, e, feats, coef):
-            c = 2 * self._row[e.id]
-            for col, feat in zip((c, c + 1, ccol), feats):
-                if feat is not None:
-                    entries.append((r * N + col, feat, coef))
-
-        r = 0
-        for v in self.graph.vertices:
-            inc = self.graph.incidences(v)
-            e0, end0 = inc[0]
-            for e, end in inc[1:]:
-                put(r, e, val[(e.id, end)], 1.0)
-                put(r, e0, val[(e0.id, end0)], -1.0)
-                r += 1
-            for e, end in inc:
-                put(r, e, der[(e.id, end)], 1.0)
-            if self._atom_mass.get(v, 0.0):
-                entries.append((r * N + ccol, _G2, -self._atom_mass[v]))
-            r += 1
-        for k, e in enumerate(self.edges):
-            if np.any(dens[k] != 0.0):
-                put(r, e, (feature(k, _CMOM), feature(k, _SMOM), feature(k, _HD)),
-                    1.0)
-        for v, mass in self._atom_mass.items():
-            e0, end0 = self.graph.incidences(v)[0]
-            put(r, e0, val[(e0.id, end0)], mass)
-        flat, feat, coef = zip(*entries)
-        self._flat = np.array(flat, dtype=np.intp)
-        self._feat = np.array(feat, dtype=np.intp)
-        self._coef = np.array(coef, dtype=float)
+            integral = integrate_rows(0.0, L[k], polymul_rows(h, dens[k]))
+            self._hpoly[k, :, j] = np.array(
+                (h[:, 0], polyval_rows(h, L[k]), hp[:, 0], -polyval_rows(hp, L[k]), integral)).T
+        # the puts in groups, each in row order, that a stable sort by row
+        # merges in the order above (_PUT_FEATURES: 6 e + kind for edge e)
+        m, N = len(L), self.size
+        ends = self._ends.ravel()  # the vertex of end 2k + side
+        inc = np.argsort(ends, kind="stable")  # the incidences, vertex by vertex
+        deg = np.bincount(ends, minlength=len(self.graph.vertices))
+        first, v = np.cumsum(deg) - deg, ends[inc]
+        val = inc + 4 * (inc >> 1)  # the put of the value at each incidence
+        p = np.flatnonzero(np.arange(2 * m) != first[v])  # continuity rows p - 1
+        atoms = np.array([self.graph.vertex_index(a) for a in self._atom_mass], dtype=np.intp)
+        mass = np.array(list(self._atom_mass.values()))
+        moments, nz, last = np.flatnonzero(nonzero.any(axis=1)), mass != 0.0, first + deg - 1
+        row = np.concatenate((p - 1, p - 1, last[v], last[atoms[nz]],
+                              np.full(moments.size + atoms.size, N - 1)))
+        order = np.argsort(row, kind="stable")
+        put = np.concatenate((val[p], val[first[v]][p], val + 2, np.full(nz.sum(), 5),
+                              6 * moments + 4, val[first[atoms]]))[order]
+        coef = np.concatenate((np.repeat([1.0, -1.0, 1.0], [p.size, p.size, 2 * m]), -mass[nz],
+                               np.ones(moments.size), mass))[order]
+        e, kind = put // 6, put % 6
+        feats = _PUT_FEATURES[kind] + _PUT_ON_EDGE[kind] * (2 + _EDGE_FEATURES * e)[:, None]
+        keep = feats >= 0
+        cols = np.where([False, False, True], N - 1, 2 * e[:, None] + [0, 1, 0])  # A, B, C of e
+        self._flat = (row[order, None] * N + cols)[keep]
+        self._feat = feats[keep]
+        self._coef = np.repeat(coef, keep.sum(axis=1))
 
     def _assemble(self, gamma, derivative=False):
         """Raw M(gamma), or (M, dM/dgamma) through the same plan: cos -> -L sin,
         s^j -> -2j s^j / gamma, and polynomial moments from those of t * p.
         A 1-D array of gammas gives stacks, one matrix per gamma."""
         gs = np.asarray(gamma, dtype=float)
-        if np.any(gs <= 0):
+        if (gs <= 0).any():
             raise ValidationError("gamma must be positive")
         g = np.atleast_1d(gs)[:, None]
-        L, B = self._lengths, g.shape[0]
+        L, B, m = self._lengths, g.shape[0], len(self._lengths)
         gL = g * L
         cg, sg = np.cos(gL), np.sin(gL)
         vers = 2.0 * np.sin(0.5 * gL) ** 2  # 1 - cos, stable at small gamma*L
-        F = np.empty((B, len(self.edges), _EDGE_FEATURES))
+        # the feature rows of M (and of dM): the global ones, then F (and D),
+        # _EDGE_FEATURES per edge, as views
+        feats = np.empty((1 + derivative, B, 2 + _EDGE_FEATURES * m))
+        edge = feats[..., 2:].reshape(-1, B, m, _EDGE_FEATURES)
+        F, D = edge[0], edge[-1]
+        g2 = g * g
+        feats[0, :, _ONE], feats[0, :, _G2] = 1.0, g2[:, 0]
         F[..., _COS], F[..., _SIN], F[..., _G] = cg, sg, g
         F[..., _GSIN], F[..., _MGCOS] = g * sg, -g * cg
-        powers = (1.0 / (g * g)) ** np.arange(self._hpoly.shape[2])
+        powers = (1.0 / g2) ** np.arange(self._hpoly.shape[2])
 
         def h_features(weights):  # _hpoly against each gamma's row of weights
             return (self._hpoly @ weights[:, None, :, None])[..., 0]
@@ -399,29 +412,26 @@ class SpectralProblem:
                              self._dens.shape[1]).reshape(B, k.size, -1)
             z = np.sum(self._dens[k] * I[..., :-1], axis=-1)
             F[:, k, _CMOM], F[:, k, _SMOM] = z.real, z.imag
-        M = self._scatter(np.column_stack((np.ones(B), g * g)), F)
-        if not derivative:
-            return M if gs.ndim else M[0]
-        D = np.empty_like(F)
-        D[..., _COS], D[..., _SIN], D[..., _G] = -L * sg, L * cg, 1.0
-        D[..., _GSIN], D[..., _MGCOS] = sg + gL * cg, gL * sg - cg
-        D[..., _H0:_CMOM] = h_features(powers * np.arange(powers.shape[1])) \
-            * (-2.0 / g[..., None])
-        D[..., _CMOM] = self._d0 * (L * cg - sg / g) / g
-        D[..., _SMOM] = self._d0 * (L * sg - vers / g) / g
-        if k.size:
-            z = np.sum(self._dens[k] * I[..., 1:], axis=-1)
-            D[:, k, _CMOM], D[:, k, _SMOM] = -z.imag, z.real
-        dM = self._scatter(np.column_stack((np.zeros(B), 2.0 * g)), D)
-        return (M, dM) if gs.ndim else (M[0], dM[0])
-
-    def _scatter(self, global_feats, edge_feats):
-        """The matrices of a stack of feature rows, from one bincount."""
-        B, NN = len(edge_feats), self.size * self.size
-        feats = np.concatenate((global_feats, edge_feats.reshape(B, -1)), axis=1)
-        M = np.bincount((self._flat + NN * np.arange(B)[:, None]).ravel(),
-                        (self._coef * feats[:, self._feat]).ravel(), minlength=B * NN)
-        return M.reshape(B, self.size, self.size)
+        if derivative:
+            feats[1, :, _ONE], feats[1, :, _G2] = 0.0, 2.0 * g[:, 0]
+            Lc, Ls = L * cg, L * sg
+            D[..., _COS], D[..., _SIN], D[..., _G] = -Ls, Lc, 1.0
+            D[..., _GSIN], D[..., _MGCOS] = sg + gL * cg, gL * sg - cg
+            D[..., _H0:_CMOM] = h_features(powers * np.arange(powers.shape[1])) \
+                * (-2.0 / g[..., None])
+            D[..., _CMOM] = self._d0 * (Lc - sg / g) / g
+            D[..., _SMOM] = self._d0 * (Ls - vers / g) / g
+            if k.size:
+                z = np.sum(self._dens[k] * I[..., 1:], axis=-1)
+                D[:, k, _CMOM], D[:, k, _SMOM] = -z.imag, z.real
+        # a stack of M, and of dM, from one bincount each, which sums each
+        # matrix's entries in plan order; the two share one index array
+        N = self.size
+        index = (self._flat + N * N * np.arange(B)[:, None]).ravel()
+        weights = self._coef * feats.reshape(-1, feats.shape[-1]).take(self._feat, axis=1)
+        out = [np.bincount(index, w, minlength=B * N * N).reshape(B, N, N)[() if gs.ndim else 0]
+               for w in weights.reshape(len(feats), -1)]
+        return tuple(out) if derivative else out[0]
 
     def solution(self, gamma, vec, h=None):
         """EdgeBasisSolution from one coefficient vector (and the table of
@@ -585,7 +595,8 @@ class EigenvalueCount:
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
         self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
         self._dens = dens[self._poly]
-        self._overlap = _overlap(self._dens, self._lengths[self._poly])
+        if self._poly.size:
+            self._overlap = _overlap(self._dens, self._lengths[self._poly])
         self._atoms = np.bincount([graph.vertex_index(v) for v in problem._atom_mass],
                                   list(problem._atom_mass.values()), minlength=N)
 
@@ -597,9 +608,9 @@ class EigenvalueCount:
     def _counts(self, gs):
         g, L, N, B = gs[:, None], self._lengths, self._nodes, len(gs)
         gL = g * L
-        sg, cg = np.sin(gL), np.cos(gL)
-        C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
-        energy = self._d0 ** 2 * (2.0 * np.tan(0.5 * gL) / g - L) / (g * g)
+        sg, cg, half = np.sin(gL), np.cos(gL), 0.5 * gL
+        C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(half) ** 2 / g
+        energy = self._d0 ** 2 * (2.0 * np.tan(half) / g - L) / (g * g)
         if self._poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
             k = self._poly
@@ -611,16 +622,16 @@ class EigenvalueCount:
             energy[:, k] = (zz.real - 2.0 * np.sum(self._overlap * I.real, axis=-1)) \
                 / (2.0 * g * sg[:, k])
         off = 1.0 / sg  # Lambda / gamma
-        weights = np.concatenate((-cg * off, -cg * off, off, off, C - cg * S * off, S * off),
-                                 axis=1).ravel()
+        diag = -cg * off
+        weights = np.concatenate((diag, diag, off, off, C - cg * S * off, S * off), axis=1).ravel()
         bordered = np.bincount((self._flat + (N + 1) ** 2 * np.arange(B)[:, None]).ravel(),
                                weights, minlength=B * (N + 1) ** 2).reshape(B, N + 1, N + 1)
         bordered[:, N, :N] += self._atoms
         bordered[:, N, N] = gs * energy.sum(axis=1)
-        positive = np.count_nonzero(np.linalg.eigvalsh(bordered, UPLO="L") > 0.0, axis=1)
+        positive = (np.linalg.eigvalsh(bordered, UPLO="L") > 0.0).sum(axis=1)
         # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
         # trig term can exceed int64
-        return [int(t) + n - 1 for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
+        return [int(t) + n - 1 for t, n in zip(np.floor(gL / math.pi).sum(axis=1).tolist(),
                                                positive.tolist())]
 
 
@@ -630,7 +641,7 @@ def _batched(fn, gamma, size):
     whose size x size matrices hold at most MAX_STACK_ENTRIES entries (one
     matrix at least)."""
     gs = np.asarray(gamma, dtype=float)
-    if np.any(gs <= 0):
+    if (gs <= 0).any():
         raise ValidationError("gamma must be positive")
     flat = np.atleast_1d(gs)
     step = max(1, min(MAX_BATCH, MAX_STACK_ENTRIES // (size * size)))
@@ -642,7 +653,7 @@ def _solve_traces(A, B):
     """tr(A_i^-1 B_i) per stacked pair; inf where A_i is singular to working
     precision, found by halving the stack that failed as a whole."""
     try:
-        return np.trace(np.linalg.solve(A, B), axis1=1, axis2=2)
+        return np.linalg.solve(A, B).trace(axis1=1, axis2=2)
     except np.linalg.LinAlgError:
         if len(A) == 1:
             return np.array([math.inf])
@@ -742,9 +753,10 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
 
     The bracket tree is walked breadth first, one level at a time: the
     secant iterations of all the level's narrow brackets advance in
-    lockstep, one stacked _newton_ratio call per step, and the count is
-    taken at the midpoints of all brackets still to be split in one stacked
-    call; stacks are split as _batched says.  The brackets, iterates and
+    lockstep, one stacked _newton_ratio call per step, the level's roots are
+    confirmed by one stacked nullspace call, and the count is taken at the
+    midpoints of all brackets still to be split in one stacked call; stacks
+    are split as _batched says.  The brackets, iterates and
     roots are those of a depth-first walk, but when several brackets fail, the
     NumericError raised is the first of the lowest failing level, which need
     not be the one a depth-first walk meets first.
@@ -768,13 +780,16 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     level = [(gamma_floor, na, gamma_max, nb)] if nb > na else []
     while level:  # brackets in ascending order, each with a rise of the count
         narrow = [(a, b) for a, _, b, _ in level if b - a <= width]
-        roots = iter(_refine_roots(problem, memo, narrow, root_tol))
+        roots = _refine_roots(problem, memo, narrow, root_tol)
+        found = [root for root in roots if root is not None]
+        bases = iter(problem.nullspace(np.array(found), rank_tol) if found else ())
+        roots = iter(roots)
         split = []
         for a, na, b, nb in level:
             jump = nb - na
             root = next(roots) if b - a <= width else None
             if root is not None:
-                basis = problem.nullspace(root, rank_tol)
+                basis = next(bases)
                 if len(basis) == jump:
                     problem.bases[(root, rank_tol)] = basis
                     out.append(Eigenpair(root * root, jump))

@@ -32,7 +32,9 @@ kinks left of each point, and closed kink tail forms), that the reads
 through the table's pieces replaced, evaluated at 40 digits with mpmath
 and rounded once.  deflated_counts is the eigenvalue count as it was read
 before the bordered matrix B, #pos(Lambda) and the sign of w apart with a
-deflating solve.  path_distance, dirichlet_inner, sup_norm and cpa_hat are
+deflating solve.  compiled_plan is the former loop of
+SpectralProblem._compile, one put per incidence, that its array passes over
+the edge arrays replaced.  path_distance, dirichlet_inner, sup_norm and cpa_hat are
 helpers that only the tests read.
 """
 
@@ -51,6 +53,7 @@ from metragraph.graph_core import PointOnGraph, subdivide_at, total_length
 from metragraph.measure import CPAFunction
 from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, polyder_rows
 from metragraph.green import GreenEvaluator
+from metragraph import spectral
 from metragraph.spectral import (
     DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _exp_moments,
     _newton_ratio, _pair_form, _problem, _row_lengths,
@@ -493,6 +496,57 @@ def secular_matrix(problem, gamma):
         e0, end0 = problem.graph.incidences(v)[0]
         add(M[r], e0, val[(e0.id, end0)], mass)
     return M
+
+
+def compiled_plan(problem):
+    """(flat, feature, coefficient) arrays of a SpectralProblem's scatter
+    plan, by the loop over vertices and incidences that built them before
+    SpectralProblem._compile's array passes: one put of an end's value or
+    derivative features per incidence of each row, in row order."""
+    N, ccol = problem.size, problem.size - 1
+
+    def feature(k, j):
+        return 2 + spectral._EDGE_FEATURES * k + j
+
+    val, der = {}, {}  # (edge id, end) -> features of the A, B, C columns
+    for k, e in enumerate(problem.edges):
+        val[(e.id, 0)] = (spectral._ONE, None, feature(k, spectral._H0))
+        val[(e.id, 1)] = (feature(k, spectral._COS), feature(k, spectral._SIN),
+                          feature(k, spectral._HL))
+        der[(e.id, 0)] = (None, feature(k, spectral._G), feature(k, spectral._HP0))
+        der[(e.id, 1)] = (feature(k, spectral._GSIN), feature(k, spectral._MGCOS),
+                          feature(k, spectral._MHPL))
+    entries = []
+
+    def put(r, e, feats, coef):
+        c = 2 * problem._row[e.id]
+        for col, feat in zip((c, c + 1, ccol), feats):
+            if feat is not None:
+                entries.append((r * N + col, feat, coef))
+
+    r = 0
+    for v in problem.graph.vertices:
+        inc = problem.graph.incidences(v)
+        e0, end0 = inc[0]
+        for e, end in inc[1:]:
+            put(r, e, val[(e.id, end)], 1.0)
+            put(r, e0, val[(e0.id, end0)], -1.0)
+            r += 1
+        for e, end in inc:
+            put(r, e, der[(e.id, end)], 1.0)
+        if problem._atom_mass.get(v, 0.0):
+            entries.append((r * N + ccol, spectral._G2, -problem._atom_mass[v]))
+        r += 1
+    for k, e in enumerate(problem.edges):
+        if np.any(problem._dens[k] != 0.0):
+            put(r, e, (feature(k, spectral._CMOM), feature(k, spectral._SMOM),
+                       feature(k, spectral._HD)), 1.0)
+    for v, mass in problem._atom_mass.items():
+        e0, end0 = problem.graph.incidences(v)[0]
+        put(r, e0, val[(e0.id, end0)], mass)
+    flat, feat, coef = zip(*entries)
+    return (np.array(flat, dtype=np.intp), np.array(feat, dtype=np.intp),
+            np.array(coef, dtype=float))
 
 
 def von_below_spectrum(graph, gamma_max):

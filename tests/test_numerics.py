@@ -87,6 +87,24 @@ def test_nullspace_basis_edge_cases():
         assert abs(wide @ v) < 1e-12
 
 
+def test_nullspace_basis_of_a_stack_is_the_per_matrix_loop(rng):
+    # ranks 4, 2 and 3 of 4 x 4 matrices, a zero matrix among them, and
+    # wide 2 x 4 ones: each basis equals that of its matrix alone, bit for bit
+    def rank(k, shape=(4, 4)):
+        return rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
+
+    for stack in (np.stack([rank(4), rank(2), np.zeros((4, 4)), rank(3)]),
+                  np.stack([rank(2, (2, 4)), rank(1, (2, 4))])):
+        bases = nullspace_basis(stack, rank_tol=1e-10)
+        assert len(bases) == len(stack)
+        for M, basis in zip(stack, bases):
+            alone = nullspace_basis(M, rank_tol=1e-10)
+            assert len(basis) == len(alone)
+            assert all(np.array_equal(u, v) for u, v in zip(basis, alone))
+    assert [len(b) for b in nullspace_basis(np.stack([rank(2), np.zeros((4, 4))]))] == [2, 4]
+    assert nullspace_basis(np.zeros((2, 0, 3))) == [[], []]
+
+
 def test_golden_min_absolute_tolerance():
     # the bracket shrinks below xatol even though |x| ~ 0.4, which a
     # sqrt(eps)-relative stopping rule would never reach

@@ -278,6 +278,43 @@ def test_compiled_matrix_matches_reference_atoms_and_polynomials(tetrahedron):
     assert_matches_reference(problem)
 
 
+def assert_plan_matches_loop(problem):
+    """The array-built scatter plan entry for entry, order included."""
+    for got, want in zip((problem._flat, problem._feat, problem._coef),
+                         oracles.compiled_plan(problem)):
+        assert np.array_equal(got, want)
+
+
+BUILTIN_NAMES = ["interval", "circle", "banana:3", "k5", "k33", "petersen", "tetrahedron",
+                 "cube", "octahedron", "dodecahedron", "icosahedron"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_compiled_plan_matches_loop(name):
+    graph = builtin_graph(name)
+    assert_plan_matches_loop(SpectralProblem(graph, lebesgue_measure(graph)))
+    assert_plan_matches_loop(SpectralProblem(graph, canonical_measure(graph)))
+
+
+def test_compiled_plan_matches_loop_atoms_polynomials_and_signs(tetrahedron):
+    # an interior atom (a subdivision) with polynomial densities, corner
+    # atoms, an atom of mass zero and a signed measure with a negative atom
+    e = tetrahedron.edges
+    densities = {e[1].id: [0.5, 1.0], e[2].id: [1.0, -2.0, 3.0], e[3].id: [0.7]}
+    interior = (tetrahedron.point(e[0].id, 0.3 * e[0].length), 0.4)
+    corner = tetrahedron.point_at_vertex(tetrahedron.vertices[2])
+    rest = Measure(tetrahedron, [interior], densities).total_mass()
+    for atoms in ([interior, (corner, 1.0 - rest)],
+                  [interior, (tetrahedron.point_at_vertex("a"), 0.0), (corner, 1.0 - rest)],
+                  [(corner, -0.5), interior, (tetrahedron.point_at_vertex("b"), 1.5 - rest)]):
+        problem = SpectralProblem(tetrahedron, Measure(tetrahedron, atoms, densities))
+        assert problem.size == 15
+        assert_plan_matches_loop(problem)
+    for name in ("cube", "petersen"):
+        graph = builtin_graph(name)
+        assert_plan_matches_loop(SpectralProblem(graph, poly_shaped_measure(graph)))
+
+
 def test_derivative_matches_finite_differences(tetrahedron):
     # dM/dgamma against a Richardson-extrapolated central difference, under
     # dx, the canonical measure and a measure with an atom and polynomials
@@ -705,9 +742,47 @@ def test_poly_measure_spectrum_is_unchanged(name):
 def test_count_and_nullspace_disagreeing_raises(monkeypatch, interval):
     nullspace = SpectralProblem.nullspace
     monkeypatch.setattr(SpectralProblem, "nullspace",
-                        lambda self, gamma, rank_tol: nullspace(self, gamma, rank_tol)[:-1])
+                        lambda self, gamma, rank_tol: [basis[:-1] for basis in
+                                                       nullspace(self, gamma, rank_tol)])
     with pytest.raises(NumericError, match="count rises by 1"):
         find_eigenvalues(interval, lebesgue_measure(interval), 4.0)
+
+
+def atom_only_circle():
+    """Atoms of 1/2 at the circle's two vertices: M drops a row at each
+    triple root and keeps every row at each simple one."""
+    circle = builtin_graph("circle")
+    return circle, Measure(circle, [(circle.point_at_vertex(v), 0.5) for v in circle.vertices],
+                           {})
+
+
+@pytest.mark.parametrize("name,kind", [(name, kind) for name in BUILTIN_NAMES
+                                       for kind in ("dx", "canonical")] + [("circle", "atoms")])
+def test_stacked_nullspace_matches_per_root(name, kind):
+    # the roots below gamma = 60 and the midpoints between them in one call:
+    # each basis equals the scalar call's, vector for vector; the interval's
+    # canonical measure is atom-only, and its integral row vanishes at each
+    # double root, so a dropped-row matrix sits inside a stack
+    if kind == "atoms":
+        graph, mu = atom_only_circle()
+    else:
+        graph = builtin_graph(name)
+        mu = table_measures(graph)[kind == "canonical"]
+    problem = SpectralProblem(graph, mu)
+    pairs = find_eigenvalues(graph, mu, 60.0)
+    roots = [math.sqrt(p.eigenvalue) for p in pairs]
+    gammas = np.sort(np.concatenate((roots, 0.5 * np.add(roots[1:], roots[:-1]))))
+    rowmax = np.max(np.abs(problem._assemble(gammas)), axis=2)
+    dropped = np.any(rowmax <= spectral.ZERO_ROW_REL * rowmax.max(axis=1, keepdims=True), axis=1)
+    if (name, kind) in {("interval", "canonical"), ("circle", "atoms")}:
+        assert 0 < np.count_nonzero(dropped) < len(gammas)
+    stacked = problem.nullspace(gammas)
+    assert len(stacked) == len(gammas)
+    for gamma, basis in zip(gammas, stacked):
+        alone = problem.nullspace(float(gamma))
+        assert len(basis) == len(alone)
+        assert all(np.array_equal(u, v) for u, v in zip(basis, alone))
+    assert [len(b) for b in stacked[::2]] == [p.multiplicity for p in pairs]
 
 
 def test_default_floor_scales_with_length(tetrahedron):
@@ -900,7 +975,8 @@ def test_constant_function_is_not_an_eigenfunction(interval):
 @pytest.mark.parametrize("case", ["petersen", "paired"])
 def test_one_problem_per_graph_and_measure(monkeypatch, case):
     # find_eigenvalues then eigenfunctions_at at every root build one problem
-    # and compute one nullspace per root; new objects get a fresh problem
+    # and confirm one nullspace per root, counted in gammas (the scan stacks
+    # each level's roots into one call); new objects get a fresh problem
     def make_graph():  # Petersen has a 5-fold root, the other a close pair
         return builtin_graph("petersen") if case == "petersen" else \
             build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
@@ -916,9 +992,9 @@ def test_one_problem_per_graph_and_measure(monkeypatch, case):
         built.append(self)
         init(self, graph, mu)
 
-    def counted_nullspace(self, *args):
-        calls.append(args)
-        return nullspace(self, *args)
+    def counted_nullspace(self, gamma, *args):
+        calls.extend([gamma] * np.size(gamma))
+        return nullspace(self, gamma, *args)
 
     monkeypatch.setattr(SpectralProblem, "__init__", counted_init)
     monkeypatch.setattr(SpectralProblem, "nullspace", counted_nullspace)
