@@ -42,7 +42,7 @@ from .measure import (
     measure_to_json,
     resolve_measure,
 )
-from .numerics import DEFAULT_RANK_TOL, NumericError
+from .numerics import NumericError
 from .spectral import eigenfunctions_at, find_eigenvalues
 
 TABLE_GRAPHS = (
@@ -89,27 +89,10 @@ def _load_graph_arg(spec):
         return load_graph(spec)
 
 
-def _spectral_kwargs(args):
-    kw = {}
-    if args.gamma_floor is not None:
-        kw["gamma_floor"] = args.gamma_floor
-    if args.root_tol is not None:
-        kw["root_tol"] = args.root_tol
-    if args.rank_tol is not None:
-        kw["rank_tol"] = args.rank_tol
-    return kw
-
-
 def _eigen_pairs(graph, mu, args):
     if not args.lambda_max > 0.0:
         raise ValidationError("--lambda-max must be positive")
-    gamma_max = math.sqrt(args.lambda_max)
-    return find_eigenvalues(graph, mu, gamma_max, **_spectral_kwargs(args))
-
-
-def _functions_at(graph, mu, eigenvalue, args):
-    rank_tol = _spectral_kwargs(args).get("rank_tol", DEFAULT_RANK_TOL)
-    return eigenfunctions_at(graph, mu, math.sqrt(eigenvalue), rank_tol)
+    return find_eigenvalues(graph, mu, math.sqrt(args.lambda_max), args.gamma_floor)
 
 
 def _display(pairs):
@@ -233,14 +216,11 @@ def cmd_eigenfunctions(args):
         raise ValidationError("--samples-per-edge must be nonnegative")
     g = _load_graph_arg(args.graph)
     mu = resolve_measure(g, args.measure)
-    pairs = _eigen_pairs(g, mu, args)
     ids = np.repeat([e.id for e in g.edges], args.samples_per_edge).tolist()
     t = np.linspace(0.0, g.edge_arrays[1], args.samples_per_edge, axis=1).ravel()
-    entries = []
-    rows = []
-    index = 0
-    for p in pairs:
-        pair = _functions_at(g, mu, p.eigenvalue, args)
+    entries, rows, index = [], [], 0
+    for p in _eigen_pairs(g, mu, args):
+        pair = eigenfunctions_at(g, mu, math.sqrt(p.eigenvalue))
         for f in pair.eigenfunctions:
             index += 1
             entries.append({
@@ -301,10 +281,9 @@ def cmd_mercer_check(args):
     exact = np.column_stack([ev.g_profile(y).values_at(k, t)
                              for y in map(PointOnGraph, ids, t.tolist())])
     partial = np.zeros_like(exact)
-    rows = []
-    used = 0
+    rows, used = [], 0
     for p in pairs:
-        pair = _functions_at(g, mu, p.eigenvalue, args)
+        pair = eigenfunctions_at(g, mu, math.sqrt(p.eigenvalue))
         vals = np.array([f.value(ids, t) for f in pair.eigenfunctions])
         partial += vals.T @ vals / pair.eigenvalue
         used += len(vals)
@@ -410,8 +389,6 @@ def _add_spectral(parser):
     parser.add_argument("--gamma-floor", type=float, default=None,
                         help="smallest gamma = sqrt(lambda) searched "
                              "(default 1e-6 / total length)")
-    parser.add_argument("--root-tol", type=float, default=None)
-    parser.add_argument("--rank-tol", type=float, default=None)
 
 
 def build_parser():

@@ -16,16 +16,18 @@ class NumericError(RuntimeError):
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ROOT_TOL = 1e-12
 GOLDEN_MAX_ITER = 100
+SOLVE_RESIDUAL_TOL = 1e-12  # solve_grounded's backward-error bound
+REAL_ROOT_TOL = 1e-12  # real_roots_in_intervals' relative cut
 
 
-def solve_grounded(Q, b, grounded, tol=1e-12):
+def solve_grounded(Q, b, grounded):
     """Solve Q v = b with v[grounded] = 0 for a connected-graph Laplacian Q.
 
     b is one right-hand side or a matrix of them, one per column; each must
     sum to zero.  The grounded row/column is removed, the reduced system
-    solved densely, and the residual checked against the backward-error
-    scale ||Q|| ||v|| + ||b|| (infinity norms), which a stable solve meets
-    whatever the spread of the conductances.
+    solved densely, and the residual checked against SOLVE_RESIDUAL_TOL times
+    the backward-error scale ||Q|| ||v|| + ||b|| (infinity norms), which a
+    stable solve meets whatever the spread of the conductances.
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -47,7 +49,7 @@ def solve_grounded(Q, b, grounded, tol=1e-12):
     r -= b
     residual = norm(r)
     # written as a negated <= so that a nan residual also fails
-    if not residual <= tol * (norm_q * norm(v) + norm(b)):
+    if not residual <= SOLVE_RESIDUAL_TOL * (norm_q * norm(v) + norm(b)):
         raise NumericError(f"grounded solve residual {residual:g} exceeds tolerance")
     return v
 
@@ -57,13 +59,15 @@ def nullspace_basis(M, rank_tol=DEFAULT_RANK_TOL):
 
     Vectors whose singular value is below rank_tol times the largest singular
     value are kept; a zero matrix yields the full space.  A stack of matrices
-    gives the list of their bases, from one stacked SVD.
+    gives the list of their bases, from one stacked SVD; each basis holds a
+    copy of its rows, so that none keeps the whole stack of singular vectors.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return [] if M.ndim == 2 else [[] for _ in M]
     _, s, vh = np.linalg.svd(M)
-    bases = [[v for i, v in enumerate(vt) if i >= sv.size or not sv[0] or sv[i] < rank_tol * sv[0]]
+    bases = [list(vt[[i >= sv.size or not sv[0] or sv[i] < rank_tol * sv[0]
+                      for i in range(len(vt))]])
              for sv, vt in zip(s.reshape(-1, s.shape[-1]), vh.reshape(-1, *vh.shape[-2:]))]
     return bases if M.ndim == 3 else bases[0]
 
@@ -114,13 +118,13 @@ def equilibrate_rows(M):
     return M / scales[..., None], scales
 
 
-def real_roots_in_intervals(coeffs, lo, hi, tol=1e-12):
+def real_roots_in_intervals(coeffs, lo, hi):
     """Real roots of each row of coeffs (ascending, real or complex) inside
     its interval (lo[i], hi[i]), as (row index, root) arrays ordered by row
     and then by root.  The rows of each trimmed degree share one stacked
-    companion-matrix eigvals.  A zero counts when its imaginary part is
-    below tol * max(|lo|, |hi|) and its real part is more than tol * (hi -
-    lo) from either end, so that the tolerance scales with the interval."""
+    companion-matrix eigvals.  A zero counts when its imaginary part is below
+    tol max(|lo|, |hi|) and its real part is more than tol (hi - lo) from
+    either end, tol = REAL_ROOT_TOL, so that the cut scales with the interval."""
     c = np.asarray(coeffs)
     c = c.astype(np.result_type(c, float))
     degree = np.max(np.where(c != 0, np.arange(c.shape[1]), 0), axis=1)
@@ -136,8 +140,8 @@ def real_roots_in_intervals(coeffs, lo, hi, tol=1e-12):
         roots.append(comp.ravel() if n == 1 else np.linalg.eigvals(comp).ravel())
     rows, roots = np.concatenate(rows), np.concatenate(roots)
     a, b = np.asarray(lo, dtype=float)[rows], np.asarray(hi, dtype=float)[rows]
-    end_tol = tol * (b - a)
-    keep = ((np.abs(roots.imag) < tol * np.maximum(np.abs(a), np.abs(b)))
+    end_tol = REAL_ROOT_TOL * (b - a)
+    keep = ((np.abs(roots.imag) < REAL_ROOT_TOL * np.maximum(np.abs(a), np.abs(b)))
             & (a + end_tol < roots.real) & (roots.real < b - end_tol))
     order = np.lexsort((roots.real[keep], rows[keep]))
     return rows[keep][order], roots.real[keep][order]

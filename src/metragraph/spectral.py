@@ -32,7 +32,6 @@ from . import green as green_mod
 from .graph_core import PointOnGraph, ValidationError, subdivide_at, total_length
 from .measure import integrate_polys_against, remap_measure
 from .numerics import (
-    DEFAULT_RANK_TOL,
     DEFAULT_ROOT_TOL,
     NumericError,
     equilibrate_rows,
@@ -87,8 +86,8 @@ def _series_table(count):
 
 
 def _exp_moments(omega, lengths, count):
-    """I[e, k] = integral of t^k exp(i omega_e t) over [0, L_e], k = 0..count,
-    for every row of omega and lengths (broadcast) at once.
+    """I[..., k] = integral of t^k exp(i omega t) over [0, L], k = 0..count,
+    for omega broadcast against lengths (a scalar counts as one row) at once.
 
     The closed form from integration by parts cancels catastrophically when
     omega*L is small relative to k, so each (row, k) picks between it and a
@@ -99,7 +98,8 @@ def _exp_moments(omega, lengths, count):
     stacked (1 x J) @ (J x count+1) product per row, which, unlike one gemm
     over all rows, gives each row the same bits whatever else is in the batch.
     """
-    omega, L = np.broadcast_arrays(np.ravel(omega), np.ravel(lengths))
+    omega, L = np.broadcast_arrays(np.atleast_1d(omega), lengths)
+    shape, omega, L = omega.shape + (count + 1,), omega.ravel(), L.ravel()
     if np.any(omega < 0):
         raise ValueError("omega must be nonnegative")
     x = omega * L
@@ -125,7 +125,7 @@ def _exp_moments(omega, lengths, count):
         series = (P[:, None, :] @ _series_table(count)[:j.size])[:, 0]
         series *= L[rows, None] ** np.arange(1.0, count + 2.0)
         out[rows] = np.where(closed[rows], out[rows], series)
-    return out
+    return out.reshape(shape)
 
 
 def _particular_table(dens):
@@ -243,8 +243,8 @@ class SpectralProblem:
     Interior atoms force subdivisions so that every atom of the working
     measure sits at a vertex; the unknown vector is ordered
     (A_1, B_1, ..., A_m, B_m, C) following the working graph's edge order.
-    bases keeps find_eigenvalues' nullspace bases by (root, rank_tol), and
-    count its EigenvalueCount.
+    bases keeps find_eigenvalues' nullspace bases by root, and count its
+    EigenvalueCount.
     """
 
     def __init__(self, graph, mu):
@@ -290,10 +290,9 @@ class SpectralProblem:
 
     def matrix(self, gamma):
         """Row-equilibrated M(gamma)."""
-        scaled, _ = equilibrate_rows(self._assemble(gamma))
-        return scaled
+        return equilibrate_rows(self._assemble(gamma))[0]
 
-    def nullspace(self, gamma, rank_tol=DEFAULT_RANK_TOL):
+    def nullspace(self, gamma):
         """Nullspace vectors of M(gamma), robust to rows that vanish there.
 
         A whole raw row can vanish at a degenerate root (the integral row
@@ -301,18 +300,18 @@ class SpectralProblem:
         per-row equilibration would rescale its numerical noise to unit
         size, hiding one nullspace dimension.  Near-zero rows are therefore
         dropped before the remaining rows are equilibrated and the rank
-        decision is made.  A 1-D array of gammas gives the list of their
-        bases (_batched): the matrices that keep every row share one stacked
-        SVD, and one that drops rows goes alone.
+        decision is made at DEFAULT_RANK_TOL.  A 1-D array of gammas gives
+        the list of their bases (_batched): the matrices that keep every row
+        share one stacked SVD, and one that drops rows goes alone.
         """
         def bases(gs):
             raw = self._assemble(gs)
             rowmax = np.abs(raw).max(axis=2)
             keep = rowmax > ZERO_ROW_REL * rowmax.max(axis=1, keepdims=True)
             whole = keep.all(axis=1)
-            stacked = iter(nullspace_basis(equilibrate_rows(raw[whole])[0], rank_tol))
+            stacked = iter(nullspace_basis(equilibrate_rows(raw[whole])[0]))
             return [next(stacked) if w else nullspace_basis(equilibrate_rows(
-                        M[k] if k.any() else np.zeros((1, self.size)))[0], rank_tol)
+                        M[k] if k.any() else np.zeros((1, self.size)))[0])
                     for M, k, w in zip(raw, keep, whole)]
         return _batched(bases, gamma, self.size)
 
@@ -408,8 +407,7 @@ class SpectralProblem:
         F[..., _SMOM] = self._d0 * vers / g
         k = self._poly
         if k.size:  # moments of p and of t * p from one call
-            I = _exp_moments(np.repeat(g, k.size), np.tile(L[k], B),
-                             self._dens.shape[1]).reshape(B, k.size, -1)
+            I = _exp_moments(g, L[k], self._dens.shape[1])
             z = np.sum(self._dens[k] * I[..., :-1], axis=-1)
             F[:, k, _CMOM], F[:, k, _SMOM] = z.real, z.imag
         if derivative:
@@ -487,10 +485,9 @@ def _pair_form(L, g1, ab1, p1, g2, ab2, p2):
     a cos(g t) + b sin(g t) + p(t), from one batched moment call.  ab (..., m,
     2) and p (..., m, n) may carry leading axes, which broadcast: one call
     then gives the pair form of every pair of functions at g1 and g2."""
-    m, n1, n2 = len(L), p1.shape[-1], p2.shape[-1]
+    n1, n2 = p1.shape[-1], p2.shape[-1]
     omegas, which = np.unique([abs(g1 - g2), g1 + g2, g2, g1, 0.0], return_inverse=True)
-    I = _exp_moments(np.repeat(omegas, m), np.tile(L, omegas.size),
-                     n1 + n2 - 2).reshape(omegas.size, m, -1)[which]
+    I = _exp_moments(omegas[:, None], L, n1 + n2 - 2)[which]
     Cm, Sm = I[0, :, 0].real, math.copysign(1.0, g1 - g2) * I[0, :, 0].imag
     Cp, Sp = I[1, :, 0].real, I[1, :, 0].imag
     a1, b1, a2, b2 = ab1[..., 0], ab1[..., 1], ab2[..., 0], ab2[..., 1]
@@ -504,10 +501,14 @@ def _pair_form(L, g1, ab1, p1, g2, ab2, p2):
 
 
 def _row_lengths(graph, f1, f2):
-    """Lengths of the edges of f1's rows, which f2 must share."""
+    """Lengths of f1's rows, which f2 shares, on its working or the caller's graph."""
     if f2.edges != f1.edges:
         raise ValidationError("the two functions have different edge rows")
-    return np.array([graph.edge(eid).length for eid in f1.edges])
+    length = {e.id: e.length for e in graph.edges}
+    for r in (r for r in f1.remaps if r.split_edge in length):  # cut as subdivide_at does
+        length[r.child_u] = r.split_offset
+        length[r.child_v] = length.pop(r.split_edge) - r.split_offset
+    return np.array([length.get(eid) or graph.edge(eid).length for eid in f1.edges])
 
 
 def l2_inner(graph, f1, f2):
@@ -517,7 +518,7 @@ def l2_inner(graph, f1, f2):
                                    f2.gamma, f2.ab, f2.constant * f2.h)))
 
 
-def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
+def eigenfunctions_at(graph, mu, gamma_star):
     """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
 
     Problem and, at a root it returned (sqrt(eigenvalue) is that root
@@ -530,7 +531,7 @@ def eigenfunctions_at(graph, mu, gamma_star, rank_tol=DEFAULT_RANK_TOL):
     symmetric positive definite, whatever basis the SVD returned.
     """
     problem = _problem(graph, mu)
-    basis = problem.bases.get((gamma_star, rank_tol)) or problem.nullspace(gamma_star, rank_tol)
+    basis = problem.bases.get(gamma_star) or problem.nullspace(gamma_star)
     if not basis:
         raise NumericError(f"no nullspace at gamma={gamma_star!r}; "
                            "the candidate root is discarded")
@@ -614,8 +615,7 @@ class EigenvalueCount:
         if self._poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
             k = self._poly
-            I = _exp_moments(np.repeat(g, k.size), np.tile(L[k], B),
-                             self._overlap.shape[1] - 1).reshape(B, k.size, -1)
+            I = _exp_moments(g, L[k], self._overlap.shape[1] - 1)
             z = np.sum(self._dens * I[..., :self._dens.shape[1]], axis=-1)
             C[:, k], S[:, k] = z.real, z.imag
             zz = z * z * (cg[:, k] - 1j * sg[:, k])  # integral of d d cos(g (t + t' - L))
@@ -677,16 +677,16 @@ def _newton_ratio(problem, gamma):
     return _batched(ratios, gamma, problem.size)
 
 
-def _refine_root(a, b, root_tol):
+def _refine_root(a, b):
     """Zero of u(gamma) = _newton_ratio in [a, b] by a bracketed secant
     iteration, as a generator: it yields the tuple of gammas whose u it needs
     next, is sent their values as a tuple, and returns the root (None unless
     u goes from negative at a to positive at b).
 
     Secant steps that leave the bracket or fail to halve the step before last
-    fall back to bisection.  Once a step is below root_tol + 8 eps gamma, or a
-    proposal lies within 8 eps gamma of the last iterate (a root, where
-    bisection only shrinks a one-sided bracket), the next proposal is
+    fall back to bisection.  Once a step is below DEFAULT_ROOT_TOL + 8 eps
+    gamma, or a proposal lies within 8 eps gamma of the last iterate (a root,
+    where bisection only shrinks a one-sided bracket), the next proposal is
     returned inside [a, b].
     """
     ua, ub = yield a, b
@@ -705,16 +705,16 @@ def _refine_root(a, b, root_tol):
             return x
         a, b = (x, b) if ux < 0.0 else (a, x)
         steps.append(abs(x - x1))
-        converged = steps[-1] < root_tol + 8.0 * _EPS * x
+        converged = steps[-1] < DEFAULT_ROOT_TOL + 8.0 * _EPS * x
         x0, u0, x1, u1 = x1, u1, x, ux
     return x1
 
 
-def _refine_roots(problem, memo, brackets, root_tol):
+def _refine_roots(problem, memo, brackets):
     """_refine_root on every (a, b) of brackets in lockstep: each step asks
     _newton_ratio once for all the gammas that the pending iterations need
     and memo, the scan's dict gamma -> u, does not hold yet."""
-    runs = [_refine_root(a, b, root_tol) for a, b in brackets]
+    runs = [_refine_root(a, b) for a, b in brackets]
     asks = [next(run) for run in runs]
     roots = [None] * len(runs)
     pending = list(range(len(runs)))
@@ -733,8 +733,7 @@ def _refine_roots(problem, memo, brackets, root_tol):
     return roots
 
 
-def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
-                     root_tol=DEFAULT_ROOT_TOL, rank_tol=DEFAULT_RANK_TOL):
+def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     """All eigenvalues with gamma in (gamma_floor, gamma_max), ascending.
 
     [gamma_floor, gamma_max] is bisected on the exact count N_mu(gamma)
@@ -742,14 +741,14 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     pi / (8 * total length) wide, and the root in it is refined by a
     bracketed secant iteration on u = 1 / tr(M^-1 dM/dgamma), about
     (gamma - root) / k near a k-fold root.  The multiplicity is the count's
-    jump, which must equal the nullspace dimension of M at the root
-    (rank_tol); otherwise (two close roots, say) the bracket is bisected
-    further, and NumericError is raised at float resolution.  gamma_floor,
-    which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / total
-    length.  More roots than fit in MAX_SCAN_WORK raise ValidationError
-    before any bisection.  Returns Eigenpairs with empty eigenfunction
-    tuples; the problem, its count and each root's basis are kept per
-    (graph, mu) (_problem).
+    jump, which must equal the nullspace dimension of M at the root;
+    otherwise (two close roots, say) the bracket is bisected further, and
+    NumericError is raised at float resolution; the tolerances are the fixed
+    DEFAULT_ROOT_TOL and DEFAULT_RANK_TOL.  gamma_floor, which excludes
+    lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / total length.  More roots
+    than fit in MAX_SCAN_WORK raise ValidationError before any bisection.
+    Returns Eigenpairs with empty eigenfunction tuples; the problem, its
+    count and each root's basis are kept per (graph, mu) (_problem).
 
     The bracket tree is walked breadth first, one level at a time: the
     secant iterations of all the level's narrow brackets advance in
@@ -780,9 +779,9 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
     level = [(gamma_floor, na, gamma_max, nb)] if nb > na else []
     while level:  # brackets in ascending order, each with a rise of the count
         narrow = [(a, b) for a, _, b, _ in level if b - a <= width]
-        roots = _refine_roots(problem, memo, narrow, root_tol)
+        roots = _refine_roots(problem, memo, narrow)
         found = [root for root in roots if root is not None]
-        bases = iter(problem.nullspace(np.array(found), rank_tol) if found else ())
+        bases = iter(problem.nullspace(np.array(found)) if found else ())
         roots = iter(roots)
         split = []
         for a, na, b, nb in level:
@@ -791,7 +790,7 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None,
             if root is not None:
                 basis = next(bases)
                 if len(basis) == jump:
-                    problem.bases[(root, rank_tol)] = basis
+                    problem.bases[root] = basis
                     out.append(Eigenpair(root * root, jump))
                     continue
             if b - a <= 4.0 * _EPS * b:

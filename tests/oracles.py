@@ -51,7 +51,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from metragraph.graph_core import PointOnGraph, subdivide_at, total_length
 from metragraph.measure import CPAFunction
-from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, polyder_rows
+from metragraph.numerics import DEFAULT_ROOT_TOL, polyder_rows
 from metragraph.green import GreenEvaluator
 from metragraph import spectral
 from metragraph.spectral import (
@@ -741,7 +741,7 @@ def depth_first_eigenvalues(graph, mu, gamma_max):
             continue
         if b - a <= width:
             root = refine_root(ratio, a, b, DEFAULT_ROOT_TOL)
-            if root is not None and len(problem.nullspace(root, DEFAULT_RANK_TOL)) == jump:
+            if root is not None and len(problem.nullspace(root)) == jump:
                 out.append((root * root, jump))
                 continue
         mid = 0.5 * (a + b)

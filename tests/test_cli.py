@@ -239,6 +239,17 @@ def test_bad_sample_sizes_are_rejected(capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", [["--root-tol", "1e-9"], ["--rank-tol", "1e-8"]])
+@pytest.mark.parametrize("command", ["eigen", "eigenfunctions", "mercer-check"])
+def test_scan_tolerances_are_not_options(capsys, command, option):
+    # the scan's root and rank tolerances are fixed; an option for either is
+    # a usage error, with nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", "builtin:interval", "--lambda-max", "20", *option])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("spec", ["banana", "banana:x", "banana:N", "banana:0"])
 def test_malformed_banana_name(capsys, tmp_path, monkeypatch, spec):
     # not a built-in, and no file of that name: one error line, exit 2

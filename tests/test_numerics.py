@@ -105,6 +105,22 @@ def test_nullspace_basis_of_a_stack_is_the_per_matrix_loop(rng):
     assert nullspace_basis(np.zeros((2, 0, 3))) == [[], []]
 
 
+def test_nullspace_bases_keep_no_view_of_the_stack(rng):
+    # a cached basis must not keep the whole (B, s, s) array of right
+    # singular vectors alive: each vector may only view an array no larger
+    # than its own basis
+    stack = np.stack([rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+                      rng.standard_normal((6, 6)), np.zeros((6, 6))])
+    stack[1, 0] = stack[1, 1]  # rank 5
+    wide = rng.standard_normal((2, 5))
+    for bases in (nullspace_basis(stack), [nullspace_basis(M) for M in stack],
+                  [nullspace_basis(wide)]):
+        assert [len(b) for b in bases] in ([3, 1, 6], [3])
+        for basis in bases:
+            for v in basis:
+                assert v.base is None or v.base.size <= len(basis) * v.size
+
+
 def test_golden_min_absolute_tolerance():
     # the bracket shrinks below xatol even though |x| ~ 0.4, which a
     # sqrt(eps)-relative stopping rule would never reach

@@ -742,8 +742,7 @@ def test_poly_measure_spectrum_is_unchanged(name):
 def test_count_and_nullspace_disagreeing_raises(monkeypatch, interval):
     nullspace = SpectralProblem.nullspace
     monkeypatch.setattr(SpectralProblem, "nullspace",
-                        lambda self, gamma, rank_tol: [basis[:-1] for basis in
-                                                       nullspace(self, gamma, rank_tol)])
+                        lambda self, gamma: [basis[:-1] for basis in nullspace(self, gamma)])
     with pytest.raises(NumericError, match="count rises by 1"):
         find_eigenvalues(interval, lebesgue_measure(interval), 4.0)
 
@@ -1125,6 +1124,39 @@ def test_interior_atom_spectrum_vs_kernel_oracle(interval):
     for f in pair.eigenfunctions:
         assert l2_inner(problem.graph, f, f) == pytest.approx(1.0, abs=1e-9)
         assert abs(problem.mu_integral(f)) < 1e-9
+
+
+def test_l2_inner_on_the_callers_graph(tetrahedron, circle):
+    # the atom splits e1 in the working graph into e1.1 and e1.2; l2_inner
+    # takes the caller's graph, as value() takes its edge ids, and gives the
+    # same bits as on the working graph
+    ell = total_length(tetrahedron)
+    mu = Measure(tetrahedron, [(tetrahedron.point("e1", 0.05), 0.5)],
+                 {e.id: [0.5 / ell] for e in tetrahedron.edges})
+    work = SpectralProblem(tetrahedron, mu).graph
+    pairs = find_eigenvalues(tetrahedron, mu, 40.0)
+    assert sum(p.multiplicity for p in pairs) >= 3
+    for p in pairs:
+        funcs = eigenfunctions_at(tetrahedron, mu, math.sqrt(p.eigenvalue)).eigenfunctions
+        for f1 in funcs:
+            for f2 in funcs:
+                assert l2_inner(tetrahedron, f1, f2) == l2_inner(work, f1, f2)
+            assert l2_inner(tetrahedron, f1, f1) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValidationError, match="unknown edge"):
+        l2_inner(circle, funcs[0], funcs[0])
+
+
+def test_scan_bases_keep_no_view_of_the_stack():
+    # each level's bases come from one stacked SVD; a cached basis must not
+    # keep that level's whole stack of singular vectors alive
+    graph = builtin_graph("dodecahedron")
+    mu = lebesgue_measure(graph, normalize=True)
+    pairs = find_eigenvalues(graph, mu, 60.0)
+    bases = spectral._problem(graph, mu).bases
+    assert len(bases) == len(pairs) >= 3
+    for basis in bases.values():
+        for v in basis:
+            assert v.base is None or v.base.size <= len(basis) * v.size
 
 
 def test_tetrahedron_spectrum_vs_kernel_oracle(tetrahedron):
