@@ -28,9 +28,8 @@ from .numerics import (
     real_roots_in_intervals, solve_grounded,
 )
 
-# the build-time checks bound |kernel - solver| by these times the total length
-_KERNEL_CHECK_TOL = 1e-9
-_PROFILE_CHECK_TOL = 1e-9
+# the build-time checks bound |kernel - solver| by this times the total length
+_CHECK_TOL = 1e-9
 _J_TOL = 1e-9
 # An edge is a bridge when L - r(u, v) <= _BRIDGE_TOL * L.  The rounding
 # noise there is about 2e-15 L; the smallest gap on a non-bridge edge of the
@@ -85,6 +84,16 @@ def _solved_resistances(kernel, y, points):
     B[nodes[0]] -= 1.0
     V = solve_grounded(Q, B, int(Q.diagonal().argmax()))
     return V[nodes[1:], col] - V[nodes[0]]
+
+
+def _check_against_solver(what, graph, places, direct, fitted):
+    """Raise unless each |fitted - direct| / total length is at most _CHECK_TOL."""
+    ell = total_length(graph)
+    for place, d, f in zip(places, direct, fitted):
+        err = abs(d - f) / ell
+        if not err <= _CHECK_TOL:
+            raise NumericError(f"resistance {what} mismatch on {place}: "
+                               f"|{what} - solver| / total length = {err:.3e}")
 
 
 def effective_resistance(graph, x, y):
@@ -420,15 +429,9 @@ class ResistanceKernel:
         y = g.point(edges[0].id, 0.7182818284 * edges[0].length)
         checked = [edges[k] for k in sorted({0, len(edges) // 2, len(edges) - 1})]
         points = [g.point(e.id, 0.3183098861 * e.length) for e in checked]
-        direct = _solved_resistances(self, y, points)
-        ell = total_length(g)
-        for e, p, d in zip(checked, points, direct):
-            err = abs(d - self.point_eval(p, y)) / ell
-            if not err <= _KERNEL_CHECK_TOL:
-                raise NumericError(
-                    f"resistance kernel mismatch on ({e.id},{edges[0].id}): "
-                    f"|kernel - solver| / total length = {err:.3e}"
-                )
+        _check_against_solver("kernel", g, [f"({e.id},{edges[0].id})" for e in checked],
+                              _solved_resistances(self, y, points),
+                              [self.point_eval(p, y) for p in points])
 
 
 def resistance_kernel(graph):
@@ -459,17 +462,10 @@ class ResistanceProfile:
         one point per edge."""
         edges = self.graph.edges
         points = [self.graph.point(e.id, 0.3183098861 * e.length) for e in edges]
-        direct = _solved_resistances(resistance_kernel(self.graph), self.y, points)
         offsets = np.array([p.offset for p in points])
-        fitted = self.polys.values_at(np.arange(len(edges)), offsets)
-        ell = total_length(self.graph)
-        for e, d, f in zip(edges, direct, np.real(fitted)):
-            err = abs(d - f) / ell
-            if not err <= _PROFILE_CHECK_TOL:
-                raise NumericError(
-                    f"resistance profile mismatch on edge {e.id}: "
-                    f"|profile - solver| / total length = {err:.3e}"
-                )
+        _check_against_solver("profile", self.graph, [f"edge {e.id}" for e in edges],
+                              _solved_resistances(resistance_kernel(self.graph), self.y, points),
+                              np.real(self.polys.values_at(np.arange(len(edges)), offsets)))
 
 
 def resistance_profile(graph, y):

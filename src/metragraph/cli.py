@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .circuit import effective_resistance, j_function
 from .graph_core import (
     PointOnGraph,
     ValidationError,
@@ -43,7 +44,7 @@ from .measure import (
     resolve_measure,
 )
 from .numerics import NumericError
-from .spectral import eigenfunctions_at, find_eigenvalues
+from .spectral import eigenfunctions_at, find_eigenvalues, rayleigh_quotient
 
 TABLE_GRAPHS = (
     "k33", "k5", "petersen", "tetrahedron",
@@ -99,8 +100,7 @@ def _display(pairs):
     return ", ".join(f"{p.eigenvalue:.2f}({p.multiplicity})" for p in pairs)
 
 
-def cmd_info(args):
-    g = _load_graph_arg(args.graph)
+def cmd_info(args, g, _mu):
     payload = {
         "vertices": list(g.vertices),
         "edges": [
@@ -114,24 +114,18 @@ def cmd_info(args):
     return payload, ["edge", "u", "v", "length"], rows
 
 
-def cmd_resistance(args):
-    g = _load_graph_arg(args.graph)
+def cmd_resistance(args, g, _mu):
     x = parse_point(g, args.x)
     y = parse_point(g, args.y)
-    from .circuit import effective_resistance
-
     r = effective_resistance(g, x, y)
     payload = {"x": format_point(g, x), "y": format_point(g, y), "resistance": r}
     return payload, ["x", "y", "resistance"], [[args.x, args.y, r]]
 
 
-def cmd_jfun(args):
-    g = _load_graph_arg(args.graph)
+def cmd_jfun(args, g, _mu):
     zeta = parse_point(g, args.zeta)
     x = parse_point(g, args.x)
     y = parse_point(g, args.y)
-    from .circuit import j_function
-
     val = j_function(g, zeta, y, x)
     payload = {
         "zeta": format_point(g, zeta),
@@ -142,9 +136,7 @@ def cmd_jfun(args):
     return payload, ["zeta", "x", "y", "j"], [[args.zeta, args.x, args.y, val]]
 
 
-def cmd_green(args):
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
+def cmd_green(args, g, mu):
     ev = build_green(g, mu)
     x = parse_point(g, args.x)
     y = parse_point(g, args.y)
@@ -158,8 +150,7 @@ def cmd_green(args):
     return payload, ["x", "y", "green"], [[args.x, args.y, val]]
 
 
-def cmd_canonical_measure(args):
-    g = _load_graph_arg(args.graph)
+def cmd_canonical_measure(args, g, _mu):
     mu = canonical_measure(g)
     mass, variation, atoms = measure_summary(mu)
     payload = measure_to_json(mu)
@@ -173,15 +164,12 @@ def cmd_canonical_measure(args):
     return payload, ["kind", "location", "value"], rows
 
 
-def cmd_tau(args):
-    g = _load_graph_arg(args.graph)
+def cmd_tau(args, g, _mu):
     t = tau_constant(g)
     return {"tau": t}, ["tau"], [[t]]
 
 
-def cmd_eigen(args):
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
+def cmd_eigen(args, g, mu):
     pairs = _eigen_pairs(g, mu, args)
     payload = {
         "measure": args.measure,
@@ -211,11 +199,9 @@ def _coefficient_rows(f):
     return sorted(rows, key=lambda row: (row["edge"], row.get("start", 0.0)))
 
 
-def cmd_eigenfunctions(args):
+def cmd_eigenfunctions(args, g, mu):
     if args.samples_per_edge < 0:
         raise ValidationError("--samples-per-edge must be nonnegative")
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
     ids = np.repeat([e.id for e in g.edges], args.samples_per_edge).tolist()
     t = np.linspace(0.0, g.edge_arrays[1], args.samples_per_edge, axis=1).ravel()
     entries, rows, index = [], [], 0
@@ -236,18 +222,14 @@ def cmd_eigenfunctions(args):
     return payload, ["index", "lambda", "edge", "offset", "value"], rows
 
 
-def cmd_trace(args):
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
+def cmd_trace(args, g, mu):
     t = trace_of_phi(build_green(g, mu))
     return {"measure": args.measure, "trace": t}, ["trace"], [[t]]
 
 
-def cmd_trace_compare(args):
-    g = _load_graph_arg(args.graph)
-    mu1 = resolve_measure(g, args.measure)
+def cmd_trace_compare(args, g, mu):
     mu2 = resolve_measure(g, args.measure2)
-    lhs, rhs = trace_comparison(g, mu1, mu2)
+    lhs, rhs = trace_comparison(g, mu, mu2)
     payload = {
         "measure": args.measure,
         "measure2": args.measure2,
@@ -270,11 +252,9 @@ def _sample_grid(g, npts):
     return ids, rows, (j + 0.5) * L[rows] / k[rows]
 
 
-def cmd_mercer_check(args):
+def cmd_mercer_check(args, g, mu):
     if args.grid_points < 1:
         raise ValidationError("--grid-points must be positive")
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
     pairs = _eigen_pairs(g, mu, args)
     ev = build_green(g, mu)
     ids, k, t = _sample_grid(g, args.grid_points)
@@ -302,9 +282,7 @@ def cmd_mercer_check(args):
     return payload, ["lambda", "functions", "sup_error"], rows
 
 
-def cmd_energy(args):
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
+def cmd_energy(args, g, mu):
     ev = build_green(g, mu)
     nu = resolve_measure(g, args.nu)
     omega = resolve_measure(g, args.omega if args.omega else args.nu)
@@ -317,9 +295,7 @@ def cmd_energy(args):
     return payload, ["energy_real", "energy_imag"], [[val.real, val.imag]]
 
 
-def cmd_disc_sum(args):
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
+def cmd_disc_sum(args, g, mu):
     ev = build_green(g, mu)
     pts = [parse_point(g, tok) for tok in args.points.split(",") if tok]
     report = dataclasses.asdict(discriminant_sum(ev, pts))
@@ -337,17 +313,13 @@ def _load_trial(graph, path):
     return CPAFunction(graph, data.get("vertex_values", {}), interior or None)
 
 
-def cmd_rayleigh(args):
-    g = _load_graph_arg(args.graph)
-    mu = resolve_measure(g, args.measure)
+def cmd_rayleigh(args, g, mu):
     trial = _load_trial(g, args.trial)
-    from .spectral import rayleigh_quotient
-
     q = rayleigh_quotient(g, mu, trial)
     return {"measure": args.measure, "rayleigh": q}, ["rayleigh"], [[q]]
 
 
-def cmd_reproduce_table(args):
+def cmd_reproduce_table(*_):
     rows = []
     for name in TABLE_GRAPHS:
         g = builtin_graph(name)
@@ -490,8 +462,10 @@ def _emit(result, args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        result = args.func(args)
+    try:  # the inputs that build_parser declares, read once for every command
+        g = _load_graph_arg(args.graph) if "graph" in args else None
+        mu = resolve_measure(g, args.measure) if "measure" in args else None
+        result = args.func(args, g, mu)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -54,11 +54,11 @@ def solve_grounded(Q, b, grounded):
     return v
 
 
-def nullspace_basis(M, rank_tol=DEFAULT_RANK_TOL):
+def nullspace_basis(M):
     """Orthonormal basis of the numerical nullspace via SVD.
 
-    Vectors whose singular value is below rank_tol times the largest singular
-    value are kept; a zero matrix yields the full space.  A stack of matrices
+    Vectors whose singular value is below DEFAULT_RANK_TOL times the largest
+    one are kept; a zero matrix yields the full space.  A stack of matrices
     gives the list of their bases, from one stacked SVD; each basis holds a
     copy of its rows, so that none keeps the whole stack of singular vectors.
     """
@@ -66,7 +66,7 @@ def nullspace_basis(M, rank_tol=DEFAULT_RANK_TOL):
     if M.size == 0:  # no rows: every vector is null
         return list(np.eye(M.shape[-1])) if M.ndim == 2 else [list(np.eye(M.shape[-1])) for _ in M]
     _, s, vh = np.linalg.svd(M)
-    bases = [list(vt[[i >= sv.size or not sv[0] or sv[i] < rank_tol * sv[0]
+    bases = [list(vt[[i >= sv.size or not sv[0] or sv[i] < DEFAULT_RANK_TOL * sv[0]
                       for i in range(len(vt))]])
              for sv, vt in zip(s.reshape(-1, s.shape[-1]), vh.reshape(-1, *vh.shape[-2:]))]
     return bases if M.ndim == 3 else bases[0]

@@ -743,8 +743,10 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     (DEFAULT_ROOT_TOL / ell, ell the total length) and the floor (gamma_floor,
     which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / ell) scale
     with ell, and the rank decision has no units, so lambda scales as ell^-2
-    at any length scale.  More roots than fit in MAX_SCAN_WORK raise
-    ValidationError before any bisection.
+    at any length scale.  A positive count at the default floor raises
+    NumericError, since the scan would drop those eigenvalues; a given
+    gamma_floor asks for the window above it.  More roots than fit in
+    MAX_SCAN_WORK raise ValidationError before any bisection.
     Returns Eigenpairs with empty eigenfunction tuples; the problem, its
     count and each root's basis are kept per (graph, mu) (_problem).
 
@@ -760,7 +762,8 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     """
     problem = _problem(graph, mu)
     ell = total_length(problem.graph)
-    if gamma_floor is None:
+    default_floor = gamma_floor is None
+    if default_floor:
         gamma_floor = DEFAULT_GAMMA_FLOOR / ell
     if not gamma_max > gamma_floor:
         raise ValidationError("gamma_max must exceed gamma_floor")
@@ -768,6 +771,9 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
         raise ValidationError("gamma_max and gamma_floor must be finite")
     width = math.pi / (8.0 * ell)
     na, nb = problem.count(np.array([gamma_floor, gamma_max]))
+    if default_floor and na > 0:
+        raise NumericError(f"the eigenvalue count is already {na} at the default "
+                           f"gamma_floor={gamma_floor!r}; the scan would drop them")
     per_root = problem.size ** 3 + 230 * problem.size ** 2 + 80_000
     if (nb - na) * per_root > MAX_SCAN_WORK:
         raise ValidationError(f"{float(nb - na):.6g} eigenvalues lie below gamma_max="

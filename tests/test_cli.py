@@ -235,19 +235,36 @@ def test_exit_codes(capsys, tmp_path):
     assert captured.out == "" and captured.err.startswith("error:")
     assert captured.err.count("\n") == 1, captured.err
 
+    # 1e6 delta_a + (1 - 1e6) delta_b: the count is already 1 at the default
+    # floor, where the scan would drop a root
+    signed = tmp_path / "signed.json"
+    signed.write_text(json.dumps({"atoms": [{"point": "a", "mass": 1e6},
+                                            {"point": "b", "mass": 1.0 - 1e6}]}))
+    assert main(["eigen", "--graph", "builtin:interval", "--measure", str(signed),
+                 "--lambda-max", "900"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "count is already 1" in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
 
 @pytest.mark.parametrize("argv", [
     ["eigenfunctions", "--samples-per-edge", "-1"],
     ["mercer-check", "--grid-points", "-5"],
     ["mercer-check", "--grid-points", "0"],
 ])
-def test_bad_sample_sizes_are_rejected(capsys, argv):
+def test_bad_sample_sizes_are_rejected(capsys, tmp_path, argv):
     # a negative sample count once raised numpy's ValueError, and a grid of
     # -5 points silently ran on one point per edge
     rc = main([*argv, "--graph", "builtin:interval", "--lambda-max", "20"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    # --graph is read before a command checks its options, so a missing
+    # graph file is the error reported
+    rc = main([*argv, "--graph", str(tmp_path / "missing.json"), "--lambda-max", "20"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "missing.json" in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("option", [["--root-tol", "1e-9"], ["--rank-tol", "1e-8"]])

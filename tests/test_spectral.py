@@ -845,6 +845,23 @@ def test_find_eigenvalues_rejects_infinite_bounds(interval):
         find_eigenvalues(interval, dx, 10.0, gamma_floor=-math.inf)
 
 
+def test_a_positive_count_at_the_default_floor_raises(interval):
+    # 1e6 delta_a + (1 - 1e6) delta_b has its first root at gamma of about
+    # 1.0000005e-6, and the count is already 1 at the default floor 1e-6 / ell:
+    # a scan from there dropped that root without a word
+    a = 1e6
+    mu = Measure(interval, [(interval.point_at_vertex("a"), a),
+                            (interval.point_at_vertex("b"), 1.0 - a)])
+    with pytest.raises(NumericError, match=r"count is already 1 at the default "
+                                           r"gamma_floor=1e-06"):
+        find_eigenvalues(interval, mu, 30.0)
+    # a given floor asks for the window above it, even at the default's value
+    assert len(find_eigenvalues(interval, mu, 30.0, gamma_floor=1e-6)) == 8
+    pairs = find_eigenvalues(interval, mu, 30.0, gamma_floor=1e-12)
+    assert len(pairs) == 9
+    assert math.sqrt(pairs[0].eigenvalue) == pytest.approx(1.0000005e-6, rel=1e-7)
+
+
 # ------------------------------------------------------- eigenfunctions
 
 def test_interval_eigenfunction_closed_form(interval):
