@@ -10,7 +10,9 @@ square homogeneous system M(gamma) of size 2m+1; eigenvalues are
 lambda = gamma^2 exactly where M(gamma) is singular, with multiplicity the
 nullspace dimension.  The scan brackets each root with the exact eigenvalue
 count (EigenvalueCount), the inertia of one symmetric bordered matrix of
-size n + m + 1 per gamma, refines it by a secant iteration on M(gamma) and
+size n + 1 per gamma on whole edges (n + m + 1, with every edge cut at
+GOLDEN_CUT, at the rare gamma where an edge lies within POLE_REL relative
+of a Dirichlet pole), refines it by a secant iteration on M(gamma) and
 confirms it by the nullspace dimension of M there, each stage on a stack of
 gammas per call.  Every edge integral at a given gamma (trig moments of
 the densities and of products of edge solutions) comes from one batched
@@ -47,6 +49,11 @@ from .numerics import (
 
 DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
 GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
+# the count cuts the edges at GOLDEN_CUT only at a gamma where some edge has
+# x = gamma L / pi within POLE_REL x of its Dirichlet pole round(x) >= 1;
+# whole edges miscount as far as 3e-9 relative from a pole that carries a
+# root, and agree with the cut edges from 1e-8 (about sqrt(eps)) out
+POLE_REL = 1e-6
 SECANT_MAX_ITER = 100
 _EPS = np.finfo(float).eps
 # per find_eigenvalues call, counted before any bisection: a root of M(gamma)
@@ -409,8 +416,10 @@ class SpectralProblem:
             Lc, Ls = L * cg, L * sg
             D[..., _COS], D[..., _SIN], D[..., _G] = -Ls, Lc, 1.0
             D[..., _GSIN], D[..., _MGCOS] = sg + gL * cg, gL * sg - cg
-            D[..., _H0:_CMOM] = h_features(powers * np.arange(powers.shape[1])) \
-                * (-2.0 / g[..., None])
+            # with at most one power (densities of degree 1 or less), h has no
+            # gamma in it and its block of dM is exactly zero
+            D[..., _H0:_CMOM] = 0.0 if powers.shape[1] <= 1 else \
+                h_features(powers * np.arange(powers.shape[1])) * (-2.0 / g[..., None])
             D[..., _CMOM] = self._d0 * (Lc - sg / g) / g
             D[..., _SMOM] = self._d0 * (Ls - vers / g) / g
             if k.size:
@@ -550,83 +559,126 @@ def eigenfunctions_at(graph, mu, gamma_star):
     return Eigenpair(gamma_star * gamma_star, k, funcs)
 
 
-class EigenvalueCount:
-    """N_mu(gamma), the number of eigenvalues below gamma^2 of a
-    SpectralProblem with multiplicity.
+class _CountPlan:
+    """B(gamma) of EigenvalueCount for one set of pieces: their lengths, end
+    nodes (ends[p] = (u, v)) and densities, and the atom mass at each node.
+    Called at a 1-D array of gammas, it gives their counts, from one stacked
+    eigvalsh of B."""
 
-    Each edge is split at the golden ratio, which changes no eigenvalue and
-    keeps the roots of equilateral graphs (gamma L in pi Z) off the pieces'
-    Dirichlet poles.  The Wittrick-Williams count of the Kirchhoff
-    Laplacian H, zero included, is N_K = sum over pieces of
-    floor(gamma L / pi) + #pos(Lambda), Lambda(gamma) the vertex
-    Dirichlet-to-Neumann matrix; the measure enters through the sign of
-    w = <mu, (H - gamma^2)^-1 mu>: N_mu = N_K - 1 + [w > 0].  A piece with
-    density d, trig moments C, S and s, c = sin, cos(gamma L) adds the end
-    slopes (C - c S / s, S / s) of its Dirichlet solution to f (which
-    starts from the atoms) and the self-energy of d under its Dirichlet
-    Green's function to E, all bounded as gamma -> 0: w = E - f^T Lambda^-1 f.
-    By Haynsworth inertia additivity, #pos(Lambda) + [w > 0] = #pos(B) for
-    B = [[Lambda / gamma, f], [f^T, gamma E]], congruent to [[Lambda, f],
-    [f^T, E]] and free of units.  B's border holds Lambda's near-null constant
-    direction (1^T f is about mu's mass), and the scaling keeps w's eigenvalue
-    clear of rounding near piece poles, so nothing needs deflating.
-    """
-
-    def __init__(self, problem):
-        graph, L, ends = problem.graph, problem._lengths, problem._ends
-        n, m = len(graph.vertices), len(L)
-        cut, mid = GOLDEN_CUT * L, n + np.arange(m)  # the cut of edge k is node n + k
-        # piece 2k runs from u to the cut of edge k, piece 2k + 1 on to v
-        u = np.column_stack((ends[:, 0], mid)).ravel()
-        v = np.column_stack((mid, ends[:, 1])).ravel()
-        N = self._nodes = n + m
+    def __init__(self, lengths, ends, dens, atoms):
+        N, (u, v) = len(atoms), ends.T
+        self.lengths, self.ends, self.dens, self.atoms, self.nodes = lengths, ends, dens, atoms, N
         # B's entries: Lambda / gamma in the first N rows and columns, then the
         # end slopes in row N (eigvalsh reads the lower triangle)
-        rows = np.concatenate((u, v, u, v, np.full(4 * m, N)))
-        self._flat = rows * (N + 1) + np.concatenate((u, v, v, u, u, v))
-        self._lengths = np.column_stack((cut, L - cut)).ravel()
-        dens = np.stack((problem._dens, shift_polys(problem._dens, cut)),
-                        axis=1).reshape(2 * m, -1)
+        rows = np.concatenate((u, v, u, v, np.full(2 * len(lengths), N)))
+        self.flat = rows * (N + 1) + np.concatenate((u, v, v, u, u, v))
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
-        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
-        self._dens = dens[self._poly]
-        if self._poly.size:
-            self._overlap = _overlap(self._dens, self._lengths[self._poly])
-        self._atoms = np.bincount([graph.vertex_index(v) for v in problem._atom_mass],
-                                  list(problem._atom_mass.values()), minlength=N)
+        self.poly, self.d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
+        if self.poly.size:
+            self.overlap = _overlap(dens[self.poly], lengths[self.poly])
 
-    def __call__(self, gamma):
-        """N_mu at gamma, an int; at a 1-D array of gammas, the list of them,
-        from one stacked eigvalsh of B per batch (_batched)."""
-        return _batched(self._counts, gamma, self._nodes + 1)
+    def split(self, cut):
+        """The plan with piece k split at cut times its length, at node N + k:
+        piece 2k runs from u to the cut, piece 2k + 1 on to v."""
+        m, at = len(self.lengths), cut * self.lengths
+        mid = self.nodes + np.arange(m)
+        ends = np.column_stack((self.ends[:, 0], mid, mid, self.ends[:, 1])).reshape(2 * m, 2)
+        dens = np.stack((self.dens, shift_polys(self.dens, at)), axis=1).reshape(2 * m, -1)
+        return _CountPlan(np.column_stack((at, self.lengths - at)).ravel(), ends, dens,
+                          np.pad(self.atoms, (0, m)))
 
-    def _counts(self, gs):
-        g, L, N, B = gs[:, None], self._lengths, self._nodes, len(gs)
+    def __call__(self, gs):
+        g, L, N, B = gs[:, None], self.lengths, self.nodes, len(gs)
         gL = g * L
         sg, cg, half = np.sin(gL), np.cos(gL), 0.5 * gL
-        C, S = self._d0 * sg / g, self._d0 * 2.0 * np.sin(half) ** 2 / g
-        energy = self._d0 ** 2 * (2.0 * np.tan(half) / g - L) / (g * g)
-        if self._poly.size:
+        C, S = self.d0 * sg / g, self.d0 * 2.0 * np.sin(half) ** 2 / g
+        energy = self.d0 ** 2 * (2.0 * np.tan(half) / g - L) / (g * g)
+        if self.poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
-            k = self._poly
-            I = _exp_moments(g, L[k], self._overlap.shape[1] - 1)
-            z = np.sum(self._dens * I[..., :self._dens.shape[1]], axis=-1)
+            k = self.poly
+            I = _exp_moments(g, L[k], self.overlap.shape[1] - 1)
+            z = np.sum(self.dens[k] * I[..., :self.dens.shape[1]], axis=-1)
             C[:, k], S[:, k] = z.real, z.imag
             zz = z * z * (cg[:, k] - 1j * sg[:, k])  # integral of d d cos(g (t + t' - L))
-            energy[:, k] = (zz.real - 2.0 * np.sum(self._overlap * I.real, axis=-1)) \
+            energy[:, k] = (zz.real - 2.0 * np.sum(self.overlap * I.real, axis=-1)) \
                 / (2.0 * g * sg[:, k])
         off = 1.0 / sg  # Lambda / gamma
         diag = -cg * off
         weights = np.concatenate((diag, diag, off, off, C - cg * S * off, S * off), axis=1).ravel()
-        bordered = np.bincount((self._flat + (N + 1) ** 2 * np.arange(B)[:, None]).ravel(),
+        bordered = np.bincount((self.flat + (N + 1) ** 2 * np.arange(B)[:, None]).ravel(),
                                weights, minlength=B * (N + 1) ** 2).reshape(B, N + 1, N + 1)
-        bordered[:, N, :N] += self._atoms
+        bordered[:, N, :N] += self.atoms
         bordered[:, N, N] = gs * energy.sum(axis=1)
         positive = (np.linalg.eigvalsh(bordered, UPLO="L") > 0.0).sum(axis=1)
         # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
         # trig term can exceed int64
         return [int(t) + n - 1 for t, n in zip(np.floor(gL / math.pi).sum(axis=1).tolist(),
                                                positive.tolist())]
+
+
+class EigenvalueCount:
+    """N_mu(gamma), the number of eigenvalues below gamma^2 of a
+    SpectralProblem with multiplicity.
+
+    The Wittrick-Williams count of the Kirchhoff Laplacian H, zero
+    included, is N_K = sum over pieces of floor(gamma L / pi) +
+    #pos(Lambda), for any cut of the edges into pieces, Lambda(gamma) the
+    Dirichlet-to-Neumann matrix on the pieces' end nodes; the measure enters
+    through the sign of w = <mu, (H - gamma^2)^-1 mu>: N_mu = N_K - 1 +
+    [w > 0].  A piece with density d, trig moments C, S and s, c = sin,
+    cos(gamma L) adds the end slopes (C - c S / s, S / s) of its Dirichlet
+    solution to f (which starts from the atoms) and the self-energy of d
+    under its Dirichlet Green's function to E, all bounded as gamma -> 0:
+    w = E - f^T Lambda^-1 f.  By Haynsworth inertia additivity,
+    #pos(Lambda) + [w > 0] = #pos(B) for B = [[Lambda / gamma, f], [f^T,
+    gamma E]], congruent to [[Lambda, f], [f^T, E]] and free of units.  B's
+    border holds Lambda's near-null constant direction (1^T f is about mu's
+    mass), and the scaling keeps w's eigenvalue clear of rounding near piece
+    poles, so nothing needs deflating.
+
+    Near a piece's Dirichlet pole (gamma L = k pi) the count can be off by
+    one: within about 1e-14 relative, where the floor term and sin(gamma L)
+    disagree about which side of the pole gamma is, and, at a pole that
+    carries a root (as the roots of equilateral graphs, gamma L in pi Z, sit
+    on the poles of their edges), as far as 3e-9 out, where the pole entries
+    swamp the eigenvalue of B that crosses zero at the root.  So there are
+    two plans (_CountPlan) with the one formula: whole, whose pieces are the
+    edges, so that B has n + 1 rows, and golden, which splits each edge at
+    GOLDEN_CUT (n + m + 1 rows), whose pieces are off the edges' poles.  A
+    gamma goes through the golden plan, built on first use, only when some
+    edge has x = gamma L / pi within POLE_REL x of a positive integer; every
+    other gamma of a stack goes through the whole plan in one stacked
+    eigvalsh.  Wherever both plans are exact they give the same count.
+    """
+
+    def __init__(self, problem):
+        graph = problem.graph
+        atoms = np.bincount([graph.vertex_index(v) for v in problem._atom_mass],
+                            list(problem._atom_mass.values()), minlength=len(graph.vertices))
+        self.whole = _CountPlan(problem._lengths, problem._ends, problem._dens, atoms)
+
+    @functools.cached_property
+    def golden(self):
+        """The plan with every edge split at GOLDEN_CUT, built on first use."""
+        return self.whole.split(GOLDEN_CUT)
+
+    def __call__(self, gamma):
+        """N_mu at gamma, an int; at a 1-D array of gammas, the list of them,
+        a batch at a time (_batched)."""
+        return _batched(self._counts, gamma, self.whole.nodes + 1)
+
+    def _counts(self, gs):
+        # x within POLE_REL x of round(x) = 0 would need x < POLE_REL x, so
+        # only positive integers, the poles, are caught
+        x = gs[:, None] * (self.whole.lengths / math.pi)
+        near = (np.abs(x - np.round(x)) < POLE_REL * x).any(axis=1)
+        if not near.any():
+            return self.whole(gs)
+        out = np.empty(len(gs), dtype=object)
+        if not near.all():
+            out[~near] = self.whole(gs[~near])
+        out[near] = _batched(self.golden, gs[near], self.golden.nodes + 1)
+        return out.tolist()
 
 
 def _batched(fn, gamma, size):

@@ -752,16 +752,17 @@ def depth_first_eigenvalues(graph, mu, gamma_max):
     return out
 
 
-def deflated_counts(count, gs):
-    """N_mu at each of the 1-D array gs from an EigenvalueCount's arrays, as
-    the count was read before the bordered matrix B: #pos(Lambda) and the
-    sign of w = E - f^T Lambda^-1 f apart, with Lambda's constant direction
+def deflated_counts(plan, gs):
+    """N_mu at each of the 1-D array gs from the arrays of one plan of an
+    EigenvalueCount (its whole or golden pieces), as the count was read
+    before the bordered matrix B: #pos(Lambda) and the sign of
+    w = E - f^T Lambda^-1 f apart, with Lambda's constant direction
     deflated.  x = c 1 + (0, y) and the exact row sums r = Lambda 1 give
     #pos(Lambda) = #pos(Lambda_22) + [sum r - r_2^T Lambda_22^-1 r_2 > 0],
     and w by the same elimination, from one stacked solve against Lambda_22
     with r_2 and f_2 as its two right-hand sides."""
-    g, L, N, B = gs[:, None], count._lengths, count._nodes, len(gs)
-    u, v = np.split(count._flat[:2 * len(L)] // (N + 1), 2)  # each piece's two ends
+    g, L, N, B = gs[:, None], plan.lengths, plan.nodes, len(gs)
+    u, v = plan.ends.T  # each piece's two ends
     flat = np.concatenate((u * N + u, v * N + v, u * N + v, v * N + u))
     gL = g * L
     sg, cg = np.sin(gL), np.cos(gL)
@@ -773,19 +774,19 @@ def deflated_counts(count, gs):
     ends = (np.concatenate((u, v)) + N * np.arange(B)[:, None]).ravel()
     r = np.bincount(ends, np.concatenate((tg, tg), axis=1).ravel(),
                     minlength=B * N).reshape(B, N)
-    C, S = count._d0 * sg / g, count._d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
-    energy = count._d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
-    if count._poly.size:
-        k = count._poly
+    C, S = plan.d0 * sg / g, plan.d0 * 2.0 * np.sin(0.5 * gL) ** 2 / g
+    energy = plan.d0 ** 2 * (2.0 * tg / (g * g) - L) / (g * g)
+    if plan.poly.size:
+        k = plan.poly
         I = _exp_moments(np.repeat(g, k.size), np.tile(L[k], B),
-                         count._overlap.shape[1] - 1).reshape(B, k.size, -1)
-        z = np.sum(count._dens * I[..., :count._dens.shape[1]], axis=-1)
+                         plan.overlap.shape[1] - 1).reshape(B, k.size, -1)
+        z = np.sum(plan.dens[k] * I[..., :plan.dens.shape[1]], axis=-1)
         C[:, k], S[:, k] = z.real, z.imag
         zz = z * z * (cg[:, k] - 1j * sg[:, k])
-        energy[:, k] = (zz.real - 2.0 * np.sum(count._overlap * I.real, axis=-1)) \
+        energy[:, k] = (zz.real - 2.0 * np.sum(plan.overlap * I.real, axis=-1)) \
             / (2.0 * g * sg[:, k])
     slopes = np.concatenate((C - cg * S / sg, S / sg), axis=1)
-    f = count._atoms + np.bincount(ends, slopes.ravel(), minlength=B * N).reshape(B, N)
+    f = plan.atoms + np.bincount(ends, slopes.ravel(), minlength=B * N).reshape(B, N)
     sub = lam[:, 1:, 1:]
     x = np.linalg.solve(sub, np.stack((r[:, 1:], f[:, 1:]), axis=2))
     rs, fs = x[..., :1], x[..., 1:]

@@ -6,6 +6,7 @@ solver chases roots of det M(gamma), the oracle diagonalizes the Green matrix
 of a fine resistor network, and the two must agree.
 """
 
+import copy
 import functools
 import math
 
@@ -340,6 +341,23 @@ def test_derivative_matches_finite_differences(tetrahedron):
             scale = np.max(np.abs(M), axis=1, keepdims=True) \
                 + np.max(np.abs(dM), axis=1, keepdims=True)
             assert np.max(np.abs(dM - want) / scale) <= 1e-8, g
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_constant_densities_write_a_zero_particular_derivative(name):
+    # with at most one power of 1 / gamma^2 in the particular solutions,
+    # _assemble writes their block of dM as zeros; M and dM equal those of the
+    # general matmul path, which one more, all-zero power in the h table forces
+    graph = builtin_graph(name)
+    gammas = np.geomspace(1e-3, 300.0, 57)
+    for mu in (lebesgue_measure(graph), *table_measures(graph)):
+        problem = SpectralProblem(graph, mu)
+        assert problem._hpoly.shape[2] <= 1
+        general = copy.copy(problem)
+        general._hpoly = np.pad(problem._hpoly, ((0, 0), (0, 0), (0, 1)))
+        for got, want in zip(problem._assemble(gammas, derivative=True),
+                             general._assemble(gammas, derivative=True)):
+            assert np.array_equal(got, want)
 
 
 def test_det_vanishes_at_known_roots(interval, circle):
@@ -692,18 +710,20 @@ def test_count_vanishes_near_zero_with_densities(beta, kind):
 ])
 def test_count_equals_deflated_count(name, beta):
     # the inertia of B against the former route, #pos(Lambda) and the sign of
-    # w apart with Lambda's constant direction deflated: 305 gammas with gamma
-    # ell from 1e-7 to 200, and 1e-12 either side of the first two poles of
-    # every piece (nearer than about 1e-13, the former route itself is off by
-    # one at some of them; B's inertia, at fewer)
+    # w apart with Lambda's constant direction deflated: the whole plan at 305
+    # gammas with gamma ell from 1e-7 to 200, and the golden plan 1e-12
+    # either side of the first two poles of every golden piece (nearer than
+    # about 1e-13, the former route itself is off by one at some of them; B's
+    # inertia, at fewer)
     graph = scale_graph(builtin_graph(name), beta)
     ell = total_length(graph)
     for mu in (lebesgue_measure(graph, normalize=True), canonical_measure(graph)):
         count = EigenvalueCount(SpectralProblem(graph, mu))
-        poles = np.outer(math.pi / np.unique(count._lengths), [1.0, 2.0]).ravel()
-        gammas = np.concatenate((np.geomspace(1e-7, 200.0, 305) / ell,
-                                 poles * (1.0 - 1e-12), poles * (1.0 + 1e-12)))
-        assert count(gammas) == oracles.deflated_counts(count, gammas)
+        gammas = np.geomspace(1e-7, 200.0, 305) / ell
+        assert count.whole(gammas) == oracles.deflated_counts(count.whole, gammas)
+        poles = np.outer(math.pi / np.unique(count.golden.lengths), [1.0, 2.0]).ravel()
+        gammas = np.concatenate((poles * (1.0 - 1e-12), poles * (1.0 + 1e-12)))
+        assert count.golden(gammas) == oracles.deflated_counts(count.golden, gammas)
 
 
 def test_roots_on_piece_poles():
@@ -717,6 +737,39 @@ def test_roots_on_piece_poles():
         assert [p.multiplicity for p in pairs] == [2] * 15
         np.testing.assert_allclose([math.sqrt(p.eigenvalue) for p in pairs], want,
                                    rtol=1e-13)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "banana:3"])
+def test_count_is_exact_near_golden_piece_poles(name):
+    # both sides of the first four poles of each golden piece, 1e-12 to 1e-15
+    # relative away, against the count 1e-5 away on the same side; through
+    # the golden plan alone, 93 of these 1,920 points over the ten graphs
+    # were off by one, as the floor term and sin(gamma L) took different
+    # sides of the pole
+    graph = builtin_graph(name)
+    for mu in table_measures(graph):
+        count = SpectralProblem(graph, mu).count
+        poles = np.outer(math.pi / np.unique(count.golden.lengths), np.arange(1, 5)).ravel()
+        for side in (-1.0, 1.0):
+            want = count(poles * (1.0 + side * 1e-5))
+            for rel in (1e-12, 1e-13, 3e-14, 1e-14, 3e-15, 1e-15):
+                assert count(poles * (1.0 + side * rel)) == want, (side, rel)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_count_equals_golden_plan_near_edge_poles_with_roots(name):
+    # the first eight poles of the whole edges that carry a root, 1e-3 to
+    # 1e-12 relative away on both sides: whole edges there are off by one
+    # from about 3e-9 in, so the count must switch to the golden plan first
+    graph = builtin_graph(name)
+    for mu in table_measures(graph):
+        count = SpectralProblem(graph, mu).count
+        poles = np.outer(math.pi / np.unique(count.whole.lengths), np.arange(1, 9)).ravel()
+        rooted = poles[np.greater(count.golden(poles * (1.0 + 1e-12)),
+                                  count.golden(poles * (1.0 - 1e-12)))]
+        assert rooted.size
+        gammas = np.outer(rooted, 1.0 + np.outer([-1.0, 1.0], 10.0 ** -np.arange(3, 13))).ravel()
+        assert count(gammas) == count.golden(gammas)
 
 
 # eigenvalues (lambda, multiplicity) under poly_shaped_measure with gamma ell
@@ -860,6 +913,49 @@ def test_a_positive_count_at_the_default_floor_raises(interval):
     pairs = find_eigenvalues(interval, mu, 30.0, gamma_floor=1e-12)
     assert len(pairs) == 9
     assert math.sqrt(pairs[0].eigenvalue) == pytest.approx(1.0000005e-6, rel=1e-7)
+
+
+# simple eigenvalues below gamma = 30 on the interval with a delta_a +
+# (1 - a) delta_b, from gamma_floor 1e-12, as the golden-cut count alone
+# found them; from the default floor, the first one where |a| < 1e6, and
+# the floor check's error where |a| >= 1e6
+FLOOR_RAISES = "the eigenvalue count is already 1 at the default gamma_floor=1e-06;"
+FIRST_FROM_DEFAULT_FLOOR = {1e2: 0.00010100584992643415, 1e4: 1.000100005832387e-08}
+SIGNED_SPECTRA = {
+    1e2: [0.0001010058499264363, 39.352224491201305, 39.60481272921342, 157.66118318526756,
+          158.16635966129175, 354.92697708804866, 355.68474180208494, 631.1496061995447,
+          632.1599591515931],
+    1e4: [1.0001000058301236e-08, 39.477160914463056, 39.47967431425382, 157.91115702764,
+          157.91618382722152, 355.3019883495317, 355.30952854890404, 631.6496548801383,
+          631.6597084793015],
+    1e6: [1.0000009998747164e-12, 39.47840503798153, 39.47843017073533, 157.91364528467693,
+          157.9136955501845, 355.3057207400872, 355.3057961383486, 631.6546314042124,
+          631.6547319352276],
+    -1e6: [9.999989999325234e-13, 39.4784050379941, 39.47843017072277, 157.91364528470206,
+           157.9136955501594, 355.3057207401249, 355.3057961383109, 631.6546314042625,
+           631.6547319351772],
+    1e7: [1.000000099870889e-14, 39.47841634772032, 39.47841886099457, 157.9136679041555,
+          157.91367293070397, 355.30575466930554, 355.30576220912826, 631.6546766431704,
+          631.6546866962674],
+}
+
+
+@pytest.mark.parametrize("floor", [None, 1e-12], ids=["default-floor", "floor-1e-12"])
+@pytest.mark.parametrize("a", sorted(SIGNED_SPECTRA))
+def test_strongly_signed_measures_keep_their_spectra(interval, a, floor):
+    # near gamma = 1e-6 the whole-edge count is not monotone on these
+    # measures, where the golden-cut one is; the scans are the same
+    mu = Measure(interval, [(interval.point_at_vertex("a"), a),
+                            (interval.point_at_vertex("b"), 1.0 - a)])
+    if floor is None and abs(a) >= 1e6:
+        with pytest.raises(NumericError, match=FLOOR_RAISES):
+            find_eigenvalues(interval, mu, 30.0)
+        return
+    want = SIGNED_SPECTRA[a].copy()
+    if floor is None:
+        want[0] = FIRST_FROM_DEFAULT_FLOOR[a]
+    pairs = find_eigenvalues(interval, mu, 30.0, gamma_floor=floor)
+    assert_spectrum(pairs, [(lam, 1) for lam in want], rel=1e-13)
 
 
 # ------------------------------------------------------- eigenfunctions
