@@ -8,17 +8,21 @@ solution.  Continuity at each vertex, one derivative-balance condition per
 vertex, and the vanishing of the integral of f against the measure yield a
 square homogeneous system M(gamma) of size 2m+1; eigenvalues are
 lambda = gamma^2 exactly where M(gamma) is singular, with multiplicity the
-nullspace dimension.  The scan brackets each root with the exact eigenvalue
-count (EigenvalueCount), the inertia of one symmetric bordered matrix of
-size n + 1 per gamma on whole edges (n + m + 1, with every edge cut at
-GOLDEN_CUT, at the rare gamma where an edge lies within POLE_REL relative
-of a Dirichlet pole), refines it by a secant iteration on M(gamma) and
-confirms it by the nullspace dimension of M there, each stage on a stack of
-gammas per call.  Every edge integral at a given gamma (trig moments of
-the densities and of products of edge solutions) comes from one batched
-moment kernel, _exp_moments, called once for all edges: integration by parts
-in closed form where omega*L is large, and otherwise a power series summed
-as each row's real power table x^j / j! times one fixed complex table.
+nullspace dimension.  The scan works on a smaller matrix of the same
+problem: the exact eigenvalue count (EigenvalueCount) is the inertia of one
+symmetric bordered matrix B(gamma) of size n + 1 on whole edges (n + m + 1,
+with every edge cut at GOLDEN_CUT, near a Dirichlet pole of an edge), which
+is singular exactly where M is.  The scan brackets each root with the
+count, refines it by a secant iteration on the eigenvalues of the scaled B
+that cross zero there, and confirms its multiplicity by as many of them
+vanishing, each stage on a stack of gammas per call (_bracket).  M serves
+assemble_characteristic_matrix, characteristic_det and the eigenfunctions,
+whose nullspace bases are taken for all of a scan's roots in one stacked
+call.  Every edge integral at a given gamma (trig moments of the densities
+and of products of edge solutions) comes from one batched moment kernel,
+_exp_moments, called once for all edges: integration by parts in closed
+form where omega*L is large, and otherwise a power series summed as each
+row's real power table x^j / j! times one fixed complex table.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ from .numerics import (
 )
 
 DEFAULT_GAMMA_FLOOR = 1e-6  # in units of 1 / total length
+# the count's entries 1 / sin(gamma L) overflow near gamma L = 5.6e-309 (and
+# a node's sum of them sooner): a floor below MIN_GAMMA_L over the shortest
+# golden piece is refused
+MIN_GAMMA_L = 1e-300
 GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 # the count cuts the edges at GOLDEN_CUT only at a gamma where some edge has
 # x = gamma L / pi within POLE_REL x of its Dirichlet pole round(x) >= 1;
@@ -56,12 +64,12 @@ GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 POLE_REL = 1e-6
 SECANT_MAX_ITER = 100
 _EPS = np.finfo(float).eps
-# per find_eigenvalues call, counted before any bisection: a root of M(gamma)
-# of size s costs s^3 + 230 s^2 + 8e4 units, about 2.6 ns each on a 2-core
-# x86 host (fitted on the interval and random cubic graphs, m = 30 to 300)
+# per find_eigenvalues call, counted before any bisection: a root of B(gamma)
+# of size s = n + 1 costs s^3 + 230 s^2 + 8e4 units, 1.3 to 3.5 ns each on a
+# 2-core x86 host (the interval, and random cubic graphs with m = 30 to 300)
 MAX_SCAN_WORK = 4e9  # about 10 s
-# a stacked count or secant step takes at most MAX_BATCH gammas, fewer when
-# their stack of matrices would exceed MAX_STACK_ENTRIES, so memory stays flat
+# a stacked read of B or M takes at most MAX_BATCH gammas, fewer when their
+# stack of matrices would exceed MAX_STACK_ENTRIES, so memory stays flat
 MAX_BATCH = 64
 MAX_STACK_ENTRIES = 1 << 18
 
@@ -250,8 +258,9 @@ class SpectralProblem:
     Interior atoms force subdivisions so that every atom of the working
     measure sits at a vertex; the unknown vector is ordered
     (A_1, B_1, ..., A_m, B_m, C) following the working graph's edge order.
-    bases keeps find_eigenvalues' nullspace bases by root, and count its
-    EigenvalueCount.
+    roots keeps the multiplicity of each root that find_eigenvalues found,
+    bases the nullspace bases that eigenfunctions_at took there, and count
+    the EigenvalueCount.
     """
 
     def __init__(self, graph, mu):
@@ -268,7 +277,7 @@ class SpectralProblem:
             measure = remap_measure(measure, work, remap)
         self.graph = work
         self.mu = measure
-        self.bases = {}
+        self.roots, self.bases = {}, {}
         self.edges = work.edges
         self._row, self._lengths, self._ends = work.edge_arrays
         self.size = 2 * len(self.edges) + 1
@@ -377,10 +386,9 @@ class SpectralProblem:
         self._feat = feats[keep]
         self._coef = np.repeat(coef, keep.sum(axis=1))
 
-    def _assemble(self, gamma, derivative=False):
-        """Raw M(gamma), or (M, dM/dgamma) through the same plan: cos -> -L sin,
-        s^j -> -2j s^j / gamma, and polynomial moments from those of t * p.
-        A 1-D array of gammas gives stacks, one matrix per gamma."""
+    def _assemble(self, gamma):
+        """Raw M(gamma); a 1-D array of gammas gives a stack, one matrix per
+        gamma."""
         gs = np.asarray(gamma, dtype=float)
         if (gs <= 0).any():
             raise ValidationError("gamma must be positive")
@@ -388,51 +396,30 @@ class SpectralProblem:
         L, B, m = self._lengths, g.shape[0], len(self._lengths)
         gL = g * L
         cg, sg = np.cos(gL), np.sin(gL)
-        vers = 2.0 * np.sin(0.5 * gL) ** 2  # 1 - cos, stable at small gamma*L
-        # the feature rows of M (and of dM): the global ones, then F (and D),
-        # _EDGE_FEATURES per edge, as views
-        feats = np.empty((1 + derivative, B, 2 + _EDGE_FEATURES * m))
-        edge = feats[..., 2:].reshape(-1, B, m, _EDGE_FEATURES)
-        F, D = edge[0], edge[-1]
+        # the feature rows of M: the global ones, then F, _EDGE_FEATURES per
+        # edge, as a view
+        feats = np.empty((B, 2 + _EDGE_FEATURES * m))
+        F = feats[:, 2:].reshape(B, m, _EDGE_FEATURES)
         g2 = g * g
-        feats[0, :, _ONE], feats[0, :, _G2] = 1.0, g2[:, 0]
+        feats[:, _ONE], feats[:, _G2] = 1.0, g2[:, 0]
         F[..., _COS], F[..., _SIN], F[..., _G] = cg, sg, g
         F[..., _GSIN], F[..., _MGCOS] = g * sg, -g * cg
         powers = (1.0 / g2) ** np.arange(self._hpoly.shape[2])
-
-        def h_features(weights):  # _hpoly against each gamma's row of weights
-            return (self._hpoly @ weights[:, None, :, None])[..., 0]
-
-        F[..., _H0:_CMOM] = h_features(powers)
+        F[..., _H0:_CMOM] = (self._hpoly @ powers[:, None, :, None])[..., 0]
         F[..., _CMOM] = self._d0 * sg / g
-        F[..., _SMOM] = self._d0 * vers / g
+        F[..., _SMOM] = self._d0 * (2.0 * np.sin(0.5 * gL) ** 2) / g  # 1 - cos, stable
         k = self._poly
-        if k.size:  # moments of p and of t * p from one call
+        if k.size:
             I = _exp_moments(g, L[k], self._dens.shape[1])
             z = np.sum(self._dens[k] * I[..., :-1], axis=-1)
             F[:, k, _CMOM], F[:, k, _SMOM] = z.real, z.imag
-        if derivative:
-            feats[1, :, _ONE], feats[1, :, _G2] = 0.0, 2.0 * g[:, 0]
-            Lc, Ls = L * cg, L * sg
-            D[..., _COS], D[..., _SIN], D[..., _G] = -Ls, Lc, 1.0
-            D[..., _GSIN], D[..., _MGCOS] = sg + gL * cg, gL * sg - cg
-            # with at most one power (densities of degree 1 or less), h has no
-            # gamma in it and its block of dM is exactly zero
-            D[..., _H0:_CMOM] = 0.0 if powers.shape[1] <= 1 else \
-                h_features(powers * np.arange(powers.shape[1])) * (-2.0 / g[..., None])
-            D[..., _CMOM] = self._d0 * (Lc - sg / g) / g
-            D[..., _SMOM] = self._d0 * (Ls - vers / g) / g
-            if k.size:
-                z = np.sum(self._dens[k] * I[..., 1:], axis=-1)
-                D[:, k, _CMOM], D[:, k, _SMOM] = -z.imag, z.real
-        # a stack of M, and of dM, from one bincount each, which sums each
-        # matrix's entries in plan order; the two share one index array
+        # a stack of M from one bincount, which sums each matrix's entries in
+        # plan order
         N = self.size
         index = (self._flat + N * N * np.arange(B)[:, None]).ravel()
-        weights = self._coef * feats.reshape(-1, feats.shape[-1]).take(self._feat, axis=1)
-        out = [np.bincount(index, w, minlength=B * N * N).reshape(B, N, N)[() if gs.ndim else 0]
-               for w in weights.reshape(len(feats), -1)]
-        return tuple(out) if derivative else out[0]
+        weights = (self._coef * feats.take(self._feat, axis=1)).ravel()
+        out = np.bincount(index, weights, minlength=B * N * N).reshape(B, N, N)
+        return out if gs.ndim else out[0]
 
     def solution(self, gamma, vec, h=None):
         """EdgeBasisSolution from one coefficient vector (and the table of
@@ -524,22 +511,31 @@ def l2_inner(graph, f1, f2):
 def eigenfunctions_at(graph, mu, gamma_star):
     """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
 
-    Problem and, at a root it returned (sqrt(eigenvalue) is that root
-    exactly), nullspace basis are find_eigenvalues' own for (graph, mu).
-    The nullspace basis is combined through the inverse square root of the
-    exact L2 Gram matrix of its solutions, so the returned eigenfunctions
-    are orthonormal.  A simple eigenfunction is sign-fixed by
-    its largest coefficient; a multiple eigenspace gets the one orthonormal
-    basis whose pairing with a fixed generic probe of coefficient space is
-    symmetric positive definite, whatever basis the SVD returned.
+    The problem is find_eigenvalues' own for (graph, mu).  At a root it
+    returned (sqrt(eigenvalue) is that root exactly), the first call takes
+    the nullspace bases of M at all the roots found so far from one stacked
+    call and keeps them; a basis whose dimension is not the root's
+    multiplicity raises NumericError.  The nullspace basis is combined
+    through the inverse square root of the exact L2 Gram matrix of its
+    solutions, so the returned eigenfunctions are orthonormal.  A simple
+    eigenfunction is sign-fixed by its largest coefficient; a multiple
+    eigenspace gets the one orthonormal basis whose pairing with a fixed
+    generic probe of coefficient space is symmetric positive definite,
+    whatever basis the SVD returned.
     """
     problem = _problem(graph, mu)
+    if gamma_star in problem.roots and gamma_star not in problem.bases:
+        todo = [g for g in problem.roots if g not in problem.bases]
+        problem.bases.update(zip(todo, problem.nullspace(np.array(todo))))
     basis = problem.bases.get(gamma_star) or problem.nullspace(gamma_star)
     if not basis:
         raise NumericError(f"no nullspace at gamma={gamma_star!r}; "
                            "the candidate root is discarded")
-    h = problem.particulars(gamma_star)
     k = len(basis)
+    if k != problem.roots.get(gamma_star, k):
+        raise NumericError(f"the nullspace of M at gamma={gamma_star!r} has dimension {k}, "
+                           f"but the eigenvalue count rises by {problem.roots[gamma_star]}")
+    h = problem.particulars(gamma_star)
     w, U = np.linalg.eigh(problem._gram(gamma_star, basis, h), UPLO="U")
     if w[0] <= 1e-12 * w[-1]:
         raise NumericError("degenerate Gram matrix in eigenspace orthonormalization")
@@ -559,23 +555,83 @@ def eigenfunctions_at(graph, mu, gamma_star):
     return Eigenpair(gamma_star * gamma_star, k, funcs)
 
 
+def _energy_series(dens):
+    """e[p, n], with E = L^3 sum_n (gamma L)^(2n) e[p, n] the self-energy of
+    the piece whose density is dens[p] in s = t / L on [0, 1]: -U_n'' =
+    U_(n-1) from U_(-1) = d, U_n(0) = U_n(1) = 0, and e_n the integral of
+    d U_n.  Eight terms reach 1e-18 relative where gamma L < 0.1."""
+    U, terms = dens, []
+    for _ in range(8):
+        U = -U / ((np.arange(U.shape[1]) + 1.0) * (np.arange(U.shape[1]) + 2.0))
+        U = np.concatenate((np.zeros((len(U), 1)), -U.sum(axis=1, keepdims=True), U), axis=1)
+        prod = polymul_rows(dens, U)
+        terms.append((prod / np.arange(1.0, prod.shape[1] + 1.0)).sum(axis=1))
+    return np.array(terms).T
+
+
+@functools.cache
+def _unit_energy_series():
+    """_energy_series of the density 1, read-only."""
+    series = _energy_series(np.ones((1, 1)))[0]
+    series.flags.writeable = False
+    return series
+
+
+def _equilibrate(B):
+    """D of a stack of symmetric B from two sweeps of symmetric row-max
+    equilibration, (row max |B|)^(-1/2) and again on D B D; a zero row
+    keeps 1."""
+    A = np.abs(B)
+    top = A.max(axis=2)
+    first = 1.0 / np.sqrt(np.where(top > 0.0, top, 1.0))
+    top = (A * first[:, None, :]).max(axis=2) * first
+    return first / np.sqrt(np.where(top > 0.0, top, 1.0))
+
+
 class _CountPlan:
     """B(gamma) of EigenvalueCount for one set of pieces: their lengths, end
     nodes (ends[p] = (u, v)) and densities, and the atom mass at each node.
-    Called at a 1-D array of gammas, it gives their counts, from one stacked
-    eigvalsh of B."""
+    Called at a 1-D array of gammas, it gives their counts; read gives the
+    eigenvalues of the scaled B from which they come, from one stacked
+    eigvalsh.
+
+    B is written in the split basis, where node 0's row and column stand for
+    the constant vector: the other nodes' rows keep Lambda / gamma and the
+    end slopes, node 0's holds the row sums sum_{p at v} tan(gamma L_p / 2)
+    and, in the corner, 2 sum_p tan(gamma L_p / 2), and the border's first
+    entry is the total mass f^T 1 = sum of the atoms + sum_p (C_p + S_p
+    tan(gamma L_p / 2)).  No entry is a difference that cancels."""
 
     def __init__(self, lengths, ends, dens, atoms):
-        N, (u, v) = len(atoms), ends.T
+        N, m, (u, v) = len(atoms), len(lengths), ends.T
         self.lengths, self.ends, self.dens, self.atoms, self.nodes = lengths, ends, dens, atoms, N
-        # B's entries: Lambda / gamma in the first N rows and columns, then the
-        # end slopes in row N (eigvalsh reads the lower triangle)
-        rows = np.concatenate((u, v, u, v, np.full(2 * len(lengths), N)))
-        self.flat = rows * (N + 1) + np.concatenate((u, v, v, u, u, v))
+        # B's entries in both triangles, by kind of weight (see matrices): the
+        # diagonal and off-diagonal Lambda / gamma and the slopes at u and v
+        # on the other nodes, then node 0's row sums, corner (each piece
+        # twice) and mass
+        at, zero = np.full(m, N), np.zeros(m, dtype=np.intp)
+        rows = np.concatenate((u, v, u, v, at, u, at, v, u, zero, v, zero, zero, zero, at, zero))
+        cols = np.concatenate((u, v, v, u, u, at, v, at, zero, u, zero, v, zero, zero, zero, at))
+        kind = np.repeat([0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5], m)
+        corner = (np.arange(16 * m) >= 12 * m) & (kind == 4)
+        keep = np.where(kind < 4, (rows != 0) & (cols != 0), corner | (rows + cols != 0))
+        self.flat = (rows * (N + 1) + cols)[keep]
+        self.take = (kind * m + np.tile(np.arange(m), 16))[keep]
+        # the atoms, on the border of the split basis
+        self.fixed = np.zeros((N + 1, N + 1))
+        self.fixed[N, 1:N] = self.fixed[1:N, N] = atoms[1:]
+        self.fixed[N, 0] = self.fixed[0, N] = atoms.sum()
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
         self.poly, self.d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
         if self.poly.size:
             self.overlap = _overlap(dens[self.poly], lengths[self.poly])
+        # each piece's self-energy where gamma L < 0.1 (_energy_series)
+        L = lengths[:, None]
+        self.series = self.d0[:, None] ** 2 * _unit_energy_series()
+        if self.poly.size:
+            k = self.poly
+            self.series[k] = _energy_series(dens[k] * L[k] ** np.arange(dens.shape[1]))
+        self.series *= L ** 3
 
     def split(self, cut):
         """The plan with piece k split at cut times its length, at node N + k:
@@ -587,33 +643,77 @@ class _CountPlan:
         return _CountPlan(np.column_stack((at, self.lengths - at)).ravel(), ends, dens,
                           np.pad(self.atoms, (0, m)))
 
-    def __call__(self, gs):
+    def matrices(self, gs):
+        """The split B at each gamma of gs, stacked, and the trig term
+        sum_p floor(gamma L_p / pi) of the count at each."""
         g, L, N, B = gs[:, None], self.lengths, self.nodes, len(gs)
         gL = g * L
         sg, cg, half = np.sin(gL), np.cos(gL), 0.5 * gL
-        C, S = self.d0 * sg / g, self.d0 * 2.0 * np.sin(half) ** 2 / g
-        energy = self.d0 ** 2 * (2.0 * np.tan(half) / g - L) / (g * g)
+        tan = np.tan(half)
+        off = 1.0 / sg  # Lambda / gamma
+        # a constant density's slopes at both ends: (C - c S / s, S / s)
+        # with C = d sin / g and S = C tan(gamma L / 2)
+        su = sv = self.d0 * tan / g
+        mass = su + sv
+        # E = d^2 (2 tan(gamma L / 2) / gamma - L) / gamma^2 for a constant d
+        energy = self.d0 ** 2 * L ** 3 / 4.0 * ((tan / half - 1.0) / half / half)
         if self.poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
             k = self.poly
             I = _exp_moments(g, L[k], self.overlap.shape[1] - 1)
             z = np.sum(self.dens[k] * I[..., :self.dens.shape[1]], axis=-1)
-            C[:, k], S[:, k] = z.real, z.imag
+            C, S = z.real, z.imag
+            su, sv, mass = su.copy(), sv.copy(), mass.copy()
+            su[:, k], sv[:, k] = C - cg[:, k] * S * off[:, k], S * off[:, k]
+            mass[:, k] = C + S * tan[:, k]
             zz = z * z * (cg[:, k] - 1j * sg[:, k])  # integral of d d cos(g (t + t' - L))
             energy[:, k] = (zz.real - 2.0 * np.sum(self.overlap * I.real, axis=-1)) \
-                / (2.0 * g * sg[:, k])
-        off = 1.0 / sg  # Lambda / gamma
-        diag = -cg * off
-        weights = np.concatenate((diag, diag, off, off, C - cg * S * off, S * off), axis=1).ravel()
+                / np.where(gL[:, k] < 0.1, 1.0, 2.0 * g * sg[:, k])
+        small = gL < 0.1  # where the differences above cancel
+        if small.any():
+            x2, near = gL * gL, self.series[:, -1]
+            for column in self.series.T[-2::-1]:
+                near = near * x2 + column
+            energy = np.where(small, near, energy)
+        weights = np.concatenate((-cg * off, off, su, sv, tan, mass), axis=1)
         bordered = np.bincount((self.flat + (N + 1) ** 2 * np.arange(B)[:, None]).ravel(),
-                               weights, minlength=B * (N + 1) ** 2).reshape(B, N + 1, N + 1)
-        bordered[:, N, :N] += self.atoms
+                               weights[:, self.take].ravel(),
+                               minlength=B * (N + 1) ** 2).reshape(B, N + 1, N + 1)
+        bordered += self.fixed
         bordered[:, N, N] = gs * energy.sum(axis=1)
-        positive = (np.linalg.eigvalsh(bordered, UPLO="L") > 0.0).sum(axis=1)
-        # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
-        # trig term can exceed int64
-        return [int(t) + n - 1 for t, n in zip(np.floor(gL / math.pi).sum(axis=1).tolist(),
-                                               positive.tolist())]
+        return bordered, np.floor(gL / math.pi).sum(axis=1)
+
+    def read(self, gs, scales=None):
+        """(w, D, trig) at each gamma of gs: w the eigenvalues, ascending, of
+        D B D, and trig the count's trig term.  D is given, one row per
+        gamma, or else, for a row of nan or with no rows given, the gamma's
+        own (_equilibrate)."""
+        B, trig = self.matrices(gs)
+        if scales is None:
+            scales = _equilibrate(B)
+        elif np.isnan(scales[:, 0]).any():
+            own = np.isnan(scales[:, 0])
+            scales = scales.copy()
+            scales[own] = _equilibrate(B[own])
+        B *= scales[:, :, None]
+        B *= scales[:, None, :]
+        return np.linalg.eigvalsh(B, UPLO="L"), scales, trig
+
+    def readings(self, gs, *scales):
+        """(count, plan, w, D, trig) at each gamma of the 1-D array gs, from
+        read (with the given rows of D, if any), a batch at a time
+        (_batched)."""
+        def batch(gs, *scales):
+            w, D, trig = self.read(gs, *scales)
+            # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
+            # trig term can exceed int64
+            pos = (w > 0.0).sum(axis=1).tolist()
+            return [(int(t) + n - 1, self, wi, Di, t)
+                    for t, n, wi, Di in zip(trig.tolist(), pos, w, D)]
+        return _batched(batch, gs, self.nodes + 1, *scales)
+
+    def __call__(self, gs):
+        return [r[0] for r in self.readings(gs)]
 
 
 class EigenvalueCount:
@@ -631,10 +731,15 @@ class EigenvalueCount:
     under its Dirichlet Green's function to E, all bounded as gamma -> 0:
     w = E - f^T Lambda^-1 f.  By Haynsworth inertia additivity,
     #pos(Lambda) + [w > 0] = #pos(B) for B = [[Lambda / gamma, f], [f^T,
-    gamma E]], congruent to [[Lambda, f], [f^T, E]] and free of units.  B's
-    border holds Lambda's near-null constant direction (1^T f is about mu's
-    mass), and the scaling keeps w's eigenvalue clear of rounding near piece
-    poles, so nothing needs deflating.
+    gamma E]], congruent to [[Lambda, f], [f^T, E]] and free of units.  B is
+    written in the split basis of _CountPlan, a unimodular congruence that
+    keeps the inertia: Lambda's near-null constant direction, of size gamma
+    ell against entries of size 1 / (gamma L), gets a row of its own,
+    written without cancellation, and the border's first entry is mu's
+    mass.  The inertia is read from D B D, D from two sweeps of row-max
+    equilibration (_equilibrate), so that the eigenvalue which crosses zero
+    at a root stays clear of rounding even beside atoms of mass 1e9 or at
+    gamma ell = 1e-200.
 
     Near a piece's Dirichlet pole (gamma L = k pi) the count can be off by
     one: within about 1e-14 relative, where the floor term and sin(gamma L)
@@ -663,77 +768,71 @@ class EigenvalueCount:
         return self.whole.split(GOLDEN_CUT)
 
     def __call__(self, gamma):
-        """N_mu at gamma, an int; at a 1-D array of gammas, the list of them,
-        a batch at a time (_batched)."""
-        return _batched(self._counts, gamma, self.whole.nodes + 1)
+        """N_mu at gamma, an int; at a 1-D array of gammas, the list of them."""
+        out = [r[0] for r in self.readings(np.atleast_1d(np.asarray(gamma, dtype=float)))]
+        return out if np.ndim(gamma) else out[0]
 
-    def _counts(self, gs):
+    def plans(self, gs):
+        """The plan that the count takes at each gamma of the 1-D array gs."""
         # x within POLE_REL x of round(x) = 0 would need x < POLE_REL x, so
         # only positive integers, the poles, are caught
         x = gs[:, None] * (self.whole.lengths / math.pi)
         near = (np.abs(x - np.round(x)) < POLE_REL * x).any(axis=1)
-        if not near.any():
-            return self.whole(gs)
-        out = np.empty(len(gs), dtype=object)
-        if not near.all():
-            out[~near] = self.whole(gs[~near])
-        out[near] = _batched(self.golden, gs[near], self.golden.nodes + 1)
-        return out.tolist()
+        return [self.golden if n else self.whole for n in near.tolist()]
+
+    def readings(self, gs):
+        """The reading (count, plan, w, D, trig) of _CountPlan.readings at each
+        gamma of the 1-D array gs, each on the plan that the count takes there:
+        one stacked call per plan (_read_at)."""
+        return _read_at([(plan, g, None) for plan, g in zip(self.plans(gs), gs.tolist())])
 
 
-def _batched(fn, gamma, size):
-    """fn, which maps a 1-D array of gammas to a list, at a scalar (its one
-    value) or a 1-D array (one list), in batches of at most MAX_BATCH gammas
-    whose size x size matrices hold at most MAX_STACK_ENTRIES entries (one
-    matrix at least)."""
+def _batched(fn, gamma, size, *rows):
+    """fn, which maps a 1-D array of gammas (and the matching slices of the
+    arrays rows, one row per gamma) to a list, at a scalar (its one value) or
+    a 1-D array (one list), in batches of at most MAX_BATCH gammas whose
+    size x size matrices hold at most MAX_STACK_ENTRIES entries (one matrix
+    at least)."""
     gs = np.asarray(gamma, dtype=float)
     if (gs <= 0).any():
         raise ValidationError("gamma must be positive")
     flat = np.atleast_1d(gs)
     step = max(1, min(MAX_BATCH, MAX_STACK_ENTRIES // (size * size)))
-    out = [v for i in range(0, flat.size, step) for v in fn(flat[i:i + step])]
+    out = [v for i in range(0, flat.size, step)
+           for v in fn(flat[i:i + step], *(r[i:i + step] for r in rows))]
     return out if gs.ndim else out[0]
 
 
-def _solve_traces(A, B):
-    """tr(A_i^-1 B_i) per stacked pair; inf where A_i is singular to working
-    precision, found by halving the stack that failed as a whole."""
-    try:
-        return np.linalg.solve(A, B).trace(axis1=1, axis2=2)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.array([math.inf])
-        h = len(A) // 2
-        return np.concatenate((_solve_traces(A[:h], B[:h]), _solve_traces(A[h:], B[h:])))
+def _near_pole(lengths, a, b):
+    """Whether a piece of the given lengths has a Dirichlet pole (gamma L =
+    k pi, k >= 1) within POLE_REL of [a, b], inside it included."""
+    first = np.maximum(np.ceil(a * (1.0 - POLE_REL) * lengths / math.pi), 1.0)
+    return bool((np.floor(b * (1.0 + POLE_REL) * lengths / math.pi) >= first).any())
 
 
-def _newton_ratio(problem, gamma):
-    """u = 1 / (d/dgamma log det M) = 1 / tr(M^-1 M'), about (gamma - root) / k
-    near a root of multiplicity k; equilibrating rows keeps the trace.  0 where
-    M is singular to working precision (a root).  A float at a scalar gamma,
-    a list at a 1-D array, from one stacked assembly and solve per batch
-    (_batched)."""
-    def ratios(gs):
-        M, dM = problem._assemble(gs, derivative=True)
-        M, scales = equilibrate_rows(M)
-        dM /= scales[..., None]  # in place: the stacks are the step's largest arrays
-        trace = _solve_traces(M, dM)
-        with np.errstate(divide="ignore"):
-            return np.where(trace == 0.0, math.inf, 1.0 / trace).tolist()
-    return _batched(ratios, gamma, problem.size)
+def _crossing(reading, top, k):
+    """The k eigenvalues of a reading's w that cross zero in a bracket whose
+    count rises by k to top at its right end: below them lie the N - top +
+    trig negative ones that do not cross (a pole inside the bracket adds one
+    at -inf), N + 1 the size of B."""
+    _, plan, w, _, trig = reading
+    lo = min(max(plan.nodes - top + int(trig), 0), len(w) - k)
+    return w[lo:lo + k]
 
 
 def _refine_root(a, b, tol):
-    """Zero of u(gamma) = _newton_ratio in [a, b] by a bracketed secant
-    iteration, as a generator: it yields the tuple of gammas whose u it needs
-    next, is sent their values as a tuple, and returns the root (None unless
-    u goes from negative at a to positive at b).
+    """Zero of u(gamma) in [a, b] by a bracketed secant iteration, as a
+    generator: it yields the tuple of gammas whose u it needs next, is sent
+    their values as a tuple, and returns the root (None unless u goes from
+    negative at a to positive at b).
 
     Secant steps that leave the bracket or fail to halve the step before last
     fall back to bisection.  Once a step is below tol + 8 eps gamma, or a
     proposal lies within 8 eps gamma of the last iterate (a root, where
     bisection only shrinks a one-sided bracket), the next proposal is
-    returned inside [a, b].
+    returned inside [a, b], or the last iterate if the proposal is farther
+    from it than the last step (u's rounding noise, not its slope, drove it;
+    it is nan where the last two values of u are equal).
     """
     ua, ub = yield a, b
     if not ua < 0.0 < ub:
@@ -743,7 +842,7 @@ def _refine_root(a, b, tol):
     for _ in range(SECANT_MAX_ITER):
         x = x1 - u1 * (x1 - x0) / (u1 - u0) if u1 != u0 else math.nan
         if converged or abs(x - x1) <= 8.0 * _EPS * x1:
-            return min(max(x, a), b) if u1 != u0 else x1
+            return min(max(x, a), b) if abs(x - x1) <= steps[-1] else x1
         if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
             x = 0.5 * (a + b)
         (ux,) = yield (x,)
@@ -756,29 +855,87 @@ def _refine_root(a, b, tol):
     return x1
 
 
-def _refine_roots(problem, memo, brackets):
-    """_refine_root on every (a, b) of brackets in lockstep, to a step of
-    DEFAULT_ROOT_TOL / total length: each step asks _newton_ratio once for
-    all the gammas that the pending iterations need and memo, the scan's
-    dict gamma -> u, does not hold yet."""
-    tol = DEFAULT_ROOT_TOL / total_length(problem.graph)
-    runs = [_refine_root(a, b, tol) for a, b in brackets]
-    asks = [next(run) for run in runs]
-    roots = [None] * len(runs)
-    pending = list(range(len(runs)))
-    while pending:
-        need = list(dict.fromkeys(x for i in pending for x in asks[i] if x not in memo))
-        if need:
-            memo.update(zip(need, _newton_ratio(problem, np.array(need))))
-        waiting = []
-        for i in pending:
+def _read_at(asks):
+    """The reading at each (plan, gamma, D) of asks, D a row of scales or
+    None for the gamma's own, and plan an EigenvalueCount for the plan that
+    it takes at gamma: one stacked call per plan."""
+    counted = [n for n, ask in enumerate(asks) if isinstance(ask[0], EigenvalueCount)]
+    if counted:
+        asks = list(asks)
+        plans = asks[counted[0]][0].plans(np.array([asks[n][1] for n in counted]))
+        for n, plan in zip(counted, plans):
+            asks[n] = (plan, *asks[n][1:])
+    by_plan = {}
+    for n, ask in enumerate(asks):
+        by_plan.setdefault(ask[0], []).append(n)
+    out = [None] * len(asks)
+    for plan, ns in by_plan.items():
+        rows = [asks[n][2] for n in ns]
+        scales = () if all(r is None for r in rows) else \
+            (np.array([np.full(plan.nodes + 1, np.nan) if r is None else r for r in rows]),)
+        for n, r in zip(ns, plan.readings(np.array([asks[n][1] for n in ns]), *scales)):
+            out[n] = r
+    return out
+
+
+def _bracket(count, a, ra, b, rb, width, tol):
+    """The scan's work on one bracket [a, b] where the count rises by k, ra
+    and rb its readings at the ends, as a generator: it yields lists of asks
+    (plan, gamma, D) for _read_at, is sent their readings, and returns
+    (root, k, children).
+
+    A bracket at most width wide is refined by _refine_root on u, the mean
+    of the k eigenvalues of D B D that cross zero in it (_crossing), on one
+    plan, whole unless an edge pole lies within POLE_REL of the bracket.  D
+    is that of the plan's B at b, so that u is smooth even where Lambda
+    vanishes identically (the circle at gamma ell = 2 pi k); u(a), which
+    only steers the first secant step, keeps a's own D.  A bracket wider
+    than a factor 2, which starts below gamma ell = pi / 8, gives each gamma
+    its own D instead: there B's rows scale with gamma, and a fixed D would
+    lose a root of 1e-7 / ell to rounding.
+
+    The root stands if exactly k eigenvalues of B at the last gamma read are
+    at most DEFAULT_RANK_TOL of the largest, and, for k > 1 where the k
+    straddle zero there, the count DEFAULT_ROOT_TOL relative either side of
+    it is that of a and of b: so close roots, 1e-10 relative apart beside
+    atoms of 1e9, are not taken for one multiple root.  If the root fails at
+    float resolution, NumericError.  Any other bracket is split at its
+    midpoint, into the children where the count rises."""
+    top, k = rb[0], rb[0] - ra[0]
+    if b - a <= width:
+        plan = count.golden if _near_pole(count.whole.lengths, a, b) else count.whole
+        known = {x: r for x, r in ((a, ra), (b, rb)) if r[1] is plan}
+        fresh = [x for x in (a, b) if x not in known]
+        if fresh:
+            known.update(zip(fresh, (yield [(plan, x, None) for x in fresh])))
+        scales = None if b > 2.0 * a else known[b][3]
+        run = _refine_root(a, b, tol)
+        ask = next(run)
+        while True:
+            need = [x for x in ask if x not in known]
+            if need:
+                known.update(zip(need, (yield [(plan, x, scales) for x in need])))
+            last = known[ask[-1]]
             try:
-                asks[i] = runs[i].send(tuple(memo[x] for x in asks[i]))
-                waiting.append(i)
+                ask = run.send(tuple(float(_crossing(known[x], top, k).sum()) / k for x in ask))
             except StopIteration as done:
-                roots[i] = done.value
-        pending = waiting
-    return roots
+                root = done.value
+                break
+        w, crossing = np.abs(last[2]), _crossing(last, top, k)
+        if root is not None and np.count_nonzero(w <= DEFAULT_RANK_TOL * w.max()) == k:
+            if crossing.min() >= 0.0 or crossing.max() <= 0.0:
+                return root, k, ()
+            side = [root * (1.0 - DEFAULT_ROOT_TOL), root * (1.0 + DEFAULT_ROOT_TOL)]
+            if [r[0] for r in (yield [(count, x, None) for x in side])] == [top - k, top]:
+                return root, k, ()
+        if b - a <= 4.0 * _EPS * b:
+            raise NumericError(f"the eigenvalue count rises by {k} in [{a!r}, "
+                               f"{b!r}], but no root there has a nullspace that big")
+    mid = 0.5 * (a + b)
+    rm = (yield [(count, mid, None)])[0]
+    if not ra[0] <= rm[0] <= top:
+        raise NumericError(f"eigenvalue count not monotone near gamma={mid!r}")
+    return None, k, [br for br in ((a, ra, mid, rm), (mid, rm, b, rb)) if br[3][0] > br[1][0]]
 
 
 def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
@@ -787,9 +944,10 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     [gamma_floor, gamma_max] is bisected on the exact count N_mu(gamma)
     (EigenvalueCount) until each bracket where it rises is at most
     pi / (8 * total length) wide, and the root in it is refined by a
-    bracketed secant iteration on u = 1 / tr(M^-1 dM/dgamma), about
-    (gamma - root) / k near a k-fold root.  The multiplicity is the count's
-    jump, which must equal the nullspace dimension of M at the root;
+    bracketed secant iteration on the count's own matrix: the mean of the
+    k eigenvalues of the scaled B that cross zero there, k the count's jump
+    (_bracket).  The multiplicity is that jump, which must equal the number
+    of B's eigenvalues at the root that vanish to DEFAULT_RANK_TOL;
     otherwise (two close roots, say) the bracket is bisected further, and
     NumericError is raised at float resolution.  The secant's stop
     (DEFAULT_ROOT_TOL / ell, ell the total length) and the floor (gamma_floor,
@@ -797,20 +955,19 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     with ell, and the rank decision has no units, so lambda scales as ell^-2
     at any length scale.  A positive count at the default floor raises
     NumericError, since the scan would drop those eigenvalues; a given
-    gamma_floor asks for the window above it.  More roots than fit in
+    gamma_floor asks for the window above it, and one below MIN_GAMMA_L
+    over the shortest golden piece raises ValidationError.  More roots than fit in
     MAX_SCAN_WORK raise ValidationError before any bisection.
     Returns Eigenpairs with empty eigenfunction tuples; the problem, its
-    count and each root's basis are kept per (graph, mu) (_problem).
+    count and each root's multiplicity are kept per (graph, mu) (_problem),
+    for eigenfunctions_at.
 
-    The bracket tree is walked breadth first, one level at a time: the
-    secant iterations of all the level's narrow brackets advance in
-    lockstep, one stacked _newton_ratio call per step, the level's roots are
-    confirmed by one stacked nullspace call, and the count is taken at the
-    midpoints of all brackets still to be split in one stacked call; stacks
-    are split as _batched says.  The brackets, iterates and
-    roots are those of a depth-first walk, but when several brackets fail, the
-    NumericError raised is the first of the lowest failing level, which need
-    not be the one a depth-first walk meets first.
+    The brackets are worked in lockstep: at each step, every bracket's
+    pending reads of B, counts at midpoints, secant steps and root checks
+    alike, go into one stacked call per plan, split as _batched says.  The
+    brackets, iterates and roots are those of a depth-first walk, but when
+    several brackets fail, the NumericError raised is the first to fail in
+    that lockstep, which need not be the one a depth-first walk meets first.
     """
     problem = _problem(graph, mu)
     ell = total_length(problem.graph)
@@ -821,46 +978,41 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
         raise ValidationError("gamma_max must exceed gamma_floor")
     if not (math.isfinite(gamma_max) and math.isfinite(gamma_floor)):
         raise ValidationError("gamma_max and gamma_floor must be finite")
-    width = math.pi / (8.0 * ell)
-    na, nb = problem.count(np.array([gamma_floor, gamma_max]))
+    count = problem.count
+    shortest = min(GOLDEN_CUT, 1.0 - GOLDEN_CUT) * float(count.whole.lengths.min())
+    smallest = MIN_GAMMA_L / shortest
+    if gamma_floor < smallest:
+        raise ValidationError(f"gamma_floor must be at least {smallest!r}, where the "
+                              "eigenvalue count's entries stay finite")
+    bottom, top = count.readings(np.array([gamma_floor, gamma_max]))
+    na, nb = bottom[0], top[0]
     if default_floor and na > 0:
         raise NumericError(f"the eigenvalue count is already {na} at the default "
                            f"gamma_floor={gamma_floor!r}; the scan would drop them")
-    per_root = problem.size ** 3 + 230 * problem.size ** 2 + 80_000
+    size = count.whole.nodes + 1
+    per_root = size ** 3 + 230 * size ** 2 + 80_000
     if (nb - na) * per_root > MAX_SCAN_WORK:
         raise ValidationError(f"{float(nb - na):.6g} eigenvalues lie below gamma_max="
                               f"{gamma_max!r}, more than the {int(MAX_SCAN_WORK // per_root)} "
-                              f"one call finds at matrix size {problem.size}")
-    out, memo = [], {}
-    level = [(gamma_floor, na, gamma_max, nb)] if nb > na else []
-    while level:  # brackets in ascending order, each with a rise of the count
-        narrow = [(a, b) for a, _, b, _ in level if b - a <= width]
-        roots = _refine_roots(problem, memo, narrow)
-        found = [root for root in roots if root is not None]
-        bases = iter(problem.nullspace(np.array(found)) if found else ())
-        roots = iter(roots)
-        split = []
-        for a, na, b, nb in level:
-            jump = nb - na
-            root = next(roots) if b - a <= width else None
-            if root is not None:
-                basis = next(bases)
-                if len(basis) == jump:
-                    problem.bases[root] = basis
-                    out.append(Eigenpair(root * root, jump))
-                    continue
-            if b - a <= 4.0 * _EPS * b:
-                raise NumericError(f"the eigenvalue count rises by {jump} in [{a!r}, "
-                                   f"{b!r}], but no root there has a nullspace that big")
-            split.append((a, na, b, nb))
-        if not split:
-            break
-        mids = [0.5 * (a + b) for a, _, b, _ in split]
-        level = []
-        for (a, na, b, nb), mid, nm in zip(split, mids, problem.count(np.array(mids))):
-            if not na <= nm <= nb:
-                raise NumericError(f"eigenvalue count not monotone near gamma={mid!r}")
-            level += [br for br in ((a, na, mid, nm), (mid, nm, b, nb)) if br[3] > br[1]]
+                              f"one call finds at matrix size {size}")
+    width, tol, out = math.pi / (8.0 * ell), DEFAULT_ROOT_TOL / ell, []
+    runs = [_bracket(count, gamma_floor, bottom, gamma_max, top, width, tol)] if nb > na else []
+    asks = [next(run) for run in runs]
+    while runs:
+        got = iter(_read_at([ask for batch in asks for ask in batch]))
+        active = []
+        for run, batch in zip(runs, asks):
+            try:
+                active.append((run, run.send([next(got) for _ in batch])))
+            except StopIteration as done:
+                root, k, children = done.value
+                if root is not None:
+                    problem.roots[root] = k
+                    out.append(Eigenpair(root * root, k))
+                for child in children:
+                    run = _bracket(count, *child, width, tol)
+                    active.append((run, next(run)))
+        runs, asks = [run for run, _ in active], [batch for _, batch in active]
     return sorted(out, key=lambda pair: pair.eigenvalue)
 
 

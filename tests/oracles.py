@@ -10,11 +10,12 @@ comparisons are genuine two-route checks.  The one exception,
 scan_spectrum, scans the package's compiled M(gamma) (itself checked
 against secular_matrix) with a plain grid, brentq and minimization, as a
 second route to the eigenvalue count.  depth_first_eigenvalues, the scan's
-former depth-first walk, also calls the package's count, secant ratio and
-nullspace, one gamma at a time, to check the level-by-level walk that
-replaced it.  piecewise_extremes and piecewise_abs_integral are the former
-per-piece loops of the piecewise-polynomial class, one numpy polyroots per
-piece, that the array passes of circuit.EdgeTable replaced.
+former depth-first walk, also calls the package's count, its plans and the
+crossing eigenvalues that the secant follows, one gamma at a time, to check
+the lockstep walk that replaced it.  piecewise_extremes and
+piecewise_abs_integral are the former per-piece loops of the
+piecewise-polynomial class, one numpy polyroots per piece, that the array
+passes of circuit.EdgeTable replaced.
 solution_value, mercer_sum and vertex_residuals read an EdgeBasisSolution's
 arrays one point at a time: the PointRemap chain walked point by point and
 the scalar per-edge formula, the former per-point paths of the solution's
@@ -30,9 +31,10 @@ form replaced.  table_values, table_integrals and table_integrate are the
 former raw-array reads of circuit.EdgeTable (coefficient powers plus the
 kinks left of each point, and closed kink tail forms), that the reads
 through the table's pieces replaced, evaluated at 40 digits with mpmath
-and rounded once.  deflated_counts is the eigenvalue count as it was read
-before the bordered matrix B, #pos(Lambda) and the sign of w apart with a
-deflating solve.  compiled_plan is the former loop of
+and rounded once.  atom_count is the eigenvalue count of an atom-only
+measure at 60 digits, from its definition.  deflated_counts is the
+eigenvalue count as it was read before the bordered matrix B, #pos(Lambda)
+and the sign of w apart with a deflating solve.  compiled_plan is the former loop of
 SpectralProblem._compile, one put per incidence, that its array passes over
 the edge arrays replaced.  path_distance, dirichlet_inner, sup_norm and cpa_hat are
 helpers that only the tests read.
@@ -51,12 +53,12 @@ from scipy.optimize import brentq, minimize_scalar
 
 from metragraph.graph_core import PointOnGraph, subdivide_at, total_length
 from metragraph.measure import CPAFunction
-from metragraph.numerics import DEFAULT_ROOT_TOL, polyder_rows
+from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, polyder_rows
 from metragraph.green import GreenEvaluator
 from metragraph import spectral
 from metragraph.spectral import (
     DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _exp_moments,
-    _newton_ratio, _pair_form, _problem, _row_lengths,
+    _crossing, _near_pole, _pair_form, _problem, _row_lengths,
 )
 
 
@@ -708,7 +710,7 @@ def refine_root(ratio, a, b, root_tol):
     for _ in range(SECANT_MAX_ITER):
         x = x1 - u1 * (x1 - x0) / (u1 - u0) if u1 != u0 else math.nan
         if converged or abs(x - x1) <= 8.0 * np.finfo(float).eps * x1:
-            return min(max(x, a), b) if u1 != u0 else x1
+            return min(max(x, a), b) if abs(x - x1) <= steps[-1] else x1
         if not (a < x < b and abs(x - x1) <= 0.5 * steps[-2]):
             x = 0.5 * (a + b)
         ux = ratio(x)
@@ -721,34 +723,65 @@ def refine_root(ratio, a, b, root_tol):
     return x1
 
 
+def refine_bracket(count, a, ra, b, rb, root_tol):
+    """The root in the bracket [a, b] (ra and rb the count's readings at its
+    ends) by find_eigenvalues' route, one gamma at a time: the secant on the
+    mean of the crossing eigenvalues of D B D, on the golden plan if an edge
+    pole is within POLE_REL of the bracket, with D from that plan's B at b
+    (a and b with their own, and every gamma where b > 2a); then kept only
+    if exactly k eigenvalues vanish to DEFAULT_RANK_TOL at the last gamma
+    read and, where the k straddle zero there, the count DEFAULT_ROOT_TOL
+    either side of the root is that of a and of b."""
+    top, k = rb[0], rb[0] - ra[0]
+    plan = count.golden if _near_pole(count.whole.lengths, a, b) else count.whole
+    scales = () if b > 2.0 * a else (plan.readings(np.array([b]))[0][3][None],)
+    last = []
+
+    def ratio(gamma):
+        last.append(plan.readings(np.array([gamma]), *(() if gamma in (a, b) else scales))[0])
+        return float(_crossing(last[-1], top, k).sum()) / k
+
+    root = refine_root(ratio, a, b, root_tol)
+    w, crossing = np.abs(last[-1][2]), _crossing(last[-1], top, k)
+    if root is None or np.count_nonzero(w <= DEFAULT_RANK_TOL * w.max()) != k:
+        return None
+    if crossing.min() >= 0.0 or crossing.max() <= 0.0:
+        return root
+    side = np.array([root * (1.0 - DEFAULT_ROOT_TOL), root * (1.0 + DEFAULT_ROOT_TOL)])
+    return root if [r[0] for r in count.readings(side)] == [ra[0], top] else None
+
+
 def depth_first_eigenvalues(graph, mu, gamma_max):
     """(eigenvalue, multiplicity) pairs of find_eigenvalues at its default
     floor and tolerances, by the depth-first walk of the bracket tree it once
-    made on a fresh SpectralProblem: one count per midpoint and one memoized
-    secant ratio per gamma, each a scalar call."""
+    made on a fresh SpectralProblem: one count reading per midpoint and
+    refine_bracket per narrow bracket, each a scalar call."""
     problem = SpectralProblem(graph, mu)
     ell = total_length(problem.graph)
     width = math.pi / (8.0 * ell)
-    ratio = functools.cache(functools.partial(_newton_ratio, problem))
     count = EigenvalueCount(problem)
+
+    def reading(gamma):
+        return count.readings(np.array([gamma]))[0]
+
     gamma_floor = DEFAULT_GAMMA_FLOOR / ell
     out = []
-    stack = [(gamma_floor, count(gamma_floor), gamma_max, count(gamma_max))]
+    stack = [(gamma_floor, reading(gamma_floor), gamma_max, reading(gamma_max))]
     while stack:  # left half on top: roots come out ascending
-        a, na, b, nb = stack.pop()
-        jump = nb - na
+        a, ra, b, rb = stack.pop()
+        jump = rb[0] - ra[0]
         if jump == 0:
             continue
         if b - a <= width:
-            root = refine_root(ratio, a, b, DEFAULT_ROOT_TOL / ell)
-            if root is not None and len(problem.nullspace(root)) == jump:
+            root = refine_bracket(count, a, ra, b, rb, DEFAULT_ROOT_TOL / ell)
+            if root is not None:
                 out.append((root * root, jump))
                 continue
+            assert b - a > 4.0 * np.finfo(float).eps * b, "no root at float resolution"
         mid = 0.5 * (a + b)
-        assert b - a > 4.0 * np.finfo(float).eps * b, "no root at float resolution"
-        nm = count(mid)
-        assert na <= nm <= nb, "count not monotone"
-        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
+        rm = reading(mid)
+        assert ra[0] <= rm[0] <= rb[0], "count not monotone"
+        stack += [(mid, rm, b, rb), (a, ra, mid, rm)]
     return out
 
 
@@ -797,6 +830,31 @@ def deflated_counts(plan, gs):
         + (schur > 0.0) - 1 + (w > 0.0)
     return [int(t) + n for t, n in zip(np.sum(np.floor(gL / math.pi), axis=1).tolist(),
                                        rest.tolist())]
+
+
+def atom_count(graph, masses, gamma, digits=60):
+    """N_mu(gamma) at `digits` digits for an atom-only measure (masses: vertex
+    -> mass), from the definition the package's count rests on: sum_e
+    floor(gamma L_e / pi) + #pos(B) - 1 with B = [[Lambda / gamma, f], [f^T,
+    0]] on the vertices, Lambda the Dirichlet-to-Neumann matrix of the whole
+    edges and f the atoms, B's inertia from mpmath's symmetric eigensolver,
+    with gamma and the lengths read exactly from their floats."""
+    with mpmath.workdps(digits):
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        n, g = len(index), mpmath.mpf(gamma)
+        B = mpmath.zeros(n + 1, n + 1)
+        trig = 0
+        for e in graph.edges:
+            x = g * mpmath.mpf(e.length)
+            u, v = index[e.u], index[e.v]
+            B[u, u] -= mpmath.cot(x)
+            B[v, v] -= mpmath.cot(x)
+            B[u, v] += 1 / mpmath.sin(x)
+            B[v, u] += 1 / mpmath.sin(x)
+            trig += int(mpmath.floor(x / mpmath.pi))
+        for vertex, mass in masses.items():
+            B[n, index[vertex]] = B[index[vertex], n] = mpmath.mpf(mass)
+        return trig + sum(1 for lam in mpmath.eigsy(B, eigvals_only=True) if lam > 0) - 1
 
 
 def _roots_in(coeffs, a, b, tol=1e-12):

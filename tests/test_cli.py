@@ -224,22 +224,30 @@ def test_exit_codes(capsys, tmp_path):
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
 
-    # a linear-algebra failure is a numeric failure too: at gamma ell = 1e-200
-    # the count's energy term is 0 / 0 (its RuntimeWarning is not the point
-    # here), and eigvalsh then fails to converge
+    # tiny floors: the count's entries stay representable down to gamma ell
+    # = 1e-200, and the scan prints the bytes it prints from 1e-12, with no
+    # RuntimeWarning on the way
+    argv = ["eigen", "--graph", "builtin:tetrahedron", "--lambda-max", "2000", "--gamma-floor"]
+    assert main([*argv, "1e-12"]) == 0
+    want = capsys.readouterr().out
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["eigen", "--graph", "builtin:tetrahedron", "--lambda-max", "2000",
-                     "--gamma-floor", "1e-200"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1, captured.err
+        warnings.simplefilter("error")
+        for floor in ("1e-100", "1e-160", "1e-200"):
+            assert main([*argv, floor]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == want and captured.err == "", floor
+        # below MIN_GAMMA_L over the shortest piece (1e-300 over 0.382 / 6,
+        # 1.57e-299 here), the floor is refused with the limit named
+        assert main([*argv, "1e-320"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma_floor must be at least 1.57" in captured.err
+        assert captured.err.count("\n") == 1, captured.err
 
-    # 1e6 delta_a + (1 - 1e6) delta_b: the count is already 1 at the default
+    # 1e7 delta_a + (1 - 1e7) delta_b: the count is already 1 at the default
     # floor, where the scan would drop a root
     signed = tmp_path / "signed.json"
-    signed.write_text(json.dumps({"atoms": [{"point": "a", "mass": 1e6},
-                                            {"point": "b", "mass": 1.0 - 1e6}]}))
+    signed.write_text(json.dumps({"atoms": [{"point": "a", "mass": 1e7},
+                                            {"point": "b", "mass": 1.0 - 1e7}]}))
     assert main(["eigen", "--graph", "builtin:interval", "--measure", str(signed),
                  "--lambda-max", "900"]) == 4
     captured = capsys.readouterr()

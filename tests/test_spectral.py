@@ -41,6 +41,7 @@ from metragraph import (
     rayleigh_quotient,
     scale_graph,
     total_length,
+    trace_of_phi,
 )
 from metragraph.cli import TABLE_GAMMA_MAX
 from metragraph.numerics import DEFAULT_RANK_TOL
@@ -318,46 +319,21 @@ def test_compiled_plan_matches_loop_atoms_polynomials_and_signs(tetrahedron):
         assert_plan_matches_loop(SpectralProblem(graph, poly_shaped_measure(graph)))
 
 
-def test_derivative_matches_finite_differences(tetrahedron):
-    # dM/dgamma against a Richardson-extrapolated central difference, under
-    # dx, the canonical measure and a measure with an atom and polynomials
-    e = tetrahedron.edges
-    densities = {e[1].id: [0.5, 1.0], e[2].id: [1.0, -2.0, 3.0], e[3].id: [0.7]}
-    interior = (tetrahedron.point(e[0].id, 0.3 * e[0].length), 0.4)
-    rest = Measure(tetrahedron, [interior], densities).total_mass()
-    corner = (tetrahedron.point_at_vertex(tetrahedron.vertices[0]), 1.0 - rest)
-    for mu in (lebesgue_measure(tetrahedron), canonical_measure(tetrahedron),
-               Measure(tetrahedron, [interior, corner], densities)):
-        problem = SpectralProblem(tetrahedron, mu)
-        for g in REFERENCE_GAMMAS:
-            M, dM = problem._assemble(g, derivative=True)
-            assert np.array_equal(M, problem._assemble(g))
-
-            def central(h):
-                return (problem._assemble(g + h) - problem._assemble(g - h)) / (2 * h)
-
-            h = 1e-3 * g
-            want = (4.0 * central(0.5 * h) - central(h)) / 3.0
-            scale = np.max(np.abs(M), axis=1, keepdims=True) \
-                + np.max(np.abs(dM), axis=1, keepdims=True)
-            assert np.max(np.abs(dM - want) / scale) <= 1e-8, g
-
-
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_constant_densities_write_a_zero_particular_derivative(name):
-    # with at most one power of 1 / gamma^2 in the particular solutions,
-    # _assemble writes their block of dM as zeros; M and dM equal those of the
-    # general matmul path, which one more, all-zero power in the h table forces
+    # with at most one power of 1 / gamma^2 in the particular solutions, h is
+    # constant on each edge: its derivative entries h'(0) and -h'(L) in M's
+    # derivative rows are zeros, and M equals that of the general matmul
+    # path, which one more, all-zero power in the h table forces
     graph = builtin_graph(name)
     gammas = np.geomspace(1e-3, 300.0, 57)
     for mu in (lebesgue_measure(graph), *table_measures(graph)):
         problem = SpectralProblem(graph, mu)
         assert problem._hpoly.shape[2] <= 1
+        assert not problem._hpoly[:, 2:4].any()
         general = copy.copy(problem)
         general._hpoly = np.pad(problem._hpoly, ((0, 0), (0, 0), (0, 1)))
-        for got, want in zip(problem._assemble(gammas, derivative=True),
-                             general._assemble(gammas, derivative=True)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(problem._assemble(gammas), general._assemble(gammas))
 
 
 def test_det_vanishes_at_known_roots(interval, circle):
@@ -484,31 +460,39 @@ def table_measures(graph):
 
 
 def test_refinement_evaluation_count(monkeypatch):
-    # gammas evaluated, and the stacked calls that evaluate them, over the 16
-    # scans behind reproduce-table: derivative assemblies (the refinement's
-    # only M(gamma) evaluations) and eigenvalue counts
-    ratio_batches, count_batches = [], []
-    assemble, count = SpectralProblem._assemble, EigenvalueCount.__call__
+    # gammas read, and the stacked reads of B that read them, over the 16
+    # scans behind reproduce-table: the secant's reads, and the counts (at
+    # the ends, at the midpoints and beside multiple roots), which share the
+    # stacks; the former route's bounds were 500 secant gammas in 130 stacks
+    # and 1000 counts in 160
+    secant, counts, stacks = [], [], []
+    read_at, readings, read = spectral._read_at, EigenvalueCount.readings, spectral._CountPlan.read
 
-    def counting(self, gamma, derivative=False):
-        if derivative:
-            ratio_batches.append(np.size(gamma))
-        return assemble(self, gamma, derivative)
+    def counting(asks):
+        counted = sum(isinstance(ask[0], EigenvalueCount) for ask in asks)
+        counts.append(counted)
+        secant.append(len(asks) - counted)
+        return read_at(asks)
 
-    def counted(self, gamma):
-        count_batches.append(np.size(gamma))
-        return count(self, gamma)
+    def ends(self, gs):  # the count at the floor and at gamma_max
+        counts.append(len(gs))
+        secant.append(-len(gs))
+        return readings(self, gs)
 
-    monkeypatch.setattr(SpectralProblem, "_assemble", counting)
-    monkeypatch.setattr(EigenvalueCount, "__call__", counted)
+    def stacked(self, gs, *scales):
+        stacks.append(len(gs))
+        return read(self, gs, *scales)
+
+    monkeypatch.setattr(spectral, "_read_at", counting)
+    monkeypatch.setattr(EigenvalueCount, "readings", ends)
+    monkeypatch.setattr(spectral._CountPlan, "read", stacked)
     for name in TABLE_GRAPHS:
         graph = builtin_graph(name)
         for mu in table_measures(graph):
             find_eigenvalues(graph, mu, TABLE_GAMMA_MAX)
-    assert sum(ratio_batches) <= 500
-    assert sum(count_batches) <= 1000
-    assert len(ratio_batches) <= 130
-    assert len(count_batches) <= 160
+    assert sum(secant) <= 400
+    assert sum(counts) <= 600
+    assert len(stacks) <= 290
 
 
 def test_count_is_built_once_per_problem(monkeypatch):
@@ -551,7 +535,7 @@ def test_close_pair_of_simple_roots_is_kept():
     assert all(p.multiplicity == 1 for p in pairs)
 
 
-# ------------------------------------------ the level-by-level scan
+# ------------------------------------------------- the lockstep scan
 
 def assert_same_as_depth_first(graph, mu, gamma_max):
     """Eigenvalues bit for bit and multiplicities of the depth-first walk."""
@@ -588,37 +572,40 @@ def test_poly_measure_with_interior_atom_matches_depth_first(name):
 
 
 def test_levels_wider_than_a_batch_match_depth_first(interval, monkeypatch):
-    # the roots n pi below 700: the widest levels hold over 100 brackets
-    sizes, count = [], EigenvalueCount._counts
-    monkeypatch.setattr(EigenvalueCount, "_counts",
-                        lambda self, gs: sizes.append(len(gs)) or count(self, gs))
+    # the roots n pi below 700: the widest steps hold over 100 brackets
+    sizes, read = [], spectral._CountPlan.read
+    monkeypatch.setattr(spectral._CountPlan, "read",
+                        lambda self, gs, *scales: sizes.append(len(gs)) or read(self, gs, *scales))
     got = assert_same_as_depth_first(interval, lebesgue_measure(interval), 700.0)
     assert len(got) == 222
     assert max(sizes) == spectral.MAX_BATCH and sizes.count(spectral.MAX_BATCH) > 1
 
 
 def test_stacks_of_large_matrices_hold_fewer_gammas(monkeypatch):
-    # with room for three 61 x 61 matrices per stack, the dodecahedron's
-    # secant steps take at most three gammas each, to the same roots
+    # with room for three 21 x 21 matrices per stack, the dodecahedron's
+    # stacked reads of B (n + 1 = 21 rows) take at most three gammas each,
+    # to the same roots
     graph = builtin_graph("dodecahedron")
     mu = canonical_measure(graph)
-    monkeypatch.setattr(spectral, "MAX_STACK_ENTRIES", 3 * 61 * 61 + 60)
-    sizes, assemble = [], SpectralProblem._assemble
+    monkeypatch.setattr(spectral, "MAX_STACK_ENTRIES", 3 * 21 * 21 + 20)
+    sizes, read = [], spectral._CountPlan.read
 
-    def counting(self, gamma, derivative=False):
-        sizes.append(np.size(gamma) if derivative else 0)
-        return assemble(self, gamma, derivative)
+    def counting(self, gs, *scales):
+        sizes.append((self.nodes + 1, len(gs)))
+        return read(self, gs, *scales)
 
-    monkeypatch.setattr(SpectralProblem, "_assemble", counting)
-    assert SpectralProblem(graph, mu).size == 61
+    monkeypatch.setattr(spectral._CountPlan, "read", counting)
+    assert SpectralProblem(graph, mu).count.whole.nodes + 1 == 21
     assert_same_as_depth_first(graph, mu, TABLE_GAMMA_MAX)
-    assert max(sizes) == 3
+    assert max(n for size, n in sizes if size == 21) == 3
 
 
 @pytest.mark.parametrize("case", ["table", "paired", "poly"])
 def test_stacked_values_equal_scalar_ones(case):
-    # count and secant ratio at 200 random gammas: one stacked call each
-    # against 200 calls of one gamma, bit for bit
+    # counts at 200 random gammas, and readings of B at 40 of them, each
+    # gamma with its own D, with the D of another gamma, and half of each in
+    # one mixed stack: one stacked call each against calls of one gamma, bit
+    # for bit
     if case == "table":
         pairs = [(g, mu) for g in map(builtin_graph, TABLE_GRAPHS) for mu in table_measures(g)]
     elif case == "paired":
@@ -630,18 +617,25 @@ def test_stacked_values_equal_scalar_ones(case):
     for graph, mu in pairs:
         problem = SpectralProblem(graph, mu)
         gammas = rng.uniform(1e-3, 45.0, 200) / total_length(graph)
-        counts, ratios = problem.count(gammas), spectral._newton_ratio(problem, gammas)
+        counts = problem.count(gammas)
         assert counts == [problem.count(float(g)) for g in gammas]
-        assert ratios == [spectral._newton_ratio(problem, float(g)) for g in gammas]
-        assert all(type(c) is int for c in counts) and all(type(u) is float for u in ratios)
-
-
-def test_singular_member_of_a_stack():
-    # an exactly singular matrix fails the stacked solve; its trace alone is
-    # inf, so its secant ratio is 0, as at a root
-    A = np.stack([2.0 * np.eye(3), np.diag([1.0, 0.0, 1.0]), np.eye(3)])
-    B = np.stack([np.eye(3), np.eye(3), np.diag([1.0, 2.0, 3.0])])
-    assert spectral._solve_traces(A, B).tolist() == [1.5, math.inf, 6.0]
+        assert all(type(c) is int for c in counts)
+        gammas = gammas[:40]
+        for plan in (problem.count.whole, problem.count.golden):
+            own = plan.readings(gammas)
+            given = np.array([r[3] for r in own[::-1]])
+            mixed = given.copy()
+            mixed[::2] = np.nan
+            for scales in ((), (given,), (mixed,)):
+                stacked = plan.readings(gammas, *scales)
+                for i, (g, r) in enumerate(zip(gammas, stacked)):
+                    alone = plan.readings(np.array([g]), *(row[i:i + 1] for row in scales))[0]
+                    assert r[0] == alone[0] and r[4] == alone[4]
+                    assert np.array_equal(r[2], alone[2]) and np.array_equal(r[3], alone[3])
+                    if scales and not (scales[0] is mixed and i % 2 == 0):
+                        assert np.array_equal(r[3], scales[0][i])
+                    else:
+                        assert np.array_equal(r[3], own[i][3])
 
 
 @pytest.mark.parametrize("kind", ["const", "poly"])
@@ -794,12 +788,47 @@ def test_poly_measure_spectrum_is_unchanged(name):
     assert_spectrum(pairs, POLY_SPECTRA[name], rel=1e-13)
 
 
-def test_count_and_nullspace_disagreeing_raises(monkeypatch, interval):
+def test_a_rank_decision_that_never_agrees_raises(monkeypatch, interval):
+    # with no eigenvalue of B small enough to count, no root is confirmed,
+    # and the bracket of pi is bisected to float resolution
+    monkeypatch.setattr(spectral, "DEFAULT_RANK_TOL", 0.0)
+    with pytest.raises(NumericError, match="count rises by 1"):
+        find_eigenvalues(interval, lebesgue_measure(interval), 4.0)
+
+
+def test_eigenfunctions_at_checks_the_basis_dimension(monkeypatch):
+    # a nullspace of M one vector short of the count's multiplicity raises
+    graph = builtin_graph("tetrahedron")
+    mu = lebesgue_measure(graph, normalize=True)
+    pairs = find_eigenvalues(graph, mu, 19.1)
+    assert [p.multiplicity for p in pairs] == [3, 2]
     nullspace = SpectralProblem.nullspace
     monkeypatch.setattr(SpectralProblem, "nullspace",
                         lambda self, gamma: [basis[:-1] for basis in nullspace(self, gamma)])
-    with pytest.raises(NumericError, match="count rises by 1"):
-        find_eigenvalues(interval, lebesgue_measure(interval), 4.0)
+    with pytest.raises(NumericError, match=r"has dimension 2, but the eigenvalue count "
+                                           r"rises by 3"):
+        eigenfunctions_at(graph, mu, math.sqrt(pairs[0].eigenvalue))
+
+
+def test_one_stacked_nullspace_call_fills_all_bases(monkeypatch):
+    # the first eigenfunctions_at after a scan takes the bases of all its
+    # roots from one stacked call; the rest read them
+    graph = builtin_graph("dodecahedron")
+    mu = lebesgue_measure(graph, normalize=True)
+    calls, nullspace = [], SpectralProblem.nullspace
+
+    def counted(self, gamma):
+        calls.append(np.size(gamma))
+        return nullspace(self, gamma)
+
+    monkeypatch.setattr(SpectralProblem, "nullspace", counted)
+    pairs = find_eigenvalues(graph, mu, 60.0)
+    problem = spectral._problem(graph, mu)
+    assert calls == [] and problem.bases == {} and len(pairs) >= 3
+    funcs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs[::-1]]
+    assert calls == [len(pairs)]
+    assert [len(problem.bases[math.sqrt(p.eigenvalue)]) for p in pairs] \
+        == [p.multiplicity for p in pairs] == [f.multiplicity for f in funcs[::-1]]
 
 
 def atom_only_circle(beta=1.0):
@@ -899,10 +928,10 @@ def test_find_eigenvalues_rejects_infinite_bounds(interval):
 
 
 def test_a_positive_count_at_the_default_floor_raises(interval):
-    # 1e6 delta_a + (1 - 1e6) delta_b has its first root at gamma of about
-    # 1.0000005e-6, and the count is already 1 at the default floor 1e-6 / ell:
-    # a scan from there dropped that root without a word
-    a = 1e6
+    # 1e7 delta_a + (1 - 1e7) delta_b has its first root at gamma of about
+    # 1.00000005e-7, below the default floor 1e-6 / ell, where the count is
+    # already 1: a scan from there dropped that root without a word
+    a = 1e7
     mu = Measure(interval, [(interval.point_at_vertex("a"), a),
                             (interval.point_at_vertex("b"), 1.0 - a)])
     with pytest.raises(NumericError, match=r"count is already 1 at the default "
@@ -912,50 +941,161 @@ def test_a_positive_count_at_the_default_floor_raises(interval):
     assert len(find_eigenvalues(interval, mu, 30.0, gamma_floor=1e-6)) == 8
     pairs = find_eigenvalues(interval, mu, 30.0, gamma_floor=1e-12)
     assert len(pairs) == 9
-    assert math.sqrt(pairs[0].eigenvalue) == pytest.approx(1.0000005e-6, rel=1e-7)
+    assert math.sqrt(pairs[0].eigenvalue) == pytest.approx(1.00000005e-7, rel=1e-7)
 
 
-# simple eigenvalues below gamma = 30 on the interval with a delta_a +
-# (1 - a) delta_b, from gamma_floor 1e-12, as the golden-cut count alone
-# found them; from the default floor, the first one where |a| < 1e6, and
-# the floor check's error where |a| >= 1e6
+def signed_secular_det(gamma, a):
+    """det M(gamma) on the interval with a delta_a + (1 - a) delta_b, in
+    mpmath: A cos + B sin per edge, C the Lebesgue integral, and the rows
+    derivative@a, derivative@b and integral of SpectralProblem."""
+    M = mpmath.matrix([[0, gamma, -gamma * gamma * a],
+                       [gamma * mpmath.sin(gamma), -gamma * mpmath.cos(gamma),
+                        -gamma * gamma * (1 - a)],
+                       [a + (1 - a) * mpmath.cos(gamma), (1 - a) * mpmath.sin(gamma), 0]])
+    return mpmath.det(M)
+
+
+# the simple eigenvalues below gamma = 30 on the interval with a delta_a +
+# (1 - a) delta_b: the roots of signed_secular_det at 60 digits, rounded
+# once; the first root lies below the default floor 1e-6 where a = -1e6 and
+# a = 1e7, and the floor check raises there
 FLOOR_RAISES = "the eigenvalue count is already 1 at the default gamma_floor=1e-06;"
-FIRST_FROM_DEFAULT_FLOOR = {1e2: 0.00010100584992643415, 1e4: 1.000100005832387e-08}
 SIGNED_SPECTRA = {
-    1e2: [0.0001010058499264363, 39.352224491201305, 39.60481272921342, 157.66118318526756,
-          158.16635966129175, 354.92697708804866, 355.68474180208494, 631.1496061995447,
+    1e2: [0.000101005849926435, 39.352224491201305, 39.604812729213414, 157.66118318526756,
+          158.16635966129178, 354.92697708804866, 355.684741802085, 631.1496061995447,
           632.1599591515931],
-    1e4: [1.0001000058301236e-08, 39.477160914463056, 39.47967431425382, 157.91115702764,
-          157.91618382722152, 355.3019883495317, 355.30952854890404, 631.6496548801383,
+    1e4: [1.0001000058335e-08, 39.47716091446305, 39.47967431425382, 157.91115702763997,
+          157.91618382722152, 355.30198834953177, 355.30952854890404, 631.6496548801384,
           631.6597084793015],
-    1e6: [1.0000009998747164e-12, 39.47840503798153, 39.47843017073533, 157.91364528467693,
-          157.9136955501845, 355.3057207400872, 355.3057961383486, 631.6546314042124,
+    1e6: [1.0000010000005834e-12, 39.47840503798154, 39.47843017073533, 157.91364528467693,
+          157.91369555018454, 355.3057207400872, 355.3057961383486, 631.6546314042124,
           631.6547319352276],
-    -1e6: [9.999989999325234e-13, 39.4784050379941, 39.47843017072277, 157.91364528470206,
-           157.9136955501594, 355.3057207401249, 355.3057961383109, 631.6546314042625,
-           631.6547319351772],
-    1e7: [1.000000099870889e-14, 39.47841634772032, 39.47841886099457, 157.9136679041555,
-          157.91367293070397, 355.30575466930554, 355.30576220912826, 631.6546766431704,
-          631.6546866962674],
+    -1e6: [9.999990000005832e-13, 39.4784050379941, 39.47843017072277, 157.91364528470208,
+           157.9136955501594, 355.3057207401249, 355.3057961383109, 631.6546314042627,
+           631.6547319351773],
+    1e7: [1.0000001000000058e-14, 39.47841634772032, 39.478418860994566, 157.9136679041555,
+          157.913672930704, 355.30575466930554, 355.3057622091283, 631.6546766431704,
+          631.6546866962675],
 }
+
+
+# the gammas of the count's reference: 41 across 1e-4 relative of 1 / |a|,
+# where the first root lies, and 21 across [18.8495559, 18.849556], about
+# 6 pi; with a = 1e8 and 1e9, whose roots beside the pole 6 pi are 1e-8 and
+# 1e-9 away, 241 more across 6 pi +- 3e-8, float(6 pi) among them
+def signed_count_gammas(a):
+    grids = [np.linspace(1.0 - 1e-4, 1.0 + 1e-4, 41) / abs(a),
+             np.linspace(18.8495559, 18.849556, 21)]
+    if abs(a) >= 1e8:
+        grids.append(6.0 * math.pi + np.linspace(-3e-8, 3e-8, 241))
+    return np.concatenate(grids)
+
+
+@pytest.mark.parametrize("a", [1e2, 1e6, -1e6, 1e8, 1e9])
+def test_count_of_strongly_signed_measures_matches_mpmath(interval, a):
+    # the interval with a delta_a + (1 - a) delta_b against the 60-digit
+    # count; the count without the split basis and its scaling was wrong at
+    # 87 of the 310 gammas of the first two grids.  A gamma within 1e-15
+    # relative of a root, where rounding decides, is left out: 6 pi +- 1 / a
+    # on the third grid (6 pi + 1e-8 is 2.3e-18 above a root where a = 1e8)
+    masses = {"a": a, "b": 1.0 - a}
+    mu = Measure(interval, [(interval.point_at_vertex(v), m) for v, m in masses.items()])
+    gammas = [g for g in signed_count_gammas(a).tolist()
+              if oracles.atom_count(interval, masses, g * (1.0 - 1e-15))
+              == oracles.atom_count(interval, masses, g * (1.0 + 1e-15))]
+    assert len(gammas) >= len(signed_count_gammas(a)) - 2
+    want = [oracles.atom_count(interval, masses, g) for g in gammas]
+    assert SpectralProblem(interval, mu).count(np.array(gammas)) == want
+
+
+def test_count_beside_a_tetrahedron_pole_matches_mpmath(tetrahedron):
+    # 1e9 delta_u + (1 - 1e9) delta_v at the ends of e1, across 6 pi +- 3e-8:
+    # a triple root at the pole 6 pi of every edge
+    e1 = tetrahedron.edges[0]
+    masses = {e1.u: 1e9, e1.v: 1.0 - 1e9}
+    mu = Measure(tetrahedron, [(tetrahedron.point_at_vertex(v), m) for v, m in masses.items()])
+    gammas = 6.0 * math.pi + np.linspace(-3e-8, 3e-8, 61)
+    want = [oracles.atom_count(tetrahedron, masses, g) for g in gammas]
+    assert SpectralProblem(tetrahedron, mu).count(gammas) == want
+    assert (want[0], want[-1]) == (3, 6)
+    pairs = find_eigenvalues(tetrahedron, mu, 30.0, gamma_floor=1e-12)
+    assert [p.multiplicity for p in pairs] == [1, 2, 3, 2]
+    assert math.sqrt(pairs[2].eigenvalue) == pytest.approx(6.0 * math.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [1e8, 1e9])
+def test_close_roots_beside_a_pole_are_all_found(interval, a):
+    # nine simple roots below gamma = 30, two of them 1 / a either side of
+    # the pole 6 pi; the scan finds all nine or raises, never fewer
+    mu = Measure(interval, [(interval.point_at_vertex("a"), a),
+                            (interval.point_at_vertex("b"), 1.0 - a)])
+    pairs = find_eigenvalues(interval, mu, 30.0, gamma_floor=1e-12)
+    assert [p.multiplicity for p in pairs] == [1] * 9
+    gammas = np.sqrt([p.eigenvalue for p in pairs])
+    near = gammas[np.abs(gammas - 6.0 * math.pi) < 1e-6]
+    np.testing.assert_allclose(near, 6.0 * math.pi + np.array([-1.0, 1.0]) / a, rtol=1e-13)
+
+
+def test_signed_spectra_are_the_secular_roots():
+    # each pinned eigenvalue is a root of the mpmath determinant: it changes
+    # sign across 1e-14 relative of gamma either side
+    mpmath.mp.dps = 60
+    try:
+        for a, lams in SIGNED_SPECTRA.items():
+            for lam in lams:
+                gamma = mpmath.sqrt(mpmath.mpf(lam))
+                ends = [signed_secular_det(gamma * (1 + s * mpmath.mpf("1e-14")), a)
+                        for s in (-1, 1)]
+                assert ends[0] * ends[1] < 0, (a, lam)
+    finally:
+        mpmath.mp.dps = 15
 
 
 @pytest.mark.parametrize("floor", [None, 1e-12], ids=["default-floor", "floor-1e-12"])
 @pytest.mark.parametrize("a", sorted(SIGNED_SPECTRA))
 def test_strongly_signed_measures_keep_their_spectra(interval, a, floor):
-    # near gamma = 1e-6 the whole-edge count is not monotone on these
-    # measures, where the golden-cut one is; the scans are the same
+    # all nine roots, the first from gamma = 1e-7 to 1e-4, to 2e-13 of the
+    # 60-digit ones, from either floor where the first lies above it
     mu = Measure(interval, [(interval.point_at_vertex("a"), a),
                             (interval.point_at_vertex("b"), 1.0 - a)])
-    if floor is None and abs(a) >= 1e6:
+    if floor is None and SIGNED_SPECTRA[a][0] < 1e-12:
         with pytest.raises(NumericError, match=FLOOR_RAISES):
             find_eigenvalues(interval, mu, 30.0)
         return
-    want = SIGNED_SPECTRA[a].copy()
-    if floor is None:
-        want[0] = FIRST_FROM_DEFAULT_FLOOR[a]
     pairs = find_eigenvalues(interval, mu, 30.0, gamma_floor=floor)
-    assert_spectrum(pairs, [(lam, 1) for lam in want], rel=1e-13)
+    assert_spectrum(pairs, [(lam, 1) for lam in SIGNED_SPECTRA[a]], rel=2e-13)
+
+
+@pytest.mark.parametrize("kind", ["dx-normalized", "canonical"])
+@pytest.mark.parametrize("name", ["interval", "circle", "tetrahedron", "petersen",
+                                  "dodecahedron"])
+def test_trace_lies_in_its_certified_interval(name, kind):
+    """Tr(phi_mu) = sum_n 1 / lambda_n, the diagonal of the eigenfunction
+    expansion of g_mu, against the scan up to Gamma = 2000 / ell.
+
+    With N the count and E(gamma) = N(gamma) - ell gamma / pi, Stieltjes
+    integration of the tail gives sum over gamma_n > Gamma of gamma_n^-2 =
+    ell / (pi Gamma) - E(Gamma) / Gamma^2 + 2 int_Gamma^inf E gamma^-3.  On
+    whole edges N = sum_e floor(gamma L_e / pi) + #pos(B) - 1 with 0 <=
+    #pos(B) <= n + 1, so -(m + 1) < E <= n, and the integral lies in
+    (-(m + 1), n] / Gamma^2.  So Tr lies in P + ell / (pi Gamma) -
+    E(Gamma) / Gamma^2 + (-(m + 1), n] / Gamma^2, P the partial sum up to
+    Gamma, E(Gamma) exact from the count; the slack is for rounding only.
+    A scan that drops its first root leaves the interval.
+    """
+    graph = builtin_graph(name)
+    mu = lebesgue_measure(graph, normalize=True) if kind == "dx-normalized" \
+        else canonical_measure(graph)
+    ell, n, m = total_length(graph), len(graph.vertices), len(graph.edges)
+    top = 2000.0 / ell
+    pairs = find_eigenvalues(graph, mu, top)
+    count = spectral._problem(graph, mu).count(top)
+    assert count == sum(p.multiplicity for p in pairs)
+    centre = math.fsum(p.multiplicity / p.eigenvalue for p in pairs) \
+        + ell / (math.pi * top) - (count - ell * top / math.pi) / top ** 2
+    trace = trace_of_phi(build_green(graph, mu))
+    slack = 1e-12 * trace
+    assert centre - (m + 1) / top ** 2 - slack < trace <= centre + n / top ** 2 + slack
 
 
 # ------------------------------------------------------- eigenfunctions
@@ -1107,8 +1247,9 @@ def test_constant_function_is_not_an_eigenfunction(interval):
 @pytest.mark.parametrize("case", ["petersen", "paired"])
 def test_one_problem_per_graph_and_measure(monkeypatch, case):
     # find_eigenvalues then eigenfunctions_at at every root build one problem
-    # and confirm one nullspace per root, counted in gammas (the scan stacks
-    # each level's roots into one call); new objects get a fresh problem
+    # and take one nullspace per root, counted in gammas (the first
+    # eigenfunctions_at stacks all the scan's roots into one call); new
+    # objects get a fresh problem
     def make_graph():  # Petersen has a 5-fold root, the other a close pair
         return builtin_graph("petersen") if case == "petersen" else \
             build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
@@ -1280,11 +1421,12 @@ def test_l2_inner_on_the_callers_graph(tetrahedron, circle):
 
 
 def test_scan_bases_keep_no_view_of_the_stack():
-    # each level's bases come from one stacked SVD; a cached basis must not
-    # keep that level's whole stack of singular vectors alive
+    # a scan's bases come from one stacked SVD; a cached basis must not keep
+    # the whole stack of singular vectors alive
     graph = builtin_graph("dodecahedron")
     mu = lebesgue_measure(graph, normalize=True)
     pairs = find_eigenvalues(graph, mu, 60.0)
+    eigenfunctions_at(graph, mu, math.sqrt(pairs[0].eigenvalue))
     bases = spectral._problem(graph, mu).bases
     assert len(bases) == len(pairs) >= 3
     for basis in bases.values():
