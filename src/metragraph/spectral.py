@@ -15,10 +15,13 @@ with every edge cut at GOLDEN_CUT, near a Dirichlet pole of an edge), which
 is singular exactly where M is.  The scan brackets each root with the
 count, refines it by a secant iteration on the eigenvalues of the scaled B
 that cross zero there, and confirms its multiplicity by as many of them
-vanishing, each stage on a stack of gammas per call (_bracket).  M serves
-assemble_characteristic_matrix, characteristic_det and the eigenfunctions,
-whose nullspace bases are taken for all of a scan's roots in one stacked
-call.  Every edge integral at a given gamma (trig moments of the densities
+vanishing, each stage on a stack of gammas per call (_bracket).  B's null
+vectors hold the eigenfunctions too: their values at the nodes and their
+constant C, from which each edge's A and B follow; eigenfunctions_at takes
+them for all of a scan's roots from one stacked eigh per plan.  M serves
+only assemble_characteristic_matrix, characteristic_det and
+SpectralProblem.nullspace, and its scatter plan is built on first use.
+Every edge integral at a given gamma (trig moments of the densities
 and of products of edge solutions) comes from one batched moment kernel,
 _exp_moments, called once for all edges: integration by parts in closed
 form where omega*L is large, and otherwise a power series summed as each
@@ -63,6 +66,14 @@ GOLDEN_CUT = (math.sqrt(5.0) - 1.0) / 2.0
 # root, and agree with the cut edges from 1e-8 (about sqrt(eps)) out
 POLE_REL = 1e-6
 SECANT_MAX_ITER = 100
+# eigenfunctions_at reads B's null vectors at gamma on the golden plan where
+# an edge pole lies within NULL_REL of gamma, so that B_e, which divides by
+# sin(gamma L_e) on whole edges, loses at most about 1e-12 relative; and it
+# takes D from B at gamma (1 + NULL_REL), as a D taken at a root inflates a
+# row of B that vanishes there (the circle at gamma ell = 4 pi).  With D from
+# 1.5e-8 to 1e-3 out, every built-in root and the roots beside atoms of 1e9
+# show their multiplicity; from 1.6e-2 out some do not
+NULL_REL = 1e-4
 _EPS = np.finfo(float).eps
 # per find_eigenvalues call, counted before any bisection: a root of B(gamma)
 # of size s = n + 1 costs s^3 + 230 s^2 + 8e4 units, 1.3 to 3.5 ns each on a
@@ -87,6 +98,8 @@ _EDGE_FEATURES = 12
 _PUT_FEATURES = np.array([[_ONE, -1, _H0], [_COS, _SIN, _HL], [-1, _G, _HP0],
                           [_GSIN, _MGCOS, _MHPL], [_CMOM, _SMOM, _HD], [-1, -1, _G2]])
 _PUT_ON_EDGE = np.array([[0, 0, 1], [1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
+# the attributes that _compile writes
+_PLAN = frozenset(("_poly", "_d0", "_hpoly", "_flat", "_feat", "_coef"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,14 +266,16 @@ class CharacteristicMatrix:
 
 
 class SpectralProblem:
-    """Assembles M(gamma) for one (graph, reference measure) pair.
+    """The spectral problem of one (graph, reference measure) pair.
 
     Interior atoms force subdivisions so that every atom of the working
-    measure sits at a vertex; the unknown vector is ordered
-    (A_1, B_1, ..., A_m, B_m, C) following the working graph's edge order.
-    roots keeps the multiplicity of each root that find_eigenvalues found,
-    bases the nullspace bases that eigenfunctions_at took there, and count
-    the EigenvalueCount.
+    measure sits at a vertex; the unknown vector of M(gamma), and every
+    coefficient vector, is ordered (A_1, B_1, ..., A_m, B_m, C) following
+    the working graph's edge order.  roots keeps the multiplicity of each
+    root that find_eigenvalues found, bases the coefficient vectors that
+    eigenfunctions_at took there from B's null vectors (coefficients), and
+    count the EigenvalueCount.  M's scatter plan (_compile) is built on the
+    first read of M.
     """
 
     def __init__(self, graph, mu):
@@ -284,7 +299,16 @@ class SpectralProblem:
         self._atom_mass = {}
         for v, m in zip(map(work.vertices.__getitem__, vertex.tolist()), mass.real.tolist()):
             self._atom_mass[v] = self._atom_mass.get(v, 0.0) + m
+        self._dens = self.mu.arrays[3]
+        self._ptab = _particular_table(self._dens)
+
+    def __getattr__(self, name):
+        """M's scatter plan (_compile), built on the first read of any of it:
+        no scan and no eigenfunction reads M."""
+        if name not in _PLAN:
+            raise AttributeError(name)
         self._compile()
+        return vars(self)[name]
 
     @functools.cached_property
     def row_tags(self):
@@ -342,13 +366,11 @@ class SpectralProblem:
         # holds h(0), h(L), h'(0), -h'(L) and the integral of h*d for P_j.
         # Constant densities get closed forms (h = d0, the trig moments), the
         # rows _poly of _dens batched ones.
-        L = self._lengths
-        self._dens = dens = self.mu.arrays[3]
+        L, dens, P = self._lengths, self._dens, self._ptab
         nonzero = dens != 0.0
         poly = nonzero[:, 1:].any(axis=1)
         k, d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
         self._poly, self._d0 = k, d0
-        self._ptab = P = _particular_table(dens)
         self._hpoly = np.zeros((len(L), 5, P.shape[2]))
         if P.shape[2]:
             self._hpoly[:, 0, 0] = self._hpoly[:, 1, 0] = d0
@@ -427,6 +449,32 @@ class SpectralProblem:
         h = self.particulars(gamma) if h is None else h
         return EdgeBasisSolution(gamma, self._row, np.reshape(vec[:-1], (-1, 2)),
                                  float(vec[-1]), h, self.remaps)
+
+    def coefficients(self, gamma, plan, Y):
+        """M's coefficient vectors (A_1, B_1, ..., A_m, B_m, C), one row per
+        column of Y, from null vectors of the count's B at gamma on plan
+        (whole, or golden, whose node n + k cuts edge k), each the column
+        D z in B's split basis: the values phi_0 = y_0 and phi_v = y_0 + y_v
+        at the nodes, C = -c / gamma from the border entry c, and on each
+        edge A = phi_u - C h(0) and B by least squares over the far end and,
+        on the golden plan, the cut: sum_i s_i r_i / sum_i s_i^2, where
+        s_i = sin(gamma t_i) and r_i = phi(t_i) - C h(t_i) - A cos(gamma t_i)."""
+        L, (u, v), n = self._lengths, self._ends.T, len(self.graph.vertices)
+        phi = Y[:-1] + Y[0]
+        phi[0] = Y[0]
+        C = -Y[-1] / gamma
+        h = self.particulars(gamma)
+        A = phi[u] - h[:, :1] * C
+        if plan.nodes > n:
+            t, far = L[:, None] * [GOLDEN_CUT, 1.0], np.stack((phi[n:], phi[v]), axis=1)
+        else:
+            t, far = L[:, None], phi[v][:, None]
+        s = np.sin(gamma * t)[..., None]
+        r = far - polyval_rows(h, t)[..., None] * C - np.cos(gamma * t)[..., None] * A[:, None]
+        B = np.sum(s * r, axis=1) / np.sum(s * s, axis=1)
+        out = np.empty((Y.shape[1], self.size))
+        out[:, 0:-1:2], out[:, 1:-1:2], out[:, -1] = A.T, B.T, C
+        return out
 
     def _gram(self, gamma, vecs, h):
         """L2 Gram matrix of the solutions at gamma of the coefficient vectors
@@ -509,34 +557,70 @@ def l2_inner(graph, f1, f2):
 
 
 def eigenfunctions_at(graph, mu, gamma_star):
-    """Eigenpair at a verified root: nullspace vectors orthonormalized in L2.
+    """Eigenpair at a verified root: B's null vectors orthonormalized in L2.
 
-    The problem is find_eigenvalues' own for (graph, mu).  At a root it
-    returned (sqrt(eigenvalue) is that root exactly), the first call takes
-    the nullspace bases of M at all the roots found so far from one stacked
-    call and keeps them; a basis whose dimension is not the root's
-    multiplicity raises NumericError.  The nullspace basis is combined
-    through the inverse square root of the exact L2 Gram matrix of its
-    solutions, so the returned eigenfunctions are orthonormal.  A simple
-    eigenfunction is sign-fixed by its largest coefficient; a multiple
-    eigenspace gets the one orthonormal basis whose pairing with a fixed
-    generic probe of coefficient space is symmetric positive definite,
-    whatever basis the SVD returned.
+    The problem is find_eigenvalues' own for (graph, mu).  The basis at
+    gamma is the coefficient vectors (SpectralProblem.coefficients) of the
+    null vectors of the count's B there, on the golden plan where an edge
+    pole lies within NULL_REL of gamma and otherwise on whole edges, with D
+    from B at gamma (1 + NULL_REL) (_CountPlan.null_vectors), so that it
+    depends on gamma alone.  At a root that find_eigenvalues returned
+    (sqrt(eigenvalue) is that root exactly), the first call takes the bases
+    of all the roots found so far, from one stacked eigh per plan, and
+    keeps them; k is the root's multiplicity.  Any other gamma gets k from
+    the count at gamma (1 -+ DEFAULT_ROOT_TOL), and where it does not rise
+    there, NumericError.  A basis whose dimension is not k raises
+    NumericError; M is never read.  The basis is combined through
+    the inverse square root of the exact L2 Gram matrix of its solutions,
+    so the returned eigenfunctions are orthonormal.  A simple eigenfunction
+    is sign-fixed by its largest coefficient; a multiple eigenspace gets
+    the one orthonormal basis whose pairing with a fixed generic probe of
+    coefficient space is symmetric positive definite, whatever basis the
+    eigh returned.
     """
     problem = _problem(graph, mu)
-    if gamma_star in problem.roots and gamma_star not in problem.bases:
-        todo = [g for g in problem.roots if g not in problem.bases]
-        problem.bases.update(zip(todo, problem.nullspace(np.array(todo))))
-    basis = problem.bases.get(gamma_star) or problem.nullspace(gamma_star)
-    if not basis:
-        raise NumericError(f"no nullspace at gamma={gamma_star!r}; "
-                           "the candidate root is discarded")
+    k = problem.roots.get(gamma_star)
+    if k is None:
+        below, above = problem.count(gamma_star * np.array([1.0 - DEFAULT_ROOT_TOL,
+                                                            1.0 + DEFAULT_ROOT_TOL]))
+        k = above - below
+        if k < 1:
+            raise NumericError(f"the eigenvalue count does not rise at gamma={gamma_star!r}; "
+                               "the candidate root is discarded")
+        (basis,) = _null_bases(problem, [gamma_star])
+    else:
+        if gamma_star not in problem.bases:
+            todo = [g for g in problem.roots if g not in problem.bases]
+            problem.bases.update(zip(todo, _null_bases(problem, todo)))
+        basis = problem.bases[gamma_star]
+    if len(basis) != k:
+        raise NumericError(f"the nullspace of B at gamma={gamma_star!r} has dimension "
+                           f"{len(basis)}, but the eigenvalue count rises by {k}")
+    return _orthonormal(problem, gamma_star, basis)
+
+
+def _null_bases(problem, gammas):
+    """The basis at each of gammas, the coefficient vectors of B's null
+    vectors on the golden plan where an edge pole lies within NULL_REL of
+    gamma and otherwise on whole edges, from one stacked eigh per plan
+    (_CountPlan.null_vectors)."""
+    count, by_plan, out = problem.count, {}, {}
+    for g in gammas:
+        near = _near_pole(count.whole.lengths, g * (1.0 - NULL_REL), g * (1.0 + NULL_REL))
+        by_plan.setdefault(count.golden if near else count.whole, []).append(g)
+    for plan, gs in by_plan.items():
+        out.update((g, problem.coefficients(g, plan, Y))
+                   for g, Y in zip(gs, plan.null_vectors(np.array(gs))))
+    return [out[g] for g in gammas]
+
+
+def _orthonormal(problem, gamma, basis):
+    """The Eigenpair at gamma from a basis of coefficient vectors of its
+    eigenspace: orthonormal in L2 through the inverse square root of their
+    Gram matrix, then sign-fixed (k = 1) or rotated onto the probe."""
     k = len(basis)
-    if k != problem.roots.get(gamma_star, k):
-        raise NumericError(f"the nullspace of M at gamma={gamma_star!r} has dimension {k}, "
-                           f"but the eigenvalue count rises by {problem.roots[gamma_star]}")
-    h = problem.particulars(gamma_star)
-    w, U = np.linalg.eigh(problem._gram(gamma_star, basis, h), UPLO="U")
+    h = problem.particulars(gamma)
+    w, U = np.linalg.eigh(problem._gram(gamma, basis, h), UPLO="U")
     if w[0] <= 1e-12 * w[-1]:
         raise NumericError("degenerate Gram matrix in eigenspace orthonormalization")
     T = U @ np.diag(w ** -0.5) @ U.T  # symmetric inverse square root
@@ -551,8 +635,8 @@ def eigenfunctions_at(graph, mu, gamma_star):
                        + np.sqrt(5.0) * i * j * (j - 1))
         W, _, Vt = np.linalg.svd(vecs @ probe)
         vecs = (W @ Vt).T @ vecs
-    funcs = tuple(problem.solution(gamma_star, vec, h) for vec in vecs)
-    return Eigenpair(gamma_star * gamma_star, k, funcs)
+    funcs = tuple(problem.solution(gamma, vec, h) for vec in vecs)
+    return Eigenpair(gamma * gamma, k, funcs)
 
 
 def _energy_series(dens):
@@ -593,7 +677,7 @@ class _CountPlan:
     nodes (ends[p] = (u, v)) and densities, and the atom mass at each node.
     Called at a 1-D array of gammas, it gives their counts; read gives the
     eigenvalues of the scaled B from which they come, from one stacked
-    eigvalsh.
+    eigvalsh, and null_vectors B's null vectors, from one stacked eigh.
 
     B is written in the split basis, where node 0's row and column stand for
     the constant vector: the other nodes' rows keep Lambda / gamma and the
@@ -683,11 +767,10 @@ class _CountPlan:
         bordered[:, N, N] = gs * energy.sum(axis=1)
         return bordered, np.floor(gL / math.pi).sum(axis=1)
 
-    def read(self, gs, scales=None):
-        """(w, D, trig) at each gamma of gs: w the eigenvalues, ascending, of
-        D B D, and trig the count's trig term.  D is given, one row per
-        gamma, or else, for a row of nan or with no rows given, the gamma's
-        own (_equilibrate)."""
+    def scaled(self, gs, scales=None):
+        """(D B D, D, trig) at each gamma of gs, trig the count's trig term.
+        D is given, one row per gamma, or else, for a row of nan or with no
+        rows given, the gamma's own (_equilibrate)."""
         B, trig = self.matrices(gs)
         if scales is None:
             scales = _equilibrate(B)
@@ -697,7 +780,25 @@ class _CountPlan:
             scales[own] = _equilibrate(B[own])
         B *= scales[:, :, None]
         B *= scales[:, None, :]
+        return B, scales, trig
+
+    def read(self, gs, scales=None):
+        """(w, D, trig) of scaled, w the eigenvalues of D B D, ascending."""
+        B, scales, trig = self.scaled(gs, scales)
         return np.linalg.eigvalsh(B, UPLO="L"), scales, trig
+
+    def null_vectors(self, gs):
+        """At each gamma of the 1-D array gs, the columns D z of B's null
+        vectors: z the eigenvectors of D B D whose eigenvalues are at most
+        DEFAULT_RANK_TOL of the largest in size, from one stacked eigh a
+        batch at a time (_batched), and D that of B at gamma (1 + NULL_REL)."""
+        def batch(gs):
+            scales = _equilibrate(self.matrices(gs * (1.0 + NULL_REL))[0])
+            w, Z = np.linalg.eigh(self.scaled(gs, scales)[0], UPLO="L")
+            w = np.abs(w)
+            null = w <= DEFAULT_RANK_TOL * w.max(axis=1, keepdims=True)
+            return [D[:, None] * z[:, keep] for D, z, keep in zip(scales, Z, null)]
+        return _batched(batch, gs, self.nodes + 1)
 
     def readings(self, gs, *scales):
         """(count, plan, w, D, trig) at each gamma of the 1-D array gs, from
@@ -894,13 +995,15 @@ def _bracket(count, a, ra, b, rb, width, tol):
     its own D instead: there B's rows scale with gamma, and a fixed D would
     lose a root of 1e-7 / ell to rounding.
 
-    The root stands if exactly k eigenvalues of B at the last gamma read are
-    at most DEFAULT_RANK_TOL of the largest, and, for k > 1 where the k
-    straddle zero there, the count DEFAULT_ROOT_TOL relative either side of
-    it is that of a and of b: so close roots, 1e-10 relative apart beside
-    atoms of 1e9, are not taken for one multiple root.  If the root fails at
-    float resolution, NumericError.  Any other bracket is split at its
-    midpoint, into the children where the count rises."""
+    The root stands if the k crossing eigenvalues of B at the last gamma
+    read are at most DEFAULT_RANK_TOL of the largest (a close neighbour's
+    may be that small too: two simple roots 1e-11 to 1e-7 relative apart
+    are two roots), and, for k > 1 where the k straddle zero there, the
+    count DEFAULT_ROOT_TOL relative either side of it is that of a and of
+    b: so close roots, 1e-10 relative apart beside atoms of 1e9, are not
+    taken for one multiple root.  If the root fails at float resolution,
+    NumericError.  Any other bracket is split at its midpoint, into the
+    children where the count rises."""
     top, k = rb[0], rb[0] - ra[0]
     if b - a <= width:
         plan = count.golden if _near_pole(count.whole.lengths, a, b) else count.whole
@@ -921,8 +1024,8 @@ def _bracket(count, a, ra, b, rb, width, tol):
             except StopIteration as done:
                 root = done.value
                 break
-        w, crossing = np.abs(last[2]), _crossing(last, top, k)
-        if root is not None and np.count_nonzero(w <= DEFAULT_RANK_TOL * w.max()) == k:
+        crossing = _crossing(last, top, k)
+        if root is not None and np.abs(crossing).max() <= DEFAULT_RANK_TOL * np.abs(last[2]).max():
             if crossing.min() >= 0.0 or crossing.max() <= 0.0:
                 return root, k, ()
             side = [root * (1.0 - DEFAULT_ROOT_TOL), root * (1.0 + DEFAULT_ROOT_TOL)]
@@ -946,10 +1049,10 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     pi / (8 * total length) wide, and the root in it is refined by a
     bracketed secant iteration on the count's own matrix: the mean of the
     k eigenvalues of the scaled B that cross zero there, k the count's jump
-    (_bracket).  The multiplicity is that jump, which must equal the number
-    of B's eigenvalues at the root that vanish to DEFAULT_RANK_TOL;
-    otherwise (two close roots, say) the bracket is bisected further, and
-    NumericError is raised at float resolution.  The secant's stop
+    (_bracket).  The multiplicity is that jump, and those k eigenvalues of B
+    must vanish to DEFAULT_RANK_TOL at the root; otherwise the bracket is
+    bisected further, and NumericError is raised at float resolution.  The
+    secant's stop
     (DEFAULT_ROOT_TOL / ell, ell the total length) and the floor (gamma_floor,
     which excludes lambda = 0, defaults to DEFAULT_GAMMA_FLOOR / ell) scale
     with ell, and the rank decision has no units, so lambda scales as ell^-2
@@ -960,7 +1063,8 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     MAX_SCAN_WORK raise ValidationError before any bisection.
     Returns Eigenpairs with empty eigenfunction tuples; the problem, its
     count and each root's multiplicity are kept per (graph, mu) (_problem),
-    for eigenfunctions_at.
+    for eigenfunctions_at, which reads B's null vectors there.  No stage
+    reads M.
 
     The brackets are worked in lockstep: at each step, every bracket's
     pending reads of B, counts at midpoints, secant steps and root checks

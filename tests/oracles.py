@@ -34,7 +34,9 @@ through the table's pieces replaced, evaluated at 40 digits with mpmath
 and rounded once.  atom_count is the eigenvalue count of an atom-only
 measure at 60 digits, from its definition.  deflated_counts is the
 eigenvalue count as it was read before the bordered matrix B, #pos(Lambda)
-and the sign of w apart with a deflating solve.  compiled_plan is the former loop of
+and the sign of w apart with a deflating solve.  svd_eigenpair is the former
+route of eigenfunctions_at: the nullspace of M by SVD, then the package's
+own Gram orthonormalization and probe rotation.  compiled_plan is the former loop of
 SpectralProblem._compile, one put per incidence, that its array passes over
 the edge arrays replaced.  path_distance, dirichlet_inner, sup_norm and cpa_hat are
 helpers that only the tests read.
@@ -597,6 +599,14 @@ def von_below_spectrum(graph, gamma_max):
     return [((s / a) ** 2, p) for s, p in sorted(roots)]
 
 
+def svd_eigenpair(graph, mu, gamma):
+    """The Eigenpair at gamma by the former route of eigenfunctions_at: the
+    nullspace of M (SpectralProblem.nullspace, one SVD), then the package's
+    own Gram orthonormalization and probe rotation."""
+    problem = _problem(graph, mu)
+    return spectral._orthonormal(problem, gamma, problem.nullspace(gamma))
+
+
 def scan_spectrum(problem, gamma_max, step):
     """Roots of det M(gamma) of a SpectralProblem below gamma_max, as
     ascending (gamma, multiplicity) pairs, from a plain grid scan.
@@ -729,9 +739,9 @@ def refine_bracket(count, a, ra, b, rb, root_tol):
     mean of the crossing eigenvalues of D B D, on the golden plan if an edge
     pole is within POLE_REL of the bracket, with D from that plan's B at b
     (a and b with their own, and every gamma where b > 2a); then kept only
-    if exactly k eigenvalues vanish to DEFAULT_RANK_TOL at the last gamma
-    read and, where the k straddle zero there, the count DEFAULT_ROOT_TOL
-    either side of the root is that of a and of b."""
+    if the k crossing eigenvalues vanish to DEFAULT_RANK_TOL at the last
+    gamma read and, where they straddle zero there, the count
+    DEFAULT_ROOT_TOL either side of the root is that of a and of b."""
     top, k = rb[0], rb[0] - ra[0]
     plan = count.golden if _near_pole(count.whole.lengths, a, b) else count.whole
     scales = () if b > 2.0 * a else (plan.readings(np.array([b]))[0][3][None],)
@@ -743,7 +753,7 @@ def refine_bracket(count, a, ra, b, rb, root_tol):
 
     root = refine_root(ratio, a, b, root_tol)
     w, crossing = np.abs(last[-1][2]), _crossing(last[-1], top, k)
-    if root is None or np.count_nonzero(w <= DEFAULT_RANK_TOL * w.max()) != k:
+    if root is None or np.abs(crossing).max() > DEFAULT_RANK_TOL * w.max():
         return None
     if crossing.min() >= 0.0 or crossing.max() <= 0.0:
         return root

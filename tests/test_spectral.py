@@ -8,7 +8,9 @@ of a fine resistor network, and the two must agree.
 
 import copy
 import functools
+import importlib
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -797,14 +799,14 @@ def test_a_rank_decision_that_never_agrees_raises(monkeypatch, interval):
 
 
 def test_eigenfunctions_at_checks_the_basis_dimension(monkeypatch):
-    # a nullspace of M one vector short of the count's multiplicity raises
+    # null vectors of B one short of the count's multiplicity raise
     graph = builtin_graph("tetrahedron")
     mu = lebesgue_measure(graph, normalize=True)
     pairs = find_eigenvalues(graph, mu, 19.1)
     assert [p.multiplicity for p in pairs] == [3, 2]
-    nullspace = SpectralProblem.nullspace
-    monkeypatch.setattr(SpectralProblem, "nullspace",
-                        lambda self, gamma: [basis[:-1] for basis in nullspace(self, gamma)])
+    null_vectors = spectral._CountPlan.null_vectors
+    monkeypatch.setattr(spectral._CountPlan, "null_vectors",
+                        lambda self, gs: [Y[:, :-1] for Y in null_vectors(self, gs)])
     with pytest.raises(NumericError, match=r"has dimension 2, but the eigenvalue count "
                                            r"rises by 3"):
         eigenfunctions_at(graph, mu, math.sqrt(pairs[0].eigenvalue))
@@ -812,23 +814,165 @@ def test_eigenfunctions_at_checks_the_basis_dimension(monkeypatch):
 
 def test_one_stacked_nullspace_call_fills_all_bases(monkeypatch):
     # the first eigenfunctions_at after a scan takes the bases of all its
-    # roots from one stacked call; the rest read them
+    # roots from one stacked eigh of B per plan, and the scan takes none;
+    # the rest read them
     graph = builtin_graph("dodecahedron")
     mu = lebesgue_measure(graph, normalize=True)
-    calls, nullspace = [], SpectralProblem.nullspace
+    calls, null_vectors = [], spectral._CountPlan.null_vectors
 
-    def counted(self, gamma):
-        calls.append(np.size(gamma))
-        return nullspace(self, gamma)
+    def counted(self, gs):
+        calls.append((self, len(gs)))
+        return null_vectors(self, gs)
 
-    monkeypatch.setattr(SpectralProblem, "nullspace", counted)
-    pairs = find_eigenvalues(graph, mu, 60.0)
+    monkeypatch.setattr(spectral._CountPlan, "null_vectors", counted)
+    # up to gamma L = 4 on every edge: the root at its pole gamma L = pi
+    # (multiplicity 10) takes the golden plan, the other seven whole edges
+    pairs = find_eigenvalues(graph, mu, 120.0)
     problem = spectral._problem(graph, mu)
-    assert calls == [] and problem.bases == {} and len(pairs) >= 3
+    assert calls == [] and problem.bases == {} and len(pairs) == 8
     funcs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs[::-1]]
-    assert calls == [len(pairs)]
+    assert sorted(n for _, n in calls) == [1, 7]
+    assert {plan for plan, _ in calls} == {problem.count.whole, problem.count.golden}
     assert [len(problem.bases[math.sqrt(p.eigenvalue)]) for p in pairs] \
         == [p.multiplicity for p in pairs] == [f.multiplicity for f in funcs[::-1]]
+
+
+def stretched_tetrahedron(eps):
+    """The tetrahedron with e1 lengthened by the factor 1 + eps: its triple
+    root near gamma = 11.4638 splits at second order in eps, into two
+    simple roots 1e-11 to 1e-7 apart relative to the root and a third."""
+    t = builtin_graph("tetrahedron")
+    return build_graph(list(t.vertices), [(e.id, e.u, e.v, e.length * (1.0 + eps)
+                                           if e.id == "e1" else e.length) for e in t.edges])
+
+
+@pytest.mark.parametrize("kind", ["dx-normalized", "canonical"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 3e-5, 1e-5])
+def test_close_simple_roots_are_confirmed(eps, kind):
+    # a root stands when the eigenvalues of B that cross zero in its
+    # bracket vanish; the eigenvalue of a close neighbour that vanishes too
+    # (counted as well, the scan raised "no root there has a nullspace that
+    # big" in 6 of these 8 cases) does not discard it
+    graph = stretched_tetrahedron(eps)
+    mu = lebesgue_measure(graph, normalize=True) if kind == "dx-normalized" \
+        else canonical_measure(graph)
+    pairs = find_eigenvalues(graph, mu, 20.0)
+    assert sum(p.multiplicity for p in pairs) == spectral._problem(graph, mu).count(20.0)
+
+
+def test_close_simple_roots_are_the_secular_roots():
+    # at eps = 1e-4 the two simple roots lie 1.7e-9 relative apart: det M
+    # changes sign across 1e-11 relative of each.  Each root's eigenspace
+    # is ill-posed at this distance, and eigenfunctions_at raises, as the
+    # SVD of M, which finds two null vectors at each, would
+    graph = stretched_tetrahedron(1e-4)
+    mu = lebesgue_measure(graph, normalize=True)
+    pairs = find_eigenvalues(graph, mu, 20.0)
+    gammas = [math.sqrt(p.eigenvalue) for p in pairs[:2]]
+    assert gammas == [11.463512817574077, 11.463512836932413]
+    assert [p.multiplicity for p in pairs[:2]] == [1, 1]
+    problem = spectral._problem(graph, mu)
+    for gamma in gammas:
+        dets = [np.linalg.det(oracles.secular_matrix(problem, gamma * (1.0 + s * 1e-11)))
+                for s in (-1.0, 1.0)]
+        assert dets[0] * dets[1] < 0.0
+        assert len(problem.nullspace(gamma)) == 2
+        with pytest.raises(NumericError, match=r"has dimension 2, but the eigenvalue count "
+                                               r"rises by 1"):
+            eigenfunctions_at(graph, mu, gamma)
+
+
+def test_eigenfunctions_leave_the_secular_plan_unbuilt(tetrahedron):
+    # a scan and the eigenfunctions at every root never read M, whose
+    # scatter plan is built on the first characteristic_det, with the
+    # values of the eagerly built plan, bit for bit
+    for mu, want in ((lebesgue_measure(tetrahedron, normalize=True),
+                      [0.004644434489065515, 6.822768495704691, 0.04397244062669526,
+                       -1.7106361690708818]),
+                     (poly_shaped_measure(tetrahedron),
+                      [2.9770397335999833e-15, 0.002150485961156527, -0.017842828559650765,
+                       -0.968645657563839])):
+        for p in find_eigenvalues(tetrahedron, mu, 20.0):
+            eigenfunctions_at(tetrahedron, mu, math.sqrt(p.eigenvalue))
+        problem = spectral._problem(tetrahedron, mu)
+        assert problem.bases and spectral._PLAN.isdisjoint(vars(problem))
+        assert [characteristic_det(tetrahedron, mu, g) for g in (0.5, 3.0, 11.0, 20.0)] == want
+        assert spectral._PLAN <= set(vars(problem))
+
+
+def near_pole_path(offset):
+    """A path of three edges, total length 1, under dx-normalized: the
+    interval's spectrum, and the root 2 pi lies offset relative above the
+    first pole of e1 and off the poles of e2 and e3."""
+    lengths = [0.5 / (1.0 - offset), 0.3]
+    graph = build_graph(["a", "b", "c", "d"], [("e1", "a", "b", lengths[0]),
+                                               ("e2", "b", "c", lengths[1]),
+                                               ("e3", "c", "d", 1.0 - sum(lengths))])
+    return graph, lebesgue_measure(graph, normalize=True), [2.0 * math.pi]
+
+
+def svd_route_cases():
+    """(id, graph, measure, the gammas to compare, the ill-posed ones among
+    them): a scan's roots where a gamma_max is given, else the gammas."""
+    tet, dodeca, interval = (builtin_graph(n) for n in ("tetrahedron", "dodecahedron",
+                                                       "interval"))
+    atom = Measure(tet, [(tet.point("e1", 0.05), 1.0)])
+    circle = builtin_graph("circle")
+    workloads = importlib.import_module("workloads")
+    spec = workloads.random_cubic(workloads._rng(0, 1), 30)
+    cubic = build_graph(*spec)
+    cubic_mu = workloads._measure(cubic, workloads._spectrum_measure(spec[1], "poly"))
+    six_pi = 6.0 * math.pi
+    return [
+        # index 5 of cli_golden.txt's atom.json block: four coefficients tie
+        ("atom", tet, atom, 20.0, [355.305758439]),
+        ("dodecahedron", dodeca, lebesgue_measure(dodeca, normalize=True), 100.0, []),
+        ("circle", circle, lebesgue_measure(circle), [2.0 * math.pi, 4.0 * math.pi], []),
+        ("interval-canonical", interval, canonical_measure(interval), 40.0, []),
+        ("cubic30-poly", cubic, cubic_mu, 40.0 / total_length(cubic), []),
+        # B_e divides by sin(gamma L_e) = 6.3e-4 on whole edges; nearer a
+        # pole the golden plan takes over
+        ("near-pole-whole", *near_pole_path(2e-4), []),
+        ("near-pole-golden", *near_pole_path(5e-5), []),
+        # a simple eigenfunction whose four largest coefficients tie at
+        # sqrt(3), and a double one whose probe pairing is singular
+        ("tetrahedron-const", tet, poly_shaped_measure(tet, "const"), 20.0, [six_pi ** 2]),
+        ("tetrahedron-dx", tet, lebesgue_measure(tet, normalize=True), 20.0, [six_pi ** 2]),
+    ]
+
+
+@pytest.fixture
+def perfbench_path(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+
+
+@pytest.mark.usefixtures("perfbench_path")
+@pytest.mark.parametrize("case", range(9))
+def test_eigenfunctions_match_the_svd_route(case):
+    # B's null vectors give the coefficients of M's stacked SVD (the former
+    # route), to 1e-12 of the norm of each coefficient vector, on the golden
+    # plan (atoms, the dodecahedron's multiplicities up to 10, the circle
+    # and the interval at their poles, a root 5e-5 from a pole) and on whole
+    # edges (a polynomial measure on a random cubic graph, a root 2e-4 from
+    # a pole).  At an eigenvalue where rounding picks the basis, the two
+    # span the same eigenspace
+    _, graph, mu, top, ill_posed = svd_route_cases()[case]
+    gammas = top if isinstance(top, list) else \
+        [math.sqrt(p.eigenvalue) for p in find_eigenvalues(graph, mu, top)]
+    assert gammas
+    for gamma in gammas:
+        got, want = (np.array([np.append(f.ab, f.constant) for f in pair.eigenfunctions])
+                     for pair in (eigenfunctions_at(graph, mu, gamma),
+                                  oracles.svd_eigenpair(graph, mu, gamma)))
+        assert got.shape == want.shape
+        if any(gamma * gamma == pytest.approx(lam, rel=1e-9) for lam in ill_posed):
+            span = np.linalg.qr(want.T)[0]
+            off = got.T - span @ (span.T @ got.T)
+            assert np.max(np.linalg.norm(off, axis=0) / np.linalg.norm(got, axis=1)) <= 1e-12
+        else:
+            err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert err.max() <= 1e-12, gamma
 
 
 def atom_only_circle(beta=1.0):
@@ -1247,9 +1391,9 @@ def test_constant_function_is_not_an_eigenfunction(interval):
 @pytest.mark.parametrize("case", ["petersen", "paired"])
 def test_one_problem_per_graph_and_measure(monkeypatch, case):
     # find_eigenvalues then eigenfunctions_at at every root build one problem
-    # and take one nullspace per root, counted in gammas (the first
-    # eigenfunctions_at stacks all the scan's roots into one call); new
-    # objects get a fresh problem
+    # and take the null vectors of B once per root, counted in gammas (the
+    # first eigenfunctions_at stacks all the scan's roots into one call per
+    # plan); new objects get a fresh problem
     def make_graph():  # Petersen has a 5-fold root, the other a close pair
         return builtin_graph("petersen") if case == "petersen" else \
             build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
@@ -1258,19 +1402,19 @@ def test_one_problem_per_graph_and_measure(monkeypatch, case):
         return lebesgue_measure(graph, normalize=True) if case == "petersen" else \
             poly_shaped_measure(graph, "const")
 
-    init, nullspace = SpectralProblem.__init__, SpectralProblem.nullspace
+    init, null_vectors = SpectralProblem.__init__, spectral._CountPlan.null_vectors
     built, calls = [], []
 
     def counted_init(self, graph, mu):
         built.append(self)
         init(self, graph, mu)
 
-    def counted_nullspace(self, gamma, *args):
-        calls.extend([gamma] * np.size(gamma))
-        return nullspace(self, gamma, *args)
+    def counted_null_vectors(self, gs):
+        calls.extend(gs.tolist())
+        return null_vectors(self, gs)
 
     monkeypatch.setattr(SpectralProblem, "__init__", counted_init)
-    monkeypatch.setattr(SpectralProblem, "nullspace", counted_nullspace)
+    monkeypatch.setattr(spectral._CountPlan, "null_vectors", counted_null_vectors)
     graph = make_graph()
     mu = make_measure(graph)
     pairs = find_eigenvalues(graph, mu, 40.0 / total_length(graph))
@@ -1421,8 +1565,8 @@ def test_l2_inner_on_the_callers_graph(tetrahedron, circle):
 
 
 def test_scan_bases_keep_no_view_of_the_stack():
-    # a scan's bases come from one stacked SVD; a cached basis must not keep
-    # the whole stack of singular vectors alive
+    # a scan's bases come from one stacked eigh per plan; a cached basis
+    # must not keep the whole stack of eigenvectors alive
     graph = builtin_graph("dodecahedron")
     mu = lebesgue_measure(graph, normalize=True)
     pairs = find_eigenvalues(graph, mu, 60.0)
