@@ -58,18 +58,14 @@ def nullspace_basis(M):
     """Orthonormal basis of the numerical nullspace via SVD.
 
     Vectors whose singular value is below DEFAULT_RANK_TOL times the largest
-    one are kept; a zero matrix yields the full space.  A stack of matrices
-    gives the list of their bases, from one stacked SVD; each basis holds a
-    copy of its rows, so that none keeps the whole stack of singular vectors.
+    one are kept; a zero matrix yields the full space.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:  # no rows: every vector is null
-        return list(np.eye(M.shape[-1])) if M.ndim == 2 else [list(np.eye(M.shape[-1])) for _ in M]
+        return list(np.eye(M.shape[1]))
     _, s, vh = np.linalg.svd(M)
-    bases = [list(vt[[i >= sv.size or not sv[0] or sv[i] < DEFAULT_RANK_TOL * sv[0]
-                      for i in range(len(vt))]])
-             for sv, vt in zip(s.reshape(-1, s.shape[-1]), vh.reshape(-1, *vh.shape[-2:]))]
-    return bases if M.ndim == 3 else bases[0]
+    return list(vh[[i >= s.size or not s[0] or s[i] < DEFAULT_RANK_TOL * s[0]
+                    for i in range(len(vh))]])
 
 
 def golden_min(f, a, b, xatol):

@@ -20,7 +20,7 @@ vectors hold the eigenfunctions too: their values at the nodes and their
 constant C, from which each edge's A and B follow; eigenfunctions_at takes
 them for all of a scan's roots from one stacked eigh per plan.  M serves
 only assemble_characteristic_matrix, characteristic_det and
-SpectralProblem.nullspace, and its scatter plan is built on first use.
+SpectralProblem.nullspace, at one gamma, written from the incidences.
 Every edge integral at a given gamma (trig moments of the densities
 and of products of edge solutions) comes from one batched moment kernel,
 _exp_moments, called once for all edges: integration by parts in closed
@@ -79,27 +79,10 @@ _EPS = np.finfo(float).eps
 # of size s = n + 1 costs s^3 + 230 s^2 + 8e4 units, 1.3 to 3.5 ns each on a
 # 2-core x86 host (the interval, and random cubic graphs with m = 30 to 300)
 MAX_SCAN_WORK = 4e9  # about 10 s
-# a stacked read of B or M takes at most MAX_BATCH gammas, fewer when their
+# a stacked read of B takes at most MAX_BATCH gammas, fewer when their
 # stack of matrices would exceed MAX_STACK_ENTRIES, so memory stays flat
 MAX_BATCH = 64
 MAX_STACK_ENTRIES = 1 << 18
-
-# Features of M(gamma): two global ones, then per edge the trig values, the
-# derivative factors, h(0), h(L), h'(0), -h'(L) and the integral of h*d for
-# the particular solution h, and the trig moments of the density d.
-_ONE, _G2 = 0, 1
-(_COS, _SIN, _G, _GSIN, _MGCOS, _H0, _HL, _HP0, _MHPL, _HD,
- _CMOM, _SMOM) = range(12)
-_EDGE_FEATURES = 12
-# The features that a put of _compile writes into the A, B, C columns of its
-# edge e, by kind: the value (side) or derivative (2 + side) at an end, the
-# moments (4), an atom's gamma^2 term (5); -1 for none, edge e's own where
-# _PUT_ON_EDGE is 1.
-_PUT_FEATURES = np.array([[_ONE, -1, _H0], [_COS, _SIN, _HL], [-1, _G, _HP0],
-                          [_GSIN, _MGCOS, _MHPL], [_CMOM, _SMOM, _HD], [-1, -1, _G2]])
-_PUT_ON_EDGE = np.array([[0, 0, 1], [1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
-# the attributes that _compile writes
-_PLAN = frozenset(("_poly", "_d0", "_hpoly", "_flat", "_feat", "_coef"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,8 +257,7 @@ class SpectralProblem:
     the working graph's edge order.  roots keeps the multiplicity of each
     root that find_eigenvalues found, bases the coefficient vectors that
     eigenfunctions_at took there from B's null vectors (coefficients), and
-    count the EigenvalueCount.  M's scatter plan (_compile) is built on the
-    first read of M.
+    count the EigenvalueCount.  M is built one gamma at a time (_assemble).
     """
 
     def __init__(self, graph, mu):
@@ -301,14 +283,8 @@ class SpectralProblem:
             self._atom_mass[v] = self._atom_mass.get(v, 0.0) + m
         self._dens = self.mu.arrays[3]
         self._ptab = _particular_table(self._dens)
-
-    def __getattr__(self, name):
-        """M's scatter plan (_compile), built on the first read of any of it:
-        no scan and no eigenfunction reads M."""
-        if name not in _PLAN:
-            raise AttributeError(name)
-        self._compile()
-        return vars(self)[name]
+        poly = (self._dens[:, 1:] != 0.0).any(axis=1)
+        self._poly, self._d0 = np.flatnonzero(poly), np.where(poly, 0.0, self._dens[:, 0])
 
     @functools.cached_property
     def row_tags(self):
@@ -339,109 +315,67 @@ class SpectralProblem:
         vectors are in M's own unknowns, orthonormal only when ell = 1.  Only
         the integral row can vanish (at double roots of atom-only measures);
         at most DEFAULT_RANK_TOL, it is a zero row and stays unscaled, so its
-        rounding noise cannot hide a nullspace dimension.  A 1-D array of
-        gammas gives their bases, from one stacked SVD per batch (_batched)."""
+        rounding noise cannot hide a nullspace dimension."""
         unit = np.append(np.ones(self.size - 1), total_length(self.graph))
-        def bases(gs):
-            M = self._assemble(gs) * unit
-            scales = np.abs(M).max(axis=2)
-            scales[scales[:, -1] <= DEFAULT_RANK_TOL, -1] = 1.0
-            return [[v * unit for v in basis] for basis in nullspace_basis(M / scales[..., None])]
-        return _batched(bases, gamma, self.size)
+        M = self._assemble(gamma) * unit
+        scales = np.abs(M).max(axis=1)
+        scales[-1] = 1.0 if scales[-1] <= DEFAULT_RANK_TOL else scales[-1]
+        return [v * unit for v in nullspace_basis(M / scales[:, None])]
 
-    def _compile(self):
-        """Scatter plan of M(gamma) in split form, M = sum_j f_j(gamma) A_j.
-
-        Each structural nonzero becomes (flat index row*N + col, feature,
-        coefficient); _assemble evaluates the features at gamma and scatters
-        coefficient * feature with one bincount.  Entries are listed in the
-        order the rows accumulate, so repeated indices sum in a fixed order.
-        A vertex's rows start at its first incidence (incidences in edge
-        order, end u before end v): a continuity row per later incidence, its
-        value less the first's, then the derivative row, every derivative and
-        then the atom.  The integral row takes the moments, then each atom's
-        mass times the value at its vertex's first incidence.
-        """
-        # h = sum_j s^j P_j with s = 1/gamma^2 and P = _ptab; _hpoly[:, :, j]
-        # holds h(0), h(L), h'(0), -h'(L) and the integral of h*d for P_j.
-        # Constant densities get closed forms (h = d0, the trig moments), the
-        # rows _poly of _dens batched ones.
-        L, dens, P = self._lengths, self._dens, self._ptab
-        nonzero = dens != 0.0
-        poly = nonzero[:, 1:].any(axis=1)
-        k, d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
-        self._poly, self._d0 = k, d0
-        self._hpoly = np.zeros((len(L), 5, P.shape[2]))
-        if P.shape[2]:
-            self._hpoly[:, 0, 0] = self._hpoly[:, 1, 0] = d0
-            self._hpoly[:, 4, 0] = d0 * d0 * L
-        for j in range(P.shape[2] if k.size else 0):
-            h = P[k, :, j]
-            hp = polyder_rows(h)
-            integral = integrate_rows(0.0, L[k], polymul_rows(h, dens[k]))
-            self._hpoly[k, :, j] = np.array(
-                (h[:, 0], polyval_rows(h, L[k]), hp[:, 0], -polyval_rows(hp, L[k]), integral)).T
-        # the puts in groups, each in row order, that a stable sort by row
-        # merges in the order above (_PUT_FEATURES: 6 e + kind for edge e)
-        m, N = len(L), self.size
-        ends = self._ends.ravel()  # the vertex of end 2k + side
-        inc = np.argsort(ends, kind="stable")  # the incidences, vertex by vertex
-        deg = np.bincount(ends, minlength=len(self.graph.vertices))
-        first, v = np.cumsum(deg) - deg, ends[inc]
-        val = inc + 4 * (inc >> 1)  # the put of the value at each incidence
-        p = np.flatnonzero(np.arange(2 * m) != first[v])  # continuity rows p - 1
-        atoms = np.array([self.graph.vertex_index(a) for a in self._atom_mass], dtype=np.intp)
-        mass = np.array(list(self._atom_mass.values()))
-        moments, nz, last = np.flatnonzero(nonzero.any(axis=1)), mass != 0.0, first + deg - 1
-        row = np.concatenate((p - 1, p - 1, last[v], last[atoms[nz]],
-                              np.full(moments.size + atoms.size, N - 1)))
-        order = np.argsort(row, kind="stable")
-        put = np.concatenate((val[p], val[first[v]][p], val + 2, np.full(nz.sum(), 5),
-                              6 * moments + 4, val[first[atoms]]))[order]
-        coef = np.concatenate((np.repeat([1.0, -1.0, 1.0], [p.size, p.size, 2 * m]), -mass[nz],
-                               np.ones(moments.size), mass))[order]
-        e, kind = put // 6, put % 6
-        feats = _PUT_FEATURES[kind] + _PUT_ON_EDGE[kind] * (2 + _EDGE_FEATURES * e)[:, None]
-        keep = feats >= 0
-        cols = np.where([False, False, True], N - 1, 2 * e[:, None] + [0, 1, 0])  # A, B, C of e
-        self._flat = (row[order, None] * N + cols)[keep]
-        self._feat = feats[keep]
-        self._coef = np.repeat(coef, keep.sum(axis=1))
+    @functools.cached_property
+    def _layout(self):
+        """M's entries, the same at every gamma, in the order in which each
+        row sums them, rows as row_tags: (flat index row * N + column, index
+        m (3 kind + column) + k of edge k's value of kind 0 to 4 in _assemble
+        or 15 m for gamma^2, coefficient); the integral row's C entry, which
+        can cancel, adds the atoms last, in _atom_mass order.  Then H[:, k, j]:
+        h(0), h(L), h'(0), -h'(L) and the integral of h d for each term P_j of
+        edge k's particular solution sum_j gamma^(-2j) P_j (_ptab)."""
+        N, m, r, first, out = self.size, len(self.edges), 0, {}, []
+        def put(k, kind, coef):  # the A, B, C entries of edge k's kind
+            out.extend(zip((r * N + 2 * k, r * N + 2 * k + 1, r * N + N - 1),
+                           range(3 * kind * m + k, (3 * kind + 3) * m, m), (coef,) * 3))
+        for v in self.graph.vertices:  # continuity rows, then the derivative row
+            inc = [(self._row[e.id], end) for e, end in self.graph.incidences(v)]
+            first[v] = inc[0]
+            for k, end in inc[1:]:
+                put(k, end, 1.0)
+                put(*inc[0], -1.0)
+                r += 1
+            for k, end in inc:
+                put(k, 2 + end, 1.0)
+            out.append((r * N + N - 1, 15 * m, -self._atom_mass.get(v, 0.0)))
+            r += 1
+        for k in np.flatnonzero(self._dens.any(axis=1)):
+            put(k, 4, 1.0)
+        for v, mass in self._atom_mass.items():
+            put(*first[v], mass)
+        J = self._ptab.shape[2]  # one row per edge and power j below
+        h = self._ptab.transpose(0, 2, 1).reshape(m * J, self._dens.shape[1])
+        L, hp = np.repeat(self._lengths, J), polyder_rows(h)
+        H = np.array((h[:, 0], polyval_rows(h, L), hp[:, 0], -polyval_rows(hp, L),
+                      integrate_rows(0.0, L, polymul_rows(h, np.repeat(self._dens, J, axis=0)))))
+        return (*map(np.array, zip(*out)), H.reshape(5, m, J))
 
     def _assemble(self, gamma):
-        """Raw M(gamma); a 1-D array of gammas gives a stack, one matrix per
-        gamma."""
-        gs = np.asarray(gamma, dtype=float)
-        if (gs <= 0).any():
+        """Raw M(gamma), one bincount over _layout's entries.  Per edge: the
+        values (1, 0, h(0)), (cos, sin, h(L)) and inward derivatives (0, gamma,
+        h'(0)), (gamma sin, -gamma cos, -h'(L)) at the ends, and the moments."""
+        if not gamma > 0.0:
             raise ValidationError("gamma must be positive")
-        g = np.atleast_1d(gs)[:, None]
-        L, B, m = self._lengths, g.shape[0], len(self._lengths)
-        gL = g * L
-        cg, sg = np.cos(gL), np.sin(gL)
-        # the feature rows of M: the global ones, then F, _EDGE_FEATURES per
-        # edge, as a view
-        feats = np.empty((B, 2 + _EDGE_FEATURES * m))
-        F = feats[:, 2:].reshape(B, m, _EDGE_FEATURES)
-        g2 = g * g
-        feats[:, _ONE], feats[:, _G2] = 1.0, g2[:, 0]
-        F[..., _COS], F[..., _SIN], F[..., _G] = cg, sg, g
-        F[..., _GSIN], F[..., _MGCOS] = g * sg, -g * cg
-        powers = (1.0 / g2) ** np.arange(self._hpoly.shape[2])
-        F[..., _H0:_CMOM] = (self._hpoly @ powers[:, None, :, None])[..., 0]
-        F[..., _CMOM] = self._d0 * sg / g
-        F[..., _SMOM] = self._d0 * (2.0 * np.sin(0.5 * gL) ** 2) / g  # 1 - cos, stable
-        k = self._poly
+        L, dens, g, k, N = self._lengths, self._dens, float(gamma), self._poly, self.size
+        flat, value, coef, H = self._layout
+        c, s = np.cos(gL := g * L), np.sin(gL)
+        # the density's trig moments, a constant one's in closed form (1 - cos, stable)
+        cmom, smom = self._d0 * s / g, self._d0 * (2.0 * np.sin(0.5 * gL) ** 2) / g
         if k.size:
-            I = _exp_moments(g, L[k], self._dens.shape[1])
-            z = np.sum(self._dens[k] * I[..., :-1], axis=-1)
-            F[:, k, _CMOM], F[:, k, _SMOM] = z.real, z.imag
-        # a stack of M from one bincount, which sums each matrix's entries in
-        # plan order
-        N = self.size
-        index = (self._flat + N * N * np.arange(B)[:, None]).ravel()
-        weights = (self._coef * feats.take(self._feat, axis=1)).ravel()
-        out = np.bincount(index, weights, minlength=B * N * N).reshape(B, N, N)
-        return out if gs.ndim else out[0]
+            z = np.sum(dens[k] * _exp_moments(g, L[k], dens.shape[1])[:, :-1], axis=-1)
+            cmom[k], smom[k] = z.real, z.imag
+        h = H @ (1.0 / (g * g)) ** np.arange(H.shape[2])
+        zero = np.zeros_like(L)
+        values = np.concatenate((zero + 1.0, zero, h[0], c, s, h[1], zero, zero + g, h[2],
+                                 g * s, -g * c, h[3], cmom, smom, h[4], [g * g]))
+        return np.bincount(flat, coef * values[value], minlength=N * N).reshape(N, N)
 
     def solution(self, gamma, vec, h=None):
         """EdgeBasisSolution from one coefficient vector (and the table of
@@ -568,9 +502,11 @@ def eigenfunctions_at(graph, mu, gamma_star):
     (sqrt(eigenvalue) is that root exactly), the first call takes the bases
     of all the roots found so far, from one stacked eigh per plan, and
     keeps them; k is the root's multiplicity.  Any other gamma gets k from
-    the count at gamma (1 -+ DEFAULT_ROOT_TOL), and where it does not rise
-    there, NumericError.  A basis whose dimension is not k raises
-    NumericError; M is never read.  The basis is combined through
+    the count's rise across gamma (1 -+ DEFAULT_ROOT_TOL), on the golden
+    plan unless a golden piece has a pole there (whole edges misread it
+    beside a pole that carries a root), and if it does not rise,
+    NumericError.  A basis whose dimension is not k raises NumericError; M
+    is never read.  The basis is combined through
     the inverse square root of the exact L2 Gram matrix of its solutions,
     so the returned eigenfunctions are orthonormal.  A simple eigenfunction
     is sign-fixed by its largest coefficient; a multiple eigenspace gets
@@ -581,8 +517,9 @@ def eigenfunctions_at(graph, mu, gamma_star):
     problem = _problem(graph, mu)
     k = problem.roots.get(gamma_star)
     if k is None:
-        below, above = problem.count(gamma_star * np.array([1.0 - DEFAULT_ROOT_TOL,
-                                                            1.0 + DEFAULT_ROOT_TOL]))
+        count, side = problem.count, gamma_star * (1.0 + np.array([-1.0, 1.0]) * DEFAULT_ROOT_TOL)
+        plan = count.whole if _near_pole(count.golden.lengths, *side) else count.golden
+        below, above = plan(side)
         k = above - below
         if k < 1:
             raise NumericError(f"the eigenvalue count does not rise at gamma={gamma_star!r}; "
@@ -888,20 +825,16 @@ class EigenvalueCount:
         return _read_at([(plan, g, None) for plan, g in zip(self.plans(gs), gs.tolist())])
 
 
-def _batched(fn, gamma, size, *rows):
+def _batched(fn, gs, size, *rows):
     """fn, which maps a 1-D array of gammas (and the matching slices of the
-    arrays rows, one row per gamma) to a list, at a scalar (its one value) or
-    a 1-D array (one list), in batches of at most MAX_BATCH gammas whose
-    size x size matrices hold at most MAX_STACK_ENTRIES entries (one matrix
-    at least)."""
-    gs = np.asarray(gamma, dtype=float)
+    arrays rows, one row per gamma) to a list, over the 1-D array gs, in
+    batches of at most MAX_BATCH gammas whose size x size matrices hold at
+    most MAX_STACK_ENTRIES entries (one matrix at least)."""
     if (gs <= 0).any():
         raise ValidationError("gamma must be positive")
-    flat = np.atleast_1d(gs)
     step = max(1, min(MAX_BATCH, MAX_STACK_ENTRIES // (size * size)))
-    out = [v for i in range(0, flat.size, step)
-           for v in fn(flat[i:i + step], *(r[i:i + step] for r in rows))]
-    return out if gs.ndim else out[0]
+    return [v for i in range(0, gs.size, step)
+            for v in fn(gs[i:i + step], *(r[i:i + step] for r in rows))]
 
 
 def _near_pole(lengths, a, b):

@@ -88,35 +88,15 @@ def test_nullspace_basis_edge_cases():
         assert abs(wide @ v) < 1e-12
 
 
-def test_nullspace_basis_of_a_stack_is_the_per_matrix_loop(rng):
-    # ranks 4, 2 and 3 of 4 x 4 matrices, a zero matrix among them, and
-    # wide 2 x 4 ones: each basis equals that of its matrix alone, bit for bit
-    def rank(k, shape=(4, 4)):
-        return rng.standard_normal((shape[0], k)) @ rng.standard_normal((k, shape[1]))
-
-    for stack in (np.stack([rank(4), rank(2), np.zeros((4, 4)), rank(3)]),
-                  np.stack([rank(2, (2, 4)), rank(1, (2, 4))])):
-        bases = nullspace_basis(stack)
-        assert len(bases) == len(stack)
-        for M, basis in zip(stack, bases):
-            alone = nullspace_basis(M)
-            assert len(basis) == len(alone)
-            assert all(np.array_equal(u, v) for u, v in zip(basis, alone))
-    assert [len(b) for b in nullspace_basis(np.stack([rank(2), np.zeros((4, 4))]))] == [2, 4]
-    assert all(np.array_equal(b, np.eye(3)) for b in nullspace_basis(np.zeros((2, 0, 3))))
-    assert len(nullspace_basis(np.zeros((2, 0, 3)))) == 2
-
-
 def test_nullspace_bases_keep_no_view_of_the_stack(rng):
-    # a cached basis must not keep the whole (B, s, s) array of right
-    # singular vectors alive: each vector may only view an array no larger
-    # than its own basis
+    # a cached basis must not keep the whole (s, s) array of right singular
+    # vectors alive: each vector may only view an array no larger than its
+    # own basis
     stack = np.stack([rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
                       rng.standard_normal((6, 6)), np.zeros((6, 6))])
     stack[1, 0] = stack[1, 1]  # rank 5
     wide = rng.standard_normal((2, 5))
-    for bases in (nullspace_basis(stack), [nullspace_basis(M) for M in stack],
-                  [nullspace_basis(wide)]):
+    for bases in ([nullspace_basis(M) for M in stack], [nullspace_basis(wide)]):
         assert [len(b) for b in bases] in ([3, 1, 6], [3])
         for basis in bases:
             for v in basis:
