@@ -17,9 +17,13 @@ count, refines it by a secant iteration on the eigenvalues of the scaled B
 that cross zero there, and confirms its multiplicity by as many of them
 vanishing, each stage on a stack of gammas per call (_bracket).  B's null
 vectors hold the eigenfunctions too: their values at the nodes and their
-constant C, from which each edge's A and B follow; eigenfunctions_at takes
-them for all of a scan's roots from one stacked eigh per plan.  M serves
-only assemble_characteristic_matrix, characteristic_det and
+constant C, from which each edge's A and B follow.  The first
+eigenfunctions_at at a scan's root finishes all its roots at once: per
+plan one build of B and one stacked eigh for the null vectors and one
+array pass for their coefficients, then per multiplicity one Gram moment
+call, one stacked eigh and one stacked probe SVD; mercer_partial_sum reads
+the functions of one working graph in one array pass.  M serves only
+assemble_characteristic_matrix, characteristic_det and
 SpectralProblem.nullspace, at one gamma, written from the incidences.
 Every edge integral at a given gamma (trig moments of the densities
 and of products of edge solutions) comes from one batched moment kernel,
@@ -79,8 +83,9 @@ _EPS = np.finfo(float).eps
 # of size s = n + 1 costs s^3 + 230 s^2 + 8e4 units, 1.3 to 3.5 ns each on a
 # 2-core x86 host (the interval, and random cubic graphs with m = 30 to 300)
 MAX_SCAN_WORK = 4e9  # about 10 s
-# a stacked read of B takes at most MAX_BATCH gammas, fewer when their
-# stack of matrices would exceed MAX_STACK_ENTRIES, so memory stays flat
+# a stack of gammas (reads of B, Gram matrices) takes at most MAX_BATCH,
+# fewer when its matrices or moment tables would exceed MAX_STACK_ENTRIES
+# entries, so memory stays flat (_batched)
 MAX_BATCH = 64
 MAX_STACK_ENTRIES = 1 << 18
 
@@ -204,32 +209,38 @@ class EdgeBasisSolution:
         return {eid: self.h[k, :max(np.flatnonzero(self.h[k]), default=0) + 1]
                 for eid, k in self.edges.items()}
 
-    def _read(self, edge_id, t, derivative):
-        """value or derivative in one array pass; the remap chain is walked one
-        vectorised step per split, with each remap's own test and subtraction."""
-        ids, t = np.broadcast_arrays(np.array(edge_id, dtype=object), np.asarray(t, dtype=float))
-        shape, ids, t = t.shape, ids.flatten(), t.flatten()
-        for remap in self.remaps:
-            hit = ids == remap.split_edge
-            right = hit & (t > remap.split_offset)
-            ids[hit] = remap.child_u
-            ids[right] = remap.child_v
-            t[right] -= remap.split_offset
-        k = np.fromiter(map(self.edges.__getitem__, ids), dtype=np.intp, count=ids.size)
-        (A, B), g, h = self.ab[k].T, self.gamma, self.h
-        if derivative:  # B g cos - A g sin + C h'
-            (A, B), h = (B * g, -A * g), polyder_rows(h)
-        out = A * np.cos(g * t) + B * np.sin(g * t) + self.constant * polyval_rows(h[k], t)
-        return out.reshape(shape)[()]
-
     def value(self, edge_id, t):
-        return self._read(edge_id, t, False)
+        return _read([self], edge_id, t, False)[0]
 
     def derivative(self, edge_id, t):
-        return self._read(edge_id, t, True)
+        return _read([self], edge_id, t, True)[0]
 
     def at_point(self, point):
         return float(self.value(point.edge, point.offset))
+
+
+def _read(funcs, edge_id, t, derivative):
+    """The values (or derivatives) of funcs, EdgeBasisSolutions that share
+    edges and remaps, and the width of h, at the points (edge_id, t), one
+    leading row per function, in one array pass; the remap chain is walked
+    one vectorised step per split, with each remap's own test and
+    subtraction.  Each entry takes the arithmetic of a lone function's."""
+    ids, t = np.broadcast_arrays(np.array(edge_id, dtype=object), np.asarray(t, dtype=float))
+    shape, ids, t = t.shape, ids.flatten(), t.flatten()
+    for remap in funcs[0].remaps:
+        hit = ids == remap.split_edge
+        right = hit & (t > remap.split_offset)
+        ids[hit] = remap.child_u
+        ids[right] = remap.child_v
+        t[right] -= remap.split_offset
+    k = np.fromiter(map(funcs[0].edges.__getitem__, ids), dtype=np.intp, count=ids.size)
+    ab, h = np.array([f.ab[k] for f in funcs]), np.array([f.h[k] for f in funcs])
+    (A, B), g = ab.transpose(2, 0, 1), np.array([[f.gamma] for f in funcs])
+    if derivative:  # B g cos - A g sin + C h'
+        (A, B), h = (B * g, -A * g), polyder_rows(h)
+    constant = np.array([[f.constant] for f in funcs])
+    out = A * np.cos(g * t) + B * np.sin(g * t) + constant * polyval_rows(h, t)
+    return out.reshape((len(funcs),) + shape)
 
 
 @dataclass
@@ -255,9 +266,10 @@ class SpectralProblem:
     measure sits at a vertex; the unknown vector of M(gamma), and every
     coefficient vector, is ordered (A_1, B_1, ..., A_m, B_m, C) following
     the working graph's edge order.  roots keeps the multiplicity of each
-    root that find_eigenvalues found, bases the coefficient vectors that
-    eigenfunctions_at took there from B's null vectors (coefficients), and
-    count the EigenvalueCount.  M is built one gamma at a time (_assemble).
+    root that find_eigenvalues found, bases the orthonormal coefficient
+    vectors that eigenfunctions_at finished there (or the NumericError that
+    it raises there), and count the EigenvalueCount.  M is built one gamma
+    at a time (_assemble).
     """
 
     def __init__(self, graph, mu):
@@ -301,8 +313,11 @@ class SpectralProblem:
         return EigenvalueCount(self)
 
     def particulars(self, gamma):
-        """The particular solutions at gamma, one zero-padded row per edge."""
-        return self._ptab @ (1.0 / (gamma * gamma)) ** np.arange(self._ptab.shape[2])
+        """The particular solutions at gamma, one zero-padded row per edge; at
+        a 1-D array of gammas, one such table per gamma, stacked."""
+        g = np.asarray(gamma, dtype=float)
+        powers = (1.0 / (g * g))[..., None] ** np.arange(self._ptab.shape[2])
+        return (self._ptab @ powers[..., None, :, None])[..., 0]
 
     def matrix(self, gamma):
         """Row-equilibrated M(gamma)."""
@@ -384,41 +399,48 @@ class SpectralProblem:
         return EdgeBasisSolution(gamma, self._row, np.reshape(vec[:-1], (-1, 2)),
                                  float(vec[-1]), h, self.remaps)
 
-    def coefficients(self, gamma, plan, Y):
+    def coefficients(self, gammas, plan, Y):
         """M's coefficient vectors (A_1, B_1, ..., A_m, B_m, C), one row per
-        column of Y, from null vectors of the count's B at gamma on plan
-        (whole, or golden, whose node n + k cuts edge k), each the column
-        D z in B's split basis: the values phi_0 = y_0 and phi_v = y_0 + y_v
-        at the nodes, C = -c / gamma from the border entry c, and on each
-        edge A = phi_u - C h(0) and B by least squares over the far end and,
-        on the golden plan, the cut: sum_i s_i r_i / sum_i s_i^2, where
-        s_i = sin(gamma t_i) and r_i = phi(t_i) - C h(t_i) - A cos(gamma t_i)."""
+        column of Y, from null vectors of the count's B on plan (whole, or
+        golden, whose node n + k cuts edge k), each the column D z in B's
+        split basis of B at its own entry of the 1-D array gammas: the values
+        phi_0 = y_0 and phi_v = y_0 + y_v at the nodes, C = -c / gamma from
+        the border entry c, and on each edge A = phi_u - C h(0) and B by
+        least squares over the far end and, on the golden plan, the cut:
+        sum_i s_i r_i / sum_i s_i^2, where s_i = sin(gamma t_i) and r_i =
+        phi(t_i) - C h(t_i) - A cos(gamma t_i).  Each column takes the
+        arithmetic of a lone one."""
         L, (u, v), n = self._lengths, self._ends.T, len(self.graph.vertices)
         phi = Y[:-1] + Y[0]
         phi[0] = Y[0]
-        C = -Y[-1] / gamma
-        h = self.particulars(gamma)
-        A = phi[u] - h[:, :1] * C
+        C = -Y[-1] / gammas
+        h = self.particulars(gammas)  # (column, edge, power)
+        A = phi[u] - h[:, :, 0].T * C
         if plan.nodes > n:
             t, far = L[:, None] * [GOLDEN_CUT, 1.0], np.stack((phi[n:], phi[v]), axis=1)
         else:
             t, far = L[:, None], phi[v][:, None]
-        s = np.sin(gamma * t)[..., None]
-        r = far - polyval_rows(h, t)[..., None] * C - np.cos(gamma * t)[..., None] * A[:, None]
+        gt = t[..., None] * gammas  # gamma t, gammas last as in far
+        ht = polyval_rows(h.reshape(-1, h.shape[2]), np.tile(t, (len(gammas), 1)))
+        ht = ht.reshape(len(gammas), *t.shape).transpose(1, 2, 0)
+        r = far - ht * C - np.cos(gt) * A[:, None]
+        s = np.sin(gt)
         B = np.sum(s * r, axis=1) / np.sum(s * s, axis=1)
         out = np.empty((Y.shape[1], self.size))
         out[:, 0:-1:2], out[:, 1:-1:2], out[:, -1] = A.T, B.T, C
         return out
 
-    def _gram(self, gamma, vecs, h):
-        """L2 Gram matrix of the solutions at gamma of the coefficient vectors
-        vecs (h: particulars(gamma)); G[i, j] = l2_inner(f_i, f_j), every
-        pair from one pair-form call."""
-        V = np.asarray(vecs)
-        ab = V[:, :-1].reshape(len(V), 1, -1, 2)
-        p = V[:, -1, None, None] * h
-        return np.sum(_pair_form(self._lengths, gamma, ab, p[:, None],
-                                 gamma, ab.swapaxes(0, 1), p[None]), axis=-1)
+    def _gram(self, gammas, vecs):
+        """L2 Gram matrices of the solutions at each gamma of the 1-D array
+        gammas of its k coefficient vectors, vecs (gamma, k, size);
+        G[r, i, j] = l2_inner(f_i, f_j) at gammas[r], every pair of every
+        gamma from one pair-form call."""
+        R, k = vecs.shape[:2]
+        ab = vecs[..., :-1].reshape(R, k, 1, -1, 2)
+        p = vecs[..., -1, None, None] * self.particulars(gammas)[:, None]
+        g = gammas[:, None, None]
+        return np.sum(_pair_form(self._lengths, g, ab, p[:, :, None],
+                                 g, ab.swapaxes(1, 2), p[:, None]), axis=-1)
 
     def mu_integral(self, f):
         """Exact integral of an EdgeBasisSolution f of this problem against
@@ -455,17 +477,24 @@ def characteristic_det(graph, mu, gamma):
 def _pair_form(L, g1, ab1, p1, g2, ab2, p2):
     """Per-edge integrals over [0, L] of the products of two edge solutions
     a cos(g t) + b sin(g t) + p(t), from one batched moment call.  ab (..., m,
-    2) and p (..., m, n) may carry leading axes, which broadcast: one call
-    then gives the pair form of every pair of functions at g1 and g2."""
+    2) and p (..., m, n) may carry leading axes, which broadcast, and so may
+    g1 and g2, against the leading axes alone: one call then gives the pair
+    form of every pair of functions, each pair at its own g1 and g2, with
+    the moments at omega = 0 taken once for all of them."""
     n1, n2 = p1.shape[-1], p2.shape[-1]
-    omegas, which = np.unique([abs(g1 - g2), g1 + g2, g2, g1, 0.0], return_inverse=True)
-    I = _exp_moments(omegas[:, None], L, n1 + n2 - 2)[which]
-    Cm, Sm = I[0, :, 0].real, math.copysign(1.0, g1 - g2) * I[0, :, 0].imag
-    Cp, Sp = I[1, :, 0].real, I[1, :, 0].imag
+    g1, g2 = np.asarray(g1, dtype=float)[..., None], np.asarray(g2, dtype=float)[..., None]
+    shape = np.broadcast_shapes(g1.shape, g2.shape)
+    # each omega row takes the same bits in any batch (_exp_moments)
+    pairs = np.stack(np.broadcast_arrays(abs(g1 - g2), g1 + g2, g2, g1)).ravel()
+    omegas, which = np.unique(np.append(pairs, 0.0), return_inverse=True)
+    moments = _exp_moments(omegas[:, None], L, n1 + n2 - 2)
+    I = moments[which[:-1]].reshape(4, *shape[:-1], *moments.shape[1:])
+    Cm, Sm = I[0, ..., 0].real, np.copysign(1.0, g1 - g2) * I[0, ..., 0].imag
+    Cp, Sp = I[1, ..., 0].real, I[1, ..., 0].imag
     a1, b1, a2, b2 = ab1[..., 0], ab1[..., 1], ab2[..., 0], ab2[..., 1]
-    z1 = np.sum(p1 * I[2, :, :n1], axis=-1)  # p1 against the trig part of f2
-    z2 = np.sum(p2 * I[3, :, :n2], axis=-1)
-    pp = I[4].real[:, np.arange(n1)[:, None] + np.arange(n2)]
+    z1 = np.sum(p1 * I[2, ..., :n1], axis=-1)  # p1 against the trig part of f2
+    z2 = np.sum(p2 * I[3, ..., :n2], axis=-1)
+    pp = moments[which[-1]].real[:, np.arange(n1)[:, None] + np.arange(n2)]
     return (0.5 * (a1 * a2 * (Cm + Cp) + b1 * b2 * (Cm - Cp)
                    + a1 * b2 * (Sp - Sm) + a2 * b1 * (Sp + Sm))
             + a2 * z1.real + b2 * z1.imag + a1 * z2.real + b1 * z2.imag
@@ -498,82 +527,126 @@ def eigenfunctions_at(graph, mu, gamma_star):
     null vectors of the count's B there, on the golden plan where an edge
     pole lies within NULL_REL of gamma and otherwise on whole edges, with D
     from B at gamma (1 + NULL_REL) (_CountPlan.null_vectors), so that it
-    depends on gamma alone.  At a root that find_eigenvalues returned
-    (sqrt(eigenvalue) is that root exactly), the first call takes the bases
-    of all the roots found so far, from one stacked eigh per plan, and
-    keeps them; k is the root's multiplicity.  Any other gamma gets k from
-    the count's rise across gamma (1 -+ DEFAULT_ROOT_TOL), on the golden
-    plan unless a golden piece has a pole there (whole edges misread it
-    beside a pole that carries a root), and if it does not rise,
-    NumericError.  A basis whose dimension is not k raises NumericError; M
-    is never read.  The basis is combined through
-    the inverse square root of the exact L2 Gram matrix of its solutions,
-    so the returned eigenfunctions are orthonormal.  A simple eigenfunction
-    is sign-fixed by its largest coefficient; a multiple eigenspace gets
-    the one orthonormal basis whose pairing with a fixed generic probe of
+    depends on gamma alone.  The basis is combined through the inverse
+    square root of the exact L2 Gram matrix of its solutions, so the
+    returned eigenfunctions are orthonormal.  A simple eigenfunction is
+    sign-fixed by its largest coefficient; a multiple eigenspace gets the
+    one orthonormal basis whose pairing with a fixed generic probe of
     coefficient space is symmetric positive definite, whatever basis the
-    eigh returned.
+    eigh returned.  A basis whose dimension is not k, the eigenvalue
+    count's rise, raises NumericError, as does a degenerate Gram matrix;
+    M is never read.
+
+    At a root that find_eigenvalues returned (sqrt(eigenvalue) is that root
+    exactly), k is the root's multiplicity, and the first call finishes
+    every root found so far at once (_eigenbases): one stacked eigh of B
+    per plan and batch for the null vectors, one array pass per plan for
+    their coefficients, and per multiplicity one Gram moment call, one
+    stacked eigh and one stacked probe SVD per stack of roots.  The
+    problem keeps each root's orthonormal coefficient vectors (or the
+    error it raises), so later calls only wrap them.  Any other gamma is
+    a stack of one, with k from the count's rise across gamma (1 -+
+    DEFAULT_ROOT_TOL), on the golden plan unless a golden piece has a pole
+    there (whole edges misread it beside a pole that carries a root), and
+    if it does not rise, NumericError.
     """
     problem = _problem(graph, mu)
-    k = problem.roots.get(gamma_star)
-    if k is None:
+    if gamma_star in problem.roots:
+        if gamma_star not in problem.bases:
+            todo = [g for g in problem.roots if g not in problem.bases]
+            problem.bases.update(zip(todo, _eigenbases(problem, todo,
+                                                       [problem.roots[g] for g in todo])))
+        vecs = problem.bases[gamma_star]
+    else:
         count, side = problem.count, gamma_star * (1.0 + np.array([-1.0, 1.0]) * DEFAULT_ROOT_TOL)
         plan = count.whole if _near_pole(count.golden.lengths, *side) else count.golden
         below, above = plan(side)
-        k = above - below
-        if k < 1:
+        if above <= below:
             raise NumericError(f"the eigenvalue count does not rise at gamma={gamma_star!r}; "
                                "the candidate root is discarded")
-        (basis,) = _null_bases(problem, [gamma_star])
-    else:
-        if gamma_star not in problem.bases:
-            todo = [g for g in problem.roots if g not in problem.bases]
-            problem.bases.update(zip(todo, _null_bases(problem, todo)))
-        basis = problem.bases[gamma_star]
-    if len(basis) != k:
-        raise NumericError(f"the nullspace of B at gamma={gamma_star!r} has dimension "
-                           f"{len(basis)}, but the eigenvalue count rises by {k}")
-    return _orthonormal(problem, gamma_star, basis)
+        (vecs,) = _eigenbases(problem, [gamma_star], [above - below])
+    return _eigenpair(problem, gamma_star, vecs)
+
+
+def _eigenpair(problem, gamma, vecs):
+    """The Eigenpair at gamma of its orthonormal coefficient vectors, or
+    the NumericError that _eigenbases left there, raised afresh."""
+    if isinstance(vecs, NumericError):
+        raise NumericError(*vecs.args)
+    h = problem.particulars(gamma)
+    return Eigenpair(gamma * gamma, len(vecs),
+                     tuple(problem.solution(gamma, vec, h) for vec in vecs))
+
+
+def _eigenbases(problem, gammas, ks):
+    """The orthonormal coefficient vectors (k x size) at each of gammas,
+    whose eigenvalue count rises by the matching entry of ks, or the
+    NumericError that eigenfunctions_at raises there.  The null bases come
+    from _null_bases; those of each dimension k are orthonormalized in
+    stacks (_orthonormal) of at most MAX_BATCH gammas, fewer where their
+    moment table, 2 m rows of up to len(_series_table) powers per gamma
+    (_pair_form), would exceed MAX_STACK_ENTRIES.  Each gamma takes the
+    bits that it takes in a stack of one."""
+    out, by_k = {}, {}
+    for g, k, basis in zip(gammas, ks, _null_bases(problem, gammas)):
+        if len(basis) == k:
+            by_k.setdefault(k, []).append((g, basis))
+        else:
+            out[g] = NumericError(f"the nullspace of B at gamma={g!r} has dimension "
+                                  f"{len(basis)}, but the eigenvalue count rises by {k}")
+    width = len(_series_table(2 * problem._ptab.shape[1] - 2))
+    for group in by_k.values():
+        gs, bases = (np.array(z) for z in zip(*group))
+        out.update(zip(gs.tolist(), _batched(functools.partial(_orthonormal, problem), gs,
+                                             2 * len(problem.edges) * width, bases)))
+    return [out[g] for g in gammas]
 
 
 def _null_bases(problem, gammas):
     """The basis at each of gammas, the coefficient vectors of B's null
     vectors on the golden plan where an edge pole lies within NULL_REL of
-    gamma and otherwise on whole edges, from one stacked eigh per plan
-    (_CountPlan.null_vectors)."""
+    gamma and otherwise on whole edges, from one stacked eigh per plan and
+    batch (_CountPlan.null_vectors) and one array pass per plan
+    (SpectralProblem.coefficients)."""
     count, by_plan, out = problem.count, {}, {}
     for g in gammas:
         near = _near_pole(count.whole.lengths, g * (1.0 - NULL_REL), g * (1.0 + NULL_REL))
         by_plan.setdefault(count.golden if near else count.whole, []).append(g)
     for plan, gs in by_plan.items():
-        out.update((g, problem.coefficients(g, plan, Y))
-                   for g, Y in zip(gs, plan.null_vectors(np.array(gs))))
+        Ys = plan.null_vectors(np.array(gs))
+        ks = [Y.shape[1] for Y in Ys]
+        vecs = problem.coefficients(np.repeat(gs, ks), plan, np.concatenate(Ys, axis=1))
+        out.update(zip(gs, np.split(vecs, np.cumsum(ks)[:-1])))
     return [out[g] for g in gammas]
 
 
-def _orthonormal(problem, gamma, basis):
-    """The Eigenpair at gamma from a basis of coefficient vectors of its
-    eigenspace: orthonormal in L2 through the inverse square root of their
-    Gram matrix, then sign-fixed (k = 1) or rotated onto the probe."""
-    k = len(basis)
-    h = problem.particulars(gamma)
-    w, U = np.linalg.eigh(problem._gram(gamma, basis, h), UPLO="U")
-    if w[0] <= 1e-12 * w[-1]:
-        raise NumericError("degenerate Gram matrix in eigenspace orthonormalization")
-    T = U @ np.diag(w ** -0.5) @ U.T  # symmetric inverse square root
-    vecs = T @ np.asarray(basis)
+def _orthonormal(problem, gammas, bases):
+    """At each gamma of the 1-D array gammas, the orthonormal coefficient
+    vectors of the eigenspace that its basis, bases[r] (k x size), spans:
+    orthonormal in L2 through the inverse square root of their Gram matrix,
+    then sign-fixed (k = 1) or rotated onto the probe; or, where the Gram
+    matrix is degenerate, a NumericError.  Every stage is one stacked call,
+    and each gamma's vectors are a copy of their own."""
+    k = bases.shape[1]
+    w, U = np.linalg.eigh(problem._gram(gammas, bases), UPLO="U")
+    good = ~(w[:, 0] <= 1e-12 * w[:, -1])
+    w, U = w[good], U[good]
+    T = U @ (np.eye(k) * w[:, None, :] ** -0.5) @ U.swapaxes(1, 2)  # symmetric G^(-1/2)
+    vecs = T @ bases[good]
     if k == 1:
-        if vecs[0, np.argmax(np.abs(vecs[0]))] < 0:
-            vecs = -vecs
+        top = vecs[np.arange(len(vecs)), 0, np.argmax(np.abs(vecs[:, 0]), axis=1)]
+        vecs = np.where(top[:, None, None] < 0, -vecs, vecs)
     else:  # rotate by the orthogonal polar factor of the probe pairing, unique
         # as the i j (j - 1) term gives the probe full rank (sin(a_i + b_j): 2)
         i, j = np.arange(problem.size)[:, None], np.arange(k)[None, :]
         probe = np.sin(1.0 + np.sqrt(2.0) * i + np.sqrt(3.0) * j
                        + np.sqrt(5.0) * i * j * (j - 1))
         W, _, Vt = np.linalg.svd(vecs @ probe)
-        vecs = (W @ Vt).T @ vecs
-    funcs = tuple(problem.solution(gamma, vec, h) for vec in vecs)
-    return Eigenpair(gamma * gamma, k, funcs)
+        vecs = (W @ Vt).swapaxes(1, 2) @ vecs
+    done = iter(vecs)
+    return [next(done).copy() if ok else
+            NumericError("degenerate Gram matrix in eigenspace orthonormalization")
+            for ok in good.tolist()]
 
 
 def _energy_series(dens):
@@ -728,14 +801,18 @@ class _CountPlan:
         """At each gamma of the 1-D array gs, the columns D z of B's null
         vectors: z the eigenvectors of D B D whose eigenvalues are at most
         DEFAULT_RANK_TOL of the largest in size, from one stacked eigh a
-        batch at a time (_batched), and D that of B at gamma (1 + NULL_REL)."""
+        batch at a time (_batched), and D that of B at gamma (1 + NULL_REL),
+        B at both gammas from one call of matrices."""
         def batch(gs):
-            scales = _equilibrate(self.matrices(gs * (1.0 + NULL_REL))[0])
-            w, Z = np.linalg.eigh(self.scaled(gs, scales)[0], UPLO="L")
+            B = self.matrices(np.concatenate((gs * (1.0 + NULL_REL), gs)))[0]
+            scales, B = _equilibrate(B[:gs.size]), B[gs.size:]
+            B *= scales[:, :, None]
+            B *= scales[:, None, :]
+            w, Z = np.linalg.eigh(B, UPLO="L")
             w = np.abs(w)
             null = w <= DEFAULT_RANK_TOL * w.max(axis=1, keepdims=True)
             return [D[:, None] * z[:, keep] for D, z, keep in zip(scales, Z, null)]
-        return _batched(batch, gs, self.nodes + 1)
+        return _batched(batch, gs, 2 * (self.nodes + 1) ** 2)
 
     def readings(self, gs, *scales):
         """(count, plan, w, D, trig) at each gamma of the 1-D array gs, from
@@ -748,7 +825,7 @@ class _CountPlan:
             pos = (w > 0.0).sum(axis=1).tolist()
             return [(int(t) + n - 1, self, wi, Di, t)
                     for t, n, wi, Di in zip(trig.tolist(), pos, w, D)]
-        return _batched(batch, gs, self.nodes + 1, *scales)
+        return _batched(batch, gs, (self.nodes + 1) ** 2, *scales)
 
     def __call__(self, gs):
         return [r[0] for r in self.readings(gs)]
@@ -825,14 +902,14 @@ class EigenvalueCount:
         return _read_at([(plan, g, None) for plan, g in zip(self.plans(gs), gs.tolist())])
 
 
-def _batched(fn, gs, size, *rows):
+def _batched(fn, gs, entries, *rows):
     """fn, which maps a 1-D array of gammas (and the matching slices of the
     arrays rows, one row per gamma) to a list, over the 1-D array gs, in
-    batches of at most MAX_BATCH gammas whose size x size matrices hold at
-    most MAX_STACK_ENTRIES entries (one matrix at least)."""
+    batches of at most MAX_BATCH gammas whose stacks hold at most
+    MAX_STACK_ENTRIES entries, entries per gamma (one gamma at least)."""
     if (gs <= 0).any():
         raise ValidationError("gamma must be positive")
-    step = max(1, min(MAX_BATCH, MAX_STACK_ENTRIES // (size * size)))
+    step = max(1, min(MAX_BATCH, MAX_STACK_ENTRIES // entries))
     return [v for i in range(0, gs.size, step)
             for v in fn(gs[i:i + step], *(r[i:i + step] for r in rows))]
 
@@ -1114,10 +1191,17 @@ def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5):
 
 
 def mercer_partial_sum(eigenpairs, x, y):
-    """Sum over the given eigenpairs of f_n(x) f_n(y) / lambda_n."""
-    terms = [np.prod(f.value([x.edge, y.edge], [x.offset, y.offset])) / pair.eigenvalue
-             for pair in eigenpairs for f in pair.eigenfunctions]
-    return float(np.cumsum([0.0, *terms])[-1])
+    """Sum over the given eigenpairs of f_n(x) f_n(y) / lambda_n, term by
+    term in their order; the functions that share a working graph are read
+    at x and y in one array pass (_read)."""
+    funcs = [(f, pair.eigenvalue) for pair in eigenpairs for f in pair.eigenfunctions]
+    groups, terms = {}, np.empty(len(funcs))
+    for n, (f, _) in enumerate(funcs):
+        groups.setdefault((id(f.edges), id(f.remaps), f.h.shape[1]), []).append(n)
+    for ns in groups.values():
+        vals = _read([funcs[n][0] for n in ns], [x.edge, y.edge], [x.offset, y.offset], False)
+        terms[ns] = vals[:, 0] * vals[:, 1] / np.array([funcs[n][1] for n in ns])
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def rayleigh_quotient(graph, mu, trial):

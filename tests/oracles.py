@@ -36,8 +36,11 @@ measure at 60 digits, from its definition.  deflated_counts is the
 eigenvalue count as it was read before the bordered matrix B, #pos(Lambda)
 and the sign of w apart with a deflating solve.  svd_eigenpair is the former
 route of eigenfunctions_at: the nullspace of M by SVD, then the package's
-own Gram orthonormalization and probe rotation.  path_distance,
-dirichlet_inner, sup_norm and cpa_hat are helpers that only the tests read.
+own Gram orthonormalization and probe rotation, as a stack of one.
+mercer_function_loop is the former sum of mercer_partial_sum, one
+function read at a time, that one array pass per working graph replaced.
+path_distance, dirichlet_inner, sup_norm and cpa_hat are helpers that only
+the tests read.
 """
 
 import functools
@@ -551,7 +554,9 @@ def svd_eigenpair(graph, mu, gamma):
     nullspace of M (SpectralProblem.nullspace, one SVD), then the package's
     own Gram orthonormalization and probe rotation."""
     problem = _problem(graph, mu)
-    return spectral._orthonormal(problem, gamma, problem.nullspace(gamma))
+    (vecs,) = spectral._orthonormal(problem, np.array([gamma]),
+                                    np.array([problem.nullspace(gamma)]))
+    return spectral._eigenpair(problem, gamma, vecs)
 
 
 def scan_spectrum(problem, gamma_max, step):
@@ -893,6 +898,15 @@ def mercer_sum(eigenpairs, x, y):
         for f in pair.eigenfunctions:
             total += float(solution_value(f, x)) * float(solution_value(f, y)) / pair.eigenvalue
     return total
+
+
+def mercer_function_loop(eigenpairs, x, y):
+    """The former route of mercer_partial_sum: each function read at x and y
+    on its own (its value), and the terms f(x) f(y) / lambda summed in order
+    by one cumsum."""
+    terms = [np.prod(f.value([x.edge, y.edge], [x.offset, y.offset])) / pair.eigenvalue
+             for pair in eigenpairs for f in pair.eigenfunctions]
+    return float(np.cumsum([0.0, *terms])[-1])
 
 
 def vertex_residuals(problem, f):

@@ -770,29 +770,111 @@ def test_eigenfunctions_at_checks_the_basis_dimension(monkeypatch):
         eigenfunctions_at(graph, mu, math.sqrt(pairs[0].eigenvalue))
 
 
-def test_one_stacked_nullspace_call_fills_all_bases(monkeypatch):
-    # the first eigenfunctions_at after a scan takes the bases of all its
-    # roots from one stacked eigh of B per plan, and the scan takes none;
-    # the rest read them
+def scan_then_eigenfunctions(patch):
+    """The dodecahedron under dx-normalized, scanned up to gamma L = 4 on
+    every edge, then its eigenfunctions at every root, last root first,
+    with the calls of the stacked stages counted (patch: a monkeypatch
+    context): per call, null_vectors' (plan, gammas), the gammas of each
+    build of B after the scan and of each stack of Gram matrices, and the
+    moment calls (the measure has constant densities, so that only the
+    Gram calls _exp_moments)."""
     graph = builtin_graph("dodecahedron")
     mu = lebesgue_measure(graph, normalize=True)
-    calls, null_vectors = [], spectral._CountPlan.null_vectors
+    calls = {"null_vectors": [], "matrices": [], "_gram": [], "_exp_moments": []}
 
-    def counted(self, gs):
-        calls.append((self, len(gs)))
-        return null_vectors(self, gs)
+    def counted(owner, name, note):  # calls[name] gets note(*args) per call
+        method = getattr(owner, name)
 
-    monkeypatch.setattr(spectral._CountPlan, "null_vectors", counted)
-    # up to gamma L = 4 on every edge: the root at its pole gamma L = pi
-    # (multiplicity 10) takes the golden plan, the other seven whole edges
+        def wrapper(*args):
+            calls[name].append(note(*args))
+            return method(*args)
+        patch.setattr(owner, name, wrapper)
+
+    counted(spectral._CountPlan, "null_vectors", lambda self, gs: (self, len(gs)))
+    counted(spectral._CountPlan, "matrices", lambda self, gs: len(gs))
+    counted(SpectralProblem, "_gram", lambda self, gs, vecs: len(gs))
+    counted(spectral, "_exp_moments", lambda *args: None)
+    # the root at the edges' pole gamma L = pi (multiplicity 10) takes the
+    # golden plan, the other seven whole edges
     pairs = find_eigenvalues(graph, mu, 120.0)
     problem = spectral._problem(graph, mu)
-    assert calls == [] and problem.bases == {} and len(pairs) == 8
-    funcs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs[::-1]]
-    assert sorted(n for _, n in calls) == [1, 7]
-    assert {plan for plan, _ in calls} == {problem.count.whole, problem.count.golden}
+    assert calls["null_vectors"] == calls["_exp_moments"] == [] and problem.bases == {}
+    assert [p.multiplicity for p in pairs] == [3, 5, 4, 4, 3, 10, 3, 4]
+    calls["matrices"].clear()
+    first = eigenfunctions_at(graph, mu, math.sqrt(pairs[-1].eigenvalue))
+    done = {key: list(v) for key, v in calls.items()}
+    funcs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs[-2::-1]]
+    assert calls == done  # the later calls only wrap the kept vectors
     assert [len(problem.bases[math.sqrt(p.eigenvalue)]) for p in pairs] \
-        == [p.multiplicity for p in pairs] == [f.multiplicity for f in funcs[::-1]]
+        == [p.multiplicity for p in pairs] == [f.multiplicity for f in funcs[::-1] + [first]]
+    assert {plan for plan, _ in calls["null_vectors"]} \
+        == {problem.count.whole, problem.count.golden}
+    return funcs[::-1] + [first], calls
+
+
+def test_one_stacked_nullspace_call_fills_all_bases(monkeypatch):
+    # the first eigenfunctions_at after a scan finishes all its roots: one
+    # stacked eigh of B per plan, B built once for both of its gammas, and
+    # per multiplicity (3, 4, 5, 10) one Gram moment call for all its
+    # roots; the scan takes none of this and the later calls do nothing
+    with monkeypatch.context() as patch:
+        _, calls = scan_then_eigenfunctions(patch)
+    assert sorted(n for _, n in calls["null_vectors"]) == [1, 7]
+    assert sorted(calls["matrices"]) == [2, 14]  # B at both gammas of 1 and 7
+    assert sorted(calls["_gram"]) == [1, 1, 3, 3] and len(calls["_exp_moments"]) == 4
+
+
+def test_capped_stacks_give_the_same_functions(monkeypatch):
+    # with room for two roots' moment tables (2 m rows of 48 powers, m =
+    # 30) per stack, the groups of three roots take two Gram calls each,
+    # and null_vectors builds B (two 21 x 21 matrices per gamma on whole
+    # edges, two 51 x 51 on golden pieces) for six gammas, one and one:
+    # the same bits
+    with monkeypatch.context() as patch:
+        want, _ = scan_then_eigenfunctions(patch)
+    monkeypatch.setattr(spectral, "MAX_STACK_ENTRIES", 2 * 2 * 30 * 48)
+    with monkeypatch.context() as patch:
+        got, calls = scan_then_eigenfunctions(patch)
+    assert sorted(n for _, n in calls["null_vectors"]) == [1, 7]
+    assert sorted(calls["matrices"]) == [2, 2, 12]  # B at both gammas of 1, 1 and 6
+    assert sorted(calls["_gram"]) == [1, 1, 1, 1, 2, 2] and len(calls["_exp_moments"]) == 6
+    for pair, again in zip(want, got):
+        for f, g in zip(pair.eigenfunctions, again.eigenfunctions):
+            assert np.array_equal(f.ab, g.ab) and f.constant == g.constant
+            assert np.array_equal(f.h, g.h)
+
+
+def test_a_degenerate_gram_matrix_raises_at_its_root_alone(monkeypatch):
+    # a root whose Gram matrix is degenerate (zeroed here) raises on every
+    # request, and the other roots of its stack keep their bits: one of the
+    # three of multiplicity 3, and the one of multiplicity 10, a stack that
+    # has no root left to orthonormalize
+    graph = builtin_graph("dodecahedron")
+    mu = lebesgue_measure(graph, normalize=True)
+    pairs = find_eigenvalues(graph, mu, 120.0)
+    want = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs]
+    bad = [math.sqrt(pairs[n].eigenvalue) for n in (0, 5)]
+    assert [pairs[n].multiplicity for n in (0, 5)] == [3, 10]
+    gram = SpectralProblem._gram
+
+    def zeroed(self, gammas, vecs):
+        G = gram(self, gammas, vecs)
+        G[np.isin(gammas, bad)] = 0.0
+        return G
+
+    monkeypatch.setattr(SpectralProblem, "_gram", zeroed)
+    mu = lebesgue_measure(graph, normalize=True)
+    assert find_eigenvalues(graph, mu, 120.0) == pairs
+    for p, pair in zip(pairs, want):
+        gamma = math.sqrt(p.eigenvalue)
+        if gamma in bad:
+            for _ in range(2):
+                with pytest.raises(NumericError, match="degenerate Gram matrix"):
+                    eigenfunctions_at(graph, mu, gamma)
+            continue
+        for f, g in zip(pair.eigenfunctions,
+                        eigenfunctions_at(graph, mu, gamma).eigenfunctions):
+            assert np.array_equal(f.ab, g.ab) and f.constant == g.constant
 
 
 def stretched_tetrahedron(eps):
@@ -1316,8 +1398,8 @@ def test_one_call_gram_matches_pairwise_l2_inner(name, kind, dim):
     funcs = [problem.solution(gamma, v, h) for v in basis]
     pairwise = np.array([[l2_inner(problem.graph, f1, f2) for f2 in funcs] for f1 in funcs])
     assert len(basis) == dim
-    np.testing.assert_allclose(problem._gram(gamma, basis, h), pairwise,
-                               rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(problem._gram(np.array([gamma]), np.array([basis]))[0],
+                               pairwise, rtol=0.0, atol=1e-14)
 
 
 def test_eigen_residuals_interior_atom_and_linear_densities(tetrahedron):
@@ -1358,19 +1440,21 @@ def test_constant_function_is_not_an_eigenfunction(interval):
 
 # ------------------------------------ one problem per (graph, measure)
 
-@pytest.mark.parametrize("case", ["petersen", "paired"])
+@pytest.mark.parametrize("case", ["petersen", "paired", "cube-poly"])
 def test_one_problem_per_graph_and_measure(monkeypatch, case):
     # find_eigenvalues then eigenfunctions_at at every root build one problem
     # and take the null vectors of B once per root, counted in gammas (the
     # first eigenfunctions_at stacks all the scan's roots into one call per
-    # plan); new objects get a fresh problem
+    # plan); new objects get a fresh problem, whose stacks of one give the
+    # scan's functions bit for bit, under polynomial densities too (the
+    # pair form's 3 x 3 einsum then sums over a root axis)
     def make_graph():  # Petersen has a 5-fold root, the other a close pair
-        return builtin_graph("petersen") if case == "petersen" else \
-            build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES)
+        return build_graph([f"v{i}" for i in range(12)], PAIRED_ROOTS_EDGES) \
+            if case == "paired" else builtin_graph(case.partition("-")[0])
 
-    def make_measure(graph):
+    def make_measure(graph):  # cube-poly: spectrum's poly measure, an interior atom
         return lebesgue_measure(graph, normalize=True) if case == "petersen" else \
-            poly_shaped_measure(graph, "const")
+            poly_shaped_measure(graph, "poly" if case == "cube-poly" else "const")
 
     init, null_vectors = SpectralProblem.__init__, spectral._CountPlan.null_vectors
     built, calls = [], []
@@ -1391,7 +1475,7 @@ def test_one_problem_per_graph_and_measure(monkeypatch, case):
     funcs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue)) for p in pairs]
     assert (len(built), len(calls)) == (1, len(pairs))
     assert [f.multiplicity for f in funcs] == [p.multiplicity for p in pairs]
-    assert max(p.multiplicity for p in pairs) == (5 if case == "petersen" else 1)
+    assert max(p.multiplicity for p in pairs) == (1 if case == "paired" else 5)
 
     # a new measure object: a fresh problem, whose bases are computed afresh
     # and give the same functions bit for bit
@@ -1400,6 +1484,7 @@ def test_one_problem_per_graph_and_measure(monkeypatch, case):
         again = eigenfunctions_at(graph, mu2, math.sqrt(p.eigenvalue))
         for f, g in zip(pair.eigenfunctions, again.eigenfunctions):
             assert np.array_equal(f.ab, g.ab) and f.constant == g.constant
+            assert np.array_equal(f.h, g.h)
     assert (len(built), len(calls)) == (2, 2 * len(pairs))
     eigenfunctions_at(make_graph(), mu, math.sqrt(pairs[0].eigenvalue))
     assert (len(built), len(calls)) == (3, 2 * len(pairs) + 1)
@@ -1482,6 +1567,22 @@ def test_residuals_and_mercer_sums_match_the_loops(tetrahedron, interval):
         for x, y in zip(pts, pts[::-1]):
             assert mercer_partial_sum(pairs, x, y) == pytest.approx(
                 oracles.mercer_sum(pairs, x, y), rel=1e-15, abs=0.0)
+
+
+def test_mercer_sum_is_the_per_function_sum(tetrahedron):
+    # one array pass per working graph gives the bits of the former sum, one
+    # function read at a time: for one problem's pairs, for an interior atom's
+    # (the caller's points remapped), and for a list that mixes the two
+    dx = lebesgue_measure(tetrahedron, normalize=True)
+    atom = interior_atom_measure(tetrahedron)
+    one, remapped = ([eigenfunctions_at(tetrahedron, mu, math.sqrt(p.eigenvalue))
+                      for p in find_eigenvalues(tetrahedron, mu, 40.0)] for mu in (dx, atom))
+    mixed = [pair for pairs in zip(one, remapped[::-1]) for pair in pairs]
+    pts = _edge_points(tetrahedron, 3) + [tetrahedron.point("e1", 0.05)]
+    for pairs in (one, remapped, mixed):
+        assert sum(p.multiplicity for p in pairs) >= 12
+        for x, y in zip(pts, pts[::-1]):
+            assert mercer_partial_sum(pairs, x, y) == oracles.mercer_function_loop(pairs, x, y)
 
 
 def test_mercer_sums_converge_at_an_interior_atom(tetrahedron):
