@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import green as green_mod
-from .graph_core import PointOnGraph, ValidationError, subdivide_at, total_length
+from .graph_core import ValidationError, subdivide_at, total_length
 from .measure import integrate_polys_against, remap_measure
 from .numerics import (
     DEFAULT_RANK_TOL,
@@ -609,9 +608,10 @@ def _null_bases(problem, gammas):
     batch (_CountPlan.null_vectors) and one array pass per plan
     (SpectralProblem.coefficients)."""
     count, by_plan, out = problem.count, {}, {}
-    for g in gammas:
-        near = _near_pole(count.whole.lengths, g * (1.0 - NULL_REL), g * (1.0 + NULL_REL))
-        by_plan.setdefault(count.golden if near else count.whole, []).append(g)
+    near = _near_pole(count.whole.lengths, np.multiply(gammas, 1.0 - NULL_REL),
+                      np.multiply(gammas, 1.0 + NULL_REL))
+    for g, golden in zip(gammas, near.tolist()):
+        by_plan.setdefault(count.golden if golden else count.whole, []).append(g)
     for plan, gs in by_plan.items():
         Ys = plan.null_vectors(np.array(gs))
         ks = [Y.shape[1] for Y in Ys]
@@ -682,12 +682,20 @@ def _equilibrate(B):
     return first / np.sqrt(np.where(top > 0.0, top, 1.0))
 
 
+def _congruent(B, D):
+    """D B D of a stack of B and of diagonals D, written over B."""
+    B *= D[:, :, None]
+    B *= D[:, None, :]
+    return B
+
+
 class _CountPlan:
     """B(gamma) of EigenvalueCount for one set of pieces: their lengths, end
     nodes (ends[p] = (u, v)) and densities, and the atom mass at each node.
-    Called at a 1-D array of gammas, it gives their counts; read gives the
-    eigenvalues of the scaled B from which they come, from one stacked
-    eigvalsh, and null_vectors B's null vectors, from one stacked eigh.
+    Called at a 1-D array of gammas, it gives their counts; readings gives
+    them with the eigenvalues of the scaled B from which they come, from one
+    stacked eigvalsh per batch, and null_vectors B's null vectors, from one
+    stacked eigh per batch.
 
     B is written in the split basis, where node 0's row and column stand for
     the constant vector: the other nodes' rows keep Lambda / gamma and the
@@ -777,49 +785,36 @@ class _CountPlan:
         bordered[:, N, N] = gs * energy.sum(axis=1)
         return bordered, np.floor(gL / math.pi).sum(axis=1)
 
-    def scaled(self, gs, scales=None):
-        """(D B D, D, trig) at each gamma of gs, trig the count's trig term.
-        D is given, one row per gamma, or else, for a row of nan or with no
-        rows given, the gamma's own (_equilibrate)."""
-        B, trig = self.matrices(gs)
-        if scales is None:
-            scales = _equilibrate(B)
-        elif np.isnan(scales[:, 0]).any():
-            own = np.isnan(scales[:, 0])
-            scales = scales.copy()
-            scales[own] = _equilibrate(B[own])
-        B *= scales[:, :, None]
-        B *= scales[:, None, :]
-        return B, scales, trig
-
-    def read(self, gs, scales=None):
-        """(w, D, trig) of scaled, w the eigenvalues of D B D, ascending."""
-        B, scales, trig = self.scaled(gs, scales)
-        return np.linalg.eigvalsh(B, UPLO="L"), scales, trig
-
     def null_vectors(self, gs):
         """At each gamma of the 1-D array gs, the columns D z of B's null
-        vectors: z the eigenvectors of D B D whose eigenvalues are at most
-        DEFAULT_RANK_TOL of the largest in size, from one stacked eigh a
-        batch at a time (_batched), and D that of B at gamma (1 + NULL_REL),
-        B at both gammas from one call of matrices."""
+        vectors: z the eigenvectors of D B D (_congruent) whose eigenvalues
+        are at most DEFAULT_RANK_TOL of the largest in size, from one stacked
+        eigh a batch at a time (_batched), and D that of B at gamma (1 +
+        NULL_REL), B at both gammas from one call of matrices."""
         def batch(gs):
             B = self.matrices(np.concatenate((gs * (1.0 + NULL_REL), gs)))[0]
-            scales, B = _equilibrate(B[:gs.size]), B[gs.size:]
-            B *= scales[:, :, None]
-            B *= scales[:, None, :]
-            w, Z = np.linalg.eigh(B, UPLO="L")
+            scales = _equilibrate(B[:gs.size])
+            w, Z = np.linalg.eigh(_congruent(B[gs.size:], scales), UPLO="L")
             w = np.abs(w)
             null = w <= DEFAULT_RANK_TOL * w.max(axis=1, keepdims=True)
             return [D[:, None] * z[:, keep] for D, z, keep in zip(scales, Z, null)]
         return _batched(batch, gs, 2 * (self.nodes + 1) ** 2)
 
     def readings(self, gs, *scales):
-        """(count, plan, w, D, trig) at each gamma of the 1-D array gs, from
-        read (with the given rows of D, if any), a batch at a time
-        (_batched)."""
-        def batch(gs, *scales):
-            w, D, trig = self.read(gs, *scales)
+        """(count, plan, w, D, trig) at each gamma of the 1-D array gs, a
+        batch at a time (_batched): per batch one build of B (matrices),
+        trig its count's trig term, and one stacked eigvalsh of D B D
+        (_congruent), w its eigenvalues ascending.  D is the given row of
+        scales, or the gamma's own (_equilibrate) where that row is nan or
+        no rows are given."""
+        def batch(gs, D=None):
+            B, trig = self.matrices(gs)
+            if D is None:
+                D = _equilibrate(B)
+            elif (own := np.isnan(D[:, 0])).any():
+                D = D.copy()
+                D[own] = _equilibrate(B[own])
+            w = np.linalg.eigvalsh(_congruent(B, D), UPLO="L")
             # Python ints: near a gamma_max that MAX_SCAN_WORK rejects, the
             # trig term can exceed int64
             pos = (w > 0.0).sum(axis=1).tolist()
@@ -887,19 +882,11 @@ class EigenvalueCount:
         out = [r[0] for r in self.readings(np.atleast_1d(np.asarray(gamma, dtype=float)))]
         return out if np.ndim(gamma) else out[0]
 
-    def plans(self, gs):
-        """The plan that the count takes at each gamma of the 1-D array gs."""
-        # x within POLE_REL x of round(x) = 0 would need x < POLE_REL x, so
-        # only positive integers, the poles, are caught
-        x = gs[:, None] * (self.whole.lengths / math.pi)
-        near = (np.abs(x - np.round(x)) < POLE_REL * x).any(axis=1)
-        return [self.golden if n else self.whole for n in near.tolist()]
-
     def readings(self, gs):
         """The reading (count, plan, w, D, trig) of _CountPlan.readings at each
         gamma of the 1-D array gs, each on the plan that the count takes there:
         one stacked call per plan (_read_at)."""
-        return _read_at([(plan, g, None) for plan, g in zip(self.plans(gs), gs.tolist())])
+        return _read_at([(self, g, None) for g in gs.tolist()])
 
 
 def _batched(fn, gs, entries, *rows):
@@ -916,9 +903,11 @@ def _batched(fn, gs, entries, *rows):
 
 def _near_pole(lengths, a, b):
     """Whether a piece of the given lengths has a Dirichlet pole (gamma L =
-    k pi, k >= 1) within POLE_REL of [a, b], inside it included."""
+    k pi, k >= 1) within POLE_REL of [a, b], inside it included; at arrays a
+    and b, the array of that at each pair of entries (a[i], b[i])."""
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     first = np.maximum(np.ceil(a * (1.0 - POLE_REL) * lengths / math.pi), 1.0)
-    return bool((np.floor(b * (1.0 + POLE_REL) * lengths / math.pi) >= first).any())
+    return (np.floor(b * (1.0 + POLE_REL) * lengths / math.pi) >= first).any(axis=-1)
 
 
 def _crossing(reading, top, k):
@@ -969,13 +958,14 @@ def _refine_root(a, b, tol):
 def _read_at(asks):
     """The reading at each (plan, gamma, D) of asks, D a row of scales or
     None for the gamma's own, and plan an EigenvalueCount for the plan that
-    it takes at gamma: one stacked call per plan."""
+    it takes at gamma, golden where an edge pole lies within POLE_REL of it
+    (_near_pole, one call for all of them): one stacked call per plan."""
     counted = [n for n, ask in enumerate(asks) if isinstance(ask[0], EigenvalueCount)]
     if counted:
-        asks = list(asks)
-        plans = asks[counted[0]][0].plans(np.array([asks[n][1] for n in counted]))
-        for n, plan in zip(counted, plans):
-            asks[n] = (plan, *asks[n][1:])
+        asks, count = list(asks), asks[counted[0]][0]
+        gs = np.array([asks[n][1] for n in counted])
+        for n, near in zip(counted, _near_pole(count.whole.lengths, gs, gs).tolist()):
+            asks[n] = (count.golden if near else count.whole, *asks[n][1:])
     by_plan = {}
     for n, ask in enumerate(asks):
         by_plan.setdefault(ask[0], []).append(n)
@@ -1130,71 +1120,16 @@ def find_eigenvalues(graph, mu, gamma_max, gamma_floor=None):
     return sorted(out, key=lambda pair: pair.eigenvalue)
 
 
-@dataclass
-class ResidualReport:
-    """Worst-case residuals over the eigenfunctions of one Eigenpair."""
-
-    continuity: float
-    derivative: float
-    integral: float
-    operator: float
-
-
-def eigen_residuals(graph, mu, eigenpair, samples_per_edge=5):
-    """Continuity, derivative-balance, measure-integral, and operator residuals.
-
-    The operator residual samples x on a grid and compares the integral of
-    g_mu(x, y) f(y) dy against f(x) / lambda.  The integral is exact: the
-    profile y -> g_mu(x, y) is a coefficient row per edge plus kinks
-    J (y - a) right of a, so it is the pair form of f with the rows, plus per
-    kink that of J (y - a) over [0, L] less that over [0, a].
-    """
-    if not eigenpair.eigenfunctions:
-        raise ValidationError("eigenpair carries no eigenfunctions")
-    problem = _problem(graph, mu)
-    work, L = problem.graph, problem._lengths
-    evaluator = green_mod.GreenEvaluator(work, problem.mu)
-    cont = der = integ = oper = 0.0
-    lam = eigenpair.eigenvalue
-    # f is read at n points per edge; end 2k + side of edge k is ends[2k +
-    # side], at vertex[2k + side]; vertex i's grid point is its first end
-    n = samples_per_edge + 2
-    ids = np.repeat(np.array([e.id for e in work.edges], dtype=object), n)
-    t = np.linspace(0.0, L, n, axis=1).ravel()
-    ends = (np.arange(0, len(t), n)[:, None] + [0, n - 1]).ravel()
-    vertex = problem._ends.ravel()
-    first = np.unique(vertex, return_index=True)[1]
-    grid = np.concatenate((ends[first], np.setdiff1d(np.arange(len(t)), ends)))
-    profiles = [evaluator.g_profile(x) for x in map(PointOnGraph, ids[grid], t[grid].tolist())]
-    coeffs = np.real(np.stack([q.coeffs for q in profiles]))
-    rows, a, jumps = (np.concatenate(z) for z in zip(*(q.kinks for q in profiles)))
-    owner = np.repeat(np.arange(len(grid)), [q.kinks[0].size for q in profiles])
-    kink = np.real(jumps)[:, None] * np.column_stack((-a, np.ones_like(a)))
-    sign = np.tile([1.0, -1.0], len(L))  # slopes out of the u end, into the v end
-    mass = np.array([problem._atom_mass.get(v, 0.0) for v in work.vertices])
-    for f in eigenpair.eigenfunctions:
-        gam = f.gamma
-        vals = f.value(ids, t)
-        cont = max(cont, float(np.max(np.abs(vals[ends] - vals[ends[first]][vertex]))))
-        balance = np.bincount(vertex, sign * f.derivative(ids[ends], t[ends]),
-                              minlength=len(mass)) - gam * gam * mass * f.constant
-        der = max(der, float(np.max(np.abs(balance))))
-        integ = max(integ, abs(problem.mu_integral(f)))
-        p = f.constant * f.h
-        total = np.sum(_pair_form(L, gam, f.ab, p, 0.0, 0.0 * f.ab, coeffs), axis=-1)
-        if rows.size:
-            args = (gam, f.ab[rows], p[rows], 0.0, 0.0 * f.ab[rows], kink)
-            total += np.bincount(owner, _pair_form(L[rows], *args) - _pair_form(a, *args),
-                                 minlength=len(grid))
-        oper = max(oper, float(np.max(np.abs(total - vals[grid] / lam))))
-    return ResidualReport(cont, der, integ, oper)
-
-
 def mercer_partial_sum(eigenpairs, x, y):
     """Sum over the given eigenpairs of f_n(x) f_n(y) / lambda_n, term by
     term in their order; the functions that share a working graph are read
-    at x and y in one array pass (_read)."""
-    funcs = [(f, pair.eigenvalue) for pair in eigenpairs for f in pair.eigenfunctions]
+    at x and y in one array pass (_read).  An eigenpair without its
+    eigenfunctions (as find_eigenvalues returns them) raises ValidationError."""
+    funcs = []
+    for pair in eigenpairs:
+        if not pair.eigenfunctions:
+            raise ValidationError(f"eigenvalue {pair.eigenvalue!r} carries no eigenfunctions")
+        funcs += [(f, pair.eigenvalue) for f in pair.eigenfunctions]
     groups, terms = {}, np.empty(len(funcs))
     for n, (f, _) in enumerate(funcs):
         groups.setdefault((id(f.edges), id(f.remaps), f.h.shape[1]), []).append(n)

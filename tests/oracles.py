@@ -12,17 +12,21 @@ secular_matrix) with a plain grid, brentq and minimization, as a second
 route to the eigenvalue count.  depth_first_eigenvalues, the scan's
 former depth-first walk, also calls the package's count, its plans and the
 crossing eigenvalues that the secant follows, one gamma at a time, to check
-the lockstep walk that replaced it.  piecewise_extremes and
+the lockstep walk that replaced it.  pole_plans is the count's former
+per-gamma choice of plan, |x - round x| < POLE_REL x for x = gamma L / pi,
+that the one pole rule (_near_pole) replaced.  piecewise_extremes and
 piecewise_abs_integral are the former per-piece loops of the
 piecewise-polynomial class, one numpy polyroots per piece, that the array
 passes of circuit.EdgeTable replaced.
-solution_value, mercer_sum and vertex_residuals read an EdgeBasisSolution's
-arrays one point at a time: the PointRemap chain walked point by point and
-the scalar per-edge formula, the former per-point paths of the solution's
-value and derivative, of mercer_partial_sum and of eigen_residuals' vertex
-loops, that one array pass replaced.  operator_residual is the former
-per-grid-point loop of eigen_residuals' operator residual, on the package's
-Green profiles and pair form.  kernel_eval is the former body of
+solution_value and mercer_sum read an EdgeBasisSolution's arrays one point
+at a time: the PointRemap chain walked point by point and the scalar
+per-edge formula, the former per-point paths of the solution's value and
+derivative and of mercer_partial_sum, that one array pass replaced.
+vertex_residuals (continuity and derivative balance, vertex by vertex, on
+solution_value) and operator_residual (the identity integral g_mu(x, y)
+f(y) dy = f(x) / lambda, one grid point at a time, on the package's Green
+profiles and pair form) are the residual checks of an eigenpair; the
+package has no copy of them.  kernel_eval is the former body of
 ResistanceKernel.eval, the edge pair's 3 x 3 monomial form (the kernel's
 biquad) read through vander and einsum, that the vertex-weight read
 replaced.  discriminant_pairs is the former pair loop of
@@ -60,8 +64,8 @@ from metragraph.numerics import DEFAULT_RANK_TOL, DEFAULT_ROOT_TOL, polyder_rows
 from metragraph.green import GreenEvaluator
 from metragraph import spectral
 from metragraph.spectral import (
-    DEFAULT_GAMMA_FLOOR, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem, _exp_moments,
-    _crossing, _near_pole, _pair_form, _problem, _row_lengths,
+    DEFAULT_GAMMA_FLOOR, POLE_REL, SECANT_MAX_ITER, EigenvalueCount, SpectralProblem,
+    _exp_moments, _crossing, _near_pole, _pair_form, _problem, _row_lengths,
 )
 
 
@@ -745,6 +749,16 @@ def depth_first_eigenvalues(graph, mu, gamma_max):
         assert ra[0] <= rm[0] <= rb[0], "count not monotone"
         stack += [(mid, rm, b, rb), (a, ra, mid, rm)]
     return out
+
+
+def pole_plans(count, gs):
+    """The plan of an EigenvalueCount at each gamma of the 1-D array gs by
+    its former rule: golden where some edge has x = gamma L / pi with
+    |x - round x| < POLE_REL x (round x = 0 would need x < POLE_REL x, so
+    only the poles, positive integers, are caught)."""
+    x = gs[:, None] * (count.whole.lengths / math.pi)
+    near = (np.abs(x - np.round(x)) < POLE_REL * x).any(axis=1)
+    return [count.golden if n else count.whole for n in near.tolist()]
 
 
 def deflated_counts(plan, gs):

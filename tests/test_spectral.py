@@ -53,7 +53,6 @@ from metragraph.spectral import (
     _exp_moments,
     _overlap,
     _particular_table,
-    eigen_residuals,
 )
 
 PI2 = math.pi * math.pi
@@ -426,7 +425,8 @@ def test_refinement_evaluation_count(monkeypatch):
     # stacks; the former route's bounds were 500 secant gammas in 130 stacks
     # and 1000 counts in 160
     secant, counts, stacks = [], [], []
-    read_at, readings, read = spectral._read_at, EigenvalueCount.readings, spectral._CountPlan.read
+    read_at, readings = spectral._read_at, EigenvalueCount.readings
+    matrices = spectral._CountPlan.matrices
 
     def counting(asks):
         counted = sum(isinstance(ask[0], EigenvalueCount) for ask in asks)
@@ -439,13 +439,13 @@ def test_refinement_evaluation_count(monkeypatch):
         secant.append(-len(gs))
         return readings(self, gs)
 
-    def stacked(self, gs, *scales):
+    def stacked(self, gs):
         stacks.append(len(gs))
-        return read(self, gs, *scales)
+        return matrices(self, gs)
 
     monkeypatch.setattr(spectral, "_read_at", counting)
     monkeypatch.setattr(EigenvalueCount, "readings", ends)
-    monkeypatch.setattr(spectral._CountPlan, "read", stacked)
+    monkeypatch.setattr(spectral._CountPlan, "matrices", stacked)
     for name in TABLE_GRAPHS:
         graph = builtin_graph(name)
         for mu in table_measures(graph):
@@ -533,9 +533,9 @@ def test_poly_measure_with_interior_atom_matches_depth_first(name):
 
 def test_levels_wider_than_a_batch_match_depth_first(interval, monkeypatch):
     # the roots n pi below 700: the widest steps hold over 100 brackets
-    sizes, read = [], spectral._CountPlan.read
-    monkeypatch.setattr(spectral._CountPlan, "read",
-                        lambda self, gs, *scales: sizes.append(len(gs)) or read(self, gs, *scales))
+    sizes, matrices = [], spectral._CountPlan.matrices
+    monkeypatch.setattr(spectral._CountPlan, "matrices",
+                        lambda self, gs: sizes.append(len(gs)) or matrices(self, gs))
     got = assert_same_as_depth_first(interval, lebesgue_measure(interval), 700.0)
     assert len(got) == 222
     assert max(sizes) == spectral.MAX_BATCH and sizes.count(spectral.MAX_BATCH) > 1
@@ -548,13 +548,13 @@ def test_stacks_of_large_matrices_hold_fewer_gammas(monkeypatch):
     graph = builtin_graph("dodecahedron")
     mu = canonical_measure(graph)
     monkeypatch.setattr(spectral, "MAX_STACK_ENTRIES", 3 * 21 * 21 + 20)
-    sizes, read = [], spectral._CountPlan.read
+    sizes, matrices = [], spectral._CountPlan.matrices
 
-    def counting(self, gs, *scales):
+    def counting(self, gs):
         sizes.append((self.nodes + 1, len(gs)))
-        return read(self, gs, *scales)
+        return matrices(self, gs)
 
-    monkeypatch.setattr(spectral._CountPlan, "read", counting)
+    monkeypatch.setattr(spectral._CountPlan, "matrices", counting)
     assert SpectralProblem(graph, mu).count.whole.nodes + 1 == 21
     assert_same_as_depth_first(graph, mu, TABLE_GAMMA_MAX)
     assert max(n for size, n in sizes if size == 21) == 3
@@ -596,6 +596,40 @@ def test_stacked_values_equal_scalar_ones(case):
                         assert np.array_equal(r[3], scales[0][i])
                     else:
                         assert np.array_equal(r[3], own[i][3])
+
+
+def test_one_pole_rule(tetrahedron, interval, monkeypatch):
+    # _near_pole on arrays is its scalar calls, entry by entry, and the plan
+    # that _read_at gives a count ask is the former per-gamma rule
+    # (oracles.pole_plans): at k pi / L (1 -+ 1e-5), (1 -+ 1e-7) and k pi / L
+    # for every edge length L and k <= 199, and at 200,000 uniform gammas.
+    # The two rules part only within a few ulps of x = gamma L / pi = k / (1
+    # -+ POLE_REL), where < and <= and the rounding of x (1 -+ POLE_REL)
+    # differ; both plans are exact there (1e-6 out from the pole, where
+    # whole edges miscount only within 3e-9), so the sweep leaves out the
+    # gammas within 16 ulps of such an x
+    monkeypatch.setattr(spectral._CountPlan, "readings",
+                        lambda self, gs, *scales: [(None, self)] * len(gs))
+    rng, eps = np.random.default_rng(3), np.finfo(float).eps
+    for graph in (tetrahedron, interval, random_cubic(3, 30)):
+        count = SpectralProblem(graph, lebesgue_measure(graph, normalize=True)).count
+        L = count.whole.lengths
+        poles = (np.arange(1.0, 200.0)[:, None] * math.pi / np.unique(L)).ravel()
+        gs = np.concatenate([poles * f for f in (1 - 1e-5, 1 + 1e-5, 1 - 1e-7, 1 + 1e-7, 1.0)]
+                            + [rng.uniform(0.0, 200.0 * math.pi / L.min(), 200_000)])
+        x = gs[:, None] * L / math.pi
+        edge = [np.abs(y - np.round(y)) <= 16.0 * eps * y
+                for y in (x * (1.0 - spectral.POLE_REL), x * (1.0 + spectral.POLE_REL))]
+        gs = gs[~(edge[0] | edge[1]).any(axis=1)]
+        assert gs.size > 200_000
+        golden = [r[1] is count.golden for r in spectral._read_at([(count, g, None)
+                                                                   for g in gs.tolist()])]
+        assert golden == [p is count.golden for p in oracles.pole_plans(count, gs)]
+        assert 3 * len(poles) <= sum(golden) < gs.size // 2  # (1 -+ 1e-7) and 1.0 on golden
+        a, b = gs[::40] * (1.0 - spectral.NULL_REL), gs[::40] * (1.0 + spectral.NULL_REL)
+        for lo, hi in ((gs[::40], gs[::40]), (a, b)):
+            assert spectral._near_pole(L, lo, hi).tolist() == [
+                bool(spectral._near_pole(L, g, h)) for g, h in zip(lo.tolist(), hi.tolist())]
 
 
 @pytest.mark.parametrize("kind", ["const", "poly"])
@@ -1326,17 +1360,28 @@ def test_eigenfunctions_at_rejects_non_root(interval):
         eigenfunctions_at(interval, lebesgue_measure(interval), 1.2345)
 
 
+def residuals(graph, mu, pair, samples_per_edge=5):
+    """The worst continuity, derivative-balance, measure-integral and
+    operator residuals over the functions of an eigenpair."""
+    problem = spectral._problem(graph, mu)
+    continuity, derivative = np.max([oracles.vertex_residuals(problem, f)
+                                     for f in pair.eigenfunctions], axis=0)
+    integral = max(abs(problem.mu_integral(f)) for f in pair.eigenfunctions)
+    return (continuity, derivative, integral,
+            oracles.operator_residual(graph, mu, pair, samples_per_edge))
+
+
 def test_eigenpair_invariants_circle(circle):
     dx = lebesgue_measure(circle)
     funcs, lams = [], []
     for n in (1, 2):
         pair = eigenfunctions_at(circle, dx, 2 * math.pi * n)
         assert pair.multiplicity == 2
-        rep = eigen_residuals(circle, dx, pair)
-        assert rep.continuity < 1e-9
-        assert rep.derivative < 1e-9
-        assert rep.integral < 1e-9
-        assert rep.operator < 1e-13
+        continuity, derivative, integral, operator = residuals(circle, dx, pair)
+        assert continuity < 1e-9
+        assert derivative < 1e-9
+        assert integral < 1e-9
+        assert operator < 1e-13
         for f in pair.eigenfunctions:
             funcs.append(f)
             lams.append(pair.eigenvalue)
@@ -1402,7 +1447,7 @@ def test_one_call_gram_matches_pairwise_l2_inner(name, kind, dim):
                                pairwise, rtol=0.0, atol=1e-14)
 
 
-def test_eigen_residuals_interior_atom_and_linear_densities(tetrahedron):
+def test_residuals_interior_atom_and_linear_densities(tetrahedron):
     # the atom splits e2 in the working graph, and every profile of g_mu
     # read at an interior grid point kinks there: both parts of the exact
     # operator residual are exercised
@@ -1414,19 +1459,26 @@ def test_eigen_residuals_interior_atom_and_linear_densities(tetrahedron):
     pairs = find_eigenvalues(tetrahedron, mu, 20.0)
     assert [p.multiplicity for p in pairs] == [1, 2, 1, 1]
     for p in pairs:
-        rep = eigen_residuals(tetrahedron, mu, eigenfunctions_at(tetrahedron, mu,
-                                                                 math.sqrt(p.eigenvalue)))
-        assert rep.continuity < 1e-13
-        assert rep.derivative < 1e-12
-        assert rep.integral < 1e-13
-        assert rep.operator < 1e-15
+        continuity, derivative, integral, operator = residuals(
+            tetrahedron, mu, eigenfunctions_at(tetrahedron, mu, math.sqrt(p.eigenvalue)))
+        assert continuity < 1e-13
+        assert derivative < 1e-12
+        assert integral < 1e-13
+        assert operator < 1e-15
 
 
-def test_eigen_residuals_requires_functions(interval):
+def test_mercer_partial_sum_requires_functions(interval):
+    # find_eigenvalues' pairs carry no functions: summing them would drop
+    # their terms without a word
     dx = lebesgue_measure(interval)
-    bare = find_eigenvalues(interval, dx, 4.0)[0]
-    with pytest.raises(ValidationError):
-        eigen_residuals(interval, dx, bare)
+    bare = find_eigenvalues(interval, dx, 10.0)
+    x = interval.point("e1", 0.25)
+    assert len(bare) == 3
+    for pairs, named in ((bare, bare[0]), ([eigenfunctions_at(
+            interval, dx, math.sqrt(bare[0].eigenvalue)), bare[1]], bare[1])):
+        with pytest.raises(ValidationError) as raised:
+            mercer_partial_sum(pairs, x, x)
+        assert repr(named.eigenvalue) in str(raised.value)
 
 
 def test_constant_function_is_not_an_eigenfunction(interval):
@@ -1549,20 +1601,10 @@ def test_array_reads_match_the_point_by_point_chain(tetrahedron, interval):
                 assert oracles.sup_norm(f, graph, 7) == want
 
 
-def test_residuals_and_mercer_sums_match_the_loops(tetrahedron, interval):
+def test_mercer_sums_match_the_loops(tetrahedron, interval):
     for graph, mu, gamma_max, cuts in _split_cases(tetrahedron, interval):
-        problem = spectral._problem(graph, mu)
         pairs = [eigenfunctions_at(graph, mu, math.sqrt(p.eigenvalue))
                  for p in find_eigenvalues(graph, mu, gamma_max)]
-        for pair in pairs:
-            cont, der = np.max([oracles.vertex_residuals(problem, f)
-                                for f in pair.eigenfunctions], axis=0)
-            for samples in (0, 2):  # 0: every grid point a vertex, no profile kinks
-                rep = eigen_residuals(graph, mu, pair, samples_per_edge=samples)
-                assert rep.continuity == pytest.approx(cont, rel=1e-15, abs=0.0)
-                assert rep.derivative == pytest.approx(der, rel=1e-15, abs=0.0)
-                assert rep.operator == pytest.approx(
-                    oracles.operator_residual(graph, mu, pair, samples), rel=1e-15, abs=0.0)
         pts = _edge_points(graph, 4) + cuts
         for x, y in zip(pts, pts[::-1]):
             assert mercer_partial_sum(pairs, x, y) == pytest.approx(
