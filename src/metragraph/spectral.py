@@ -25,11 +25,11 @@ call, one stacked eigh and one stacked probe SVD; mercer_partial_sum reads
 the functions of one working graph in one array pass.  M serves only
 assemble_characteristic_matrix, characteristic_det and
 SpectralProblem.nullspace, at one gamma, written from the incidences.
-Every edge integral at a given gamma (trig moments of the densities
-and of products of edge solutions) comes from one batched moment kernel,
-_exp_moments, called once for all edges: integration by parts in closed
-form where omega*L is large, and otherwise a power series summed as each
-row's real power table x^j / j! times one fixed complex table.
+The edge integrals at a given gamma come from two moment kernels, each in
+closed form by parts where omega*L is large and a power series below:
+_poly_moments, built once per count plan, gives the moments of its polynomial
+pieces (densities, overlaps) at every read of B, and _exp_moments, called once
+for all edges, M's density moments and the Gram matrices (_pair_form).
 """
 
 from __future__ import annotations
@@ -87,6 +87,12 @@ MAX_SCAN_WORK = 4e9  # about 10 s
 # entries, so memory stays flat (_batched)
 MAX_BATCH = 64
 MAX_STACK_ENTRIES = 1 << 18
+# _poly_moments' crossover in x = gamma L and series length.  Of S = sum_k |Q_k|
+# L^(k+1), the series loses cosh(x) eps to cancellation and the closed form (m-th
+# term Q^(m)(L) / gamma^(m+1)) max_m d! / ((d - m)! x^(m+1)) eps at degree d: equal
+# at x = 2 for d = 5 (overlaps of quadratic densities) and 2.65 for d = 7, so at 2.5
+# both lose at most 11 eps through d = 7.  The tail 2.5^J / J! is under 1e-4 eps at 30
+_CROSSOVER, _TERMS = 2.5, 30
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,12 +141,46 @@ def _exp_moments(omega, lengths, count):
         # row's terms past its own bound are exact zeros
         xs = x[rows, None]
         j = np.arange(40.0 + math.ceil(7.5 * xs.max()))
-        P = np.cumprod(np.concatenate((np.ones_like(xs), xs * (1.0 / j[1:])), axis=1), axis=1)
-        P[j >= 40.0 + np.ceil(7.5 * xs)] = 0.0
+        P = np.zeros((rows.size, j.size), dtype=complex)  # built in place, as matmul takes it
+        P.real[:, 0], tail = 1.0, P.real[:, 1:]
+        np.multiply.accumulate(np.multiply(xs, 1.0 / j[1:], out=tail), axis=1, out=tail)
+        tail *= j[1:] < 40.0 + np.ceil(7.5 * xs)
         series = (P[:, None, :] @ _series_table(count)[:j.size])[:, 0]
         series *= L[rows, None] ** np.arange(1.0, count + 2.0)
         out[rows] = np.where(closed[rows], out[rows], series)
     return out.reshape(shape)
+
+
+def _poly_moments(Q, L):
+    """The function F(gs)[b, r] = integral over [0, L_r] of Q_r(t) exp(i gs[b] t) dt,
+    for fixed rows Q (ascending) and lengths L.  Where x = gamma L_r < _CROSSOVER, the
+    series sum_j (gamma ell)^j c_rj, c_rj = (L_r / ell)^j / j! sum_k Q_rk L_r^(k+1) i^j
+    / (k + j + 1), one stacked (1 x J) @ (J x 2R) product per band of rows within 1e4
+    of its scale ell; elsewhere by parts in real arithmetic, -z sum_m z^m (Q_r^(m)(L_r)
+    e^(i x) - Q_r^(m)(0)), z = i / gamma.  A gamma takes the same bits in any stack."""
+    K, j, ell = Q.shape[1], np.arange(_TERMS), L.min() * 1e4 ** np.floor(np.log10(L / L.min()) / 4)
+    fact = np.cumprod(np.maximum(np.arange(max(K, _TERMS)), 1.0))  # 0!, 1!, 2!, ...
+    coef = (Q * L[:, None] ** np.arange(K)) @ _series_table(K - 1)[:_TERMS].T
+    coef = coef * L[:, None] * (L / ell)[:, None] ** j / fact[:_TERMS]
+    bands = [(e, ell == e, coef[ell == e].T.copy().view(float)) for e in np.unique(ell)]
+    ends = np.stack((shift_polys(Q, L), Q), axis=2) * fact[:K, None]  # Q^(m)(L), Q^(m)(0)
+    def moments(gs):
+        x = gs[:, None] * L
+        closed, out = x >= _CROSSOVER, np.empty(x.shape, dtype=complex)
+        for e, rows, c in bands:  # in a band, (L / ell)^j and (gamma L)^j / j! stay finite
+            b = np.flatnonzero(~closed[:, rows].all(axis=1))[:, None]
+            if b.size:
+                out[b, rows] = (((gs[b] * e) ** j)[:, None, :] @ c)[:, 0].view(complex)
+        b, r = np.nonzero(closed)
+        if b.size:  # in real arithmetic, (re, im) of P = sum_m z^m Q^(m) at both ends
+            g, re, im = 1.0 / gs[b, None], ends[r, -1], np.zeros((b.size, 2))
+            for m in range(K - 2, -1, -1):
+                re, im = ends[r, m] - g * im, g * re
+            c, s, g = np.cos(x[b, r]), np.sin(x[b, r]), g[:, 0]
+            out.real[b, r] = g * (c * im[:, 0] + s * re[:, 0] - im[:, 1])
+            out.imag[b, r] = -g * (c * re[:, 0] - s * im[:, 0] - re[:, 1])
+        return out
+    return moments
 
 
 def _particular_table(dens):
@@ -678,7 +718,8 @@ def _equilibrate(B):
     A = np.abs(B)
     top = A.max(axis=2)
     first = 1.0 / np.sqrt(np.where(top > 0.0, top, 1.0))
-    top = (A * first[:, None, :]).max(axis=2) * first
+    A *= first[:, None, :]
+    top = A.max(axis=2) * first
     return first / np.sqrt(np.where(top > 0.0, top, 1.0))
 
 
@@ -702,7 +743,8 @@ class _CountPlan:
     end slopes, node 0's holds the row sums sum_{p at v} tan(gamma L_p / 2)
     and, in the corner, 2 sum_p tan(gamma L_p / 2), and the border's first
     entry is the total mass f^T 1 = sum of the atoms + sum_p (C_p + S_p
-    tan(gamma L_p / 2)).  No entry is a difference that cancels."""
+    tan(gamma L_p / 2)).  No entry is a difference that cancels.  The
+    moments of the polynomial pieces come from one _poly_moments per plan."""
 
     def __init__(self, lengths, ends, dens, atoms):
         N, m, (u, v) = len(atoms), len(lengths), ends.T
@@ -725,14 +767,15 @@ class _CountPlan:
         self.fixed[N, 0] = self.fixed[0, N] = atoms.sum()
         poly = np.any(dens[:, 1:] != 0.0, axis=1)
         self.poly, self.d0 = np.flatnonzero(poly), np.where(poly, 0.0, dens[:, 0])
-        if self.poly.size:
-            self.overlap = _overlap(dens[self.poly], lengths[self.poly])
         # each piece's self-energy where gamma L < 0.1 (_energy_series)
         L = lengths[:, None]
         self.series = self.d0[:, None] ** 2 * _unit_energy_series()
         if self.poly.size:
-            k = self.poly
-            self.series[k] = _energy_series(dens[k] * L[k] ** np.arange(dens.shape[1]))
+            k, W = self.poly, dens.shape[1]
+            self.series[k] = _energy_series(dens[k] * L[k] ** np.arange(W))
+            self.overlap = _overlap(dens[k], lengths[k])
+            Q = np.concatenate((np.pad(dens[k], ((0, 0), (0, W))), self.overlap))
+            self.moments = _poly_moments(Q, np.tile(lengths[k], 2))  # densities, overlaps
         self.series *= L ** 3
 
     def split(self, cut):
@@ -761,16 +804,13 @@ class _CountPlan:
         energy = self.d0 ** 2 * L ** 3 / 4.0 * ((tan / half - 1.0) / half / half)
         if self.poly.size:
             # d G_D d by the product-to-sum form of sin(g t<) sin(g (L - t>))
-            k = self.poly
-            I = _exp_moments(g, L[k], self.overlap.shape[1] - 1)
-            z = np.sum(self.dens[k] * I[..., :self.dens.shape[1]], axis=-1)
+            k, (z, over) = self.poly, np.split(self.moments(gs), 2, axis=1)
             C, S = z.real, z.imag
             su, sv, mass = su.copy(), sv.copy(), mass.copy()
             su[:, k], sv[:, k] = C - cg[:, k] * S * off[:, k], S * off[:, k]
             mass[:, k] = C + S * tan[:, k]
             zz = z * z * (cg[:, k] - 1j * sg[:, k])  # integral of d d cos(g (t + t' - L))
-            energy[:, k] = (zz.real - 2.0 * np.sum(self.overlap * I.real, axis=-1)) \
-                / np.where(gL[:, k] < 0.1, 1.0, 2.0 * g * sg[:, k])
+            energy[:, k] = (zz - 2.0 * over).real / np.where(gL[:, k] < 0.1, 1.0, 2 * g * sg[:, k])
         small = gL < 0.1  # where the differences above cancel
         if small.any():
             x2, near = gL * gL, self.series[:, -1]

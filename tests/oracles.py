@@ -411,6 +411,22 @@ def exp_moments_row(omega, length, count):
     return out
 
 
+def poly_moment_by_parts(coeffs, length, gamma, digits=150):
+    """int_0^length q(t) exp(i gamma t) dt for the ascending coefficients of q,
+    by integration by parts, sum_m (-1)^m [q^(m) exp(i gamma t)]_0^length /
+    (i gamma)^(m+1), in mpmath at the given digits: the reference for the
+    count plan's moment kernel, free of cancellation at any gamma length."""
+    with mpmath.workdps(digits):
+        q = [mpmath.mpf(float(c)) for c in coeffs]
+        L, g = mpmath.mpf(float(length)), mpmath.mpf(float(gamma))
+        E, total = mpmath.expj(g * L), mpmath.mpf(0)
+        for m in range(len(q)):
+            der = [q[k] * mpmath.ff(k, m) for k in range(m, len(q))]
+            at_L = sum(c * L ** i for i, c in enumerate(der))
+            total += (-1) ** m * (at_L * E - der[0]) / (1j * g) ** (m + 1)
+        return complex(total)
+
+
 def overlap(coeffs, length):
     """Coefficients in y of the integral over [0, y] of d(t) d(t + length - y) dt,
     for one row by a double loop of convolutions over the binomial expansion

@@ -658,6 +658,67 @@ def test_overlap_table_matches_loop_oracle():
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
 
 
+def test_poly_moments_match_integration_by_parts():
+    # 320 random rows of degree <= 5, L in 10^[-2, 2] and gamma L in
+    # 10^[-6, 1.7], in one kernel read at all 320 gammas at once, so that
+    # each gamma mixes series and closed-form rows; row r at gammas[r] against
+    # 150 digits, to 2e-15 of sum_k |Q_k| L^(k+1) (worst measured 2.8e-16)
+    rng = np.random.default_rng(37)
+    n = 320
+    degree = rng.integers(0, 6, n)
+    Q = rng.uniform(-1.0, 1.0, (n, 6)) * (np.arange(6) <= degree[:, None])
+    L = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    gammas = 10.0 ** rng.uniform(-6.0, 1.7, n) / L
+    x = gammas * L
+    assert (x < spectral._CROSSOVER).sum() > 100 and (x >= spectral._CROSSOVER).sum() > 30
+    moments = spectral._poly_moments(Q, L)
+    got = moments(gammas)
+    scale = np.sum(np.abs(Q) * L[:, None] ** np.arange(1.0, 7.0), axis=1)
+    want = [oracles.poly_moment_by_parts(q, length, g) for q, length, g in zip(Q, L, gammas)]
+    assert np.max(np.abs(np.diagonal(got) - want) / scale) < 2e-15
+    # each gamma takes the bits of a read of its own
+    for i in range(0, n, 7):
+        assert np.array_equal(got[i], moments(gammas[i:i + 1])[0])
+
+
+def test_poly_moments_span_length_bands():
+    # lengths over 10^[-15, 15], so that one kernel holds several bands of
+    # 1e4 each with its own power table: no power overflows (pyproject.toml
+    # raises RuntimeWarnings) and each row holds 2e-15 of sum_k |Q_k| L^(k+1)
+    rng = np.random.default_rng(38)
+    n = 60
+    Q = rng.uniform(-1.0, 1.0, (n, 6))
+    L = 10.0 ** rng.uniform(-15.0, 15.0, n)
+    gammas = 10.0 ** rng.uniform(-6.0, 1.7, n) / L
+    got = np.diagonal(spectral._poly_moments(Q, L)(gammas))
+    scale = np.sum(np.abs(Q) * L[:, None] ** np.arange(1.0, 7.0), axis=1)
+    want = [oracles.poly_moment_by_parts(q, length, g) for q, length, g in zip(Q, L, gammas)]
+    assert np.max(np.abs(got - want) / scale) < 2e-15
+    # a scan whose pieces' lengths differ by 1e11 and by 1e13
+    spectra = []
+    for short in (1e-11, 1e-13):
+        graph = build_graph(["a", "b", "c"], [("e1", "a", "b", short), ("e2", "a", "b", 1.0),
+                                              ("e3", "b", "c", 0.5)])
+        spectra.append(find_eigenvalues(graph, poly_shaped_measure(graph), 40.0))
+    assert len(spectra[0]) == 18
+    assert_spectrum(spectra[1], [(p.eigenvalue, p.multiplicity) for p in spectra[0]], rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube"])
+def test_poly_moments_hold_at_tiny_floors(name):
+    # from gamma ell = 1e-100 and 1e-200 the series rows see gamma^j
+    # underflow and the closed-form ones are never read there: no
+    # RuntimeWarning (pyproject.toml raises them), and the roots of the
+    # scan from 1e-12 to 1e-13
+    graph = builtin_graph(name)
+    mu = poly_shaped_measure(graph)
+    gamma_max = 40.0 / total_length(graph)
+    want = find_eigenvalues(graph, mu, gamma_max, gamma_floor=1e-12)
+    for floor in (1e-100, 1e-200):
+        got = find_eigenvalues(graph, mu, gamma_max, gamma_floor=floor)
+        assert_spectrum(got, [(p.eigenvalue, p.multiplicity) for p in want], rel=1e-13)
+
+
 WIDE_SPREAD = (["a", "b", "c"], [("e1", "a", "b", 1e-7), ("e2", "a", "b", 1.0),
                                   ("e3", "b", "c", 0.5)])
 
